@@ -22,20 +22,16 @@ from .analytic import (
     to_dbc_hz,
 )
 from .circuit import (
-    Block,
-    BlockGraph,
     ConfigurationError,
     ShapeError,
     SimulationResult,
     SteadyStateResult,
     delay_block,
-    delayed_self_graph,
     demodulate_phase,
+    divider_residual,
     divider_steady_state,
     ideal_filter,
     mix,
-    mixing_tree_graph,
-    pair_average_graph,
     simulate_delayed_self_average,
     simulate_mixing_tree,
     simulate_pair_average,
@@ -47,7 +43,6 @@ from .spectral import (
     SpectrumEstimate,
     autocorr_estimate,
     autocorr_per_path,
-    ensemble_welch,
     psd_of_phase_shift,
     welch_psd,
 )

@@ -9,9 +9,8 @@ the symbolic mode through the demodulation oracle.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import signal as sps
@@ -23,8 +22,10 @@ from .stochastic import (
     PhasePath,
     SamplingError,
     Waveform,
+    lag_samples,
     oscillator_waveform,
     sample_offset,
+    wiener_ensemble,
     wiener_path,
 )
 
@@ -84,10 +85,7 @@ def ideal_filter(w: Waveform, kind: str, f_cut: float, mode: str = "brickwall",
 
 def delay_block(w: Waveform, delta: float) -> Waveform:
     """Delay by an integer number of samples, zero-padded at the start."""
-    lag = delta * w.fs
-    lag_i = int(round(lag))
-    if not math.isclose(lag, lag_i, abs_tol=1e-6):
-        raise ParameterError(f"delay {delta:g} s is not a multiple of 1/fs")
+    lag_i = lag_samples(delta, 1.0 / w.fs)
     out = np.zeros(len(w))
     if lag_i < len(w):
         out[lag_i:] = w.samples[: len(w) - lag_i]
@@ -193,7 +191,7 @@ class SimulationResult:
     expected: SteadyStateResult
     phases: Tuple[PhasePath, ...]
     omegas: Tuple[float, ...]
-    residual: float
+    residual: Optional[float]
     measured_total_phase: Optional[np.ndarray] = None
     prefilter: Optional[Waveform] = None
 
@@ -212,6 +210,42 @@ def _check_rate(fs: float, f_top: float):
                             f"to cover products near {f_top:g} Hz")
 
 
+def divider_residual(summed: Waveform, output: Waveform, f_c: float,
+                     settle: int = 0) -> float:
+    """Substitution check of the regenerative 2-divider on waveforms.
+
+    Feeds `output` back through the divider loop (mixer with the sum-band
+    input `summed`, gain 4, lowpass at 2*f_c) and returns the largest
+    deviation of the loop output from `output`. At the fixed point the
+    mixer's product near f_c reproduces the output; an output phase off by
+    e radians reads about |sin(e)|. The brick-wall filters ring near the
+    ends, so the first and last sixteenth (at least edge_trim samples) are
+    skipped, and so are the first `settle` samples (start-up).
+    """
+    loop = ideal_filter(mix(summed, Waveform(fs=output.fs, samples=4.0 * output.samples)),
+                        "lowpass", 2.0 * f_c)
+    trim = max(edge_trim(output.fs, f_c), len(output) // 16)
+    dev = np.abs(loop.samples - output.samples)[settle + trim:len(output) - trim]
+    if dev.size == 0:
+        raise ParameterError("duration too short to check the divider loop")
+    return float(np.max(dev))
+
+
+def _average_stage(a: Waveform, b: Waveform, f_c: float, filter_mode: str,
+                   settle: int = 0) -> Tuple[Waveform, np.ndarray, float]:
+    """Tail shared by the two-input averagers: mix, highpass at f_c, and the
+    regenerative 2-divider resolved at its fixed point (output phase is half
+    the measured sum-band phase). Returns the output, its total phase and
+    the divider's substitution residual."""
+    # sum band near 2*f_c survives; difference band near f1-f2 is removed
+    summed = ideal_filter(mix(a, b), "highpass", f_c, mode=filter_mode)
+    dev, _amp = demodulate_phase(summed, 2.0 * f_c)
+    k = np.arange(len(a))
+    phase_out_total = 0.5 * (TWO_PI * 2.0 * f_c * k / a.fs + dev)
+    out = Waveform(fs=a.fs, samples=0.5 * np.cos(phase_out_total))
+    return out, phase_out_total, divider_residual(summed, out, f_c, settle)
+
+
 def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: float,
                           duration: float, seed: int,
                           filter_mode: str = "brickwall") -> SimulationResult:
@@ -227,21 +261,7 @@ def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: floa
         raise ParameterError("duration too short")
     w1, p1, om1 = _draw_oscillator(spec1, fs, n, (seed, 0))
     w2, p2, om2 = _draw_oscillator(spec2, fs, n, (seed, 1))
-
-    mixed = mix(w1, w2)
-    # sum band near 2*f_c survives; difference band near f1-f2 is removed
-    summed = ideal_filter(mixed, "highpass", f_c, mode=filter_mode)
-
-    # regenerative divider at its fixed point: output phase is half the
-    # measured sum-band phase
-    dev, _amp = demodulate_phase(summed, 2.0 * f_c)
-    k = np.arange(n)
-    phase_sum_total = TWO_PI * 2.0 * f_c * k / fs + dev
-    phase_out_total = 0.5 * phase_sum_total
-    out = Waveform(fs=fs, samples=0.5 * np.cos(phase_out_total))
-
-    # substitution check of the fixed point on the measured quantities
-    residual = float(np.max(np.abs(phase_sum_total - 2.0 * phase_out_total)))
+    out, phase_out_total, residual = _average_stage(w1, w2, f_c, filter_mode)
 
     expected = steady_state_average([p1, p2], [om1, om2])
     return SimulationResult(output=out, expected=expected, phases=(p1, p2),
@@ -281,7 +301,7 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
         amplitude=0.125,
     )
     return SimulationResult(output=out, expected=expected, phases=tuple(paths),
-                            omegas=tuple(omegas), residual=0.0,
+                            omegas=tuple(omegas), residual=None,
                             measured_total_phase=measured, prefilter=pre)
 
 
@@ -295,26 +315,15 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
     delta must be an integer number of samples; the first delta seconds of
     the output are start-up and excluded from the symbolic comparison window.
     """
-    lag = delta * fs
-    lag_i = int(round(lag))
-    if not math.isclose(lag, lag_i, abs_tol=1e-6):
-        raise ParameterError(f"delta={delta:g} s is not a multiple of 1/fs")
+    lag_i = lag_samples(delta, 1.0 / fs)
     f_c = spec.f_c
     _check_rate(fs, 2.0 * f_c)
     n = int(round(duration * fs))
     if lag_i >= n // 4:
         raise ParameterError("duration must be much longer than the delay")
     w, p, om = _draw_oscillator(spec, fs, n, (seed, 0))
-    wd = delay_block(w, delta)
-
-    mixed = mix(w, wd)
-    summed = ideal_filter(mixed, "highpass", f_c, mode=filter_mode)
-    dev, _amp = demodulate_phase(summed, 2.0 * f_c)
-    k = np.arange(n)
-    phase_sum_total = TWO_PI * 2.0 * f_c * k / fs + dev
-    phase_out_total = 0.5 * phase_sum_total
-    out = Waveform(fs=fs, samples=0.5 * np.cos(phase_out_total))
-    residual = float(np.max(np.abs(phase_sum_total - 2.0 * phase_out_total)))
+    out, phase_out_total, residual = _average_stage(w, delay_block(w, delta), f_c,
+                                                    filter_mode, settle=lag_i)
 
     # symbolic mode: delayed samples held at theta[0] before t = delta
     delayed = np.concatenate([np.full(lag_i, p.samples[0]), p.samples[: n - lag_i]]) \
@@ -331,219 +340,14 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
 
 
 def averaged_phase_ensemble(beta: float, delta: float, dt: float, n: int,
-                            master_seed: int, n_paths: int) -> np.ndarray:
+                            master_seed: int, n_paths: int,
+                            first_index: int = 0) -> np.ndarray:
     """Symbolic-mode ensemble of delayed self-averaged phases,
     shape (n_paths, n). Each row is (theta_t + theta_{t-delta})/2 sampled in
     the stationary region (the underlying walk is extended backwards by
-    delta so no start-up transient appears)."""
-    lag = delta / dt
-    lag_i = int(round(lag))
-    if not math.isclose(lag, lag_i, abs_tol=1e-6):
-        raise ParameterError("delta must be a multiple of dt")
-    total = n + lag_i
-    out = np.empty((n_paths, n))
-    for i in range(n_paths):
-        theta = wiener_path(beta, 0.0, dt, total, (master_seed, i)).samples
-        out[i] = 0.5 * (theta[lag_i:] + theta[:n])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# declarative block-graph description
-
-_BLOCK_KINDS = {
-    "mixer": (),
-    "highpass": ("f_cut",),
-    "lowpass": ("f_cut",),
-    "amplifier": ("gain",),
-    "delay": ("delta",),
-    "freq_multiplier": ("factor",),
-}
-
-
-@dataclass(frozen=True)
-class Block:
-    name: str
-    kind: str
-    params: Tuple[Tuple[str, float], ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in _BLOCK_KINDS:
-            raise ParameterError(f"unknown block kind {self.kind!r}")
-        expected = _BLOCK_KINDS[self.kind]
-        got = tuple(k for k, _ in self.params)
-        if got != expected:
-            raise ParameterError(f"{self.kind} expects params {expected}, got {got}")
-
-
-@dataclass(frozen=True)
-class BlockGraph:
-    """Declarative description of a circuit: sources, blocks, directed edges.
-
-    Must be connected from every source to the single output; cycles are only
-    allowed through a divider loop (mixer -> lowpass -> amplifier or
-    freq_multiplier -> back to the mixer).
-    """
-
-    sources: Tuple[str, ...]
-    blocks: Tuple[Block, ...]
-    edges: Tuple[Tuple[str, str], ...]
-    output: str
-
-    def __post_init__(self):
-        names = set(self.sources) | {b.name for b in self.blocks}
-        if len(names) != len(self.sources) + len(self.blocks):
-            raise ParameterError("duplicate node names")
-        for a, b in self.edges:
-            if a not in names or b not in names:
-                raise ParameterError(f"edge ({a}, {b}) references unknown node")
-        if self.output not in names:
-            raise ParameterError("output references unknown node")
-        self._check_connectivity()
-        self._check_cycles()
-
-    def _adjacency(self) -> Dict[str, List[str]]:
-        adj: Dict[str, List[str]] = {}
-        for a, b in self.edges:
-            adj.setdefault(a, []).append(b)
-        return adj
-
-    def _check_connectivity(self):
-        adj = self._adjacency()
-        for src in self.sources:
-            seen = {src}
-            stack = [src]
-            while stack:
-                for nxt in adj.get(stack.pop(), []):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if self.output not in seen:
-                raise ParameterError(f"source {src!r} not connected to the output")
-
-    def _check_cycles(self):
-        kinds = {b.name: b.kind for b in self.blocks}
-        for src in self.sources:
-            kinds[src] = "source"
-        adj = self._adjacency()
-        # DFS cycle extraction; every cycle must look like a divider loop
-        color: Dict[str, int] = {}
-        stack_path: List[str] = []
-
-        def visit(node: str):
-            color[node] = 1
-            stack_path.append(node)
-            for nxt in adj.get(node, []):
-                if color.get(nxt, 0) == 1:
-                    cycle = stack_path[stack_path.index(nxt):]
-                    self._validate_loop([kinds[n] for n in cycle])
-                elif color.get(nxt, 0) == 0:
-                    visit(nxt)
-            stack_path.pop()
-            color[node] = 2
-
-        for src in self.sources:
-            if color.get(src, 0) == 0:
-                visit(src)
-
-    @staticmethod
-    def _validate_loop(kinds_in_cycle: List[str]):
-        ks = set(kinds_in_cycle)
-        if "mixer" not in ks or "lowpass" not in ks:
-            raise ParameterError("feedback cycles must run through a divider "
-                                 "loop (mixer and lowpass)")
-        allowed = {"mixer", "lowpass", "amplifier", "freq_multiplier"}
-        if not ks <= allowed:
-            raise ParameterError(f"blocks {ks - allowed} not allowed in a feedback loop")
-
-    def to_text(self) -> str:
-        lines = ["# blockgraph v1"]
-        for s in self.sources:
-            lines.append(f"source {s}")
-        for b in self.blocks:
-            params = " ".join(f"{k}={v:g}" for k, v in b.params)
-            lines.append(f"block {b.name} {b.kind}" + (f" {params}" if params else ""))
-        for a, b in self.edges:
-            lines.append(f"edge {a} {b}")
-        lines.append(f"output {self.output}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "BlockGraph":
-        sources: List[str] = []
-        blocks: List[Block] = []
-        edges: List[Tuple[str, str]] = []
-        output = None
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "source" and len(parts) == 2:
-                sources.append(parts[1])
-            elif parts[0] == "block" and len(parts) >= 3:
-                params = []
-                for kv in parts[3:]:
-                    key, _, val = kv.partition("=")
-                    params.append((key, float(val)))
-                blocks.append(Block(parts[1], parts[2], tuple(params)))
-            elif parts[0] == "edge" and len(parts) == 3:
-                edges.append((parts[1], parts[2]))
-            elif parts[0] == "output" and len(parts) == 2:
-                output = parts[1]
-            else:
-                raise ParameterError(f"cannot parse line {raw!r}")
-        if output is None:
-            raise ParameterError("missing output declaration")
-        return cls(tuple(sources), tuple(blocks), tuple(edges), output)
-
-
-def pair_average_graph(f_c: float) -> BlockGraph:
-    """Graph of the two-oscillator averaging circuit."""
-    return BlockGraph(
-        sources=("osc1", "osc2"),
-        blocks=(
-            Block("m1", "mixer"),
-            Block("hpf", "highpass", (("f_cut", f_c),)),
-            Block("m2", "mixer"),
-            Block("lpf", "lowpass", (("f_cut", 2.0 * f_c),)),
-            Block("amp", "amplifier", (("gain", 4.0),)),
-        ),
-        edges=(("osc1", "m1"), ("osc2", "m1"), ("m1", "hpf"), ("hpf", "m2"),
-               ("m2", "lpf"), ("lpf", "amp"), ("amp", "m2")),
-        output="lpf",
-    )
-
-
-def mixing_tree_graph(f_c: float) -> BlockGraph:
-    """Graph of the four-oscillator mixing stage."""
-    return BlockGraph(
-        sources=("osc1", "osc2", "osc3", "osc4"),
-        blocks=(
-            Block("m1", "mixer"),
-            Block("m2", "mixer"),
-            Block("m3", "mixer"),
-            Block("hpf", "highpass", (("f_cut", 3.0 * f_c),)),
-        ),
-        edges=(("osc1", "m1"), ("osc2", "m1"), ("osc3", "m2"), ("osc4", "m2"),
-               ("m1", "m3"), ("m2", "m3"), ("m3", "hpf")),
-        output="hpf",
-    )
-
-
-def delayed_self_graph(f_c: float, delta: float) -> BlockGraph:
-    """Graph of the delayed self-averaging circuit."""
-    return BlockGraph(
-        sources=("osc",),
-        blocks=(
-            Block("dly", "delay", (("delta", delta),)),
-            Block("m1", "mixer"),
-            Block("hpf", "highpass", (("f_cut", f_c),)),
-            Block("m2", "mixer"),
-            Block("lpf", "lowpass", (("f_cut", 2.0 * f_c),)),
-            Block("amp", "amplifier", (("gain", 4.0),)),
-        ),
-        edges=(("osc", "dly"), ("osc", "m1"), ("dly", "m1"), ("m1", "hpf"),
-               ("hpf", "m2"), ("m2", "lpf"), ("lpf", "amp"), ("amp", "m2")),
-        output="lpf",
-    )
+    delta so no start-up transient appears). Row i uses the walk of path
+    index first_index + i."""
+    lag_i = lag_samples(delta, dt)
+    theta = wiener_ensemble(beta, 0.0, dt, n + lag_i, master_seed, n_paths,
+                            first_index=first_index)
+    return 0.5 * (theta[:, lag_i:] + theta[:, :n])

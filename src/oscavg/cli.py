@@ -15,12 +15,22 @@ import sys
 from pathlib import Path
 
 from . import experiments
+from .analytic import DegenerateModelError
+from .circuit import ConfigurationError, ShapeError
 from .config import ExperimentConfig
-from .stochastic import ParameterError
+from .spectral import SpectralShapeError
+from .stochastic import ParameterError, SamplingError
+
+# the package's errors for a configuration the model cannot run: exit code 2
+_INPUT_ERRORS = (ParameterError, SamplingError, ConfigurationError, ShapeError,
+                SpectralShapeError, DegenerateModelError)
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    try:
+        cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config: {exc}") from None
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -95,7 +105,7 @@ def main(argv=None) -> int:
             files = experiments.run_simulate(cfg)
             _summarize(args, {"written": " ".join(files)})
             return 0
-    except ParameterError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -7,6 +7,7 @@ Unknown keys are rejected so typos fail loudly. See README for the schema.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import List, Optional
@@ -54,26 +55,32 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"scenario must be one of {SCENARIOS}")
-        if not (self.beta >= 0):
+        for name in ("beta", "delta", "f_c_scaled", "fs", "duration", "overlap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite")
+        if self.beta < 0:
             raise ParameterError("beta must be >= 0")
         for name in ("f_c_scaled", "fs", "duration"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be > 0")
-        if self.n_paths < 1:
-            raise ParameterError("n_paths must be >= 1")
-        if self.n_oscillators < 2:
-            raise ParameterError("n_oscillators must be >= 2")
+        for name, least in (("n_paths", 1), ("segment_len", 1), ("seed", 0),
+                            ("n_oscillators", 2)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be >= {least}")
         if self.scenario == "delayed_self" and self.delta is None:
             raise ParameterError("delayed_self scenario requires delta")
         if self.delta is not None and self.delta < 0:
             raise ParameterError("delta must be >= 0")
+        if not all(math.isfinite(d) and d >= 0 for d in self.deltas):
+            raise ParameterError("deltas must be finite and >= 0")
         if not 0 <= self.overlap < 1:
             raise ParameterError("overlap must be in [0, 1)")
         if self.window not in ("hann", "rect"):
             raise ParameterError("window must be 'hann' or 'rect'")
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
 
     # ---- serialization ----
 
@@ -125,10 +132,13 @@ class ExperimentConfig:
 def _coerce(key: str, value: str):
     if key == "offsets":
         return parse_offset_descriptor(value)
-    if key == "deltas":
-        return tuple(float(v) for v in value.split(",") if v.strip()) if value else ()
     if key in ("scenario", "window", "output_dir"):
         return value
-    if key in ("n_oscillators", "n_paths", "segment_len", "seed"):
-        return int(value)
-    return float(value)
+    integer = key in ("n_oscillators", "n_paths", "segment_len", "seed")
+    try:
+        if key == "deltas":
+            return tuple(float(v) for v in value.split(",") if v.strip())
+        return int(value) if integer else float(value)
+    except ValueError:
+        kind = "an integer" if integer else "a number"
+        raise ParameterError(f"{key} must be {kind}, got {value!r}") from None

@@ -10,9 +10,8 @@ content.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -24,6 +23,10 @@ from .stochastic import TWO_PI, ParameterError
 LOG_GRID = (1e3, 1e7, 200)   # offset range and point count of the log sweep
 LIN_BAND = 2.5e6             # half-width of the linear sweep
 LIN_POINTS = 501
+# Samples per block of paths in the ensemble estimates (one Welch call per
+# block, at least one path). Output does not depend on it; it bounds the
+# memory one block takes.
+BLOCK_SAMPLES = 2**15
 
 
 def delta_tag(delta: float) -> str:
@@ -37,91 +40,55 @@ def delta_tag(delta: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# analytic curves per scenario
-
-
-def base_psd(beta: float, omega):
-    """Two-sided PSD of the single-oscillator phase shift (transform of its
-    exponential autocorrelation)."""
-    return analytic.phase_shift_psd(beta, omega)
-
-
-def independent_avg_psd(beta: float, omega):
-    """PSD after averaging two independent oscillators: the averaged phase
-    is a walk with half the diffusion rate."""
-    return analytic.phase_shift_psd(beta / 2.0, omega)
-
-
-def delayed_psd(beta: float, delta: float, omega):
-    return analytic.delayed_avg_psd(DelayedAvgParams(beta, delta), omega)
-
-
-# ---------------------------------------------------------------------------
-# estimated curves (Welch over symbolic-mode phase ensembles)
-
-
-def _estimate_psd(cfg: ExperimentConfig, dt: float,
-                  phase_for_path: Callable[[int], np.ndarray],
-                  ) -> spectral.SpectrumEstimate:
-    """Accumulate per-path Welch estimates without holding the ensemble."""
-    acc = None
-    freqs = None
-    n_seg = 0
-    for i in range(cfg.n_paths):
-        u = np.exp(1j * phase_for_path(i))
-        est = spectral.welch_psd(u, fs=1.0 / dt, segment_len=cfg.segment_len,
-                                 overlap=cfg.overlap, window=cfg.window)
-        if acc is None:
-            acc, freqs, n_seg = np.array(est.psd), est.freqs, est.n_segments
-        else:
-            acc += est.psd
-    return spectral.SpectrumEstimate(freqs=freqs, psd=acc / cfg.n_paths,
-                                     n_segments=n_seg * cfg.n_paths, fs=1.0 / dt)
+# estimated curves (Welch over symbolic-mode phase ensembles, built in
+# blocks of BLOCK_SAMPLES samples so no curve holds its whole ensemble)
 
 
 def _path_len(cfg: ExperimentConfig) -> int:
     return 4 * cfg.segment_len
 
 
+def _blocks(cfg: ExperimentConfig, n: int):
+    """(first path, row count) of each block of paths of length n."""
+    rows = max(1, BLOCK_SAMPLES // n)
+    for first in range(0, cfg.n_paths, rows):
+        yield first, min(rows, cfg.n_paths - first)
+
+
+def _welch(cfg: ExperimentConfig, dt: float, blocks) -> spectral.SpectrumEstimate:
+    return spectral.psd_of_phase_shift(blocks, dt, segment_len=cfg.segment_len,
+                                       overlap=cfg.overlap, window=cfg.window)
+
+
 def estimate_base(cfg: ExperimentConfig, dt: float, seed_offset: int = 0
                   ) -> spectral.SpectrumEstimate:
     n = _path_len(cfg)
-
-    def phase(i: int) -> np.ndarray:
-        return stochastic.wiener_path(cfg.beta, 0.0, dt, n,
-                                      (cfg.seed, seed_offset + i)).samples
-
-    return _estimate_psd(cfg, dt, phase)
+    return _welch(cfg, dt, (
+        stochastic.wiener_ensemble(cfg.beta, 0.0, dt, n, cfg.seed, rows,
+                                   first_index=seed_offset + first)
+        for first, rows in _blocks(cfg, n)))
 
 
 def estimate_independent(cfg: ExperimentConfig, dt: float, seed_offset: int = 10**6
                          ) -> spectral.SpectrumEstimate:
+    """Pair i averages the walks of path indices seed_offset + 2i and + 2i + 1."""
     n = _path_len(cfg)
 
-    def phase(i: int) -> np.ndarray:
-        a = stochastic.wiener_path(cfg.beta, 0.0, dt, n,
-                                   (cfg.seed, seed_offset + 2 * i)).samples
-        b = stochastic.wiener_path(cfg.beta, 0.0, dt, n,
-                                   (cfg.seed, seed_offset + 2 * i + 1)).samples
-        return 0.5 * (a + b)
+    def pair_means(first: int, rows: int) -> np.ndarray:
+        ens = stochastic.wiener_ensemble(cfg.beta, 0.0, dt, n, cfg.seed, 2 * rows,
+                                         first_index=seed_offset + 2 * first)
+        return 0.5 * (ens[0::2] + ens[1::2])
 
-    return _estimate_psd(cfg, dt, phase)
+    return _welch(cfg, dt, (pair_means(first, rows) for first, rows in _blocks(cfg, n)))
 
 
 def estimate_delayed(cfg: ExperimentConfig, delta: float, dt: float,
                      seed_offset: int = 2 * 10**6) -> spectral.SpectrumEstimate:
     n = _path_len(cfg)
-    lag = delta / dt
-    lag_i = int(round(lag))
-    if not math.isclose(lag, lag_i, abs_tol=1e-6):
-        raise ParameterError(f"delta={delta:g} not a multiple of dt={dt:g}")
-
-    def phase(i: int) -> np.ndarray:
-        theta = stochastic.wiener_path(cfg.beta, 0.0, dt, n + lag_i,
-                                       (cfg.seed, seed_offset + i)).samples
-        return 0.5 * (theta[lag_i:] + theta[:n])
-
-    return _estimate_psd(cfg, dt, phase)
+    return _welch(cfg, dt, (
+        circuit.averaged_phase_ensemble(cfg.beta, delta, dt, n, cfg.seed, rows,
+                                        first_index=seed_offset + first)
+        for first, rows in _blocks(cfg, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +136,21 @@ def run_figure_log(cfg: ExperimentConfig, out_dir=None, estimates: bool = True
 
     est = estimate_base(cfg, dt) if estimates else None
     written["base"] = _emit_curve(out, "psd_log_base", cfg_hash, grid,
-                                  base_psd(cfg.beta, omega), est)
+                                  analytic.phase_shift_psd(cfg.beta, omega), est)
 
     est = estimate_independent(cfg, dt) if estimates else None
-    written["independent"] = _emit_curve(out, "psd_log_ind", cfg_hash, grid,
-                                         independent_avg_psd(cfg.beta, omega), est)
+    # the averaged pair's phase is a walk with half the diffusion rate
+    written["independent"] = _emit_curve(
+        out, "psd_log_ind", cfg_hash, grid,
+        analytic.phase_shift_psd(cfg.beta / 2.0, omega), est)
 
     for j, delta in enumerate(cfg.deltas):
         est = (estimate_delayed(cfg, delta, dt,
                                 seed_offset=(2 + j) * 10**6) if estimates else None)
         name = f"psd_log_delta_{delta_tag(delta)}"
-        written[f"delta_{delta_tag(delta)}"] = _emit_curve(
-            out, name, cfg_hash, grid, delayed_psd(cfg.beta, delta, omega), est)
+        vals = analytic.delayed_avg_psd(DelayedAvgParams(cfg.beta, delta), omega)
+        written[f"delta_{delta_tag(delta)}"] = _emit_curve(out, name, cfg_hash,
+                                                          grid, vals, est)
     return written
 
 
@@ -206,14 +176,15 @@ def run_figure_linear(cfg: ExperimentConfig, out_dir=None, estimates: bool = Tru
 
     est = estimate_base(cfg, dt) if estimates else None
     written["base"] = _emit_curve(out, "psd_lin_base", cfg_hash, grid,
-                                  base_psd(cfg.beta, omega), est)
+                                  analytic.phase_shift_psd(cfg.beta, omega), est)
     est = estimate_independent(cfg, dt) if estimates else None
-    written["independent"] = _emit_curve(out, "psd_lin_ind", cfg_hash, grid,
-                                         independent_avg_psd(cfg.beta, omega), est)
+    written["independent"] = _emit_curve(
+        out, "psd_lin_ind", cfg_hash, grid,
+        analytic.phase_shift_psd(cfg.beta / 2.0, omega), est)
 
     notch_summary = {}
     for j, delta in enumerate(cfg.deltas):
-        vals = delayed_psd(cfg.beta, delta, omega)
+        vals = analytic.delayed_avg_psd(DelayedAvgParams(cfg.beta, delta), omega)
         est = (estimate_delayed(cfg, delta, dt,
                                 seed_offset=(2 + j) * 10**6) if estimates else None)
         name = f"psd_lin_delta_{delta_tag(delta)}"
@@ -352,7 +323,7 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
 
     small = DelayedAvgParams(beta, 0.0)
     om = TWO_PI * 1e4
-    err = _rel_err(analytic.delayed_avg_psd(small, om), base_psd(beta, om))
+    err = _rel_err(analytic.delayed_avg_psd(small, om), analytic.phase_shift_psd(beta, om))
     record("delayed-psd-zero-delay-limit", err, 1e-9, err < 1e-9)
 
     large = DelayedAvgParams(beta, 100.0 / (np.pi * beta))

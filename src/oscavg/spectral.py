@@ -8,7 +8,7 @@ noise gives a flat 1/fs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import signal as sps
@@ -23,7 +23,8 @@ class SpectralShapeError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Estimated PSD on a frequency grid (Hz, offset from carrier)."""
+    """Estimated PSD on a frequency grid (Hz, offset from carrier); `psd`
+    holds one density per row when estimated from a (rows, n) ensemble."""
 
     freqs: np.ndarray
     psd: np.ndarray
@@ -34,7 +35,7 @@ class SpectrumEstimate:
     def __post_init__(self):
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
         object.__setattr__(self, "psd", np.asarray(self.psd, dtype=float))
-        if self.freqs.shape != self.psd.shape:
+        if self.freqs.shape != self.psd.shape[-1:]:
             raise ParameterError("frequency grid and PSD shape mismatch")
         if self.sidedness not in ("one", "two"):
             raise ParameterError("sidedness must be 'one' or 'two'")
@@ -49,19 +50,15 @@ class SpectrumEstimate:
         return np.interp(freqs, self.freqs, self.psd)
 
 
-def _as_array(w) -> tuple[np.ndarray, float]:
-    if isinstance(w, Waveform):
-        return w.samples, w.fs
-    raise ParameterError("pass a Waveform or use welch_psd(x, fs=...)")
-
-
 def welch_psd(x, fs: Optional[float] = None, segment_len: int = 1024,
               overlap: float = 0.5, window: str = "hann") -> SpectrumEstimate:
     """Two-sided Welch density estimate of a real or complex sequence.
 
-    `x` is a Waveform or an array (then `fs` is required). The grid is
-    centered (fftshift order) with frequencies as offsets from the carrier
-    for baseband inputs.
+    `x` is a Waveform or an array (then `fs` is required). A 2-d array of
+    shape (rows, n) gives one density per row, each equal to the estimate of
+    that row alone, and `n_segments` counts the segments of all rows. The
+    grid is centered (fftshift order) with frequencies as offsets from the
+    carrier for baseband inputs.
     """
     if isinstance(x, Waveform):
         data, fs = x.samples, x.fs
@@ -69,8 +66,11 @@ def welch_psd(x, fs: Optional[float] = None, segment_len: int = 1024,
         if fs is None:
             raise ParameterError("fs required for raw arrays")
         data = np.asarray(x)
-    if segment_len > data.size:
-        raise SpectralShapeError(f"segment_len={segment_len} exceeds data length {data.size}")
+    if data.ndim > 2 or data.size == 0:
+        raise ParameterError("pass a non-empty sequence or (rows, n) ensemble")
+    n = data.shape[-1]
+    if segment_len > n:
+        raise SpectralShapeError(f"segment_len={segment_len} exceeds data length {n}")
     if not 0 <= overlap < 1:
         raise ParameterError("overlap must be in [0, 1)")
     if window not in ("hann", "rect"):
@@ -79,33 +79,13 @@ def welch_psd(x, fs: Optional[float] = None, segment_len: int = 1024,
     noverlap = int(segment_len * overlap)
     freqs, psd = sps.welch(data, fs=fs, window=win, nperseg=segment_len,
                            noverlap=noverlap, detrend=False,
-                           return_onesided=False, scaling="density")
+                           return_onesided=False, scaling="density", axis=-1)
     freqs = np.fft.fftshift(freqs)
-    psd = np.fft.fftshift(psd)
+    psd = np.fft.fftshift(psd, axes=-1)
     step = segment_len - noverlap
-    n_segments = max(1, (data.size - noverlap) // step)
+    rows = data.shape[0] if data.ndim == 2 else 1
+    n_segments = rows * max(1, (n - noverlap) // step)
     return SpectrumEstimate(freqs=freqs, psd=psd, n_segments=n_segments, fs=fs)
-
-
-def ensemble_welch(sequences: np.ndarray, fs: float, segment_len: int = 1024,
-                   overlap: float = 0.5, window: str = "hann") -> SpectrumEstimate:
-    """Welch estimate averaged over an ensemble, one sequence per row.
-
-    Per-row estimates are computed independently and reduced by an
-    associative mean, so the reduction order only moves the result at the
-    float-rounding level.
-    """
-    sequences = np.atleast_2d(sequences)
-    if sequences.shape[0] == 0:
-        raise ParameterError("empty ensemble")
-    first = welch_psd(sequences[0], fs=fs, segment_len=segment_len,
-                      overlap=overlap, window=window)
-    acc = np.array(first.psd)
-    for row in sequences[1:]:
-        acc += welch_psd(row, fs=fs, segment_len=segment_len,
-                         overlap=overlap, window=window).psd
-    return SpectrumEstimate(freqs=first.freqs, psd=acc / sequences.shape[0],
-                            n_segments=first.n_segments * sequences.shape[0], fs=fs)
 
 
 def autocorr_estimate(sequences: np.ndarray, max_lag: int) -> np.ndarray:
@@ -148,14 +128,30 @@ def autocorr_per_path(sequences: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     return out
 
 
-def psd_of_phase_shift(phase_ensemble: np.ndarray, dt: float,
+def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
                        segment_len: int = 1024, overlap: float = 0.5,
                        window: str = "hann") -> SpectrumEstimate:
-    """Welch PSD of exp(j*theta) per path, averaged over the ensemble.
+    """Welch PSD of exp(j*theta), averaged over an ensemble of phase paths.
 
-    The frequency grid is the offset from the carrier in Hz.
+    `blocks` yields 2-d arrays of phase samples, one path per row; pass one
+    ensemble as `[ens]`. Each block takes one Welch call. The row densities
+    are summed in path order and divided once at the end, so the result does
+    not depend on how the paths are split into blocks. The frequency grid is
+    the offset from the carrier in Hz.
     """
-    phase_ensemble = np.atleast_2d(np.asarray(phase_ensemble, dtype=float))
-    u = np.exp(1j * phase_ensemble)
-    return ensemble_welch(u, fs=1.0 / dt, segment_len=segment_len,
-                          overlap=overlap, window=window)
+    acc, n_rows, n_segments, est = None, 0, 0, None
+    for block in blocks:
+        est = welch_psd(np.exp(1j * np.atleast_2d(np.asarray(block, dtype=float))),
+                        fs=1.0 / dt, segment_len=segment_len, overlap=overlap,
+                        window=window)
+        for row in est.psd:
+            if acc is None:
+                acc = np.array(row)
+            else:
+                acc += row
+        n_rows += est.psd.shape[0]
+        n_segments += est.n_segments
+    if est is None:
+        raise ParameterError("empty ensemble")
+    return SpectrumEstimate(freqs=est.freqs, psd=acc / n_rows,
+                            n_segments=n_segments, fs=1.0 / dt)

@@ -7,6 +7,7 @@ are reproducible regardless of generation order or thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -33,6 +34,15 @@ def path_rng(seed_id: Tuple[int, int], stream: int = _STREAM_PHASE) -> np.random
     master, index = seed_id
     ss = np.random.SeedSequence(entropy=int(master), spawn_key=(int(index), int(stream)))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def lag_samples(delay: float, dt: float) -> int:
+    """The delay as a whole number of steps of dt; ParameterError if it is
+    not one."""
+    lag = delay / dt
+    if not (math.isfinite(lag) and math.isclose(lag, round(lag), abs_tol=1e-6)):
+        raise ParameterError(f"delay {delay:g} s is not a multiple of dt={dt:g} s")
+    return int(round(lag))
 
 
 @dataclass(frozen=True)
@@ -224,10 +234,7 @@ def phase_shift_autocorr_mc(paths: Sequence[PhasePath] | np.ndarray, tau: float,
             raise ParameterError("empty ensemble")
         dt = paths[0].dt
         theta = np.stack([p.samples for p in paths])
-    lag = tau / dt
-    lag_i = int(round(lag))
-    if not np.isclose(lag, lag_i, atol=1e-6):
-        raise ParameterError(f"tau={tau:g} is not a multiple of dt={dt:g}")
+    lag_i = lag_samples(tau, dt)
     n = theta.shape[1]
     if lag_i < 0 or lag_i >= n:
         raise IndexError(f"lag {lag_i} outside path length {n}")

@@ -96,7 +96,7 @@ def test_04_pair_circuit_steady_state():
     diff -= TWO_PI * np.round(np.mean(diff) / TWO_PI)
     rms = float(np.sqrt(np.mean(diff**2)))
     assert rms < 1e-4
-    assert res.residual < 1e-9
+    assert res.residual < 1e-3  # divider loop re-fed with the output
 
     # output frequency within one bin of the mean input frequency
     mag = np.abs(np.fft.rfft(res.output.samples))

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscavg import (
-    Block,
-    BlockGraph,
     ConfigurationError,
     DelayedAvgParams,
     OffsetDist,
@@ -16,13 +14,11 @@ from oscavg import (
     Waveform,
     delay_block,
     delayed_avg_autocorr,
-    delayed_self_graph,
     demodulate_phase,
+    divider_residual,
     divider_steady_state,
     ideal_filter,
     mix,
-    mixing_tree_graph,
-    pair_average_graph,
     simulate_delayed_self_average,
     simulate_mixing_tree,
     simulate_pair_average,
@@ -230,12 +226,29 @@ class TestPairAverage:
     def test_substitution_residual(self):
         spec = OscillatorSpec(f_c=FC, beta=1e-3)
         res = simulate_pair_average(spec, spec, FS, 512e-6, seed=83)
-        assert res.residual < 1e-9
+        assert res.residual < 1e-3
+
+    def test_residual_detects_wrong_output_phase(self):
+        # the divider loop fed an output 0.3 rad off its fixed point
+        # reproduces it with an error of about sin(0.3)
+        n = 1 << 14
+        k = np.arange(n)
+        w = Waveform(fs=FS, samples=np.cos(TWO_PI * FC * k / FS))
+        summed = ideal_filter(mix(w, w), "highpass", FC)
+        for offset, low, high in ((0.0, 0.0, 1e-9), (0.3, 0.1, 0.31)):
+            out = Waveform(fs=FS, samples=0.5 * np.cos(TWO_PI * FC * k / FS + offset))
+            assert low <= divider_residual(summed, out, FC) < high
 
     def test_undersampled_rejected(self):
         spec = OscillatorSpec(f_c=FC)
         with pytest.raises(SamplingError):
             simulate_pair_average(spec, spec, 8e6, 512e-6, seed=0)
+
+    def test_too_short_for_divider_check_rejected(self):
+        # 256 samples leave no interior once 128 are trimmed at each end
+        spec = OscillatorSpec(f_c=FC)
+        with pytest.raises(ParameterError):
+            simulate_pair_average(spec, spec, FS, 256 / FS, seed=0)
 
     def test_mismatched_carriers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -256,6 +269,7 @@ class TestMixingTree:
         err = res.output.samples[trim:-trim] - ref[trim:-trim]
         assert np.sqrt(np.mean(err**2)) < 1e-6
         assert res.expected.amplitude == 0.125
+        assert res.residual is None  # no divider in the mixing tree
 
     def test_prefilter_band_structure(self):
         # 8 product terms of amplitude 1/8: 3 near DC, 4 near 2*f_c, 1 at 4*f_c
@@ -304,6 +318,7 @@ class TestDelayedSelfAverage:
         trim = max(edge_trim(FS, FC), n // 16, 4 * lag)
         err = dephase(res.measured_total_phase[trim:-trim], exp_total[trim:-trim])
         assert np.sqrt(np.mean(err**2)) < 1e-4
+        assert res.residual < 1e-3
 
     def test_autocorr_matches_piecewise_form(self):
         # MC autocorrelation at delta/2, delta, 2*delta within 3 standard errors
@@ -336,55 +351,5 @@ class TestDelayBlock:
     def test_unaligned_rejected(self):
         with pytest.raises(ParameterError):
             delay_block(tone(1e6, n=64), 1.5 / FS)
-
-
-class TestBlockGraph:
-    def test_builders_validate(self):
-        pair_average_graph(1e6)
-        mixing_tree_graph(1e6)
-        delayed_self_graph(1e6, 1e-6)
-
-    def test_round_trip(self):
-        g = pair_average_graph(1e6)
-        assert BlockGraph.from_text(g.to_text()) == g
-        g2 = delayed_self_graph(1e6, 1e-6)
-        assert BlockGraph.from_text(g2.to_text()) == g2
-
-    def test_golden_text(self):
-        text = pair_average_graph(1e6).to_text()
-        assert text == (
-            "# blockgraph v1\n"
-            "source osc1\n"
-            "source osc2\n"
-            "block m1 mixer\n"
-            "block hpf highpass f_cut=1e+06\n"
-            "block m2 mixer\n"
-            "block lpf lowpass f_cut=2e+06\n"
-            "block amp amplifier gain=4\n"
-            "edge osc1 m1\n"
-            "edge osc2 m1\n"
-            "edge m1 hpf\n"
-            "edge hpf m2\n"
-            "edge m2 lpf\n"
-            "edge lpf amp\n"
-            "edge amp m2\n"
-            "output lpf\n"
-        )
-
-    def test_disconnected_rejected(self):
         with pytest.raises(ParameterError):
-            BlockGraph(sources=("a", "b"), blocks=(Block("m", "mixer"),),
-                       edges=(("a", "m"),), output="m")
-
-    def test_bad_feedback_loop_rejected(self):
-        # cycle through a highpass only is not a divider loop
-        with pytest.raises(ParameterError):
-            BlockGraph(
-                sources=("a",),
-                blocks=(Block("m", "mixer"), Block("h", "highpass", (("f_cut", 1.0),))),
-                edges=(("a", "m"), ("m", "h"), ("h", "m")),
-                output="h")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ParameterError):
-            Block("x", "resonator")
+            delay_block(tone(1e6, n=64), float("nan"))

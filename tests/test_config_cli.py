@@ -3,8 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oscavg import ExperimentConfig, ParameterError, parse_offset_descriptor
+from oscavg import ExperimentConfig, ParameterError, experiments, parse_offset_descriptor
 from oscavg.cli import main
 from oscavg.experiments import delta_tag, find_notches
 
@@ -51,6 +53,27 @@ class TestConfig:
         a = ExperimentConfig(seed=1)
         b = ExperimentConfig(seed=2)
         assert a.content_hash() != b.content_hash()
+
+    @pytest.mark.parametrize("line", [
+        "seed = -1", "n_paths = abc", "segment_len = 0", "fs = inf",
+        "duration = nan", "deltas = 1e-6,-1e-7", "overlap = half"])
+    def test_bad_value_rejected(self, line):
+        with pytest.raises(ParameterError):
+            ExperimentConfig.from_text(line + "\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.tuples(st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__)),
+                           st.text(alphabet="0123456789.,:-+eEinfatxd_ ", max_size=12)),
+                 max_size=6).map(
+            lambda kv: "".join(f"{k} = {v}\n" for k, v in kv))))
+    def test_parse_returns_config_or_parameter_error(self, text):
+        try:
+            cfg = ExperimentConfig.from_text(text)
+        except ParameterError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
 
 class TestDeltaTag:
@@ -119,6 +142,35 @@ class TestFigureCommands:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("beta = -5\n")
         assert main(["figure-log", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command,line", [
+        ("figure-log", "seed = -1"),
+        ("figure-log", "n_paths = abc"),
+        ("figure-linear", "segment_len = 0"),
+        ("simulate", "fs = inf"),
+        ("simulate", "duration = nan"),
+        ("simulate", "f_c_scaled = 1e7"),  # fs = 64e6 cannot carry it
+    ])
+    def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        assert main(["figure-log", "--config", str(tmp_path / "none.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_estimate_bytes_independent_of_block_size(self, tmp_path, monkeypatch):
+        cfg = _small_cfg(tmp_path)
+        main(["figure-linear", "--config", str(cfg), "--out", str(tmp_path / "a")])
+        monkeypatch.setattr(experiments, "BLOCK_SAMPLES", 1)  # one path per block
+        main(["figure-linear", "--config", str(cfg), "--out", str(tmp_path / "b")])
+        for name in ("psd_lin_base.est.data", "psd_lin_ind.est.data",
+                     "psd_lin_delta_1em6.est.data"):
+            assert (tmp_path / "a" / name).read_bytes() \
+                == (tmp_path / "b" / name).read_bytes()
 
 
 class TestAcceptanceCommand:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from oscavg import (
+    ExperimentConfig,
     ParameterError,
     autocorr_estimate,
     autocorr_per_path,
-    ensemble_welch,
     lorentzian_psd,
     phase_shift_psd,
     psd_of_phase_shift,
@@ -14,6 +14,7 @@ from oscavg import (
     wiener_ensemble,
 )
 from oscavg.circuit import averaged_phase_ensemble
+from oscavg.experiments import estimate_delayed, estimate_independent
 from oscavg.spectral import SpectralShapeError
 
 TWO_PI = 2.0 * np.pi
@@ -51,7 +52,7 @@ class TestWelchPsd:
     def test_wiener_phase_shift_matches_analytic(self):
         beta, dt = 1e4, 1e-6
         ens = wiener_ensemble(beta, 0.0, dt, 8192, master_seed=201, n_paths=200)
-        est = psd_of_phase_shift(ens, dt, segment_len=1024)
+        est = psd_of_phase_shift([ens], dt, segment_len=1024)
         band = (np.abs(est.freqs) > 2 * 1e6 / 1024) & (np.abs(est.freqs) < 1e5)
         want = phase_shift_psd(beta, TWO_PI * est.freqs[band])
         diff_db = to_dbc_hz(est.psd[band]) - to_dbc_hz(want)
@@ -88,16 +89,30 @@ class TestWelchPsd:
 
 class TestEnsembleWelch:
     def test_reduction_order_stable(self):
+        # each row of a 2-d call is the estimate of that row alone, so the
+        # ensemble mean does not depend on how paths are ordered or blocked
         beta, dt = 1e4, 1e-6
         ens = wiener_ensemble(beta, 0.0, dt, 2048, master_seed=203, n_paths=16)
         u = np.exp(1j * ens)
-        a = ensemble_welch(u, fs=1 / dt, segment_len=512).psd
-        b = ensemble_welch(u[::-1], fs=1 / dt, segment_len=512).psd
+        rows = welch_psd(u, fs=1 / dt, segment_len=512)
+        single = welch_psd(u[5], fs=1 / dt, segment_len=512)
+        assert rows.psd.shape == (16, 512)
+        assert np.array_equal(rows.psd[5], single.psd)
+        assert rows.n_segments == 16 * single.n_segments
+        assert np.array_equal(welch_psd(u[::-1], fs=1 / dt, segment_len=512).psd,
+                              rows.psd[::-1])
+        a = psd_of_phase_shift([ens], dt, segment_len=512).psd
+        b = psd_of_phase_shift([ens[::-1]], dt, segment_len=512).psd
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
+        blocked = psd_of_phase_shift([ens[:3], ens[3:4], ens[4:]], dt, segment_len=512)
+        assert np.array_equal(blocked.psd, a)
+        assert blocked.n_segments == rows.n_segments
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            ensemble_welch(np.zeros((0, 128)), fs=1.0, segment_len=64)
+            welch_psd(np.zeros((0, 128)), fs=1.0, segment_len=64)
+        with pytest.raises(ParameterError):
+            psd_of_phase_shift([], 1.0, segment_len=64)
 
 
 class TestAutocorrEstimate:
@@ -144,16 +159,16 @@ class TestAutocorrEstimate:
 class TestPsdOfPhaseShift:
     def test_zero_diffusion_spike(self):
         ens = np.zeros((4, 4096))
-        est = psd_of_phase_shift(ens, 1e-6, segment_len=1024)
+        est = psd_of_phase_shift([ens], 1e-6, segment_len=1024)
         peak = est.freqs[np.argmax(est.psd)]
         assert abs(peak) <= 1e6 / 1024
         assert est.total_power() == pytest.approx(1.0, rel=0.01)
 
     def test_averaged_pair_matches_half_rate_lorentzian(self):
+        # the figure commands' estimator and blocks, on 4096-sample paths
         beta, dt = 1e4, 1e-6
-        a = wiener_ensemble(beta, 0.0, dt, 8192, master_seed=207, n_paths=100)
-        b = wiener_ensemble(beta, 0.0, dt, 8192, master_seed=208, n_paths=100)
-        est = psd_of_phase_shift(0.5 * (a + b), dt, segment_len=1024)
+        cfg = ExperimentConfig(beta=beta, n_paths=200, segment_len=1024, seed=207)
+        est = estimate_independent(cfg, dt)
         band = (np.abs(est.freqs) > 2 * 1e6 / 1024) & (np.abs(est.freqs) < 1e5)
         want = lorentzian_psd(beta, TWO_PI * est.freqs[band])
         diff_db = to_dbc_hz(est.psd[band]) - to_dbc_hz(want)
@@ -162,9 +177,8 @@ class TestPsdOfPhaseShift:
     def test_delayed_average_notches(self):
         # delay of 10 us: notches at odd multiples of 50 kHz, spacing 1/delta
         beta, dt, delta = 1e4, 1e-6, 1e-5
-        ens = averaged_phase_ensemble(beta, delta, dt, 1 << 13, master_seed=209,
-                                      n_paths=200)
-        est = psd_of_phase_shift(ens, dt, segment_len=2048)
+        cfg = ExperimentConfig(beta=beta, n_paths=200, segment_len=2048, seed=209)
+        est = estimate_delayed(cfg, delta, dt)
         notch = est.interp(np.array([0.5e5, 1.5e5, 2.5e5]))
         mid = est.interp(np.array([1.0e5, 2.0e5, 3.0e5]))
         assert np.all(notch < mid)
