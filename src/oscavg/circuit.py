@@ -16,6 +16,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .stochastic import (
+    STREAM_PHASE,
     TWO_PI,
     OscillatorSpec,
     ParameterError,
@@ -341,13 +342,14 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
 
 def averaged_phase_ensemble(beta: float, delta: float, dt: float, n: int,
                             master_seed: int, n_paths: int,
-                            first_index: int = 0) -> np.ndarray:
+                            first_index: int = 0, stream: int = STREAM_PHASE
+                            ) -> np.ndarray:
     """Symbolic-mode ensemble of delayed self-averaged phases,
     shape (n_paths, n). Each row is (theta_t + theta_{t-delta})/2 sampled in
     the stationary region (the underlying walk is extended backwards by
     delta so no start-up transient appears). Row i uses the walk of path
-    index first_index + i."""
+    index first_index + i on the given stream tag."""
     lag_i = lag_samples(delta, dt)
     theta = wiener_ensemble(beta, 0.0, dt, n + lag_i, master_seed, n_paths,
-                            first_index=first_index)
+                            first_index=first_index, stream=stream)
     return 0.5 * (theta[:, lag_i:] + theta[:, :n])

@@ -39,6 +39,17 @@ def delta_tag(delta: float) -> str:
     return f"{mant}e{sign}{abs(exp_i)}"
 
 
+# Stream tags (see stochastic.STREAM_PHASE) of the acceptance battery's own
+# draws and of the estimated curves. Path i of a curve is the walk of
+# (seed, i) on each of the curve's tags: the base curve on STREAM_PHASE, the
+# pair on both TAG_PAIR tags, delay j of a figure on TAG_DELAYED + j (keep
+# it the highest tag). So no two curves share a stream at any n_paths.
+TAG_WHITE_NOISE = 2      # welch-white-normalization
+TAG_DIVIDER = 3          # divider-chaining-exact
+TAG_PAIR = (4, 5)
+TAG_DELAYED = 6
+
+
 # ---------------------------------------------------------------------------
 # estimated curves (Welch over symbolic-mode phase ensembles, built in
 # blocks of BLOCK_SAMPLES samples so no curve holds its whole ensemble)
@@ -60,34 +71,32 @@ def _welch(cfg: ExperimentConfig, dt: float, blocks) -> spectral.SpectrumEstimat
                                        overlap=cfg.overlap, window=cfg.window)
 
 
-def estimate_base(cfg: ExperimentConfig, dt: float, seed_offset: int = 0
-                  ) -> spectral.SpectrumEstimate:
+def estimate_base(cfg: ExperimentConfig, dt: float) -> spectral.SpectrumEstimate:
     n = _path_len(cfg)
     return _welch(cfg, dt, (
-        stochastic.wiener_ensemble(cfg.beta, 0.0, dt, n, cfg.seed, rows,
-                                   first_index=seed_offset + first)
+        stochastic.wiener_ensemble(cfg.beta, 0.0, dt, n, cfg.seed, rows, first_index=first)
         for first, rows in _blocks(cfg, n)))
 
 
-def estimate_independent(cfg: ExperimentConfig, dt: float, seed_offset: int = 10**6
-                         ) -> spectral.SpectrumEstimate:
-    """Pair i averages the walks of path indices seed_offset + 2i and + 2i + 1."""
+def estimate_independent(cfg: ExperimentConfig, dt: float) -> spectral.SpectrumEstimate:
+    """Pair i averages the walks of (seed, i) on the two TAG_PAIR streams."""
     n = _path_len(cfg)
 
     def pair_means(first: int, rows: int) -> np.ndarray:
-        ens = stochastic.wiener_ensemble(cfg.beta, 0.0, dt, n, cfg.seed, 2 * rows,
-                                         first_index=seed_offset + 2 * first)
-        return 0.5 * (ens[0::2] + ens[1::2])
+        a, b = (stochastic.wiener_ensemble(cfg.beta, 0.0, dt, n, cfg.seed, rows,
+                                           first_index=first, stream=tag)
+                for tag in TAG_PAIR)
+        return 0.5 * (a + b)
 
     return _welch(cfg, dt, (pair_means(first, rows) for first, rows in _blocks(cfg, n)))
 
 
 def estimate_delayed(cfg: ExperimentConfig, delta: float, dt: float,
-                     seed_offset: int = 2 * 10**6) -> spectral.SpectrumEstimate:
+                     stream: int = TAG_DELAYED) -> spectral.SpectrumEstimate:
     n = _path_len(cfg)
     return _welch(cfg, dt, (
         circuit.averaged_phase_ensemble(cfg.beta, delta, dt, n, cfg.seed, rows,
-                                        first_index=seed_offset + first)
+                                        first_index=first, stream=stream)
         for first, rows in _blocks(cfg, n)))
 
 
@@ -145,8 +154,8 @@ def run_figure_log(cfg: ExperimentConfig, out_dir=None, estimates: bool = True
         analytic.phase_shift_psd(cfg.beta / 2.0, omega), est)
 
     for j, delta in enumerate(cfg.deltas):
-        est = (estimate_delayed(cfg, delta, dt,
-                                seed_offset=(2 + j) * 10**6) if estimates else None)
+        est = (estimate_delayed(cfg, delta, dt, stream=TAG_DELAYED + j)
+               if estimates else None)
         name = f"psd_log_delta_{delta_tag(delta)}"
         vals = analytic.delayed_avg_psd(DelayedAvgParams(cfg.beta, delta), omega)
         written[f"delta_{delta_tag(delta)}"] = _emit_curve(out, name, cfg_hash,
@@ -185,8 +194,8 @@ def run_figure_linear(cfg: ExperimentConfig, out_dir=None, estimates: bool = Tru
     notch_summary = {}
     for j, delta in enumerate(cfg.deltas):
         vals = analytic.delayed_avg_psd(DelayedAvgParams(cfg.beta, delta), omega)
-        est = (estimate_delayed(cfg, delta, dt,
-                                seed_offset=(2 + j) * 10**6) if estimates else None)
+        est = (estimate_delayed(cfg, delta, dt, stream=TAG_DELAYED + j)
+               if estimates else None)
         name = f"psd_lin_delta_{delta_tag(delta)}"
         written[f"delta_{delta_tag(delta)}"] = _emit_curve(out, name, cfg_hash,
                                                           grid, vals, est)
@@ -297,7 +306,7 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
     err = _rel_err(ratio, 0.25)
     record("quad-averaging-variance-quartering", err, 0.10, err < 0.10)
 
-    phase = stochastic.wiener_path(beta, 0.3, dt, 64, (seed, 7))
+    phase = stochastic.wiener_path(beta, 0.3, dt, 64, (seed, 0), TAG_DIVIDER)
     div = circuit.divider_steady_state(TWO_PI * 4e9, phase, 4)
     chain = circuit.divider_steady_state(
         circuit.divider_steady_state(TWO_PI * 4e9, phase, 2).omega_prime,
@@ -341,7 +350,7 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
     err = abs(power - 1.0)
     record("lorentzian-unit-power", err, 1e-2, err < 1e-2)
 
-    rng = stochastic.path_rng((seed, 99))
+    rng = stochastic.path_rng((seed, 0), TAG_WHITE_NOISE)
     white = rng.normal(size=2**16)
     est = spectral.welch_psd(white, fs=1e6, segment_len=1024)
     err = _rel_err(float(np.mean(est.psd)) * 1e6, float(np.var(white)) * 1.0)

@@ -1,24 +1,41 @@
 """Wiener phase-noise paths, frequency offsets, and oscillator waveforms.
 
-All randomness flows through (master_seed, path_index) pairs mapped onto
-independent PCG64 streams via numpy's SeedSequence spawning, so ensembles
-are reproducible regardless of generation order or thread count.
+All randomness is a function of a key, never of generation order, so
+ensembles are reproducible whatever order or thread count builds them.
+A Wiener path is keyed by (master_seed, path_index) and a stream tag: its
+increments come from a PCG64 stream that numpy's SeedSequence derives from
+master_seed and the spawn key (path_index, tag). A frequency offset is
+counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11): one keyed BLAKE2b hash of (master_seed, path_index, offset tag)
+gives one uniform, which the distribution's inverse CDF maps to the offset.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 
 TWO_PI = 2.0 * np.pi
 
-# stream tags keep the phase path and the offset draw of one oscillator
-# on disjoint RNG streams
-_STREAM_PHASE = 0
-_STREAM_OFFSET = 1
+# Stream tags. A tag is a key word of its own, beside the path index, so
+# streams with different tags stay disjoint at any index. STREAM_PHASE
+# keys an oscillator's Wiener path, STREAM_OFFSET its offset draw; the
+# figure curves and the acceptance battery use tags from 2 up
+# (experiments.py).
+STREAM_PHASE = 0
+STREAM_OFFSET = 1
+
+# offset draws: the key (master, index, STREAM_OFFSET) as three unsigned
+# 64-bit words, hashed with BLAKE2b under a fixed personalization tag
+_OFFSET_KEY = struct.Struct("<3Q")
+_OFFSET_HASH = hashlib.blake2b(digest_size=8, person=b"oscavg-offset")
+_TWO53 = 2**53
 
 
 class ParameterError(ValueError):
@@ -29,8 +46,9 @@ class SamplingError(ValueError):
     """Requested sample rate cannot represent the signal content."""
 
 
-def path_rng(seed_id: Tuple[int, int], stream: int = _STREAM_PHASE) -> np.random.Generator:
-    """Independent generator for one (master seed, path index) pair."""
+def path_rng(seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> np.random.Generator:
+    """Independent generator for one (master seed, path index) pair on one
+    stream tag."""
     master, index = seed_id
     ss = np.random.SeedSequence(entropy=int(master), spawn_key=(int(index), int(stream)))
     return np.random.Generator(np.random.PCG64(ss))
@@ -151,12 +169,13 @@ class Waveform:
 
 
 def wiener_path(beta: float, theta0: float, dt: float, n: int,
-                seed_id: Tuple[int, int]) -> PhasePath:
+                seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> PhasePath:
     """Sample a phase random walk with diffusion rate beta.
 
     Increments between consecutive samples are i.i.d. zero-mean Gaussian
     with variance 2*pi*beta*dt, which is exact for this process at any
-    step size. samples[0] equals theta0 (unwrapped).
+    step size. samples[0] equals theta0 (unwrapped). They are drawn from
+    path_rng(seed_id, stream).
     """
     if not (np.isfinite(beta) and beta >= 0):
         raise ParameterError("beta must be finite and >= 0")
@@ -170,20 +189,41 @@ def wiener_path(beta: float, theta0: float, dt: float, n: int,
         if beta == 0.0:
             theta[1:] = theta0
         else:
-            rng = path_rng(seed_id, _STREAM_PHASE)
+            rng = path_rng(seed_id, stream)
             incr = rng.normal(0.0, np.sqrt(TWO_PI * beta * dt), size=n - 1)
             theta[1:] = theta0 + np.cumsum(incr)
     return PhasePath(dt=dt, samples=theta, seed_id=seed_id)
 
 
+def _offset_bits(master: int, index: int) -> int:
+    """64 hash bits of the offset key of (master, index)."""
+    try:
+        key = _OFFSET_KEY.pack(master, index, STREAM_OFFSET)
+    except struct.error:
+        raise ParameterError(
+            f"offset seed id {(master, index)!r} must be integers in [0, 2**64)") from None
+    h = _OFFSET_HASH.copy()
+    h.update(key)
+    return int.from_bytes(h.digest(), "little")
+
+
 def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
-    """Draw one frequency offset (Hz) from the given distribution."""
+    """Draw one frequency offset (Hz) from the given distribution.
+
+    The draw is a pure function of (distribution, seed_id). The top 53 bits
+    k of the key's hash give u = (k + 0.5) * 2**-53 in (0, 1); a uniform
+    offset is param * (2u - 1), a normal one param * ndtri(u). Both are
+    computed without rounding u: the normal takes the tail nearer to u, so
+    the largest k maps to the mirror of the smallest, not to ndtri(1) = inf.
+    """
     if offset_dist.kind == "delta":
         return float(offset_dist.param)
-    rng = path_rng(seed_id, _STREAM_OFFSET)
+    k = _offset_bits(*seed_id) >> 11
     if offset_dist.kind == "uniform":
-        return float(rng.uniform(-offset_dist.param, offset_dist.param))
-    return float(rng.normal(0.0, offset_dist.param))
+        return offset_dist.param * ((2 * k + 1 - _TWO53) / _TWO53)
+    if 2 * k < _TWO53:
+        return offset_dist.param * float(ndtri((k + 0.5) / _TWO53))
+    return -offset_dist.param * float(ndtri((_TWO53 - k - 0.5) / _TWO53))
 
 
 def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: PhasePath,
@@ -209,11 +249,13 @@ def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: PhasePath,
 
 def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
                     master_seed: int, n_paths: int,
-                    first_index: int = 0) -> np.ndarray:
-    """Stack of n_paths independent walks, shape (n_paths, n)."""
+                    first_index: int = 0, stream: int = STREAM_PHASE) -> np.ndarray:
+    """Stack of n_paths independent walks, shape (n_paths, n); row i is the
+    walk of (master_seed, first_index + i) on the given stream tag."""
     out = np.empty((n_paths, n), dtype=float)
     for i in range(n_paths):
-        out[i] = wiener_path(beta, theta0, dt, n, (master_seed, first_index + i)).samples
+        out[i] = wiener_path(beta, theta0, dt, n, (master_seed, first_index + i),
+                             stream).samples
     return out
 
 

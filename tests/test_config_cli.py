@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscavg import ExperimentConfig, ParameterError, experiments, parse_offset_descriptor
+from oscavg import (
+    ExperimentConfig,
+    ParameterError,
+    circuit,
+    experiments,
+    parse_offset_descriptor,
+    stochastic,
+)
 from oscavg.cli import main
 from oscavg.experiments import delta_tag, find_notches
 
@@ -171,6 +178,40 @@ class TestFigureCommands:
                      "psd_lin_delta_1em6.est.data"):
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("run", [experiments.run_figure_log, experiments.run_figure_linear])
+def test_curve_streams_disjoint_at_600k_paths(tmp_path, monkeypatch, run):
+    """Every figure curve's Wiener-path keys at n_paths = 600 000, recorded
+    by a stand-in for wiener_ensemble (no path is drawn): no key repeats,
+    within or across curves."""
+    curves, blocks = [], []
+
+    def record(beta, theta0, dt, n, master_seed, n_paths, first_index=0,
+               stream=stochastic.STREAM_PHASE):
+        blocks.append((master_seed, stream, first_index, n_paths))
+        return np.zeros((n_paths, n))
+
+    def consume(cfg, dt, phase_blocks):
+        start = len(blocks)
+        for _ in phase_blocks:
+            pass
+        curves.append(blocks[start:])
+
+    monkeypatch.setattr(stochastic, "wiener_ensemble", record)
+    monkeypatch.setattr(circuit, "wiener_ensemble", record)
+    monkeypatch.setattr(experiments, "_welch", consume)
+    cfg = ExperimentConfig(n_paths=600_000, segment_len=1, deltas=(1e-7, 2e-7, 3e-7),
+                           seed=5)
+    run(cfg, out_dir=tmp_path)
+
+    assert len(curves) == 5
+    assert {b[0] for curve in curves for b in curve} == {cfg.seed}
+    keys = np.sort(np.concatenate([np.arange(first, first + rows, dtype=np.int64) + (tag << 32)
+                                   for curve in curves for _, tag, first, rows in curve]))
+    assert keys.size == 6 * cfg.n_paths  # the pair draws two per path
+    repeats = np.count_nonzero(np.diff(keys) == 0)
+    assert repeats == 0, f"{repeats} path keys are drawn by two curves"
 
 
 class TestAcceptanceCommand:

@@ -13,6 +13,7 @@ from oscavg import (
     oscillator_waveform,
     phase_shift_autocorr_mc,
     sample_offset,
+    stochastic,
     wiener_ensemble,
     wiener_path,
 )
@@ -89,6 +90,40 @@ class TestSampleOffset:
         draws = np.array([sample_offset(OffsetDist.normal(50.0), (6, i))
                           for i in range(500_000)])
         assert np.std(draws) == pytest.approx(50.0, rel=0.01)
+
+    @pytest.mark.parametrize("dist", [OffsetDist.uniform(100.0), OffsetDist.normal(50.0)])
+    def test_draw_is_a_function_of_its_key(self, dist):
+        keys = [(7, i) for i in range(50)] + [(8, 3), (0, 0), (2**64 - 1, 2**64 - 1)]
+        first = [sample_offset(dist, k) for k in keys]
+        assert [sample_offset(dist, k) for k in reversed(keys)] == first[::-1]
+        assert [sample_offset(dist, k) for k in keys] == first
+
+    @pytest.mark.parametrize("dist", [OffsetDist.uniform(100.0), OffsetDist.normal(50.0)])
+    def test_neighbouring_keys_draw_distinct_values(self, dist):
+        keys = [(m, i) for m in range(40) for i in range(40)]
+        draws = [sample_offset(dist, k) for k in keys]
+        assert len(set(draws)) == len(keys)
+
+    def test_uniform_draws_within_half_width(self):
+        draws = np.array([sample_offset(OffsetDist.uniform(3.0), (11, i))
+                          for i in range(20_000)])
+        assert np.all((draws >= -3.0) & (draws < 3.0))
+        assert draws.min() < -2.99 and draws.max() > 2.99
+
+    @pytest.mark.parametrize("bits", [0, 2**64 - 1])
+    def test_extreme_hash_outputs(self, monkeypatch, bits):
+        monkeypatch.setattr(stochastic, "_offset_bits", lambda master, index: bits)
+        sign = 1.0 if bits else -1.0
+        u = sample_offset(OffsetDist.uniform(100.0), (0, 0))
+        assert -100.0 <= u < 100.0 and sign * u > 99.99
+        z = sample_offset(OffsetDist.normal(1.0), (0, 0))
+        # u = 2**-54 or its mirror: |z| is ndtri(2**-54) = 8.29
+        assert np.isfinite(z) and sign * z == pytest.approx(8.29, abs=0.01)
+
+    @pytest.mark.parametrize("seed_id", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (1.5, 0)])
+    def test_key_outside_packable_range(self, seed_id):
+        with pytest.raises(ParameterError):
+            sample_offset(OffsetDist.normal(1.0), seed_id)
 
     def test_bad_descriptor(self):
         with pytest.raises(ParameterError):
