@@ -94,14 +94,14 @@ def delay_block(w: Waveform, delta: float) -> Waveform:
 
 
 def demodulate_phase(w: Waveform, f0: float, f_cut: Optional[float] = None
-                     ) -> Tuple[np.ndarray, np.ndarray]:
+                     ) -> np.ndarray:
     """Instantaneous phase measurement: complex downconversion at f0 plus a
     brick-wall lowpass.
 
-    Returns (phase_deviation, amplitude): phase_deviation[k] is the unwrapped
-    phase of the signal relative to the 2*pi*f0*t ramp, amplitude[k] the
-    envelope. A measurement device for tests and oracles, not a circuit block.
-    Edge samples carry spectral-leakage error; callers should trim.
+    Returns the phase deviation: element k is the unwrapped phase of the
+    signal relative to the 2*pi*f0*t ramp. A measurement device for tests
+    and oracles, not a circuit block. Edge samples carry spectral-leakage
+    error; callers should trim.
     """
     if f_cut is None:
         f_cut = f0 / 2.0
@@ -113,7 +113,7 @@ def demodulate_phase(w: Waveform, f0: float, f_cut: Optional[float] = None
     freqs = np.fft.fftfreq(len(w), d=1.0 / w.fs)
     spec[np.abs(freqs) > f_cut] = 0.0
     base = np.fft.ifft(spec)
-    return np.unwrap(np.angle(base)), 2.0 * np.abs(base)
+    return np.unwrap(np.angle(base))
 
 
 def edge_trim(fs: float, f_cut: float, numtaps: int = 0) -> int:
@@ -240,7 +240,7 @@ def _average_stage(a: Waveform, b: Waveform, f_c: float, filter_mode: str,
     the divider's substitution residual."""
     # sum band near 2*f_c survives; difference band near f1-f2 is removed
     summed = ideal_filter(mix(a, b), "highpass", f_c, mode=filter_mode)
-    dev, _amp = demodulate_phase(summed, 2.0 * f_c)
+    dev = demodulate_phase(summed, 2.0 * f_c)
     k = np.arange(len(a))
     phase_out_total = 0.5 * (TWO_PI * 2.0 * f_c * k / a.fs + dev)
     out = Waveform(fs=a.fs, samples=0.5 * np.cos(phase_out_total))
@@ -291,7 +291,7 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
         omegas.append(om)
     pre = mix(mix(waves[0], waves[1]), mix(waves[2], waves[3]))
     out = ideal_filter(pre, "highpass", 3.0 * f_c, mode=filter_mode)
-    dev, _amp = demodulate_phase(out, 4.0 * f_c, f_cut=f_c)
+    dev = demodulate_phase(out, 4.0 * f_c, f_cut=f_c)
     k = np.arange(n)
     measured = TWO_PI * 4.0 * f_c * k / fs + dev
 

@@ -27,6 +27,10 @@ LIN_POINTS = 501
 # block, at least one path). Output does not depend on it; it bounds the
 # memory one block takes.
 BLOCK_SAMPLES = 2**15
+# Largest waveform `simulate` accepts, in samples (duration * fs). A table
+# row is ~35 bytes, so this is ~0.6 GB of text; a much larger input would
+# fail in allocation instead of with a one-line error.
+MAX_SIMULATE_SAMPLES = 2**24
 
 
 def delta_tag(delta: float) -> str:
@@ -105,11 +109,15 @@ def estimate_delayed(cfg: ExperimentConfig, delta: float, dt: float,
 
 
 def _write_table(path: Path, header: List[str], x: np.ndarray, y: np.ndarray):
+    """Write a two-column text table: one `# <line>` per header line, then
+    one `f"{x:.10e} {y:.10e}"` row per (x, y) pair, each line ending in a
+    newline. Raises ParameterError, before anything is written, if either
+    column holds a nan or an infinity."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ParameterError("non-finite value in output table")
     lines = [f"# {h}" for h in header]
-    for xi, yi in zip(x, y):
-        if not (np.isfinite(xi) and np.isfinite(yi)):
-            raise ParameterError("non-finite value in output table")
-        lines.append(f"{xi:.10e} {yi:.10e}")
+    # Python floats format byte-for-byte like np.float64, several times faster
+    lines.extend(map("{:.10e} {:.10e}".format, x.tolist(), y.tolist()))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -215,13 +223,17 @@ def run_figure_linear(cfg: ExperimentConfig, out_dir=None, estimates: bool = Tru
 
 def run_simulate(cfg: ExperimentConfig, out_dir=None) -> List[str]:
     """Raw waveform dump of the configured circuit scenario."""
+    samples = cfg.duration * cfg.fs  # may be inf: check before rounding
+    if samples > MAX_SIMULATE_SAMPLES:
+        raise ParameterError(f"duration * fs = {samples:g} samples exceeds the "
+                             f"simulate limit of {MAX_SIMULATE_SAMPLES}")
+    n = int(round(samples))
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     spec = stochastic.OscillatorSpec(f_c=cfg.f_c_scaled, offset_dist=cfg.offsets,
                                      beta=cfg.beta)
     if cfg.scenario == "base":
         f_i = stochastic.sample_offset(cfg.offsets, (cfg.seed, 0))
-        n = int(round(cfg.duration * cfg.fs))
         path = stochastic.wiener_path(cfg.beta, 0.0, 1.0 / cfg.fs, n, (cfg.seed, 0))
         wave = stochastic.oscillator_waveform(spec, f_i, path, cfg.fs, n)
     elif cfg.scenario == "averaged_independent":

@@ -74,7 +74,7 @@ class TestMix:
             k = np.arange(n)
             waves.append(Waveform(fs=FS, samples=np.cos(TWO_PI * FC * k / FS + p.samples)))
         high = ideal_filter(mix(*waves), "highpass", FC)
-        dev, _ = demodulate_phase(high, 2 * FC)
+        dev = demodulate_phase(high, 2 * FC)
         trim = n // 16
         err = dephase(dev, paths[0].samples + paths[1].samples)[trim:-trim]
         assert np.sqrt(np.mean(err**2)) < 1e-5

@@ -15,6 +15,7 @@ from oscavg import (
     stochastic,
 )
 from oscavg.cli import main
+from oscavg.config import SCENARIOS
 from oscavg.experiments import delta_tag, find_notches
 
 
@@ -98,6 +99,31 @@ class TestFindNotches:
         assert np.allclose(pos, np.arange(0.5, 10, 1.0), atol=0.02)
 
 
+class TestWriteTable:
+    HEADER = ["oscavg table t", "columns: a b"]
+    EDGES = [-0.0, 5e-324, 1.7976931348623157e308, -1e-300, 1.0, 123456789.0]
+
+    def test_bytes_match_per_element_format(self, tmp_path):
+        x = np.array(self.EDGES)
+        y = x[::-1]
+        path = tmp_path / "t.data"
+        experiments._write_table(path, self.HEADER, x, y)
+        expected = "".join(f"# {h}\n" for h in self.HEADER) \
+            + "".join(f"{xi:.10e} {yi:.10e}\n" for xi, yi in zip(x, y))
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_non_finite_rejected_before_writing(self, tmp_path, bad, column, row):
+        cols = [np.array(self.EDGES), np.array(self.EDGES)]
+        cols[column][row] = bad
+        path = tmp_path / "t.data"
+        with pytest.raises(ParameterError, match="non-finite value in output table"):
+            experiments._write_table(path, self.HEADER, *cols)
+        assert not path.exists()
+
+
 def _read_table(path: Path):
     rows = [l.split() for l in path.read_text().splitlines()
             if l and not l.startswith("#")]
@@ -157,6 +183,7 @@ class TestFigureCommands:
         ("simulate", "fs = inf"),
         ("simulate", "duration = nan"),
         ("simulate", "f_c_scaled = 1e7"),  # fs = 64e6 cannot carry it
+        ("simulate", "duration = 1e6"),  # 6.4e13 samples: over the cap
     ])
     def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -243,3 +270,33 @@ class TestSimulateCommand:
         t, a = _read_table(tmp_path / "out" / "waveform_averaged_independent.data")
         assert np.all(np.diff(t) > 0)
         assert np.max(np.abs(a)) <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_deterministic_and_equal_to_api_waveform(self, tmp_path, scenario):
+        fs, duration, seed = 32e6, 2e-4, 5
+        cfg = _small_cfg(tmp_path, scenario=scenario, duration=duration, fs=fs,
+                         beta="1e3", offsets="uniform:10", delta="1e-6",
+                         n_oscillators=4, seed=seed)
+        name = f"waveform_{scenario}.data"
+        for out in ("a", "b"):
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+        spec = stochastic.OscillatorSpec(
+            f_c=1e6, beta=1e3, offset_dist=stochastic.OffsetDist.uniform(10.0))
+        n = int(round(duration * fs))
+        if scenario == "base":
+            f_i = stochastic.sample_offset(spec.offset_dist, (seed, 0))
+            path = stochastic.wiener_path(1e3, 0.0, 1.0 / fs, n, (seed, 0))
+            wave = stochastic.oscillator_waveform(spec, f_i, path, fs, n)
+        elif scenario == "averaged_independent":
+            wave = circuit.simulate_pair_average(spec, spec, fs, duration, seed).output
+        elif scenario == "averaged_n":
+            wave = circuit.simulate_mixing_tree([spec] * 4, fs, duration, seed).output
+        else:
+            wave = circuit.simulate_delayed_self_average(spec, 1e-6, fs, duration,
+                                                         seed).output
+        _, a = _read_table(tmp_path / "a" / name)
+        assert len(a) == n
+        assert np.max(np.abs(a - wave.samples)) < 1e-9

@@ -160,7 +160,7 @@ class TestOscillatorWaveform:
         spec = OscillatorSpec(f_c=self.fc, beta=beta)
         path = wiener_path(beta, 0.0, 1.0 / self.fs, n, (3, 0))
         w = oscillator_waveform(spec, 0.0, path, self.fs, n)
-        dev, _ = demodulate_phase(w, self.fc)
+        dev = demodulate_phase(w, self.fc)
         trim = n // 16
         err = dev[trim:-trim] - path.samples[trim:-trim]
         err -= TWO_PI * np.round(np.mean(err) / TWO_PI)
