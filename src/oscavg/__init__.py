@@ -7,10 +7,8 @@ compare the two.
 """
 
 from .analytic import (
-    AnalyticCurve,
     DegenerateModelError,
     DelayedAvgParams,
-    averaged_autocorr,
     bates2_cdf,
     bates2_pdf,
     delayed_avg_autocorr,
@@ -41,7 +39,6 @@ from .circuit import (
 from .config import ExperimentConfig, parse_offset_descriptor
 from .spectral import (
     SpectrumEstimate,
-    autocorr_estimate,
     autocorr_per_path,
     psd_of_phase_shift,
     welch_psd,
@@ -55,7 +52,6 @@ from .stochastic import (
     Waveform,
     oscillator_waveform,
     path_rng,
-    phase_shift_autocorr_mc,
     sample_offset,
     wiener_ensemble,
     wiener_path,

@@ -39,26 +39,6 @@ class DelayedAvgParams:
             raise ParameterError("delta must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class AnalyticCurve:
-    """Closed-form autocorrelation or PSD evaluated on a grid.
-
-    `source` names the producing model: one of
-    "phase-shift-autocorr", "lorentzian", "phase-shift-psd",
-    "delayed-avg-autocorr", "delayed-avg-psd", "quadrature".
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.grid.shape != self.values.shape:
-            raise ParameterError("grid/values shape mismatch")
-
-
 def phase_shift_autocorr(beta: float, tau):
     """Autocorrelation of exp(j*theta) for the phase random walk: exp(-pi*beta*|tau|)."""
     if beta < 0:
@@ -85,14 +65,6 @@ def phase_shift_psd(beta: float, omega):
         raise DegenerateModelError("beta=0 spectrum is a delta at the carrier")
     a = math.pi * beta
     return 2.0 * a / (a**2 + np.asarray(omega, dtype=float) ** 2)
-
-
-def averaged_autocorr(beta: float, t1: float, t2: float) -> float:
-    """Centered autocorrelation of the two-oscillator averaged phase:
-    pi*beta*min(t1, t2), half the single-oscillator value."""
-    if t1 < 0 or t2 < 0:
-        raise ParameterError("t1, t2 must be >= 0")
-    return math.pi * beta * min(t1, t2)
 
 
 def bates2_pdf(f_o: float, x):

@@ -9,11 +9,11 @@ the symbolic mode through the demodulation oracle.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import signal as sps
 
 from .stochastic import (
     STREAM_PHASE,
@@ -52,36 +52,21 @@ def mix(a: Waveform, b: Waveform) -> Waveform:
     return Waveform(fs=a.fs, samples=a.samples * b.samples, t0=a.t0)
 
 
-def ideal_filter(w: Waveform, kind: str, f_cut: float, mode: str = "brickwall",
-                 numtaps: int = 1025) -> Waveform:
-    """High- or low-pass filter.
-
-    mode="brickwall": zero-phase frequency-domain mask (1 in the passband,
-    0 outside). mode="fir": linear-phase windowed-sinc (Blackman-Harris
-    window); the group delay of (numtaps-1)/2 samples is compensated so the
-    output is time-aligned, with edge regions of numtaps//2 samples invalid.
-    """
+def ideal_filter(w: Waveform, kind: str, f_cut: float) -> Waveform:
+    """Brick-wall high- or low-pass filter: a zero-phase frequency-domain
+    mask, 1 in the passband and 0 outside."""
     if kind not in ("highpass", "lowpass"):
         raise ParameterError(f"unknown filter kind {kind!r}")
     if not (0 < f_cut < w.fs / 2):
         raise ParameterError(f"f_cut={f_cut:g} must lie in (0, fs/2={w.fs / 2:g})")
-    if mode == "brickwall":
-        spec = np.fft.rfft(w.samples)
-        freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
-        if kind == "lowpass":
-            mask = freqs <= f_cut
-        else:
-            mask = freqs >= f_cut
-        out = np.fft.irfft(spec * mask, n=len(w))
-        return Waveform(fs=w.fs, samples=out, t0=w.t0)
-    if mode == "fir":
-        if numtaps % 2 == 0:
-            numtaps += 1
-        taps = sps.firwin(numtaps, f_cut, fs=w.fs, window="blackmanharris",
-                          pass_zero=(kind == "lowpass"))
-        out = np.convolve(w.samples, taps, mode="same")  # 'same' centers: delay compensated
-        return Waveform(fs=w.fs, samples=out, t0=w.t0)
-    raise ParameterError(f"unknown filter mode {mode!r}")
+    spec = np.fft.rfft(w.samples)
+    freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
+    if kind == "lowpass":
+        mask = freqs <= f_cut
+    else:
+        mask = freqs >= f_cut
+    out = np.fft.irfft(spec * mask, n=len(w))
+    return Waveform(fs=w.fs, samples=out, t0=w.t0)
 
 
 def delay_block(w: Waveform, delta: float) -> Waveform:
@@ -116,9 +101,10 @@ def demodulate_phase(w: Waveform, f0: float, f_cut: Optional[float] = None
     return np.unwrap(np.angle(base))
 
 
-def edge_trim(fs: float, f_cut: float, numtaps: int = 0) -> int:
-    """Samples to drop at each end before comparing filtered signals."""
-    return int(max(numtaps, 4.0 / f_cut * fs))
+def edge_trim(fs: float, f_cut: float) -> int:
+    """Samples to drop at each end before comparing filtered signals: four
+    periods of f_cut, capped so that a vanishing cutoff trims everything."""
+    return int(min(4.0 / f_cut * fs, sys.maxsize))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +149,7 @@ def divider_steady_state(omega_in: float, phase_in: PhasePath, n: int
         raise ParameterError("divider ratio must be >= 2")
     return SteadyStateResult(
         omega_prime=omega_in / n,
-        phase_path_prime=PhasePath(dt=phase_in.dt, samples=phase_in.samples / n,
-                                   seed_id=phase_in.seed_id),
+        phase_path_prime=PhasePath(dt=phase_in.dt, samples=phase_in.samples / n),
         amplitude=0.5,
     )
 
@@ -232,14 +217,14 @@ def divider_residual(summed: Waveform, output: Waveform, f_c: float,
     return float(np.max(dev))
 
 
-def _average_stage(a: Waveform, b: Waveform, f_c: float, filter_mode: str,
-                   settle: int = 0) -> Tuple[Waveform, np.ndarray, float]:
+def _average_stage(a: Waveform, b: Waveform, f_c: float, settle: int = 0
+                   ) -> Tuple[Waveform, np.ndarray, float]:
     """Tail shared by the two-input averagers: mix, highpass at f_c, and the
     regenerative 2-divider resolved at its fixed point (output phase is half
     the measured sum-band phase). Returns the output, its total phase and
     the divider's substitution residual."""
     # sum band near 2*f_c survives; difference band near f1-f2 is removed
-    summed = ideal_filter(mix(a, b), "highpass", f_c, mode=filter_mode)
+    summed = ideal_filter(mix(a, b), "highpass", f_c)
     dev = demodulate_phase(summed, 2.0 * f_c)
     k = np.arange(len(a))
     phase_out_total = 0.5 * (TWO_PI * 2.0 * f_c * k / a.fs + dev)
@@ -248,8 +233,7 @@ def _average_stage(a: Waveform, b: Waveform, f_c: float, filter_mode: str,
 
 
 def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: float,
-                          duration: float, seed: int,
-                          filter_mode: str = "brickwall") -> SimulationResult:
+                          duration: float, seed: int) -> SimulationResult:
     """Two-oscillator averaging chain: mix, highpass at f_c, regenerative
     2-divider resolved at its steady state. Output ~ (1/2)cos(w't + theta'_t)
     with w' and theta'_t the means of the inputs."""
@@ -262,7 +246,7 @@ def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: floa
         raise ParameterError("duration too short")
     w1, p1, om1 = _draw_oscillator(spec1, fs, n, (seed, 0))
     w2, p2, om2 = _draw_oscillator(spec2, fs, n, (seed, 1))
-    out, phase_out_total, residual = _average_stage(w1, w2, f_c, filter_mode)
+    out, phase_out_total, residual = _average_stage(w1, w2, f_c)
 
     expected = steady_state_average([p1, p2], [om1, om2])
     return SimulationResult(output=out, expected=expected, phases=(p1, p2),
@@ -271,8 +255,7 @@ def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: floa
 
 
 def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
-                         duration: float, seed: int,
-                         filter_mode: str = "brickwall") -> SimulationResult:
+                         duration: float, seed: int) -> SimulationResult:
     """Four-oscillator mixing stage: two pairwise mixers feeding a third,
     highpass at 3*f_c keeping the component near 4*f_c with phase equal to
     the sum of the input phases and amplitude 1/8."""
@@ -290,7 +273,7 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
         paths.append(p)
         omegas.append(om)
     pre = mix(mix(waves[0], waves[1]), mix(waves[2], waves[3]))
-    out = ideal_filter(pre, "highpass", 3.0 * f_c, mode=filter_mode)
+    out = ideal_filter(pre, "highpass", 3.0 * f_c)
     dev = demodulate_phase(out, 4.0 * f_c, f_cut=f_c)
     k = np.arange(n)
     measured = TWO_PI * 4.0 * f_c * k / fs + dev
@@ -307,8 +290,7 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
 
 
 def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
-                                  duration: float, seed: int,
-                                  filter_mode: str = "brickwall") -> SimulationResult:
+                                  duration: float, seed: int) -> SimulationResult:
     """Average an oscillator with its own output delayed by delta: delay
     block, then the two-input averaging chain. Output phase is
     (theta_t + theta_{t-delta})/2.
@@ -324,7 +306,7 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
         raise ParameterError("duration must be much longer than the delay")
     w, p, om = _draw_oscillator(spec, fs, n, (seed, 0))
     out, phase_out_total, residual = _average_stage(w, delay_block(w, delta), f_c,
-                                                    filter_mode, settle=lag_i)
+                                                    settle=lag_i)
 
     # symbolic mode: delayed samples held at theta[0] before t = delta
     delayed = np.concatenate([np.full(lag_i, p.samples[0]), p.samples[: n - lag_i]]) \

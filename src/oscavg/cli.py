@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments
 from .analytic import DegenerateModelError
 from .circuit import ConfigurationError, ShapeError
@@ -77,38 +79,41 @@ def _summarize(args, payload: dict):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = _load_config(args)
-        if args.command == "figure-log":
-            written = experiments.run_figure_log(
-                cfg, estimates=not args.no_estimates)
-            _summarize(args, {k: " ".join(v) for k, v in written.items()})
-            return 0
-        if args.command == "figure-linear":
-            written = experiments.run_figure_linear(
-                cfg, estimates=not args.no_estimates)
-            _summarize(args, {k: " ".join(v) for k, v in written.items()})
-            return 0
-        if args.command == "acceptance":
-            report = experiments.run_acceptance(cfg)
-            if args.format == "json":
-                print(json.dumps(report, indent=2, sort_keys=True))
-            else:
-                for c in report["checks"]:
-                    flag = "PASS" if c["passed"] else "FAIL"
-                    print(f"{flag} {c['name']}: measured={c['measured']:.3e} "
-                          f"tol={c['tolerance']:.3e}")
-                print(f"overall: {'PASS' if report['passed'] else 'FAIL'} "
-                      f"({report['n_checks']} checks)")
-            return 0 if report["passed"] else 1
-        if args.command == "simulate":
-            files = experiments.run_simulate(cfg)
-            _summarize(args, {"written": " ".join(files)})
-            return 0
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
+    # Floating-point warnings would print before the one-line error: the
+    # finite checks on every output (_write_table, to_dbc_hz) report instead.
+    with np.errstate(all="ignore"):
+        try:
+            return _run(args)
+        except _INPUT_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+
+def _run(args) -> int:
+    cfg = _load_config(args)
+    if args.command == "figure-log":
+        written = experiments.run_figure_log(cfg, estimates=not args.no_estimates)
+        _summarize(args, {k: " ".join(v) for k, v in written.items()})
+        return 0
+    if args.command == "figure-linear":
+        written = experiments.run_figure_linear(cfg, estimates=not args.no_estimates)
+        _summarize(args, {k: " ".join(v) for k, v in written.items()})
+        return 0
+    if args.command == "acceptance":
+        report = experiments.run_acceptance(cfg)
+        if args.format == "json":
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            for c in report["checks"]:
+                flag = "PASS" if c["passed"] else "FAIL"
+                print(f"{flag} {c['name']}: measured={c['measured']:.3e} "
+                      f"tol={c['tolerance']:.3e}")
+            print(f"overall: {'PASS' if report['passed'] else 'FAIL'} "
+                  f"({report['n_checks']} checks)")
+        return 0 if report["passed"] else 1
+    files = experiments.run_simulate(cfg)  # "simulate": the parser allows no other
+    _summarize(args, {"written": " ".join(files)})
+    return 0
 
 
 if __name__ == "__main__":

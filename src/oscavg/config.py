@@ -10,7 +10,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 from .stochastic import OffsetDist, ParameterError
 

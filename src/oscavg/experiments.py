@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,37 +138,48 @@ def _emit_curve(out: Path, name: str, cfg_hash: str, grid_hz: np.ndarray,
     return written
 
 
-def run_figure_log(cfg: ExperimentConfig, out_dir=None, estimates: bool = True
-                   ) -> Dict[str, List[str]]:
-    """Log-frequency PSD sweep: base oscillator, averaged independent pair,
-    and one delayed-self curve per configured delay."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarray,
+                  dt: float, estimates: bool
+                  ) -> Tuple[Dict[str, List[str]], List[np.ndarray]]:
+    """Write one figure's curves over `grid` (Hz): the base oscillator, the
+    averaged independent pair, and one delayed-self curve per configured
+    delay, each estimated from phase paths sampled at step dt. Returns the
+    files written per curve and each delay's analytic PSD."""
     out.mkdir(parents=True, exist_ok=True)
-    lo, hi, npts = LOG_GRID
-    grid = np.logspace(np.log10(lo), np.log10(hi), npts)
     omega = TWO_PI * grid
     cfg_hash = cfg.content_hash()
-    dt = 1.0 / (4.0 * hi)  # baseband rate covering the top plotted offset
     written: Dict[str, List[str]] = {}
 
     est = estimate_base(cfg, dt) if estimates else None
-    written["base"] = _emit_curve(out, "psd_log_base", cfg_hash, grid,
+    written["base"] = _emit_curve(out, f"psd_{prefix}_base", cfg_hash, grid,
                                   analytic.phase_shift_psd(cfg.beta, omega), est)
 
     est = estimate_independent(cfg, dt) if estimates else None
     # the averaged pair's phase is a walk with half the diffusion rate
     written["independent"] = _emit_curve(
-        out, "psd_log_ind", cfg_hash, grid,
+        out, f"psd_{prefix}_ind", cfg_hash, grid,
         analytic.phase_shift_psd(cfg.beta / 2.0, omega), est)
 
+    delayed = []
     for j, delta in enumerate(cfg.deltas):
         est = (estimate_delayed(cfg, delta, dt, stream=TAG_DELAYED + j)
                if estimates else None)
-        name = f"psd_log_delta_{delta_tag(delta)}"
         vals = analytic.delayed_avg_psd(DelayedAvgParams(cfg.beta, delta), omega)
-        written[f"delta_{delta_tag(delta)}"] = _emit_curve(out, name, cfg_hash,
-                                                          grid, vals, est)
-    return written
+        tag = delta_tag(delta)
+        written[f"delta_{tag}"] = _emit_curve(out, f"psd_{prefix}_delta_{tag}",
+                                              cfg_hash, grid, vals, est)
+        delayed.append(vals)
+    return written, delayed
+
+
+def run_figure_log(cfg: ExperimentConfig, out_dir=None, estimates: bool = True
+                   ) -> Dict[str, List[str]]:
+    """Log-frequency PSD sweep of every curve."""
+    lo, hi, npts = LOG_GRID
+    grid = np.logspace(np.log10(lo), np.log10(hi), npts)
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    # baseband rate covering the top plotted offset
+    return _write_figure(cfg, out, "log", grid, 1.0 / (4.0 * hi), estimates)[0]
 
 
 def find_notches(grid_hz: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -183,31 +194,13 @@ def run_figure_linear(cfg: ExperimentConfig, out_dir=None, estimates: bool = Tru
     """Linear-band PSD sweep over +-2.5 MHz with a notch-position sidecar."""
     if not cfg.deltas:
         raise ParameterError("linear figure requires at least one delay")
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(-LIN_BAND, LIN_BAND, LIN_POINTS)
-    omega = TWO_PI * grid
-    cfg_hash = cfg.content_hash()
-    dt = 1.0 / (4.0 * LIN_BAND * 2.0)
-    written: Dict[str, List[str]] = {}
-
-    est = estimate_base(cfg, dt) if estimates else None
-    written["base"] = _emit_curve(out, "psd_lin_base", cfg_hash, grid,
-                                  analytic.phase_shift_psd(cfg.beta, omega), est)
-    est = estimate_independent(cfg, dt) if estimates else None
-    written["independent"] = _emit_curve(
-        out, "psd_lin_ind", cfg_hash, grid,
-        analytic.phase_shift_psd(cfg.beta / 2.0, omega), est)
-
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    written, delayed = _write_figure(cfg, out, "lin", grid,
+                                     1.0 / (4.0 * LIN_BAND * 2.0), estimates)
     notch_summary = {}
-    for j, delta in enumerate(cfg.deltas):
-        vals = analytic.delayed_avg_psd(DelayedAvgParams(cfg.beta, delta), omega)
-        est = (estimate_delayed(cfg, delta, dt, stream=TAG_DELAYED + j)
-               if estimates else None)
-        name = f"psd_lin_delta_{delta_tag(delta)}"
-        written[f"delta_{delta_tag(delta)}"] = _emit_curve(out, name, cfg_hash,
-                                                          grid, vals, est)
-        pos = grid > 0
+    pos = grid > 0
+    for delta, vals in zip(cfg.deltas, delayed):
         notches = find_notches(grid[pos], analytic.to_dbc_hz(vals[pos]))
         notch_summary[delta_tag(delta)] = {
             "delta_s": delta,
@@ -215,7 +208,7 @@ def run_figure_linear(cfg: ExperimentConfig, out_dir=None, estimates: bool = Tru
             "mean_spacing_hz": float(np.mean(np.diff(notches))) if len(notches) > 1 else None,
         }
     (out / "notches.json").write_text(
-        json.dumps({"config": cfg_hash, "notches": notch_summary},
+        json.dumps({"config": cfg.content_hash(), "notches": notch_summary},
                    indent=2, sort_keys=True) + "\n")
     written["notches"] = ["notches.json"]
     return written
@@ -279,8 +272,11 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
                        "tolerance": float(tolerance), "passed": bool(ok),
                        "seed": seed})
 
+    # one ensemble at the master seed, split into four blocks of 2000 paths,
+    # so batteries at neighbouring seeds share no stream
     dt, n = 1e-6, 101
-    ens = stochastic.wiener_ensemble(beta, 0.0, dt, n, seed, 2000)
+    ens, ens2, ens3, ens4 = np.split(
+        stochastic.wiener_ensemble(beta, 0.0, dt, n, seed, 8000), 4)
     t = np.arange(n) * dt
     var = np.var(ens - ens[:, :1], axis=0)
     slope = np.polyfit(t[1:], var[1:], 1)[0]
@@ -305,14 +301,11 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
     err = _rel_err(np.std(draws), 50.0)
     record("normal-offset-std", err, 0.03, err < 0.03)
 
-    ens2 = stochastic.wiener_ensemble(beta, 0.0, dt, n, seed + 1, 2000)
     avg = 0.5 * (ens + ens2)
     ratio = np.var(avg[:, -1] - avg[:, 0]) / np.var(ens[:, -1] - ens[:, 0])
     err = _rel_err(ratio, 0.5)
     record("pair-averaging-variance-halving", err, 0.10, err < 0.10)
 
-    ens3 = stochastic.wiener_ensemble(beta, 0.0, dt, n, seed + 2, 2000)
-    ens4 = stochastic.wiener_ensemble(beta, 0.0, dt, n, seed + 3, 2000)
     avg4 = 0.25 * (ens + ens2 + ens3 + ens4)
     ratio = np.var(avg4[:, -1] - avg4[:, 0]) / np.var(ens[:, -1] - ens[:, 0])
     err = _rel_err(ratio, 0.25)

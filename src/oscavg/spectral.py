@@ -8,13 +8,12 @@ noise gives a flat 1/fs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import signal as sps
 
-from .analytic import to_dbc_hz
-from .stochastic import ParameterError, Waveform
+from .stochastic import ParameterError
 
 
 class SpectralShapeError(ValueError):
@@ -29,19 +28,12 @@ class SpectrumEstimate:
     freqs: np.ndarray
     psd: np.ndarray
     n_segments: int
-    fs: float
-    sidedness: str = "two"
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
         object.__setattr__(self, "psd", np.asarray(self.psd, dtype=float))
         if self.freqs.shape != self.psd.shape[-1:]:
             raise ParameterError("frequency grid and PSD shape mismatch")
-        if self.sidedness not in ("one", "two"):
-            raise ParameterError("sidedness must be 'one' or 'two'")
-
-    def dbc_hz(self) -> np.ndarray:
-        return to_dbc_hz(np.maximum(self.psd, np.finfo(float).tiny))
 
     def total_power(self) -> float:
         return float(np.trapezoid(self.psd, self.freqs))
@@ -50,22 +42,17 @@ class SpectrumEstimate:
         return np.interp(freqs, self.freqs, self.psd)
 
 
-def welch_psd(x, fs: Optional[float] = None, segment_len: int = 1024,
+def welch_psd(x, fs: float, segment_len: int = 1024,
               overlap: float = 0.5, window: str = "hann") -> SpectrumEstimate:
-    """Two-sided Welch density estimate of a real or complex sequence.
+    """Two-sided Welch density estimate of a real or complex sequence
+    sampled at `fs`.
 
-    `x` is a Waveform or an array (then `fs` is required). A 2-d array of
-    shape (rows, n) gives one density per row, each equal to the estimate of
-    that row alone, and `n_segments` counts the segments of all rows. The
-    grid is centered (fftshift order) with frequencies as offsets from the
-    carrier for baseband inputs.
+    A 2-d array of shape (rows, n) gives one density per row, each equal to
+    the estimate of that row alone, and `n_segments` counts the segments of
+    all rows. The grid is centered (fftshift order) with frequencies as
+    offsets from the carrier for baseband inputs.
     """
-    if isinstance(x, Waveform):
-        data, fs = x.samples, x.fs
-    else:
-        if fs is None:
-            raise ParameterError("fs required for raw arrays")
-        data = np.asarray(x)
+    data = np.asarray(x)
     if data.ndim > 2 or data.size == 0:
         raise ParameterError("pass a non-empty sequence or (rows, n) ensemble")
     n = data.shape[-1]
@@ -85,37 +72,17 @@ def welch_psd(x, fs: Optional[float] = None, segment_len: int = 1024,
     step = segment_len - noverlap
     rows = data.shape[0] if data.ndim == 2 else 1
     n_segments = rows * max(1, (n - noverlap) // step)
-    return SpectrumEstimate(freqs=freqs, psd=psd, n_segments=n_segments, fs=fs)
-
-
-def autocorr_estimate(sequences: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased (normalized-by-N) ensemble-averaged estimate of
-    E[x_t conj(x_{t+lag})] for lag = 0..max_lag.
-
-    `sequences` has one complex sequence per row; returns a complex array of
-    length max_lag + 1.
-    """
-    sequences = np.atleast_2d(np.asarray(sequences))
-    if sequences.shape[0] == 0 or sequences.size == 0:
-        raise ParameterError("empty ensemble")
-    n = sequences.shape[1]
-    if max_lag >= n:
-        raise SpectralShapeError(f"max_lag={max_lag} >= sequence length {n}")
-    out = np.empty(max_lag + 1, dtype=complex)
-    for lag in range(max_lag + 1):
-        if lag == 0:
-            # real by construction; avoids a spurious imaginary residue
-            prod = sequences.real**2 + sequences.imag**2
-        else:
-            prod = sequences[:, :-lag] * np.conj(sequences[:, lag:])
-        out[lag] = prod.sum(axis=1).mean() / n
-    return out
+    return SpectrumEstimate(freqs=freqs, psd=psd, n_segments=n_segments)
 
 
 def autocorr_per_path(sequences: np.ndarray, lags: Sequence[int]) -> np.ndarray:
-    """Per-path time-averaged autocorrelation at the given lags, for
-    Monte Carlo standard errors. Shape (n_paths, n_lags), complex."""
+    """Per-path time average of x_t conj(x_{t+lag}) at the given lags, one
+    complex sequence per row; shape (n_paths, n_lags). The ensemble estimate
+    is its mean over rows, and the spread over rows gives its Monte Carlo
+    standard error."""
     sequences = np.atleast_2d(np.asarray(sequences))
+    if sequences.size == 0:
+        raise ParameterError("empty ensemble")
     n = sequences.shape[1]
     out = np.empty((sequences.shape[0], len(lags)), dtype=complex)
     for j, lag in enumerate(lags):
@@ -153,5 +120,4 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
         n_segments += est.n_segments
     if est is None:
         raise ParameterError("empty ensemble")
-    return SpectrumEstimate(freqs=est.freqs, psd=acc / n_rows,
-                            n_segments=n_segments, fs=1.0 / dt)
+    return SpectrumEstimate(freqs=est.freqs, psd=acc / n_rows, n_segments=n_segments)

@@ -16,7 +16,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -127,7 +127,6 @@ class PhasePath:
 
     dt: float
     samples: np.ndarray
-    seed_id: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -139,13 +138,6 @@ class PhasePath:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    def wrapped(self) -> np.ndarray:
-        return np.mod(self.samples, TWO_PI)
-
-    def phase_shift(self) -> np.ndarray:
-        """Unit-modulus complex representation exp(j*theta)."""
-        return np.exp(1j * self.samples)
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,7 @@ def wiener_path(beta: float, theta0: float, dt: float, n: int,
             rng = path_rng(seed_id, stream)
             incr = rng.normal(0.0, np.sqrt(TWO_PI * beta * dt), size=n - 1)
             theta[1:] = theta0 + np.cumsum(incr)
-    return PhasePath(dt=dt, samples=theta, seed_id=seed_id)
+    return PhasePath(dt=dt, samples=theta)
 
 
 def _offset_bits(master: int, index: int) -> int:
@@ -257,31 +249,3 @@ def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
         out[i] = wiener_path(beta, theta0, dt, n, (master_seed, first_index + i),
                              stream).samples
     return out
-
-
-def phase_shift_autocorr_mc(paths: Sequence[PhasePath] | np.ndarray, tau: float,
-                            dt: Optional[float] = None) -> complex:
-    """Ensemble-and-time averaged E[u_t * conj(u_{t+tau})] with u = exp(j*theta).
-
-    `paths` is either a sequence of PhasePath (sharing dt) or a 2-d array of
-    phase samples with `dt` given. tau must be a multiple of dt within the
-    path length.
-    """
-    if isinstance(paths, np.ndarray):
-        if dt is None:
-            raise ParameterError("dt required when passing a raw array")
-        theta = paths
-    else:
-        if not paths:
-            raise ParameterError("empty ensemble")
-        dt = paths[0].dt
-        theta = np.stack([p.samples for p in paths])
-    lag_i = lag_samples(tau, dt)
-    n = theta.shape[1]
-    if lag_i < 0 or lag_i >= n:
-        raise IndexError(f"lag {lag_i} outside path length {n}")
-    u = np.exp(1j * theta)
-    if lag_i == 0:
-        return complex(1.0)
-    prod = u[:, :-lag_i] * np.conj(u[:, lag_i:])
-    return complex(prod.mean())

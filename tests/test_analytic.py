@@ -10,7 +10,6 @@ from oscavg import (
     DegenerateModelError,
     DelayedAvgParams,
     ParameterError,
-    averaged_autocorr,
     bates2_cdf,
     bates2_pdf,
     delayed_avg_autocorr,
@@ -67,25 +66,6 @@ class TestLorentzian:
         assert lorentzian_psd(BETA, w) != pytest.approx(phase_shift_psd(BETA, w))
         # they coincide under beta -> beta/2
         assert phase_shift_psd(BETA / 2, w) == pytest.approx(lorentzian_psd(BETA, w))
-
-
-class TestAveragedAutocorr:
-    def test_zero_time(self):
-        assert averaged_autocorr(BETA, 0.0, 5.0) == 0.0
-
-    def test_half_of_single_oscillator(self):
-        # pi*beta*t, exactly half of 2*pi*beta*t
-        t = 1e-4
-        assert averaged_autocorr(BETA, t, t) == pytest.approx(np.pi, rel=1e-12)
-
-    @given(t1=st.floats(min_value=0, max_value=1e-2),
-           t2=st.floats(min_value=0, max_value=1e-2))
-    def test_symmetric(self, t1, t2):
-        assert averaged_autocorr(BETA, t1, t2) == averaged_autocorr(BETA, t2, t1)
-
-    @given(t=st.floats(min_value=0, max_value=1e-2))
-    def test_exact_variance_halving(self, t):
-        assert averaged_autocorr(BETA, t, t) == 0.5 * (2 * math.pi * BETA * t)
 
 
 class TestBates2:

@@ -101,16 +101,6 @@ class TestIdealFilter:
         assert fft_amplitude(out, FC) == pytest.approx(1.0, rel=1e-6)
         assert fft_amplitude(out, 4 * FC) < 10 ** (-80 / 20)
 
-    def test_fir_mode(self):
-        w = Waveform(fs=FS, samples=tone(FC).samples + tone(4 * FC).samples)
-        out = ideal_filter(w, "lowpass", 2 * FC, mode="fir", numtaps=1025)
-        trim = 1025
-        ref = tone(FC).samples[trim:-trim]
-        got = out.samples[trim:-trim]
-        # linear-phase with compensated delay: time-aligned to the input
-        assert np.sqrt(np.mean((got - ref) ** 2)) < 1e-3
-        assert fft_amplitude(out, 4 * FC) < 10 ** (-80 / 20)
-
     def test_cutoff_validation(self):
         with pytest.raises(ParameterError):
             ideal_filter(tone(1e6), "lowpass", FS / 2)

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +134,25 @@ def _read_table(path: Path):
     return data[:, 0], data[:, 1]
 
 
+# Every config key but output_dir (the CLI's --out sets it), with edge values
+FUZZ_KEYS = sorted(set(ExperimentConfig.__dataclass_fields__) - {"output_dir"})
+FUZZ_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "-1e-6", "5e-324", "1e-300", "1e308",
+                str(2**64), "1", "4", "1e-6", "2e-5", "1e4", "1e6", "64e6")
+
+
+def _fuzz_value(key: str):
+    numbers = st.sampled_from(FUZZ_NUMBERS)
+    if key == "scenario":
+        return st.sampled_from(SCENARIOS + ("none",))
+    if key == "window":
+        return st.sampled_from(("hann", "rect", "none"))
+    if key == "offsets":
+        return st.tuples(st.sampled_from(("delta", "uniform", "normal")), numbers).map(":".join)
+    if key == "deltas":
+        return st.lists(numbers, min_size=1, max_size=3).map(",".join)
+    return numbers
+
+
 def _small_cfg(tmp_path, **extra):
     cfg = tmp_path / "small.cfg"
     lines = ["beta = 1e4", "n_paths = 8", "segment_len = 512",
@@ -184,13 +206,56 @@ class TestFigureCommands:
         ("simulate", "duration = nan"),
         ("simulate", "f_c_scaled = 1e7"),  # fs = 64e6 cannot carry it
         ("simulate", "duration = 1e6"),  # 6.4e13 samples: over the cap
+        # a cutoff so low that the divider check's edge trim is infinite
+        ("simulate", "scenario = averaged_independent\nf_c_scaled = 1e-300"),
+        ("simulate", "scenario = delayed_self\ndelta = 1e-6\nf_c_scaled = 1e-300"),
+        # non-finite intermediate values: only the finite check may report
+        ("figure-log --no-estimates", "beta = 1e308"),
+        ("figure-linear --no-estimates", "beta = 5e-324"),
+        ("simulate", "beta = 1e308\nduration = 1e-6"),
     ])
     def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # a command-line run prints warnings to stderr too
+        assert not caught, [str(w.message) for w in caught]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=st.lists(
+        st.sampled_from(FUZZ_KEYS).flatmap(lambda key: _fuzz_value(key).map(
+            lambda value: f"{key} = {value}\n")), max_size=5).map(
+        lambda lines: "duration = 2e-5\n" + "".join(lines)))
+    def test_main_exits_0_or_2(self, tmp_path_factory, text):
+        """Any config through figure-log and figure-linear (analytic tables
+        only) and through simulate, where its waveform is at most 4096
+        samples or over the cap: exit 0, or exit 2 with exactly one line on
+        stderr; no exception escapes."""
+        commands = [["figure-log", "--no-estimates"], ["figure-linear", "--no-estimates"]]
+        try:
+            cfg = ExperimentConfig.from_text(text)
+        except ParameterError:
+            cfg = None
+        if cfg is None or not 4096 < cfg.duration * cfg.fs <= experiments.MAX_SIMULATE_SAMPLES:
+            commands.append(["simulate"])
+        out = tmp_path_factory.mktemp("fuzz")
+        path = out / "fuzz.cfg"
+        path.write_text(text)
+        for command in commands:
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main([*command, "--config", str(path), "--out", str(out)])
+            err = err.getvalue()
+            assert code in (0, 2), (command, text)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, text)
+                assert not caught, (command, text, [str(w.message) for w in caught])
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["figure-log", "--config", str(tmp_path / "none.cfg")]) == 2
@@ -239,6 +304,24 @@ def test_curve_streams_disjoint_at_600k_paths(tmp_path, monkeypatch, run):
     assert keys.size == 6 * cfg.n_paths  # the pair draws two per path
     repeats = np.count_nonzero(np.diff(keys) == 0)
     assert repeats == 0, f"{repeats} path keys are drawn by two curves"
+
+
+def test_battery_streams_disjoint_at_neighbouring_seeds(monkeypatch):
+    """The (master, index, tag) key of every random stream the acceptance
+    battery draws, recorded at seeds 11 and 12: no key is drawn at both."""
+    keys = {}
+    path_rng = stochastic.path_rng
+
+    def record(seed_id, stream=stochastic.STREAM_PHASE):
+        keys[seed].add((*seed_id, stream))
+        return path_rng(seed_id, stream)
+
+    monkeypatch.setattr(stochastic, "path_rng", record)
+    for seed in (11, 12):
+        keys[seed] = set()
+        experiments.run_acceptance(ExperimentConfig(seed=seed, output_dir=""))
+    assert len(keys[11]) == len(keys[12]) == 8002  # 4 x 2000 paths, divider, noise
+    assert not keys[11] & keys[12]
 
 
 class TestAcceptanceCommand:

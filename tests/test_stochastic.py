@@ -9,9 +9,9 @@ from oscavg import (
     ParameterError,
     PhasePath,
     SamplingError,
+    autocorr_per_path,
     demodulate_phase,
     oscillator_waveform,
-    phase_shift_autocorr_mc,
     sample_offset,
     stochastic,
     wiener_ensemble,
@@ -181,20 +181,27 @@ class TestOscillatorWaveform:
             oscillator_waveform(spec, 0.0, path, 4 * self.fc, n)
 
 
+def phase_shift(paths):
+    """exp(j*theta) of a list of phase paths, one path per row."""
+    return np.exp(1j * np.stack([p.samples for p in paths]))
+
+
 class TestPhaseShiftAutocorrMC:
+    # the ensemble-and-time average of u_t * conj(u_{t+lag}), u = exp(j*theta),
+    # is the mean of autocorr_per_path over the paths
     def test_zero_lag_is_one(self):
         paths = [wiener_path(1e4, 0.0, 1e-6, 32, (0, i)) for i in range(10)]
-        assert phase_shift_autocorr_mc(paths, 0.0) == 1.0 + 0.0j
+        assert autocorr_per_path(phase_shift(paths), [0]).mean() == 1.0 + 0.0j
 
     def test_zero_diffusion_is_one(self):
         paths = [wiener_path(0.0, 0.3, 1e-6, 32, (0, i)) for i in range(4)]
-        assert phase_shift_autocorr_mc(paths, 1e-5) == pytest.approx(1.0)
+        assert autocorr_per_path(phase_shift(paths), [10]).mean() == pytest.approx(1.0)
 
     def test_matches_exponential_decay(self):
         # E[u_t conj(u_{t+tau})] = exp(-pi*beta*tau) ~ 0.7304
         beta, tau = 1e4, 1e-5
         ens = wiener_ensemble(beta, 0.0, 1e-6, 50, master_seed=21, n_paths=10_000)
-        est = phase_shift_autocorr_mc(ens, tau, dt=1e-6)
+        est = autocorr_per_path(np.exp(1j * ens), [10]).mean()  # lag tau / dt
         assert est.real == pytest.approx(np.exp(-np.pi * beta * tau), rel=0.02)
 
     def test_stationarity_over_anchor_times(self):
@@ -207,16 +214,6 @@ class TestPhaseShiftAutocorrMC:
         ses = np.array([np.std((u[:, a] * np.conj(u[:, a + lag])).real)
                         / np.sqrt(u.shape[0]) for a in anchors])
         assert np.max(np.abs(vals - vals.mean())) < 3.0 * np.max(ses)
-
-    def test_lag_out_of_range(self):
-        paths = [wiener_path(1e4, 0.0, 1e-6, 8, (0, 0))]
-        with pytest.raises(IndexError):
-            phase_shift_autocorr_mc(paths, 8e-6)
-
-    def test_lag_not_multiple_of_dt(self):
-        paths = [wiener_path(1e4, 0.0, 1e-6, 8, (0, 0))]
-        with pytest.raises(ParameterError):
-            phase_shift_autocorr_mc(paths, 1.5e-6)
 
 
 @given(theta0=st.floats(min_value=-100.0, max_value=100.0,
