@@ -266,6 +266,8 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
         raise ConfigurationError("oscillators must share the nominal frequency")
     _check_rate(fs, 4.0 * f_c)
     n = int(round(duration * fs))
+    if n < 16:
+        raise ParameterError("duration too short")
     waves, paths, omegas = [], [], []
     for i, s in enumerate(specs):
         w, p, om = _draw_oscillator(s, fs, n, (seed, i))

@@ -209,6 +209,8 @@ class TestFigureCommands:
         # a cutoff so low that the divider check's edge trim is infinite
         ("simulate", "scenario = averaged_independent\nf_c_scaled = 1e-300"),
         ("simulate", "scenario = delayed_self\ndelta = 1e-6\nf_c_scaled = 1e-300"),
+        # one sample: too short for the mixing tree's filters
+        ("simulate", "scenario = averaged_n\nn_oscillators = 4\nduration = 2e-8"),
         # non-finite intermediate values: only the finite check may report
         ("figure-log --no-estimates", "beta = 1e308"),
         ("figure-linear --no-estimates", "beta = 5e-324"),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,6 +84,43 @@ class TestWelchPsd:
                           overlap=0.0).psd for _ in range(m)])
             stds.append(float(np.mean(np.std(ests, axis=0))))
         assert stds[0] / stds[1] == pytest.approx(np.sqrt(2.0), rel=0.15)
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    @pytest.mark.parametrize("segment_len,n", [(256, 2048), (256, 2100), (255, 1999)])
+    @pytest.mark.parametrize("shape", ["1d", "rows"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_scipy_welch(self, kind, shape, segment_len, n, window, overlap):
+        from scipy.signal import get_window, spectrogram, welch
+        fs = 3e6
+        rng = np.random.default_rng(11)
+        size = (n,) if shape == "1d" else (3, n)
+        x = rng.normal(size=size)
+        if kind == "complex":
+            x = x + 1j * rng.normal(size=size)
+        win = get_window("hann", segment_len) if window == "hann" else np.ones(segment_len)
+        noverlap = int(segment_len * overlap)
+        freqs, psd = welch(x, fs=fs, window=win, nperseg=segment_len,
+                           noverlap=noverlap, detrend=False, return_onesided=False,
+                           scaling="density", axis=-1)
+        est = welch_psd(x, fs=fs, segment_len=segment_len, overlap=overlap, window=window)
+        want = np.fft.fftshift(psd, axes=-1)
+        assert est.psd.shape == want.shape
+        assert np.array_equal(est.freqs, np.fft.fftshift(freqs))
+        assert np.max(np.abs(est.psd - want) / want) <= 1e-12
+        times = spectrogram(x, fs=fs, window=win, nperseg=segment_len,
+                            noverlap=noverlap, detrend=False, return_onesided=False,
+                            axis=-1)[1]
+        assert est.n_segments == (1 if shape == "1d" else 3) * len(times)
+
+
+def test_import_does_not_load_scipy_signal():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import oscavg, sys; print('scipy.signal' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestEnsembleWelch:
