@@ -1,22 +1,21 @@
 """Phase-noise averaging circuit simulator.
 
 Wiener-model oscillators, the mixer/divider averaging circuits (two
-oscillators, four oscillators, delayed self-averaging), the matching
-closed-form autocorrelations and spectra, and Welch-based estimation to
-compare the two.
+oscillators, delayed self-averaging) and the four-oscillator mixing stage,
+one closed-form model of weighted, delayed Wiener phases for their
+autocorrelations and spectra, and Welch-based estimation to compare the two.
 """
 
 from .analytic import (
-    DegenerateModelError,
     DelayedAvgParams,
     bates2_cdf,
     bates2_pdf,
     delayed_avg_autocorr,
     delayed_avg_psd,
-    lorentzian_psd,
-    phase_shift_autocorr,
-    phase_shift_psd,
+    delayed_taps,
     psd_by_quadrature,
+    tap_autocorr,
+    tap_psd,
     to_dbc_hz,
 )
 from .circuit import (
@@ -34,7 +33,6 @@ from .circuit import (
     simulate_mixing_tree,
     simulate_pair_average,
     steady_state_average,
-    steady_state_residual,
 )
 from .config import ExperimentConfig, parse_offset_descriptor
 from .spectral import (
@@ -53,6 +51,7 @@ from .stochastic import (
     oscillator_waveform,
     path_rng,
     sample_offset,
+    tap_ensemble,
     wiener_ensemble,
     wiener_path,
 )

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .analytic import DegenerateModelError
 from .circuit import ConfigurationError, ShapeError
 from .config import ExperimentConfig
 from .spectral import SpectralShapeError
@@ -25,7 +24,7 @@ from .stochastic import ParameterError, SamplingError
 
 # the package's errors for a configuration the model cannot run: exit code 2
 _INPUT_ERRORS = (ParameterError, SamplingError, ConfigurationError, ShapeError,
-                SpectralShapeError, DegenerateModelError)
+                SpectralShapeError)
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -32,8 +32,10 @@ def parse_offset_descriptor(text: str) -> OffsetDist:
     return OffsetDist(kind, param)
 
 
-def format_offset_descriptor(dist: OffsetDist) -> str:
-    return f"{dist.kind}:{dist.param:g}"
+def _format_number(x: float) -> str:
+    """x as `:g` where that reads back exactly (so the text and hash of every
+    config that round-tripped before stay the same), else as repr."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,9 @@ class ExperimentConfig:
             if v is None:
                 continue
             if f.name == "offsets":
-                v = format_offset_descriptor(v)
+                v = f"{v.kind}:{_format_number(v.param)}"
             elif f.name == "deltas":
-                v = ",".join(f"{d:g}" for d in v)
+                v = ",".join(map(_format_number, v))
             lines.append(f"{f.name} = {v}")
         return "\n".join(lines) + "\n"
 

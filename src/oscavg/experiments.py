@@ -10,15 +10,15 @@ content.
 from __future__ import annotations
 
 import json
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import analytic, circuit, spectral, stochastic
-from .analytic import DelayedAvgParams
 from .config import ExperimentConfig
-from .stochastic import TWO_PI, ParameterError
+from .stochastic import STREAM_PHASE, TWO_PI, ParameterError
 
 LOG_GRID = (1e3, 1e7, 200)   # offset range and point count of the log sweep
 LIN_BAND = 2.5e6             # half-width of the linear sweep
@@ -44,64 +44,49 @@ def delta_tag(delta: float) -> str:
 
 
 # Stream tags (see stochastic.STREAM_PHASE) of the acceptance battery's own
-# draws and of the estimated curves. Path i of a curve is the walk of
-# (seed, i) on each of the curve's tags: the base curve on STREAM_PHASE, the
-# pair on both TAG_PAIR tags, delay j of a figure on TAG_DELAYED + j (keep
-# it the highest tag). So no two curves share a stream at any n_paths.
+# draws and of the estimated curves. Each curve's taps (analytic.py) name
+# its sources by these tags, so path i of a curve is built from the walks
+# of (seed, i) on them: the base curve on STREAM_PHASE, the pair on both
+# TAG_PAIR tags, delay j of a figure on TAG_DELAYED + j (keep it the highest
+# tag). So no two curves share a stream at any n_paths.
 TAG_WHITE_NOISE = 2      # welch-white-normalization
 TAG_DIVIDER = 3          # divider-chaining-exact
 TAG_PAIR = (4, 5)
 TAG_DELAYED = 6
 
+BASE_TAPS = ((STREAM_PHASE, 1.0, 0.0),)
+PAIR_TAPS = tuple((tag, 0.5, 0.0) for tag in TAG_PAIR)
+
 
 # ---------------------------------------------------------------------------
-# estimated curves (Welch over symbolic-mode phase ensembles, built in
-# blocks of BLOCK_SAMPLES samples so no curve holds its whole ensemble)
+# estimated curves (Welch over the curves' phase ensembles, built in blocks
+# of BLOCK_SAMPLES samples so no curve holds its whole ensemble)
 
 
-def _path_len(cfg: ExperimentConfig) -> int:
-    return 4 * cfg.segment_len
-
-
-def _blocks(cfg: ExperimentConfig, n: int):
-    """(first path, row count) of each block of paths of length n."""
+def _estimate(cfg: ExperimentConfig, taps, dt: float) -> spectral.SpectrumEstimate:
+    """Welch estimate of the curve of `taps` over cfg.n_paths paths of four
+    segments, built in blocks of at most BLOCK_SAMPLES samples (at least one
+    path)."""
+    n = 4 * cfg.segment_len
     rows = max(1, BLOCK_SAMPLES // n)
-    for first in range(0, cfg.n_paths, rows):
-        yield first, min(rows, cfg.n_paths - first)
-
-
-def _welch(cfg: ExperimentConfig, dt: float, blocks) -> spectral.SpectrumEstimate:
+    blocks = (stochastic.tap_ensemble(cfg.beta, taps, dt, n, cfg.seed,
+                                      min(rows, cfg.n_paths - first), first_index=first)
+              for first in range(0, cfg.n_paths, rows))
     return spectral.psd_of_phase_shift(blocks, dt, segment_len=cfg.segment_len,
                                        overlap=cfg.overlap, window=cfg.window)
 
 
 def estimate_base(cfg: ExperimentConfig, dt: float) -> spectral.SpectrumEstimate:
-    n = _path_len(cfg)
-    return _welch(cfg, dt, (
-        stochastic.wiener_ensemble(cfg.beta, 0.0, dt, n, cfg.seed, rows, first_index=first)
-        for first, rows in _blocks(cfg, n)))
+    return _estimate(cfg, BASE_TAPS, dt)
 
 
 def estimate_independent(cfg: ExperimentConfig, dt: float) -> spectral.SpectrumEstimate:
-    """Pair i averages the walks of (seed, i) on the two TAG_PAIR streams."""
-    n = _path_len(cfg)
-
-    def pair_means(first: int, rows: int) -> np.ndarray:
-        a, b = (stochastic.wiener_ensemble(cfg.beta, 0.0, dt, n, cfg.seed, rows,
-                                           first_index=first, stream=tag)
-                for tag in TAG_PAIR)
-        return 0.5 * (a + b)
-
-    return _welch(cfg, dt, (pair_means(first, rows) for first, rows in _blocks(cfg, n)))
+    return _estimate(cfg, PAIR_TAPS, dt)
 
 
 def estimate_delayed(cfg: ExperimentConfig, delta: float, dt: float,
                      stream: int = TAG_DELAYED) -> spectral.SpectrumEstimate:
-    n = _path_len(cfg)
-    return _welch(cfg, dt, (
-        circuit.averaged_phase_ensemble(cfg.beta, delta, dt, n, cfg.seed, rows,
-                                        first_index=first, stream=stream)
-        for first, rows in _blocks(cfg, n)))
+    return _estimate(cfg, analytic.delayed_taps(delta, stream), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -143,33 +128,33 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
                   ) -> Tuple[Dict[str, List[str]], List[np.ndarray]]:
     """Write one figure's curves over `grid` (Hz): the base oscillator, the
     averaged independent pair, and one delayed-self curve per configured
-    delay, each estimated from phase paths sampled at step dt. Returns the
-    files written per curve and each delay's analytic PSD."""
+    delay. Each curve's taps give its analytic PSD, and its estimate from
+    phase paths sampled at step dt. Returns the files written per curve and
+    each delay's analytic PSD."""
+    tags = [delta_tag(delta) for delta in cfg.deltas]
+    if len(set(tags)) < len(tags):
+        raise ParameterError(f"deltas {', '.join(map(repr, cfg.deltas))} share a "
+                             f"file tag; give delays that differ in 7 digits")
     out.mkdir(parents=True, exist_ok=True)
     omega = TWO_PI * grid
     cfg_hash = cfg.content_hash()
     written: Dict[str, List[str]] = {}
 
-    est = estimate_base(cfg, dt) if estimates else None
-    written["base"] = _emit_curve(out, f"psd_{prefix}_base", cfg_hash, grid,
-                                  analytic.phase_shift_psd(cfg.beta, omega), est)
-
-    est = estimate_independent(cfg, dt) if estimates else None
-    # the averaged pair's phase is a walk with half the diffusion rate
-    written["independent"] = _emit_curve(
-        out, f"psd_{prefix}_ind", cfg_hash, grid,
-        analytic.phase_shift_psd(cfg.beta / 2.0, omega), est)
-
-    delayed = []
-    for j, delta in enumerate(cfg.deltas):
-        est = (estimate_delayed(cfg, delta, dt, stream=TAG_DELAYED + j)
-               if estimates else None)
-        vals = analytic.delayed_avg_psd(DelayedAvgParams(cfg.beta, delta), omega)
-        tag = delta_tag(delta)
-        written[f"delta_{tag}"] = _emit_curve(out, f"psd_{prefix}_delta_{tag}",
-                                              cfg_hash, grid, vals, est)
-        delayed.append(vals)
-    return written, delayed
+    # (key, file stem, taps, estimator); each curve kind keeps an estimator
+    # of its own name, by which the benchmark's tracer times it
+    curves = [("base", "base", BASE_TAPS, lambda: estimate_base(cfg, dt)),
+              ("independent", "ind", PAIR_TAPS, lambda: estimate_independent(cfg, dt))]
+    for j, (tag, delta) in enumerate(zip(tags, cfg.deltas)):
+        stream = TAG_DELAYED + j
+        curves.append((f"delta_{tag}", f"delta_{tag}", analytic.delayed_taps(delta, stream),
+                       partial(estimate_delayed, cfg, delta, dt, stream)))
+    psds = []
+    for key, stem, taps, estimate in curves:
+        psds.append(analytic.tap_psd(cfg.beta, taps, omega))
+        est = estimate() if estimates else None
+        written[key] = _emit_curve(out, f"psd_{prefix}_{stem}", cfg_hash, grid,
+                                   psds[-1], est)
+    return written, psds[2:]
 
 
 def run_figure_log(cfg: ExperimentConfig, out_dir=None, estimates: bool = True
@@ -320,29 +305,29 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
                               - chain.phase_path_prime.samples)))
     record("divider-chaining-exact", err, 1e-12, err < 1e-12)
 
-    p = DelayedAvgParams(beta, 1e-6)
-    gap = abs(analytic.delayed_avg_autocorr(p, p.delta * (1 - 1e-12))
-              - analytic.delayed_avg_autocorr(p, p.delta))
+    delta = 1e-6
+    taps = analytic.delayed_taps(delta)
+    gap = abs(analytic.tap_autocorr(beta, taps, delta * (1 - 1e-12))
+              - analytic.tap_autocorr(beta, taps, delta))
     record("delayed-autocorr-continuity", gap, 1e-9, gap < 1e-9)
 
     omegas = TWO_PI * np.array([1e3, 1e5, 1e6])
     worst = 0.0
     for om in omegas:
-        closed = analytic.delayed_avg_psd(p, om)
+        closed = analytic.tap_psd(beta, taps, om)
         quad = analytic.psd_by_quadrature(
-            lambda tau: analytic.delayed_avg_autocorr(p, tau), om,
-            tail_rate=np.pi * beta, breakpoint=p.delta)
+            lambda tau: analytic.tap_autocorr(beta, taps, tau), om,
+            tail_rate=np.pi * beta, breakpoint=delta)
         worst = max(worst, _rel_err(quad, closed))
     record("delayed-psd-vs-quadrature", worst, 1e-3, worst < 1e-3)
 
-    small = DelayedAvgParams(beta, 0.0)
     om = TWO_PI * 1e4
-    err = _rel_err(analytic.delayed_avg_psd(small, om), analytic.phase_shift_psd(beta, om))
+    err = _rel_err(analytic.tap_psd(beta, analytic.delayed_taps(0.0), om),
+                   analytic.tap_psd(beta, BASE_TAPS, om))
     record("delayed-psd-zero-delay-limit", err, 1e-9, err < 1e-9)
 
-    large = DelayedAvgParams(beta, 100.0 / (np.pi * beta))
-    err = _rel_err(analytic.delayed_avg_psd(large, om),
-                   analytic.lorentzian_psd(beta, om))
+    err = _rel_err(analytic.tap_psd(beta, analytic.delayed_taps(100.0 / (np.pi * beta)), om),
+                   analytic.tap_psd(beta, PAIR_TAPS, om))
     record("delayed-psd-large-delay-limit", err, 1e-6, err < 1e-6)
 
     xs = np.linspace(-100.0, 100.0, 20001)
@@ -351,7 +336,7 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
     record("bates2-normalization", err, 1e-6, err < 1e-6)
 
     om_grid = TWO_PI * np.linspace(-1e7, 1e7, 400001)
-    power = np.trapezoid(analytic.lorentzian_psd(beta, om_grid), om_grid) / TWO_PI
+    power = np.trapezoid(analytic.tap_psd(beta, PAIR_TAPS, om_grid), om_grid) / TWO_PI
     err = abs(power - 1.0)
     record("lorentzian-unit-power", err, 1e-2, err < 1e-2)
 

@@ -38,6 +38,11 @@ _OFFSET_HASH = hashlib.blake2b(digest_size=8, person=b"oscavg-offset")
 _TWO53 = 2**53
 
 
+# (source, weight, delay in seconds) of each term of a phase
+# sum_j weight_j * theta^(source_j)_{t - delay_j}; see analytic.py
+Taps = Tuple[Tuple[int, float, float], ...]
+
+
 class ParameterError(ValueError):
     """Invalid model or sampling parameter."""
 
@@ -248,4 +253,34 @@ def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
     for i in range(n_paths):
         out[i] = wiener_path(beta, theta0, dt, n, (master_seed, first_index + i),
                              stream).samples
+    return out
+
+
+def _check_taps(taps: Taps):
+    if not taps or not all(isinstance(s, (int, np.integer)) and s >= 0 and math.isfinite(a)
+                           and 0 <= d < math.inf for s, a, d in taps):
+        raise ParameterError(f"taps {taps!r} must be (integer source >= 0, finite "
+                             f"weight, finite delay >= 0), at least one")
+
+
+def tap_ensemble(beta: float, taps: Taps, dt: float, n: int, master_seed: int,
+                 n_paths: int, first_index: int = 0) -> np.ndarray:
+    """Stack of n_paths phases sum_j a_j theta^(s_j)_{t - d_j}, shape
+    (n_paths, n), for taps (s_j, a_j, d_j). Source s is the walk of
+    (master_seed, first_index + i) on stream tag s, extended backwards by the
+    largest lag L of its taps, so no start-up transient appears; a tap of
+    lag l (d_j in whole steps of dt) adds a_j * theta[:, L - l : L - l + n],
+    in tap order."""
+    _check_taps(taps)
+    lags = [lag_samples(delay, dt) for _, _, delay in taps]
+    longest = {s: max(lag for (t, _, _), lag in zip(taps, lags) if t == s)
+               for s, _, _ in taps}
+    walks = {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, n_paths,
+                                first_index=first_index, stream=s)
+             for s, L in longest.items()}
+    terms = (weight * walks[s][:, longest[s] - lag:longest[s] - lag + n]
+             for (s, weight, _), lag in zip(taps, lags))
+    out = next(terms)
+    for term in terms:
+        out += term
     return out

@@ -17,16 +17,17 @@ from oscavg import (
     bates2_cdf,
     delayed_avg_autocorr,
     delayed_avg_psd,
+    delayed_taps,
     divider_steady_state,
-    lorentzian_psd,
-    phase_shift_psd,
     psd_by_quadrature,
     sample_offset,
     simulate_pair_average,
+    tap_ensemble,
+    tap_psd,
     wiener_ensemble,
     wiener_path,
 )
-from oscavg.circuit import averaged_phase_ensemble, edge_trim
+from oscavg.circuit import edge_trim
 from oscavg.cli import main
 from oscavg.experiments import run_figure_linear, run_figure_log
 
@@ -140,8 +141,8 @@ def test_06_delayed_psd_closed_form_vs_quadrature():
 def test_07_delayed_autocorr_mc_with_kink():
     dt, lag, paths = 1e-6, 20, 20_000
     delta = lag * dt
-    ens = averaged_phase_ensemble(BETA, delta, dt, 2048, master_seed=1007,
-                                  n_paths=400)
+    ens = tap_ensemble(BETA, delayed_taps(delta), dt, 2048, master_seed=1007,
+                       n_paths=400)
     u = np.exp(1j * ens)
     p = DelayedAvgParams(BETA, delta)
     lags = list(range(1, 2 * lag + 1))
@@ -163,13 +164,13 @@ def test_07_delayed_autocorr_mc_with_kink():
 
 def test_08_delayed_psd_limits():
     omegas = TWO_PI * np.logspace(2, 7, 60)
+    one = tap_psd(BETA, ((0, 1.0, 0.0),), omegas)
+    pair = tap_psd(BETA, ((0, 0.5, 0.0), (1, 0.5, 0.0)), omegas)
     zero = delayed_avg_psd(DelayedAvgParams(BETA, 0.0), omegas)
-    rel0 = np.max(np.abs(zero - phase_shift_psd(BETA, omegas))
-                  / phase_shift_psd(BETA, omegas))
+    rel0 = np.max(np.abs(zero - one) / one)
     assert rel0 < 1e-9
     large = delayed_avg_psd(DelayedAvgParams(BETA, 100.0 / (np.pi * BETA)), omegas)
-    rel_inf = np.max(np.abs(large - lorentzian_psd(BETA, omegas))
-                     / lorentzian_psd(BETA, omegas))
+    rel_inf = np.max(np.abs(large - pair) / pair)
     assert rel_inf < 1e-6
     report(8, max(rel0, rel_inf), 1e-6)
 

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from oscavg import (
     ExperimentConfig,
+    OffsetDist,
     ParameterError,
     circuit,
     experiments,
     parse_offset_descriptor,
+    spectral,
     stochastic,
 )
 from oscavg.cli import main
@@ -32,6 +34,29 @@ class TestConfig:
         cfg = ExperimentConfig(scenario="delayed_self", delta=1e-6, beta=2e4,
                                seed=7, deltas=(1e-6,))
         assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    def test_default_text_unchanged(self):
+        # every table header carries the hash of this text
+        assert ExperimentConfig().to_text() == (
+            "scenario = base\nbeta = 10000.0\ndeltas = 1e-06,1e-07\nn_oscillators = 2\n"
+            "f_c_scaled = 1000000.0\noffsets = delta:0\nfs = 64000000.0\nduration = 0.001\n"
+            "n_paths = 4096\nsegment_len = 4096\noverlap = 0.5\nwindow = hann\n"
+            "seed = 12345\noutput_dir = out\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(deltas=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+           offsets=st.builds(OffsetDist, st.sampled_from(("delta", "uniform", "normal")),
+                             st.floats(min_value=0.0, max_value=1e12)),
+           beta=st.floats(min_value=0.0, max_value=1e12),
+           delta=st.none() | st.floats(min_value=0.0, max_value=1.0))
+    def test_text_round_trips_exactly(self, deltas, offsets, beta, delta):
+        cfg = ExperimentConfig(deltas=tuple(deltas), offsets=offsets, beta=beta, delta=delta)
+        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    def test_nearby_delays_and_offsets_hash_apart(self):
+        a, b = (ExperimentConfig(deltas=(1e-6, d), offsets=OffsetDist.uniform(f))
+                for d, f in ((1.0000001e-6, 100.0000001), (1.0000002e-6, 100.0000002)))
+        assert a.content_hash() != b.content_hash()
 
     def test_parse_file(self, tmp_path):
         p = tmp_path / "exp.cfg"
@@ -213,7 +238,10 @@ class TestFigureCommands:
         ("simulate", "scenario = averaged_n\nn_oscillators = 4\nduration = 2e-8"),
         # non-finite intermediate values: only the finite check may report
         ("figure-log --no-estimates", "beta = 1e308"),
+        ("figure-log --no-estimates", "beta = 1e200"),  # (pi*beta)**2 overflows
         ("figure-linear --no-estimates", "beta = 5e-324"),
+        # two delays with one file tag would overwrite each other's tables
+        ("figure-linear --no-estimates", "deltas = 1e-6,1.0000001e-6"),
         ("simulate", "beta = 1e308\nduration = 1e-6"),
     ])
     def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, line):
@@ -226,6 +254,14 @@ class TestFigureCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         # a command-line run prints warnings to stderr too
         assert not caught, [str(w.message) for w in caught]
+
+    def test_colliding_delay_tags_write_nothing(self, tmp_path):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("deltas = 1e-6,1e-6\n")
+        out = tmp_path / "out"
+        assert main(["figure-log", "--no-estimates", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=st.lists(
@@ -286,15 +322,14 @@ def test_curve_streams_disjoint_at_600k_paths(tmp_path, monkeypatch, run):
         blocks.append((master_seed, stream, first_index, n_paths))
         return np.zeros((n_paths, n))
 
-    def consume(cfg, dt, phase_blocks):
+    def consume(phase_blocks, dt, **welch_args):
         start = len(blocks)
         for _ in phase_blocks:
             pass
         curves.append(blocks[start:])
 
     monkeypatch.setattr(stochastic, "wiener_ensemble", record)
-    monkeypatch.setattr(circuit, "wiener_ensemble", record)
-    monkeypatch.setattr(experiments, "_welch", consume)
+    monkeypatch.setattr(spectral, "psd_of_phase_shift", consume)
     cfg = ExperimentConfig(n_paths=600_000, segment_len=1, deltas=(1e-7, 2e-7, 3e-7),
                            seed=5)
     run(cfg, out_dir=tmp_path)

@@ -10,15 +10,16 @@ from oscavg import (
     ExperimentConfig,
     ParameterError,
     autocorr_per_path,
-    lorentzian_psd,
-    phase_shift_psd,
+    delayed_taps,
     psd_of_phase_shift,
+    tap_autocorr,
+    tap_ensemble,
+    tap_psd,
     to_dbc_hz,
     welch_psd,
     wiener_ensemble,
 )
-from oscavg.circuit import averaged_phase_ensemble
-from oscavg.experiments import estimate_delayed, estimate_independent
+from oscavg.experiments import PAIR_TAPS, estimate_delayed, estimate_independent
 from oscavg.spectral import SpectralShapeError
 
 TWO_PI = 2.0 * np.pi
@@ -58,7 +59,7 @@ class TestWelchPsd:
         ens = wiener_ensemble(beta, 0.0, dt, 8192, master_seed=201, n_paths=200)
         est = psd_of_phase_shift([ens], dt, segment_len=1024)
         band = (np.abs(est.freqs) > 2 * 1e6 / 1024) & (np.abs(est.freqs) < 1e5)
-        want = phase_shift_psd(beta, TWO_PI * est.freqs[band])
+        want = tap_psd(beta, ((0, 1.0, 0.0),), TWO_PI * est.freqs[band])
         diff_db = to_dbc_hz(est.psd[band]) - to_dbc_hz(want)
         assert np.max(np.abs(diff_db)) < 1.0
 
@@ -171,8 +172,8 @@ class TestAutocorrEstimate:
     def test_delayed_average_kink(self):
         # log-autocorr slope roughly doubles across the delay lag
         beta, dt, lag = 1e4, 1e-6, 20
-        ens = averaged_phase_ensemble(beta, lag * dt, dt, 4096, master_seed=206,
-                                      n_paths=400)
+        ens = tap_ensemble(beta, delayed_taps(lag * dt), dt, 4096, master_seed=206,
+                           n_paths=400)
         r = autocorr_per_path(np.exp(1j * ens), range(41)).real.mean(axis=0)
         inner = np.arange(2, 19)
         outer = np.arange(22, 39)
@@ -180,6 +181,19 @@ class TestAutocorrEstimate:
         s_out = np.polyfit(outer * dt, np.log(r[outer]), 1)[0]
         assert s_out / s_in == pytest.approx(2.0, rel=0.15)
         assert s_in == pytest.approx(-np.pi * beta / 2.0, rel=0.1)
+
+    def test_cascade_over_two_sources_matches_model(self):
+        # both sides of the tap model: the ensemble's autocorrelation against
+        # the closed form, within 3 standard errors at every lag
+        beta, dt = 1e4, 1e-6
+        taps = ((0, 0.25, 0.0), (0, 0.25, 10 * dt), (1, 0.3, 0.0), (1, 0.2, 25 * dt))
+        ens = tap_ensemble(beta, taps, dt, 128, master_seed=210, n_paths=4000)
+        lags = list(range(1, 41))
+        per_path = autocorr_per_path(np.exp(1j * ens), lags).real
+        est = per_path.mean(axis=0)
+        se = per_path.std(axis=0) / np.sqrt(per_path.shape[0])
+        want = tap_autocorr(beta, taps, np.array(lags) * dt)
+        assert np.all(np.abs(est - want) < 3 * se)
 
     def test_lag_bounds(self):
         with pytest.raises(SpectralShapeError):
@@ -204,7 +218,7 @@ class TestPsdOfPhaseShift:
         cfg = ExperimentConfig(beta=beta, n_paths=200, segment_len=1024, seed=207)
         est = estimate_independent(cfg, dt)
         band = (np.abs(est.freqs) > 2 * 1e6 / 1024) & (np.abs(est.freqs) < 1e5)
-        want = lorentzian_psd(beta, TWO_PI * est.freqs[band])
+        want = tap_psd(beta, PAIR_TAPS, TWO_PI * est.freqs[band])
         diff_db = to_dbc_hz(est.psd[band]) - to_dbc_hz(want)
         assert np.max(np.abs(diff_db)) < 1.0
 

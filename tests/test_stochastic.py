@@ -14,6 +14,7 @@ from oscavg import (
     oscillator_waveform,
     sample_offset,
     stochastic,
+    tap_ensemble,
     wiener_ensemble,
     wiener_path,
 )
@@ -214,6 +215,51 @@ class TestPhaseShiftAutocorrMC:
         ses = np.array([np.std((u[:, a] * np.conj(u[:, a + lag])).real)
                         / np.sqrt(u.shape[0]) for a in anchors])
         assert np.max(np.abs(vals - vals.mean())) < 3.0 * np.max(ses)
+
+
+class TestTapEnsemble:
+    # the figure curves' former ensemble functions are the oracles, bit for bit
+    BETA, DT, N, SEED = 1e4, 1e-6, 64, 31
+
+    def walks(self, stream, n, rows=5, first=3):
+        return wiener_ensemble(self.BETA, 0.0, self.DT, n, self.SEED, rows,
+                               first_index=first, stream=stream)
+
+    def build(self, taps, rows=5, first=3):
+        return tap_ensemble(self.BETA, taps, self.DT, self.N, self.SEED, rows,
+                            first_index=first)
+
+    def test_one_tap_is_the_walk(self):
+        assert np.array_equal(self.build(((0, 1.0, 0.0),)), self.walks(0, self.N))
+
+    def test_pair_is_the_mean_of_two_streams(self):
+        want = 0.5 * (self.walks(4, self.N) + self.walks(5, self.N))
+        assert np.array_equal(self.build(((4, 0.5, 0.0), (5, 0.5, 0.0))), want)
+
+    def test_delayed_self_average_reads_the_extended_walk(self):
+        lag = 7
+        theta = self.walks(6, self.N + lag)
+        want = 0.5 * (theta[:, lag:] + theta[:, :self.N])
+        got = self.build(((6, 0.5, 0.0), (6, 0.5, lag * self.DT)))
+        assert np.array_equal(got, want)
+
+    def test_each_weight_reads_its_own_delay(self):
+        # the later tap sees the walk 3 steps earlier: theta[:, :N] of the
+        # walk extended by 3, where the undelayed tap sees theta[:, 3:]
+        theta = self.walks(2, self.N + 3)
+        want = 0.25 * theta[:, 3:] + 0.75 * theta[:, :self.N]
+        assert np.array_equal(self.build(((2, 0.25, 0.0), (2, 0.75, 3 * self.DT))), want)
+
+    def test_rows_independent_of_block(self):
+        taps = ((2, 0.25, 0.0), (2, 0.75, 3 * self.DT), (3, -0.5, 1 * self.DT))
+        whole = self.build(taps, rows=6, first=0)
+        assert np.array_equal(np.vstack([self.build(taps, rows=2, first=0),
+                                         self.build(taps, rows=4, first=2)]), whole)
+
+    @pytest.mark.parametrize("taps", [(), ((0, 1.0, 0.5e-6),), ((0, 1.0, -1e-6),)])
+    def test_bad_taps_rejected(self, taps):
+        with pytest.raises(ParameterError):
+            self.build(taps)
 
 
 @given(theta0=st.floats(min_value=-100.0, max_value=100.0,
