@@ -19,8 +19,6 @@ from .analytic import (
     to_dbc_hz,
 )
 from .circuit import (
-    ConfigurationError,
-    ShapeError,
     SimulationResult,
     SteadyStateResult,
     delay_block,
@@ -32,7 +30,6 @@ from .circuit import (
     simulate_delayed_self_average,
     simulate_mixing_tree,
     simulate_pair_average,
-    steady_state_average,
 )
 from .config import ExperimentConfig, parse_offset_descriptor
 from .spectral import (
@@ -46,7 +43,6 @@ from .stochastic import (
     OscillatorSpec,
     ParameterError,
     PhasePath,
-    SamplingError,
     Waveform,
     oscillator_waveform,
     path_rng,

@@ -1,40 +1,34 @@
 """Oscillator-averaging circuits: mixers, ideal filters, divider loops.
 
-Each circuit exists in two interoperable modes. The symbolic mode applies
-the steady-state solution directly to phase paths (`steady_state_average`,
-`divider_steady_state`). The waveform mode builds the sampled signal chain
-(mix, filter, divider resolved at its fixed point) and is checked against
-the symbolic mode through the demodulation oracle.
+The simulations build each circuit's sampled signal chain (mix, filter,
+divider resolved at its fixed point) and demodulate the output's phase.
+Each states its expected output through the taps of `analytic`, source i
+being the circuit's input oscillator i: the phase sum_j a_j
+theta^(s_j)_{t - d_j} and the frequency sum_j a_j omega_(s_j).
+`divider_steady_state` is the divider's fixed point on a phase path.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .analytic import delayed_taps
 from .stochastic import (
     TWO_PI,
     OscillatorSpec,
     ParameterError,
     PhasePath,
-    SamplingError,
+    Taps,
     Waveform,
     lag_samples,
     oscillator_waveform,
     sample_offset,
     wiener_path,
 )
-
-
-class ShapeError(ValueError):
-    """Incompatible waveform lengths or sample rates."""
-
-
-class ConfigurationError(ValueError):
-    """Circuit configuration (cutoffs, delays) inconsistent with the inputs."""
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +38,9 @@ class ConfigurationError(ValueError):
 def mix(a: Waveform, b: Waveform) -> Waveform:
     """Pointwise product of two waveforms (ideal mixer)."""
     if a.fs != b.fs:
-        raise ShapeError(f"sample rates differ: {a.fs:g} vs {b.fs:g}")
+        raise ParameterError(f"sample rates differ: {a.fs:g} vs {b.fs:g}")
     if len(a) != len(b):
-        raise ShapeError(f"lengths differ: {len(a)} vs {len(b)}")
+        raise ParameterError(f"lengths differ: {len(a)} vs {len(b)}")
     return Waveform(fs=a.fs, samples=a.samples * b.samples, t0=a.t0)
 
 
@@ -106,7 +100,7 @@ def edge_trim(fs: float, f_cut: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# steady-state (symbolic) mode
+# steady states
 
 
 @dataclass(frozen=True)
@@ -115,26 +109,6 @@ class SteadyStateResult:
 
     omega_prime: float
     phase_path_prime: PhasePath
-
-
-def steady_state_average(phases: Sequence[PhasePath], omegas: Sequence[float]
-                         ) -> SteadyStateResult:
-    """Fixed point of the n-oscillator averaging chain: the output frequency
-    and phase path are the arithmetic means of the inputs."""
-    if len(phases) < 2:
-        raise ParameterError("need at least 2 oscillators")
-    if len(phases) != len(omegas):
-        raise ShapeError("phases and omegas length mismatch")
-    dt = phases[0].dt
-    n = len(phases[0])
-    for p in phases[1:]:
-        if p.dt != dt or len(p) != n:
-            raise ShapeError("phase paths must share dt and length")
-    mean_phase = np.mean(np.stack([p.samples for p in phases]), axis=0)
-    return SteadyStateResult(
-        omega_prime=float(np.mean(omegas)),
-        phase_path_prime=PhasePath(dt=dt, samples=mean_phase),
-    )
 
 
 def divider_steady_state(omega_in: float, phase_in: PhasePath, n: int
@@ -155,29 +129,53 @@ def divider_steady_state(omega_in: float, phase_in: PhasePath, n: int
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Waveform-mode circuit output plus the symbolic-mode prediction."""
+    """Waveform-mode circuit output, its measured total phase, and the
+    output its taps predict."""
 
     output: Waveform
     expected: SteadyStateResult
     phases: Tuple[PhasePath, ...]
     omegas: Tuple[float, ...]
     residual: Optional[float]
-    measured_total_phase: Optional[np.ndarray] = None
-    prefilter: Optional[Waveform] = None
+    measured_total_phase: np.ndarray
 
 
-def _draw_oscillator(spec: OscillatorSpec, fs: float, n: int,
-                     seed_id: Tuple[int, int]) -> Tuple[Waveform, PhasePath, float]:
-    f_i = sample_offset(spec.offset_dist, seed_id)
-    path = wiener_path(spec.beta, spec.theta0, 1.0 / fs, n, seed_id)
-    wave = oscillator_waveform(spec, f_i, path, fs, n)
-    return wave, path, TWO_PI * (spec.f_c + f_i)
-
-
-def _check_rate(fs: float, f_top: float):
+def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int,
+          f_top: float) -> Tuple[List[Waveform], Tuple[PhasePath, ...], Tuple[float, ...]]:
+    """Waveforms, phase paths and angular frequencies of a circuit's input
+    oscillators, oscillator i drawn on (seed, i). They must share one
+    carrier, fs must cover mixing products up to f_top Hz (fs >= 8*f_top),
+    and the duration must span at least 16 samples."""
+    if any(s.f_c != specs[0].f_c for s in specs):
+        raise ParameterError("oscillators must share the nominal frequency")
     if fs < 8.0 * f_top:
-        raise SamplingError(f"fs={fs:g} too low; need >= {8.0 * f_top:g} "
-                            f"to cover products near {f_top:g} Hz")
+        raise ParameterError(f"fs={fs:g} too low; need >= {8.0 * f_top:g} "
+                             f"to cover products near {f_top:g} Hz")
+    n = int(round(duration * fs))
+    if n < 16:
+        raise ParameterError("duration too short")
+    waves, paths, omegas = [], [], []
+    for i, spec in enumerate(specs):
+        f_i = sample_offset(spec.offset_dist, (seed, i))
+        paths.append(wiener_path(spec.beta, spec.theta0, 1.0 / fs, n, (seed, i)))
+        waves.append(oscillator_waveform(spec, f_i, paths[-1], fs, n))
+        omegas.append(TWO_PI * (spec.f_c + f_i))
+    return waves, tuple(paths), tuple(omegas)
+
+
+def _expected(taps: Taps, phases: Sequence[PhasePath], omegas: Sequence[float]
+              ) -> SteadyStateResult:
+    """A circuit's output as its taps state it, source s being input s: the
+    frequency sum_j a_j omega_(s_j) and the phase sum_j a_j theta^(s_j)_{t - d_j},
+    a delayed phase held at its first sample before t = d_j."""
+    dt = phases[0].dt
+    k = np.arange(len(phases[0]))
+    omega, phase = 0.0, np.zeros(k.size)
+    for s, a, d in taps:
+        omega += a * omegas[s]
+        phase += a * phases[s].samples[np.maximum(k - lag_samples(d, dt), 0)]
+    return SteadyStateResult(omega_prime=omega,
+                             phase_path_prime=PhasePath(dt=dt, samples=phase))
 
 
 def divider_residual(summed: Waveform, output: Waveform, f_c: float,
@@ -220,21 +218,13 @@ def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: floa
                           duration: float, seed: int) -> SimulationResult:
     """Two-oscillator averaging chain: mix, highpass at f_c, regenerative
     2-divider resolved at its steady state. Output ~ (1/2)cos(w't + theta'_t)
-    with w' and theta'_t the means of the inputs."""
-    if spec1.f_c != spec2.f_c:
-        raise ConfigurationError("oscillators must share the nominal frequency")
+    with w' and theta'_t the means of the inputs: taps ((0, 1/2, 0), (1, 1/2, 0))."""
     f_c = spec1.f_c
-    _check_rate(fs, 2.0 * f_c)
-    n = int(round(duration * fs))
-    if n < 16:
-        raise ParameterError("duration too short")
-    w1, p1, om1 = _draw_oscillator(spec1, fs, n, (seed, 0))
-    w2, p2, om2 = _draw_oscillator(spec2, fs, n, (seed, 1))
+    (w1, w2), paths, omegas = _draw((spec1, spec2), fs, duration, seed, 2.0 * f_c)
     out, phase_out_total, residual = _average_stage(w1, w2, f_c)
-
-    expected = steady_state_average([p1, p2], [om1, om2])
-    return SimulationResult(output=out, expected=expected, phases=(p1, p2),
-                            omegas=(om1, om2), residual=residual,
+    return SimulationResult(output=out,
+                            expected=_expected(((0, 0.5, 0.0), (1, 0.5, 0.0)), paths, omegas),
+                            phases=paths, omegas=omegas, residual=residual,
                             measured_total_phase=phase_out_total)
 
 
@@ -243,69 +233,44 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
     """Four-oscillator mixing stage: two pairwise mixers feeding a third,
     highpass at 3*f_c keeping the component near 4*f_c, of amplitude 1/8.
 
-    It does not average: the output phase is the *sum* of the input phases,
-    not their mean, and with no divider there is no residual. It stays (the
-    `averaged_n` scenario) because the benchmark's waveform workload checks
-    this sum-phase output, until a tree of averaging stages replaces it."""
+    It does not average: the output phase is the *sum* of the input phases
+    (four taps of weight 1), not their mean, and with no divider there is
+    no residual. It stays (the `averaged_n` scenario) because the
+    benchmark's waveform workload checks this sum-phase output, until a
+    tree of averaging stages replaces it."""
     if len(specs) != 4:
         raise ParameterError("mixing tree takes exactly 4 oscillators")
     f_c = specs[0].f_c
-    if any(s.f_c != f_c for s in specs):
-        raise ConfigurationError("oscillators must share the nominal frequency")
-    _check_rate(fs, 4.0 * f_c)
-    n = int(round(duration * fs))
-    if n < 16:
-        raise ParameterError("duration too short")
-    waves, paths, omegas = [], [], []
-    for i, s in enumerate(specs):
-        w, p, om = _draw_oscillator(s, fs, n, (seed, i))
-        waves.append(w)
-        paths.append(p)
-        omegas.append(om)
-    pre = mix(mix(waves[0], waves[1]), mix(waves[2], waves[3]))
-    out = ideal_filter(pre, "highpass", 3.0 * f_c)
+    waves, paths, omegas = _draw(specs, fs, duration, seed, 4.0 * f_c)
+    out = ideal_filter(mix(mix(waves[0], waves[1]), mix(waves[2], waves[3])),
+                       "highpass", 3.0 * f_c)
     dev = demodulate_phase(out, 4.0 * f_c, f_cut=f_c)
-    k = np.arange(n)
+    k = np.arange(len(out))
     measured = TWO_PI * 4.0 * f_c * k / fs + dev
-
-    sum_phase = np.sum(np.stack([p.samples for p in paths]), axis=0)
-    expected = SteadyStateResult(
-        omega_prime=float(np.sum(omegas)),
-        phase_path_prime=PhasePath(dt=1.0 / fs, samples=sum_phase),
-    )
-    return SimulationResult(output=out, expected=expected, phases=tuple(paths),
-                            omegas=tuple(omegas), residual=None,
-                            measured_total_phase=measured, prefilter=pre)
+    return SimulationResult(output=out,
+                            expected=_expected(tuple((i, 1.0, 0.0) for i in range(4)),
+                                               paths, omegas),
+                            phases=paths, omegas=omegas, residual=None,
+                            measured_total_phase=measured)
 
 
 def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
                                   duration: float, seed: int) -> SimulationResult:
     """Average an oscillator with its own output delayed by delta: delay
     block, then the two-input averaging chain. Output phase is
-    (theta_t + theta_{t-delta})/2.
+    (theta_t + theta_{t-delta})/2, the taps `analytic.delayed_taps(delta)`.
 
     delta must be an integer number of samples; the first delta seconds of
-    the output are start-up and excluded from the symbolic comparison window.
+    the output are start-up, where the expected phase holds theta_0 in
+    place of theta_{t-delta}.
     """
     lag_i = lag_samples(delta, 1.0 / fs)
     f_c = spec.f_c
-    _check_rate(fs, 2.0 * f_c)
-    n = int(round(duration * fs))
-    if lag_i >= n // 4:
+    (w,), paths, (om,) = _draw((spec,), fs, duration, seed, 2.0 * f_c)
+    if lag_i >= len(w) // 4:
         raise ParameterError("duration must be much longer than the delay")
-    w, p, om = _draw_oscillator(spec, fs, n, (seed, 0))
     out, phase_out_total, residual = _average_stage(w, delay_block(w, delta), f_c,
                                                     settle=lag_i)
-
-    # symbolic mode: delayed samples held at theta[0] before t = delta
-    delayed = np.concatenate([np.full(lag_i, p.samples[0]), p.samples[: n - lag_i]]) \
-        if lag_i > 0 else p.samples
-    avg = 0.5 * (p.samples + delayed)
-    expected = SteadyStateResult(
-        omega_prime=om,
-        phase_path_prime=PhasePath(dt=1.0 / fs, samples=avg),
-    )
-    return SimulationResult(output=out, expected=expected, phases=(p,),
-                            omegas=(om, om), residual=residual,
+    return SimulationResult(output=out, expected=_expected(delayed_taps(delta), paths, (om,)),
+                            phases=paths, omegas=(om, om), residual=residual,
                             measured_total_phase=phase_out_total)
-

@@ -17,14 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .circuit import ConfigurationError, ShapeError
 from .config import ExperimentConfig
-from .spectral import SpectralShapeError
-from .stochastic import ParameterError, SamplingError
-
-# the package's errors for a configuration the model cannot run: exit code 2
-_INPUT_ERRORS = (ParameterError, SamplingError, ConfigurationError, ShapeError,
-                SpectralShapeError)
+from .stochastic import ParameterError
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -83,7 +77,7 @@ def main(argv=None) -> int:
     with np.errstate(all="ignore"):
         try:
             return _run(args)
-        except _INPUT_ERRORS as exc:
+        except ParameterError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

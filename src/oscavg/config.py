@@ -83,6 +83,11 @@ class ExperimentConfig:
             raise ParameterError("overlap must be in [0, 1)")
         if self.window not in ("hann", "rect"):
             raise ParameterError("window must be 'hann' or 'rect'")
+        # from_text cuts a value at '#', splits lines and strips each value
+        d = self.output_dir
+        if "#" in d or "".join(d.splitlines()) != d or d != d.strip():
+            raise ParameterError(f"output_dir {d!r} cannot hold '#', a line break, "
+                                 f"or leading or trailing whitespace")
 
     # ---- serialization ----
 

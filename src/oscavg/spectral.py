@@ -22,10 +22,6 @@ import numpy as np
 from .stochastic import ParameterError
 
 
-class SpectralShapeError(ValueError):
-    """Segment/lag request incompatible with the data length."""
-
-
 @dataclass(frozen=True)
 class SpectrumEstimate:
     """Estimated PSD on a frequency grid (Hz, offset from carrier); `psd`
@@ -74,7 +70,7 @@ def welch_psd(x, fs: float, segment_len: int = 1024,
         raise ParameterError("pass a non-empty sequence or (rows, n) ensemble")
     n = data.shape[-1]
     if segment_len > n:
-        raise SpectralShapeError(f"segment_len={segment_len} exceeds data length {n}")
+        raise ParameterError(f"segment_len={segment_len} exceeds data length {n}")
     if not 0 <= overlap < 1:
         raise ParameterError("overlap must be in [0, 1)")
     if window not in ("hann", "rect"):
@@ -104,7 +100,7 @@ def autocorr_per_path(sequences: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     out = np.empty((sequences.shape[0], len(lags)), dtype=complex)
     for j, lag in enumerate(lags):
         if lag >= n:
-            raise SpectralShapeError(f"lag {lag} >= sequence length {n}")
+            raise ParameterError(f"lag {lag} >= sequence length {n}")
         if lag == 0:
             out[:, j] = np.mean(sequences.real**2 + sequences.imag**2, axis=1)
         else:

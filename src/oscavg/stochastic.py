@@ -44,11 +44,9 @@ Taps = Tuple[Tuple[int, float, float], ...]
 
 
 class ParameterError(ValueError):
-    """Invalid model or sampling parameter."""
-
-
-class SamplingError(ValueError):
-    """Requested sample rate cannot represent the signal content."""
+    """Input the model cannot run: an invalid model, sampling, circuit or
+    configuration parameter, or incompatible shapes. Every input error of
+    the package is one; the CLI reports it with exit 2."""
 
 
 def path_rng(seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> np.random.Generator:
@@ -95,13 +93,6 @@ class OffsetDist:
     @classmethod
     def normal(cls, sigma: float) -> "OffsetDist":
         return cls("normal", sigma)
-
-    def variance(self) -> float:
-        if self.kind == "delta":
-            return 0.0
-        if self.kind == "uniform":
-            return self.param**2 / 3.0
-        return self.param**2
 
 
 @dataclass(frozen=True)
@@ -233,7 +224,7 @@ def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: PhasePath,
     f_inst = spec.f_c + abs(f_i)
     min_fs = 8.0 * f_inst
     if fs < min_fs:
-        raise SamplingError(
+        raise ParameterError(
             f"fs={fs:g} Hz too low for carrier {f_inst:g} Hz; need fs >= {min_fs:g}")
     if len(phase) < n:
         raise ParameterError("phase path shorter than requested waveform")

@@ -4,13 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscavg import (
-    ConfigurationError,
     DelayedAvgParams,
     OffsetDist,
     OscillatorSpec,
     ParameterError,
-    SamplingError,
-    ShapeError,
     Waveform,
     delay_block,
     delayed_avg_autocorr,
@@ -22,7 +19,6 @@ from oscavg import (
     simulate_delayed_self_average,
     simulate_mixing_tree,
     simulate_pair_average,
-    steady_state_average,
     tap_ensemble,
     wiener_path,
 )
@@ -80,10 +76,19 @@ class TestMix:
         err = dephase(dev, paths[0].samples + paths[1].samples)[trim:-trim]
         assert np.sqrt(np.mean(err**2)) < 1e-5
 
+    def test_tree_band_structure(self):
+        # 8 product terms of amplitude 1/8: 3 near DC, 4 near 2*f_c, 1 at 4*f_c
+        fs, n = 64e6, 65536
+        w = tone(FC, fs=fs, n=n)
+        pre = mix(mix(w, w), mix(w, w))
+        assert fft_amplitude(pre, 0.0) == pytest.approx(3 / 8, rel=1e-6)
+        assert fft_amplitude(pre, 2 * FC) == pytest.approx(4 / 8, rel=1e-6)
+        assert fft_amplitude(pre, 4 * FC) == pytest.approx(1 / 8, rel=1e-6)
+
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError):
             mix(tone(1e6, n=128), tone(1e6, n=256))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError):
             mix(tone(1e6, fs=FS), tone(1e6, fs=2 * FS))
 
 
@@ -107,41 +112,6 @@ class TestIdealFilter:
             ideal_filter(tone(1e6), "lowpass", FS / 2)
         with pytest.raises(ParameterError):
             ideal_filter(tone(1e6), "bandpass", 1e6)
-
-
-class TestSteadyState:
-    def test_average_idempotent(self):
-        p = wiener_path(1e4, 0.0, 1e-6, 100, (60, 0))
-        res = steady_state_average([p, p], [TWO_PI * 1e9, TWO_PI * 1e9])
-        assert res.omega_prime == TWO_PI * 1e9
-        assert np.array_equal(res.phase_path_prime.samples, p.samples)
-
-    def test_symmetric_offsets_cancel(self):
-        p1 = wiener_path(1e4, 0.0, 1e-6, 100, (60, 1))
-        p2 = wiener_path(1e4, 0.0, 1e-6, 100, (60, 2))
-        res = steady_state_average([p1, p2],
-                                   [TWO_PI * (1e9 + 100), TWO_PI * (1e9 - 100)])
-        assert res.omega_prime == pytest.approx(TWO_PI * 1e9, rel=1e-12)
-
-    def test_variance_halving(self):
-        # Var(theta'_t - theta'_0) = pi*beta*t for independent inputs
-        beta, dt, n, paths = 1e4, 1e-5, 11, 10_000
-        t = (n - 1) * dt
-        a = np.stack([wiener_path(beta, 0.0, dt, n, (61, i)).samples
-                      for i in range(paths)])
-        b = np.stack([wiener_path(beta, 0.0, dt, n, (62, i)).samples
-                      for i in range(paths)])
-        avg = 0.5 * (a + b)
-        var = np.var(avg[:, -1] - avg[:, 0])
-        assert var == pytest.approx(np.pi * beta * t, rel=0.03)
-
-    def test_shape_errors(self):
-        p1 = wiener_path(1e4, 0.0, 1e-6, 100, (60, 3))
-        p2 = wiener_path(1e4, 0.0, 2e-6, 100, (60, 4))
-        with pytest.raises(ShapeError):
-            steady_state_average([p1, p2], [1.0, 1.0])
-        with pytest.raises(ParameterError):
-            steady_state_average([p1], [1.0])
 
 
 class TestDivider:
@@ -196,6 +166,27 @@ class TestPairAverage:
         err = dephase(res.measured_total_phase, exp_total)[trim:-trim]
         assert np.sqrt(np.mean(err**2)) < 1e-4
 
+    def test_symmetric_offsets_cancel(self):
+        # expected output: the mean of the inputs' frequencies and phases
+        res = simulate_pair_average(OscillatorSpec(f_c=FC, offset_dist=OffsetDist.delta(100.0)),
+                                    OscillatorSpec(f_c=FC, offset_dist=OffsetDist.delta(-100.0)),
+                                    FS, 512e-6, seed=84)
+        assert res.expected.omega_prime == pytest.approx(TWO_PI * FC, rel=1e-12)
+        assert np.array_equal(res.expected.phase_path_prime.samples,
+                              0.5 * (res.phases[0].samples + res.phases[1].samples))
+
+    def test_variance_halving(self):
+        # Var(theta'_t - theta'_0) = pi*beta*t for independent inputs
+        beta, dt, n, paths = 1e4, 1e-5, 11, 10_000
+        t = (n - 1) * dt
+        a = np.stack([wiener_path(beta, 0.0, dt, n, (61, i)).samples
+                      for i in range(paths)])
+        b = np.stack([wiener_path(beta, 0.0, dt, n, (62, i)).samples
+                      for i in range(paths)])
+        avg = 0.5 * (a + b)
+        var = np.var(avg[:, -1] - avg[:, 0])
+        assert var == pytest.approx(np.pi * beta * t, rel=0.03)
+
     def test_output_amplitude(self):
         spec = OscillatorSpec(f_c=FC, beta=1e-3)
         res = simulate_pair_average(spec, spec, FS, 1024e-6, seed=82)
@@ -222,7 +213,7 @@ class TestPairAverage:
 
     def test_undersampled_rejected(self):
         spec = OscillatorSpec(f_c=FC)
-        with pytest.raises(SamplingError):
+        with pytest.raises(ParameterError):
             simulate_pair_average(spec, spec, 8e6, 512e-6, seed=0)
 
     def test_too_short_for_divider_check_rejected(self):
@@ -232,7 +223,7 @@ class TestPairAverage:
             simulate_pair_average(spec, spec, FS, 256 / FS, seed=0)
 
     def test_mismatched_carriers_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ParameterError):
             simulate_pair_average(OscillatorSpec(f_c=FC),
                                   OscillatorSpec(f_c=2 * FC), FS, 512e-6, seed=0)
 
@@ -250,14 +241,6 @@ class TestMixingTree:
         err = res.output.samples[trim:-trim] - ref[trim:-trim]
         assert np.sqrt(np.mean(err**2)) < 1e-6
         assert res.residual is None  # no divider in the mixing tree
-
-    def test_prefilter_band_structure(self):
-        # 8 product terms of amplitude 1/8: 3 near DC, 4 near 2*f_c, 1 at 4*f_c
-        spec = OscillatorSpec(f_c=FC)
-        res = simulate_mixing_tree([spec] * 4, self.FS4, 1024e-6, seed=91)
-        assert fft_amplitude(res.prefilter, 0.0) == pytest.approx(3 / 8, rel=1e-6)
-        assert fft_amplitude(res.prefilter, 2 * FC) == pytest.approx(4 / 8, rel=1e-6)
-        assert fft_amplitude(res.prefilter, 4 * FC) == pytest.approx(1 / 8, rel=1e-6)
 
     def test_sum_phase_oracle(self):
         spec = OscillatorSpec(f_c=FC, beta=1e-4)
@@ -281,6 +264,13 @@ class TestDelayedSelfAverage:
         res = simulate_delayed_self_average(spec, 0.0, FS, 512e-6, seed=100)
         assert np.array_equal(res.expected.phase_path_prime.samples,
                               res.phases[0].samples)
+
+    def test_expected_holds_theta0_before_delay(self):
+        spec = OscillatorSpec(f_c=FC, beta=1e-3)
+        res = simulate_delayed_self_average(spec, 64 / FS, FS, 512e-6, seed=100)
+        theta = res.phases[0].samples
+        held = np.concatenate([np.full(64, theta[0]), theta[:-64]])
+        assert np.array_equal(res.expected.phase_path_prime.samples, 0.5 * (theta + held))
 
     def test_direct_average_oracle(self):
         spec = OscillatorSpec(f_c=FC, beta=1e-3)

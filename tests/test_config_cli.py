@@ -13,6 +13,7 @@ from oscavg import (
     ExperimentConfig,
     OffsetDist,
     ParameterError,
+    analytic,
     circuit,
     experiments,
     parse_offset_descriptor,
@@ -48,10 +49,21 @@ class TestConfig:
            offsets=st.builds(OffsetDist, st.sampled_from(("delta", "uniform", "normal")),
                              st.floats(min_value=0.0, max_value=1e12)),
            beta=st.floats(min_value=0.0, max_value=1e12),
-           delta=st.none() | st.floats(min_value=0.0, max_value=1.0))
-    def test_text_round_trips_exactly(self, deltas, offsets, beta, delta):
-        cfg = ExperimentConfig(deltas=tuple(deltas), offsets=offsets, beta=beta, delta=delta)
+           delta=st.none() | st.floats(min_value=0.0, max_value=1.0),
+           output_dir=st.text())
+    def test_text_round_trips_exactly(self, deltas, offsets, beta, delta, output_dir):
+        try:
+            cfg = ExperimentConfig(deltas=tuple(deltas), offsets=offsets, beta=beta,
+                                   delta=delta, output_dir=output_dir)
+        except ParameterError:
+            return  # an output_dir the text cannot carry
         assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("out", ["a#b", " out", "out\t", "a\nb", "a\rb", "a\x1cb",
+                                     "a\u2028b"])
+    def test_output_dir_the_text_cannot_carry_rejected(self, out):
+        with pytest.raises(ParameterError):
+            ExperimentConfig(output_dir=out)
 
     def test_nearby_delays_and_offsets_hash_apart(self):
         a, b = (ExperimentConfig(deltas=(1e-6, d), offsets=OffsetDist.uniform(f))
@@ -255,6 +267,14 @@ class TestFigureCommands:
         # a command-line run prints warnings to stderr too
         assert not caught, [str(w.message) for w in caught]
 
+    @pytest.mark.parametrize("out", ["a#b", "out ", "a\nb"])
+    def test_out_the_text_cannot_carry_exit_2(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["figure-log", "--no-estimates", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     def test_colliding_delay_tags_write_nothing(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("deltas = 1e-6,1e-6\n")
@@ -359,6 +379,16 @@ def test_battery_streams_disjoint_at_neighbouring_seeds(monkeypatch):
         experiments.run_acceptance(ExperimentConfig(seed=seed, output_dir=""))
     assert len(keys[11]) == len(keys[12]) == 8002  # 4 x 2000 paths, divider, noise
     assert not keys[11] & keys[12]
+
+
+def test_zero_delay_limit_check_can_fail(monkeypatch):
+    """The battery compares the model at zero delay with the one-oscillator
+    Lorentzian written out, so a model off by 1e-6 fails the check."""
+    tap_psd = analytic.tap_psd
+    monkeypatch.setattr(analytic, "tap_psd", lambda *args: tap_psd(*args) * (1 + 1e-6))
+    report = experiments.run_acceptance(ExperimentConfig(output_dir=""))
+    check, = (c for c in report["checks"] if c["name"] == "delayed-psd-zero-delay-limit")
+    assert not check["passed"]
 
 
 class TestAcceptanceCommand:

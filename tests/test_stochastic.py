@@ -8,7 +8,6 @@ from oscavg import (
     OscillatorSpec,
     ParameterError,
     PhasePath,
-    SamplingError,
     autocorr_per_path,
     demodulate_phase,
     oscillator_waveform,
@@ -178,7 +177,7 @@ class TestOscillatorWaveform:
         n = 64
         spec = OscillatorSpec(f_c=self.fc)
         path = wiener_path(0.0, 0.0, 1.0 / (4 * self.fc), n, (0, 0))
-        with pytest.raises(SamplingError):
+        with pytest.raises(ParameterError):
             oscillator_waveform(spec, 0.0, path, 4 * self.fc, n)
 
 
