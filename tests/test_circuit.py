@@ -23,7 +23,7 @@ from oscavg import (
     wiener_path,
 )
 from oscavg.analytic import delayed_taps
-from oscavg.circuit import edge_trim
+from oscavg.circuit import _expected, edge_trim
 
 TWO_PI = 2.0 * np.pi
 FC = 1e6
@@ -112,6 +112,16 @@ class TestIdealFilter:
             ideal_filter(tone(1e6), "lowpass", FS / 2)
         with pytest.raises(ParameterError):
             ideal_filter(tone(1e6), "bandpass", 1e6)
+
+
+class TestSteadyState:
+    def test_average_idempotent(self):
+        # two taps of weight 1/2 on one phase give that phase, bit for bit
+        p = wiener_path(1e4, 0.0, 1e-6, 100, (60, 0))
+        res = _expected(((0, 0.5, 0.0), (1, 0.5, 0.0)), [p, p],
+                        [TWO_PI * 1e9, TWO_PI * 1e9])
+        assert res.omega_prime == TWO_PI * 1e9
+        assert np.array_equal(res.phase_path_prime.samples, p.samples)
 
 
 class TestDivider:
