@@ -10,6 +10,7 @@ content.
 from __future__ import annotations
 
 import json
+import math
 from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -239,6 +240,11 @@ def run_simulate(cfg: ExperimentConfig, out_dir=None) -> List[str]:
 
 
 def _rel_err(measured: float, target: float) -> float:
+    """|measured - target| / |target|; ParameterError if the target is 0 or
+    not finite, as when a large beta underflows a spectrum to 0."""
+    if not (math.isfinite(target) and target != 0.0):
+        raise ParameterError(f"an acceptance check's target is {target!r}: the battery "
+                             f"cannot run at this beta")
     return abs(measured - target) / abs(target)
 
 

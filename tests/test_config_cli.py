@@ -255,6 +255,8 @@ class TestFigureCommands:
         # two delays with one file tag would overwrite each other's tables
         ("figure-linear --no-estimates", "deltas = 1e-6,1.0000001e-6"),
         ("simulate", "beta = 1e308\nduration = 1e-6"),
+        # the battery's model spectra are 0 or nan at this beta
+        ("acceptance", "beta = 1e200"),
     ])
     def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -365,15 +367,22 @@ def test_curve_streams_disjoint_at_600k_paths(tmp_path, monkeypatch, run):
 
 def test_battery_streams_disjoint_at_neighbouring_seeds(monkeypatch):
     """The (master, index, tag) key of every random stream the acceptance
-    battery draws, recorded at seeds 11 and 12: no key is drawn at both."""
+    battery draws, recorded where streams are seeded (path_rng for one
+    stream, seed_words for a block of them) at seeds 11 and 12: no key is
+    drawn at both."""
     keys = {}
-    path_rng = stochastic.path_rng
+    path_rng, seed_words = stochastic.path_rng, stochastic.seed_words
 
     def record(seed_id, stream=stochastic.STREAM_PHASE):
         keys[seed].add((*seed_id, stream))
         return path_rng(seed_id, stream)
 
+    def record_block(master, first_index, n_paths, stream=stochastic.STREAM_PHASE):
+        keys[seed].update((master, i, stream) for i in range(first_index, first_index + n_paths))
+        return seed_words(master, first_index, n_paths, stream)
+
     monkeypatch.setattr(stochastic, "path_rng", record)
+    monkeypatch.setattr(stochastic, "seed_words", record_block)
     for seed in (11, 12):
         keys[seed] = set()
         experiments.run_acceptance(ExperimentConfig(seed=seed, output_dir=""))

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscavg import (
@@ -17,6 +19,7 @@ from oscavg import (
     wiener_ensemble,
     wiener_path,
 )
+from oscavg.experiments import TAG_DELAYED
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,6 +76,50 @@ class TestWienerPath:
             wiener_path(1e4, 0.0, 0.0, 10, (0, 0))
         with pytest.raises(ParameterError):
             wiener_path(1e4, 0.0, 1e-6, 0, (0, 0))
+
+
+class TestEnsembleSeeding:
+    # wiener_ensemble hashes a block's stream seeds in one vectorised pass;
+    # numpy's SeedSequence and wiener_path are the oracles, bit for bit
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(master=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**200])
+           | st.integers(0, 2**40).map(lambda k: 2**128 + k),
+           first=st.sampled_from([0, 2**32 - 2, 2**64 - 3]) | st.integers(0, 2**64 - 3),
+           rows=st.integers(1, 3),
+           stream=st.integers(0, TAG_DELAYED + 3))
+    @example(master=0, first=2**32 - 2, rows=3, stream=0)  # one- and two-word indices
+    @example(master=2**200, first=2**64 - 3, rows=3, stream=TAG_DELAYED + 3)
+    def test_seed_words_are_seed_sequence_states(self, master, first, rows, stream):
+        want = [np.random.SeedSequence(master, spawn_key=(i, stream)).generate_state(4, np.uint64)
+                for i in range(first, first + rows)]
+        got = stochastic.seed_words(master, first, rows, stream)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("beta,theta0,n", [
+        (1e4, 0.0, 64), (1e4, 0.7, 64), (1e4, -2.5, 33), (1e4, -0.0, 17),
+        (5e-324, -0.0, 8),  # steps of scale 0: wiener_path's are all +0.0
+        (1e4, 0.3, 1), (0.0, 0.3, 9), (0.0, -0.0, 4)])
+    def test_ensemble_rows_are_wiener_paths(self, beta, theta0, n):
+        first = 2**32 - 2
+        ens = wiener_ensemble(beta, theta0, 1e-6, n, 77, 4, first_index=first, stream=5)
+        assert ens.shape == (4, n)
+        for i, row in enumerate(ens):
+            path = wiener_path(beta, theta0, 1e-6, n, (77, first + i), 5)
+            assert row.tobytes() == path.samples.tobytes()
+
+    @pytest.mark.parametrize("master,first", [(-1, 0), (0, -1), (2**64, -2), (0, 2**64 - 1)])
+    def test_keys_outside_the_hash_rejected(self, master, first):
+        # two rows from 2**64 - 1 reach index 2**64
+        with pytest.raises(ParameterError):
+            wiener_ensemble(1e4, 0.0, 1e-6, 8, master, 2, first_index=first)
+
+    def test_hash_emits_no_warning(self):
+        stochastic._block_hash.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stochastic.seed_words(2**200, 2**32 - 2, 4, 2**40)
+            stochastic.seed_words(2**64 - 1, 2**64 - 5, 5, TAG_DELAYED)
 
 
 class TestSampleOffset:
@@ -248,6 +295,11 @@ class TestTapEnsemble:
         theta = self.walks(2, self.N + 3)
         want = 0.25 * theta[:, 3:] + 0.75 * theta[:, :self.N]
         assert np.array_equal(self.build(((2, 0.25, 0.0), (2, 0.75, 3 * self.DT))), want)
+
+    def test_unit_weight_leaves_the_walk_to_later_taps(self):
+        theta = self.walks(2, self.N + 3)
+        want = theta[:, 3:] + 0.5 * theta[:, :self.N]
+        assert np.array_equal(self.build(((2, 1.0, 0.0), (2, 0.5, 3 * self.DT))), want)
 
     def test_rows_independent_of_block(self):
         taps = ((2, 0.25, 0.0), (2, 0.75, 3 * self.DT), (3, -0.5, 1 * self.DT))
