@@ -28,10 +28,15 @@ LIN_POINTS = 501
 # block, at least one path). Output does not depend on it; it bounds the
 # memory one block takes.
 BLOCK_SAMPLES = 2**15
-# Largest waveform `simulate` accepts, in samples (duration * fs). A table
-# row is ~35 bytes, so this is ~0.6 GB of text; a much larger input would
-# fail in allocation instead of with a one-line error.
+# Largest waveform `simulate` accepts, in samples (duration * fs). The
+# table is written TABLE_CHUNK_ROWS rows at a time, so its text (~35 bytes
+# a row, ~0.6 GB here) is never held in memory; the circuit's arrays are,
+# and a much larger input would fail in allocation instead of with a
+# one-line error.
 MAX_SIMULATE_SAMPLES = 2**24
+# Rows `_write_table` formats and writes at once (~2.3 MB of text). Output
+# does not depend on it.
+TABLE_CHUNK_ROWS = 2**16
 
 
 def delta_tag(delta: float) -> str:
@@ -97,14 +102,20 @@ def estimate_delayed(cfg: ExperimentConfig, delta: float, dt: float,
 def _write_table(path: Path, header: List[str], x: np.ndarray, y: np.ndarray):
     """Write a two-column text table: one `# <line>` per header line, then
     one `f"{x:.10e} {y:.10e}"` row per (x, y) pair, each line ending in a
-    newline. Raises ParameterError, before anything is written, if either
-    column holds a nan or an infinity."""
+    newline. Rows are formatted and written TABLE_CHUNK_ROWS at a time, so
+    the text held in memory does not grow with the table. Raises
+    ParameterError, before anything is written, if either column holds a
+    nan or an infinity."""
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ParameterError("non-finite value in output table")
-    lines = [f"# {h}" for h in header]
-    # Python floats format byte-for-byte like np.float64, several times faster
-    lines.extend(map("{:.10e} {:.10e}".format, x.tolist(), y.tolist()))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write("".join(f"# {h}\n" for h in header))
+        for start in range(0, len(x), TABLE_CHUNK_ROWS):
+            stop = min(start + TABLE_CHUNK_ROWS, len(x))
+            # x and y interleaved, as Python floats: %-formatting them
+            # gives the bytes of f"{x:.10e}", several times faster
+            values = np.column_stack((x[start:stop], y[start:stop])).ravel().tolist()
+            f.write(("%.10e %.10e\n" * (stop - start)) % tuple(values))
 
 
 def _emit_curve(out: Path, name: str, cfg_hash: str, grid_hz: np.ndarray,

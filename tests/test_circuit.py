@@ -23,7 +23,7 @@ from oscavg import (
     wiener_path,
 )
 from oscavg.analytic import delayed_taps
-from oscavg.circuit import _expected, edge_trim
+from oscavg.circuit import _carrier, _expected, _pass_band, _stop_band, _unwrap, edge_trim
 
 TWO_PI = 2.0 * np.pi
 FC = 1e6
@@ -112,6 +112,96 @@ class TestIdealFilter:
             ideal_filter(tone(1e6), "lowpass", FS / 2)
         with pytest.raises(ParameterError):
             ideal_filter(tone(1e6), "bandpass", 1e6)
+
+
+def demodulate_oracle(w, f0, f_cut=None):
+    """demodulate_phase as it was before its caches: carrier and mask built
+    on every call, np.unwrap."""
+    if f_cut is None:
+        f_cut = f0 / 2.0
+    k = np.arange(len(w))
+    z = w.samples * np.exp(-1j * TWO_PI * f0 * k / w.fs)
+    spec = np.fft.fft(z)
+    freqs = np.fft.fftfreq(len(w), d=1.0 / w.fs)
+    spec[np.abs(freqs) > f_cut] = 0.0
+    return np.unwrap(np.angle(np.fft.ifft(spec)))
+
+
+def noisy_tone(f0, n, fs=64e6, sigma=0.05, seed=3):
+    """A tone at f0 whose phase walks with steps of std sigma rad."""
+    walk = np.cumsum(np.random.default_rng(seed).normal(0.0, sigma, n))
+    return Waveform(fs=fs, samples=np.cos(TWO_PI * f0 * np.arange(n) / fs + walk))
+
+
+class TestDemodulatePhase:
+    @pytest.mark.parametrize("f0,n,f_cut", [
+        (2e6, 64000, None),      # f0 on a bin
+        (2.0006e6, 64000, None),  # f0 between bins
+        (2e6, 63999, None),      # odd length
+        (4e6, 64000, 1e6),       # the mixing tree's carrier and cutoff
+    ])
+    def test_bytes_match_uncached_oracle(self, f0, n, f_cut):
+        w = noisy_tone(f0, n)
+        expected = demodulate_oracle(w, f0, f_cut)
+        # the walk wraps the phase, so the unwrap has steps to correct
+        assert np.any(np.abs(np.diff(np.angle(np.exp(1j * expected)))) >= np.pi)
+        first = demodulate_phase(w, f0, f_cut)
+        assert first.tobytes() == expected.tobytes()
+        assert demodulate_phase(w, f0, f_cut).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("kind", ["lowpass", "highpass"])
+    def test_filter_bytes_match_uncached_oracle(self, kind):
+        w = noisy_tone(2e6, 6401)
+        freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
+        mask = freqs <= 1e6 if kind == "lowpass" else freqs >= 1e6
+        expected = np.fft.irfft(np.fft.rfft(w.samples) * mask, n=len(w))
+        assert ideal_filter(w, kind, 1e6).samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cached", [
+        lambda: _carrier(64000, 2e6, 64e6),
+        lambda: _stop_band(64000, 64e6, 1e6),
+        lambda: _pass_band("highpass", 64000, 64e6, 1e6),
+    ])
+    def test_cached_arrays_read_only(self, cached):
+        arr = cached()
+        assert arr is cached()
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+# runs of small steps, steps of exactly +-pi, large and non-finite values
+UNWRAP_VALUES = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 5e-324, 1e300, -1e300,
+                     np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestUnwrap:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(p=st.lists(UNWRAP_VALUES, min_size=1, max_size=40))
+    def test_bytes_match_np_unwrap(self, p):
+        p = np.array(p)
+        with np.errstate(all="ignore"):
+            assert _unwrap(p).tobytes() == np.unwrap(p).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(start=st.floats(-1e3, 1e3), steps=st.lists(st.floats(-3.0, 3.0), max_size=40))
+    def test_no_jumps_bytes_match_np_unwrap(self, start, steps):
+        p = np.cumsum([start] + steps)
+        assert _unwrap(p).tobytes() == np.unwrap(p).tobytes()
+
+    @pytest.mark.parametrize("p", [
+        [0.0], [-0.0], [np.nan], [0.0, np.pi], [0.0, -np.pi], [-0.0, -0.0],
+        [np.pi, -np.pi], [np.inf, -np.inf], [1.0, np.nan],
+        [0.0, np.pi, 0.0, -np.pi, 0.0, 2 * np.pi, -0.0],
+    ])
+    def test_edge_cases_bytes_match_np_unwrap(self, p):
+        p = np.array(p)
+        with np.errstate(all="ignore"):
+            assert _unwrap(p).tobytes() == np.unwrap(p).tobytes()
 
 
 class TestSteadyState:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -163,6 +164,36 @@ class TestWriteTable:
             experiments._write_table(path, self.HEADER, *cols)
         assert not path.exists()
 
+    @staticmethod
+    def oracle(header, x, y) -> bytes:
+        """The table written one row at a time."""
+        return ("".join(f"# {h}\n" for h in header)
+                + "".join("{:.10e} {:.10e}\n".format(a, b) for a, b in zip(x, y))).encode()
+
+    # (chunks, extra): a table of chunks * TABLE_CHUNK_ROWS + extra rows
+    @pytest.mark.parametrize("chunks,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_chunked_bytes_match_per_row_format(self, tmp_path, chunks, extra):
+        rows = chunks * experiments.TABLE_CHUNK_ROWS + extra
+        edges = self.EDGES + [1e300, -1e300, 1e-300, 2.2250738585072014e-308 / 3, -5e-324]
+        x = np.resize(np.array(edges), rows)
+        y = np.linspace(-1.0, 1.0, rows) * 1e-300
+        path = tmp_path / "t.data"
+        experiments._write_table(path, self.HEADER, x, y)
+        assert path.read_bytes() == self.oracle(self.HEADER, x, y)
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        def peak(rows):
+            x, y = np.arange(rows) / 64e6, np.cos(0.1 * np.arange(rows))
+            tracemalloc.start()
+            try:
+                experiments._write_table(tmp_path / "t.data", self.HEADER, x, y)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk = experiments.TABLE_CHUNK_ROWS
+        assert peak(4 * chunk) < 1.5 * peak(chunk)
+
 
 def _read_table(path: Path):
     rows = [l.split() for l in path.read_text().splitlines()
@@ -276,6 +307,21 @@ class TestFigureCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        ["figure-log", "--no-estimates"], ["figure-linear", "--no-estimates"],
+        ["acceptance"], ["simulate"]])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_an_existing_file_exit_2(self, tmp_path, capsys, command, under):
+        """An --out that is a regular file, or a path under one, cannot be
+        created: one error line and exit 2, not a traceback."""
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        assert main([*command, "--seed", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert blocker.read_text() == "kept\n"
 
     def test_colliding_delay_tags_write_nothing(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
