@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,16 +44,6 @@ def mix(a: Waveform, b: Waveform) -> Waveform:
     return Waveform(fs=a.fs, samples=a.samples * b.samples, t0=a.t0)
 
 
-@lru_cache(maxsize=4)
-def _pass_band(kind: str, n: int, fs: float, f_cut: float) -> np.ndarray:
-    """Read-only rfft mask of an n-sample brick-wall filter, built once per
-    (kind, n, fs, f_cut)."""
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    mask = freqs <= f_cut if kind == "lowpass" else freqs >= f_cut
-    mask.flags.writeable = False
-    return mask
-
-
 def ideal_filter(w: Waveform, kind: str, f_cut: float) -> Waveform:
     """Brick-wall high- or low-pass filter: a zero-phase frequency-domain
     mask, 1 in the passband and 0 outside."""
@@ -63,7 +52,11 @@ def ideal_filter(w: Waveform, kind: str, f_cut: float) -> Waveform:
     if not (0 < f_cut < w.fs / 2):
         raise ParameterError(f"f_cut={f_cut:g} must lie in (0, fs/2={w.fs / 2:g})")
     spec = np.fft.rfft(w.samples)
-    spec *= _pass_band(kind, len(w), w.fs, f_cut)
+    freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
+    if kind == "lowpass":
+        spec *= freqs <= f_cut
+    else:
+        spec *= freqs >= f_cut
     out = np.fft.irfft(spec, n=len(w))
     return Waveform(fs=w.fs, samples=out, t0=w.t0)
 
@@ -77,33 +70,14 @@ def delay_block(w: Waveform, delta: float) -> Waveform:
     return Waveform(fs=w.fs, samples=out, t0=w.t0)
 
 
-@lru_cache(maxsize=2)
-def _carrier(n: int, f0: float, fs: float) -> np.ndarray:
-    """Read-only downconversion carrier exp(-j*2*pi*f0*k/fs), k < n, built
-    once per (n, f0, fs); 16*n bytes each, one per carrier the averaging
-    stages demodulate (2*f_c and 4*f_c)."""
-    k = np.arange(n)
-    carrier = np.exp(-1j * TWO_PI * f0 * k / fs)
-    carrier.flags.writeable = False
-    return carrier
-
-
-@lru_cache(maxsize=4)
-def _stop_band(n: int, fs: float, f_cut: float) -> np.ndarray:
-    """Read-only fft mask of the bins above f_cut in magnitude, built once
-    per (n, fs, f_cut)."""
-    stop = np.abs(np.fft.fftfreq(n, d=1.0 / fs)) > f_cut
-    stop.flags.writeable = False
-    return stop
-
-
 def _unwrap(p: np.ndarray) -> np.ndarray:
-    """np.unwrap(p) of a 1-d float64 array, bit for bit, doing its
-    arithmetic only at the steps not below pi in magnitude (nan included).
-    Its correction is exactly 0 at every other step, so the cumulative sum
-    of the sparse corrections is np.unwrap's step function. That is added
-    to every sample after the first, as np.unwrap does, which also turns
-    each -0.0 there into 0.0."""
+    """np.unwrap(p) of a 1-d float64 array, bit for bit. np.unwrap works
+    out the wrapped correction (a mod, a fix-up of -pi and a subtraction)
+    at every step; it is exactly 0 at a step below pi in magnitude, so here
+    it is worked out only at the others (nan included), usually few. The
+    diff, the comparison and the cumulative sum still run over every
+    sample. The sum is added to every sample after the first, as np.unwrap
+    does, which also turns each -0.0 there into 0.0."""
     up = np.array(p, dtype=float)
     dd = np.diff(up)
     jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
@@ -130,9 +104,11 @@ def demodulate_phase(w: Waveform, f0: float, f_cut: Optional[float] = None
         f_cut = f0 / 2.0
     if not (0 < f_cut < w.fs / 2):
         raise ParameterError("demodulation cutoff outside (0, fs/2)")
-    z = w.samples * _carrier(len(w), f0, w.fs)
+    # one complex n-sample array, transformed and filtered in place
+    z = np.exp(-1j * TWO_PI * f0 * np.arange(len(w)) / w.fs)
+    z *= w.samples
     np.fft.fft(z, out=z)
-    z[_stop_band(len(w), w.fs, f_cut)] = 0.0
+    z[np.abs(np.fft.fftfreq(len(w), d=1.0 / w.fs)) > f_cut] = 0.0
     np.fft.ifft(z, out=z)
     return _unwrap(np.angle(z))
 

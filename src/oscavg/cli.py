@@ -80,9 +80,6 @@ def main(argv=None) -> int:
         except ParameterError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except OSError as exc:  # _load_config reports reading the config
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 2
 
 
 def _run(args) -> int:

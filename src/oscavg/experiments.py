@@ -99,6 +99,24 @@ def estimate_delayed(cfg: ExperimentConfig, delta: float, dt: float,
 # table output
 
 
+def _make_out_dir(out: Path):
+    """Create the output directory `out`. A location that cannot be one (an
+    existing regular file, or a path under one) is a ParameterError."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output: {exc}") from None
+
+
+def _open_output(path: Path):
+    """Open the output file `path` for writing text; a path that cannot be
+    opened is a ParameterError. Errors while writing are left as they are."""
+    try:
+        return path.open("w")
+    except OSError as exc:
+        raise ParameterError(f"cannot write output: {exc}") from None
+
+
 def _write_table(path: Path, header: List[str], x: np.ndarray, y: np.ndarray):
     """Write a two-column text table: one `# <line>` per header line, then
     one `f"{x:.10e} {y:.10e}"` row per (x, y) pair, each line ending in a
@@ -108,7 +126,7 @@ def _write_table(path: Path, header: List[str], x: np.ndarray, y: np.ndarray):
     nan or an infinity."""
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ParameterError("non-finite value in output table")
-    with path.open("w") as f:
+    with _open_output(path) as f:
         f.write("".join(f"# {h}\n" for h in header))
         for start in range(0, len(x), TABLE_CHUNK_ROWS):
             stop = min(start + TABLE_CHUNK_ROWS, len(x))
@@ -147,7 +165,7 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
     if len(set(tags)) < len(tags):
         raise ParameterError(f"deltas {', '.join(map(repr, cfg.deltas))} share a "
                              f"file tag; give delays that differ in 7 digits")
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     omega = TWO_PI * grid
     cfg_hash = cfg.content_hash()
     written: Dict[str, List[str]] = {}
@@ -204,9 +222,9 @@ def run_figure_linear(cfg: ExperimentConfig, out_dir=None, estimates: bool = Tru
             "notch_offsets_hz": [float(x) for x in notches],
             "mean_spacing_hz": float(np.mean(np.diff(notches))) if len(notches) > 1 else None,
         }
-    (out / "notches.json").write_text(
-        json.dumps({"config": cfg.content_hash(), "notches": notch_summary},
-                   indent=2, sort_keys=True) + "\n")
+    with _open_output(out / "notches.json") as f:
+        f.write(json.dumps({"config": cfg.content_hash(), "notches": notch_summary},
+                           indent=2, sort_keys=True) + "\n")
     written["notches"] = ["notches.json"]
     return written
 
@@ -219,7 +237,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir=None) -> List[str]:
                              f"simulate limit of {MAX_SIMULATE_SAMPLES}")
     n = int(round(samples))
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     spec = stochastic.OscillatorSpec(f_c=cfg.f_c_scaled, offset_dist=cfg.offsets,
                                      beta=cfg.beta)
     if cfg.scenario == "base":
@@ -380,7 +398,7 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
     }
     if out_dir is not None or cfg.output_dir:
         out = Path(out_dir if out_dir is not None else cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "acceptance_report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _make_out_dir(out)
+        with _open_output(out / "acceptance_report.json") as f:
+            f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report

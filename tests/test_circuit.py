@@ -23,7 +23,7 @@ from oscavg import (
     wiener_path,
 )
 from oscavg.analytic import delayed_taps
-from oscavg.circuit import _carrier, _expected, _pass_band, _stop_band, _unwrap, edge_trim
+from oscavg.circuit import _expected, _unwrap, edge_trim
 
 TWO_PI = 2.0 * np.pi
 FC = 1e6
@@ -115,8 +115,8 @@ class TestIdealFilter:
 
 
 def demodulate_oracle(w, f0, f_cut=None):
-    """demodulate_phase as it was before its caches: carrier and mask built
-    on every call, np.unwrap."""
+    """demodulate_phase as it was before it worked in place: a new array at
+    each step, np.unwrap."""
     if f_cut is None:
         f_cut = f0 / 2.0
     k = np.arange(len(w))
@@ -140,7 +140,7 @@ class TestDemodulatePhase:
         (2e6, 63999, None),      # odd length
         (4e6, 64000, 1e6),       # the mixing tree's carrier and cutoff
     ])
-    def test_bytes_match_uncached_oracle(self, f0, n, f_cut):
+    def test_bytes_match_oracle(self, f0, n, f_cut):
         w = noisy_tone(f0, n)
         expected = demodulate_oracle(w, f0, f_cut)
         # the walk wraps the phase, so the unwrap has steps to correct
@@ -150,24 +150,12 @@ class TestDemodulatePhase:
         assert demodulate_phase(w, f0, f_cut).tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("kind", ["lowpass", "highpass"])
-    def test_filter_bytes_match_uncached_oracle(self, kind):
+    def test_filter_bytes_match_oracle(self, kind):
         w = noisy_tone(2e6, 6401)
         freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
         mask = freqs <= 1e6 if kind == "lowpass" else freqs >= 1e6
         expected = np.fft.irfft(np.fft.rfft(w.samples) * mask, n=len(w))
         assert ideal_filter(w, kind, 1e6).samples.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("cached", [
-        lambda: _carrier(64000, 2e6, 64e6),
-        lambda: _stop_band(64000, 64e6, 1e6),
-        lambda: _pass_band("highpass", 64000, 64e6, 1e6),
-    ])
-    def test_cached_arrays_read_only(self, cached):
-        arr = cached()
-        assert arr is cached()
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
 
 
 # runs of small steps, steps of exactly +-pi, large and non-finite values

@@ -323,6 +323,28 @@ class TestFigureCommands:
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
         assert blocker.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command,name", [
+        (["figure-linear", "--no-estimates"], "notches.json"),
+        (["acceptance"], "acceptance_report.json"),
+        (["simulate"], "waveform_base.data")])
+    def test_output_file_that_cannot_be_opened_exit_2(self, tmp_path, capsys,
+                                                      command, name):
+        """A directory where an output file goes: one error line, exit 2."""
+        (tmp_path / name).mkdir()
+        assert main([*command, "--seed", "3", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+    def test_error_while_writing_keeps_its_traceback(self, tmp_path, monkeypatch):
+        """Only the output location is reported as exit 2: an I/O error
+        while a table is written (here a full disk) is not a config error."""
+        def full_disk(*args):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(experiments, "_write_table", full_disk)
+        with pytest.raises(OSError, match="No space left") as info:
+            main(["simulate", "--seed", "3", "--out", str(tmp_path)])
+        assert not isinstance(info.value, ParameterError)
+
     def test_colliding_delay_tags_write_nothing(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("deltas = 1e-6,1e-6\n")
