@@ -24,7 +24,6 @@ from .circuit import (
     delay_block,
     demodulate_phase,
     divider_residual,
-    divider_steady_state,
     ideal_filter,
     mix,
     simulate_delayed_self_average,

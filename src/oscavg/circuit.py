@@ -5,7 +5,8 @@ divider resolved at its fixed point) and demodulate the output's phase.
 Each states its expected output through the taps of `analytic`, source i
 being the circuit's input oscillator i: the phase sum_j a_j
 theta^(s_j)_{t - d_j} and the frequency sum_j a_j omega_(s_j).
-`divider_steady_state` is the divider's fixed point on a phase path.
+`divider_residual` re-feeds an averaging stage's output through its
+divider loop, on request, to measure how far it is from the fixed point.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def mix(a: Waveform, b: Waveform) -> Waveform:
         raise ParameterError(f"sample rates differ: {a.fs:g} vs {b.fs:g}")
     if len(a) != len(b):
         raise ParameterError(f"lengths differ: {len(a)} vs {len(b)}")
-    return Waveform(fs=a.fs, samples=a.samples * b.samples, t0=a.t0)
+    return Waveform(fs=a.fs, samples=a.samples * b.samples)
 
 
 def ideal_filter(w: Waveform, kind: str, f_cut: float) -> Waveform:
@@ -58,7 +59,7 @@ def ideal_filter(w: Waveform, kind: str, f_cut: float) -> Waveform:
     else:
         spec *= freqs >= f_cut
     out = np.fft.irfft(spec, n=len(w))
-    return Waveform(fs=w.fs, samples=out, t0=w.t0)
+    return Waveform(fs=w.fs, samples=out)
 
 
 def delay_block(w: Waveform, delta: float) -> Waveform:
@@ -67,7 +68,7 @@ def delay_block(w: Waveform, delta: float) -> Waveform:
     out = np.zeros(len(w))
     if lag_i < len(w):
         out[lag_i:] = w.samples[: len(w) - lag_i]
-    return Waveform(fs=w.fs, samples=out, t0=w.t0)
+    return Waveform(fs=w.fs, samples=out)
 
 
 def _unwrap(p: np.ndarray) -> np.ndarray:
@@ -120,43 +121,28 @@ def edge_trim(fs: float, f_cut: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# steady states
+# waveform-mode simulations
 
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """Fixed-point solution of an averaging loop."""
+    """A circuit's output as its taps state it: angular frequency and phase
+    path."""
 
     omega_prime: float
     phase_path_prime: PhasePath
 
 
-def divider_steady_state(omega_in: float, phase_in: PhasePath, n: int
-                         ) -> SteadyStateResult:
-    """Fixed point of the regenerative n-divider: frequency and phase scale
-    by exactly 1/n."""
-    if n < 2:
-        raise ParameterError("divider ratio must be >= 2")
-    return SteadyStateResult(
-        omega_prime=omega_in / n,
-        phase_path_prime=PhasePath(dt=phase_in.dt, samples=phase_in.samples / n),
-    )
-
-
-# ---------------------------------------------------------------------------
-# waveform-mode simulations
-
-
 @dataclass(frozen=True)
 class SimulationResult:
-    """Waveform-mode circuit output, its measured total phase, and the
-    output its taps predict."""
+    """Waveform-mode circuit output, its measured total phase, the output
+    its taps predict, and the input oscillators' phase paths and angular
+    frequencies."""
 
     output: Waveform
     expected: SteadyStateResult
     phases: Tuple[PhasePath, ...]
     omegas: Tuple[float, ...]
-    residual: Optional[float]
     measured_total_phase: np.ndarray
 
 
@@ -188,14 +174,26 @@ def _expected(taps: Taps, phases: Sequence[PhasePath], omegas: Sequence[float]
     """A circuit's output as its taps state it, source s being input s: the
     frequency sum_j a_j omega_(s_j) and the phase sum_j a_j theta^(s_j)_{t - d_j},
     a delayed phase held at its first sample before t = d_j."""
-    dt = phases[0].dt
-    k = np.arange(len(phases[0]))
-    omega, phase = 0.0, np.zeros(k.size)
+    dt, n = phases[0].dt, len(phases[0])
+    omega, phase = 0.0, np.zeros(n)
     for s, a, d in taps:
         omega += a * omegas[s]
-        phase += a * phases[s].samples[np.maximum(k - lag_samples(d, dt), 0)]
+        src, lag = phases[s].samples, lag_samples(d, dt)
+        phase[:lag] += a * src[0]
+        phase[lag:] += a * src[:n - lag]
     return SteadyStateResult(omega_prime=omega,
                              phase_path_prime=PhasePath(dt=dt, samples=phase))
+
+
+def _loop_interior(n: int, fs: float, f_c: float, settle: int) -> slice:
+    """The samples of an n-sample divider output that its loop check
+    compares. The brick-wall filters ring near the ends, so the first and
+    last sixteenth (at least edge_trim samples) are skipped, and so are the
+    first `settle` samples (start-up). ParameterError if none are left."""
+    trim = max(edge_trim(fs, f_c), n // 16)
+    if settle + trim >= n - trim:
+        raise ParameterError("duration too short to check the divider loop")
+    return slice(settle + trim, n - trim)
 
 
 def divider_residual(summed: Waveform, output: Waveform, f_c: float,
@@ -204,34 +202,31 @@ def divider_residual(summed: Waveform, output: Waveform, f_c: float,
 
     Feeds `output` back through the divider loop (mixer with the sum-band
     input `summed`, gain 4, lowpass at 2*f_c) and returns the largest
-    deviation of the loop output from `output`. At the fixed point the
-    mixer's product near f_c reproduces the output; an output phase off by
-    e radians reads about |sin(e)|. The brick-wall filters ring near the
-    ends, so the first and last sixteenth (at least edge_trim samples) are
-    skipped, and so are the first `settle` samples (start-up).
+    deviation of the loop output from `output` over the loop interior. At
+    the fixed point the mixer's product near f_c reproduces the output; an
+    output phase off by e radians reads about |sin(e)|.
     """
+    interior = _loop_interior(len(output), output.fs, f_c, settle)
     loop = ideal_filter(mix(summed, Waveform(fs=output.fs, samples=4.0 * output.samples)),
                         "lowpass", 2.0 * f_c)
-    trim = max(edge_trim(output.fs, f_c), len(output) // 16)
-    dev = np.abs(loop.samples - output.samples)[settle + trim:len(output) - trim]
-    if dev.size == 0:
-        raise ParameterError("duration too short to check the divider loop")
-    return float(np.max(dev))
+    return float(np.max(np.abs(loop.samples[interior] - output.samples[interior])))
 
 
 def _average_stage(a: Waveform, b: Waveform, f_c: float, settle: int = 0
-                   ) -> Tuple[Waveform, np.ndarray, float]:
+                   ) -> Tuple[Waveform, np.ndarray, Waveform]:
     """Tail shared by the two-input averagers: mix, highpass at f_c, and the
     regenerative 2-divider resolved at its fixed point (output phase is half
     the measured sum-band phase). Returns the output, its total phase and
-    the divider's substitution residual."""
+    the sum band, which `divider_residual` takes to check the loop. Refuses
+    a duration that leaves no loop interior to check."""
+    _loop_interior(len(a), a.fs, f_c, settle)
     # sum band near 2*f_c survives; difference band near f1-f2 is removed
     summed = ideal_filter(mix(a, b), "highpass", f_c)
     dev = demodulate_phase(summed, 2.0 * f_c)
     k = np.arange(len(a))
     phase_out_total = 0.5 * (TWO_PI * 2.0 * f_c * k / a.fs + dev)
     out = Waveform(fs=a.fs, samples=0.5 * np.cos(phase_out_total))
-    return out, phase_out_total, divider_residual(summed, out, f_c, settle)
+    return out, phase_out_total, summed
 
 
 def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: float,
@@ -241,11 +236,10 @@ def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: floa
     with w' and theta'_t the means of the inputs: taps ((0, 1/2, 0), (1, 1/2, 0))."""
     f_c = spec1.f_c
     (w1, w2), paths, omegas = _draw((spec1, spec2), fs, duration, seed, 2.0 * f_c)
-    out, phase_out_total, residual = _average_stage(w1, w2, f_c)
+    out, phase_out_total, _ = _average_stage(w1, w2, f_c)
     return SimulationResult(output=out,
                             expected=_expected(((0, 0.5, 0.0), (1, 0.5, 0.0)), paths, omegas),
-                            phases=paths, omegas=omegas, residual=residual,
-                            measured_total_phase=phase_out_total)
+                            phases=paths, omegas=omegas, measured_total_phase=phase_out_total)
 
 
 def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
@@ -254,8 +248,8 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
     highpass at 3*f_c keeping the component near 4*f_c, of amplitude 1/8.
 
     It does not average: the output phase is the *sum* of the input phases
-    (four taps of weight 1), not their mean, and with no divider there is
-    no residual. It stays (the `averaged_n` scenario) because the
+    (four taps of weight 1), not their mean, and it has no divider. It
+    stays (the `averaged_n` scenario) because the
     benchmark's waveform workload checks this sum-phase output, until a
     tree of averaging stages replaces it."""
     if len(specs) != 4:
@@ -270,8 +264,7 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
     return SimulationResult(output=out,
                             expected=_expected(tuple((i, 1.0, 0.0) for i in range(4)),
                                                paths, omegas),
-                            phases=paths, omegas=omegas, residual=None,
-                            measured_total_phase=measured)
+                            phases=paths, omegas=omegas, measured_total_phase=measured)
 
 
 def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
@@ -289,8 +282,6 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
     (w,), paths, (om,) = _draw((spec,), fs, duration, seed, 2.0 * f_c)
     if lag_i >= len(w) // 4:
         raise ParameterError("duration must be much longer than the delay")
-    out, phase_out_total, residual = _average_stage(w, delay_block(w, delta), f_c,
-                                                    settle=lag_i)
+    out, phase_out_total, _ = _average_stage(w, delay_block(w, delta), f_c, settle=lag_i)
     return SimulationResult(output=out, expected=_expected(delayed_taps(delta), paths, (om,)),
-                            phases=paths, omegas=(om, om), residual=residual,
-                            measured_total_phase=phase_out_total)
+                            phases=paths, omegas=(om, om), measured_total_phase=phase_out_total)

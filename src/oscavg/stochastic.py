@@ -271,7 +271,6 @@ class Waveform:
 
     fs: float
     samples: np.ndarray
-    t0: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.fs) and self.fs > 0):
@@ -282,7 +281,7 @@ class Waveform:
         return self.samples.size
 
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.fs
+        return np.arange(self.samples.size) / self.fs
 
 
 def _check_walk(beta: float, dt: float, n: int):

@@ -13,7 +13,6 @@ from oscavg import (
     delayed_avg_autocorr,
     demodulate_phase,
     divider_residual,
-    divider_steady_state,
     ideal_filter,
     mix,
     simulate_delayed_self_average,
@@ -23,7 +22,7 @@ from oscavg import (
     wiener_path,
 )
 from oscavg.analytic import delayed_taps
-from oscavg.circuit import _expected, _unwrap, edge_trim
+from oscavg.circuit import _average_stage, _draw, _expected, _unwrap, edge_trim
 
 TWO_PI = 2.0 * np.pi
 FC = 1e6
@@ -202,35 +201,6 @@ class TestSteadyState:
         assert np.array_equal(res.phase_path_prime.samples, p.samples)
 
 
-class TestDivider:
-    def test_divide_by_two(self):
-        p = wiener_path(1e4, 0.0, 1e-6, 64, (70, 0))
-        res = divider_steady_state(TWO_PI * 4e9, p, 2)
-        assert res.omega_prime == TWO_PI * 2e9
-
-    def test_chained_equals_direct(self):
-        p = wiener_path(1e4, 0.0, 1e-6, 64, (70, 1))
-        direct = divider_steady_state(TWO_PI * 4e9, p, 4)
-        step = divider_steady_state(TWO_PI * 4e9, p, 2)
-        chained = divider_steady_state(step.omega_prime, step.phase_path_prime, 2)
-        assert chained.omega_prime == direct.omega_prime
-        assert np.array_equal(chained.phase_path_prime.samples,
-                              direct.phase_path_prime.samples)
-
-    @given(n=st.integers(min_value=2, max_value=16))
-    @settings(max_examples=15, deadline=None)
-    def test_linear_scaling(self, n):
-        p = wiener_path(1e4, 0.0, 1e-6, 32, (70, 2))
-        res = divider_steady_state(TWO_PI * 1e9, p, n)
-        assert np.array_equal(res.phase_path_prime.samples, p.samples / n)
-        assert res.omega_prime == TWO_PI * 1e9 / n
-
-    def test_ratio_validation(self):
-        p = wiener_path(1e4, 0.0, 1e-6, 32, (70, 3))
-        with pytest.raises(ParameterError):
-            divider_steady_state(TWO_PI * 1e9, p, 1)
-
-
 class TestPairAverage:
     def test_noiseless_output_is_half_cosine(self):
         spec = OscillatorSpec(f_c=FC)
@@ -286,7 +256,10 @@ class TestPairAverage:
     def test_substitution_residual(self):
         spec = OscillatorSpec(f_c=FC, beta=1e-3)
         res = simulate_pair_average(spec, spec, FS, 512e-6, seed=83)
-        assert res.residual < 1e-3
+        (a, b), _, _ = _draw((spec, spec), FS, 512e-6, 83, 2 * FC)
+        out, _, summed = _average_stage(a, b, FC)
+        assert out.samples.tobytes() == res.output.samples.tobytes()
+        assert divider_residual(summed, out, FC) < 1e-3
 
     def test_residual_detects_wrong_output_phase(self):
         # the divider loop fed an output 0.3 rad off its fixed point
@@ -328,7 +301,6 @@ class TestMixingTree:
         ref = 0.125 * np.cos(TWO_PI * 4 * FC * k / self.FS4)
         err = res.output.samples[trim:-trim] - ref[trim:-trim]
         assert np.sqrt(np.mean(err**2)) < 1e-6
-        assert res.residual is None  # no divider in the mixing tree
 
     def test_sum_phase_oracle(self):
         spec = OscillatorSpec(f_c=FC, beta=1e-4)
@@ -376,7 +348,10 @@ class TestDelayedSelfAverage:
         trim = max(edge_trim(FS, FC), n // 16, 4 * lag)
         err = dephase(res.measured_total_phase[trim:-trim], exp_total[trim:-trim])
         assert np.sqrt(np.mean(err**2)) < 1e-4
-        assert res.residual < 1e-3
+        (w,), _, _ = _draw((spec,), FS, 2048e-6, 101, 2 * FC)
+        out, _, summed = _average_stage(w, delay_block(w, delta), FC, settle=lag)
+        assert out.samples.tobytes() == res.output.samples.tobytes()
+        assert divider_residual(summed, out, FC, settle=lag) < 1e-3
 
     def test_autocorr_matches_piecewise_form(self):
         # MC autocorrelation at delta/2, delta, 2*delta within 3 standard errors

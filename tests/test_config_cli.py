@@ -454,7 +454,8 @@ def test_battery_streams_disjoint_at_neighbouring_seeds(monkeypatch):
     for seed in (11, 12):
         keys[seed] = set()
         experiments.run_acceptance(ExperimentConfig(seed=seed, output_dir=""))
-    assert len(keys[11]) == len(keys[12]) == 8002  # 4 x 2000 paths, divider, noise
+    # 4 x 2000 paths, the divider check's two walks, the white noise
+    assert len(keys[11]) == len(keys[12]) == 8003
     assert not keys[11] & keys[12]
 
 
