@@ -1,7 +1,9 @@
 """Oscillator-averaging circuits: mixers, ideal filters, divider loops.
 
 The simulations build each circuit's sampled signal chain (mix, filter,
-divider resolved at its fixed point) and demodulate the output's phase.
+divider resolved at its fixed point). Every phase they report comes from
+one read-out, `demodulate_phase`: the unwrapped phase of a band's analytic
+signal. The divider's output phase is half that of the mixer's sum band.
 Each states its expected output through the taps of `analytic`, source i
 being the circuit's input oscillator i: the phase sum_j a_j
 theta^(s_j)_{t - d_j} and the frequency sum_j a_j omega_(s_j).
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,47 +73,23 @@ def delay_block(w: Waveform, delta: float) -> Waveform:
     return Waveform(fs=w.fs, samples=out)
 
 
-def _unwrap(p: np.ndarray) -> np.ndarray:
-    """np.unwrap(p) of a 1-d float64 array, bit for bit. np.unwrap works
-    out the wrapped correction (a mod, a fix-up of -pi and a subtraction)
-    at every step; it is exactly 0 at a step below pi in magnitude, so here
-    it is worked out only at the others (nan included), usually few. The
-    diff, the comparison and the cumulative sum still run over every
-    sample. The sum is added to every sample after the first, as np.unwrap
-    does, which also turns each -0.0 there into 0.0."""
-    up = np.array(p, dtype=float)
-    dd = np.diff(up)
-    jumps = np.flatnonzero(~(np.abs(dd) < np.pi))
-    d = dd[jumps]
-    ddmod = np.mod(d + np.pi, TWO_PI) - np.pi
-    np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (d > 0))
-    correct = np.zeros(dd.size)
-    correct[jumps] = ddmod - d
-    up[1:] += correct.cumsum()
-    return up
-
-
-def demodulate_phase(w: Waveform, f0: float, f_cut: Optional[float] = None
-                     ) -> np.ndarray:
-    """Instantaneous phase measurement: complex downconversion at f0 plus a
-    brick-wall lowpass.
-
-    Returns the phase deviation: element k is the unwrapped phase of the
-    signal relative to the 2*pi*f0*t ramp. A measurement device for tests
-    and oracles, not a circuit block. Edge samples carry spectral-leakage
-    error; callers should trim.
-    """
-    if f_cut is None:
-        f_cut = f0 / 2.0
-    if not (0 < f_cut < w.fs / 2):
-        raise ParameterError("demodulation cutoff outside (0, fs/2)")
-    # one complex n-sample array, transformed and filtered in place
-    z = np.exp(-1j * TWO_PI * f0 * np.arange(len(w)) / w.fs)
-    z *= w.samples
-    np.fft.fft(z, out=z)
-    z[np.abs(np.fft.fftfreq(len(w), d=1.0 / w.fs)) > f_cut] = 0.0
-    np.fft.ifft(z, out=z)
-    return _unwrap(np.angle(z))
+def demodulate_phase(w: Waveform, f_lo: float, f_hi: float) -> np.ndarray:
+    """Total phase of the band [f_lo, f_hi] Hz of w, from its analytic signal
+    (Marple, IEEE Trans. Signal Process. 47(9), 1999). The ifft of the rfft
+    with the bins outside the band zeroed is half the analytic signal z, as
+    the band holds neither DC nor Nyquist. Element k is arg z_k plus the whole
+    turns of the sum of the steps arg(z_j conj(z_(j-1))), j <= k, each in
+    (-pi, pi]; the sum alone drifts by rounding (2.7e-8 rad over 2^16 samples
+    of a tone). Edge samples carry spectral-leakage error; callers should trim."""
+    if not (0 < f_lo < f_hi < w.fs / 2):
+        raise ParameterError(f"band [{f_lo:g}, {f_hi:g}] empty or outside (0, fs/2={w.fs / 2:g})")
+    spec = np.fft.rfft(w.samples)
+    freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
+    spec[(freqs < f_lo) | (freqs > f_hi)] = 0.0
+    z = np.fft.ifft(spec, len(w))
+    wrapped = np.angle(z)
+    z[1:] *= z[:-1].conj()
+    return wrapped + TWO_PI * np.round((np.cumsum(np.angle(z)) - wrapped) / TWO_PI)
 
 
 def edge_trim(fs: float, f_cut: float) -> int:
@@ -192,51 +170,47 @@ def _loop_interior(n: int, fs: float, f_c: float, settle: int) -> slice:
     first `settle` samples (start-up). ParameterError if none are left."""
     trim = max(edge_trim(fs, f_c), n // 16)
     if settle + trim >= n - trim:
-        raise ParameterError("duration too short to check the divider loop")
+        raise ParameterError("duration too short: the edge trim covers the whole divider output")
     return slice(settle + trim, n - trim)
 
 
-def divider_residual(summed: Waveform, output: Waveform, f_c: float,
+def divider_residual(a: Waveform, b: Waveform, output: Waveform, f_c: float,
                      settle: int = 0) -> float:
     """Substitution check of the regenerative 2-divider on waveforms.
 
-    Feeds `output` back through the divider loop (mixer with the sum-band
-    input `summed`, gain 4, lowpass at 2*f_c) and returns the largest
-    deviation of the loop output from `output` over the loop interior. At
-    the fixed point the mixer's product near f_c reproduces the output; an
-    output phase off by e radians reads about |sin(e)|.
+    Feeds `output` back through the divider loop (mixer with the sum band
+    of a*b, highpassed at f_c, gain 4, lowpass at 2*f_c) and returns the
+    largest deviation of the loop output from `output` over the loop
+    interior. At the fixed point the mixer's product near f_c reproduces
+    the output; an output phase off by e radians reads about |sin(e)|.
     """
     interior = _loop_interior(len(output), output.fs, f_c, settle)
+    summed = ideal_filter(mix(a, b), "highpass", f_c)
     loop = ideal_filter(mix(summed, Waveform(fs=output.fs, samples=4.0 * output.samples)),
                         "lowpass", 2.0 * f_c)
     return float(np.max(np.abs(loop.samples[interior] - output.samples[interior])))
 
 
 def _average_stage(a: Waveform, b: Waveform, f_c: float, settle: int = 0
-                   ) -> Tuple[Waveform, np.ndarray, Waveform]:
-    """Tail shared by the two-input averagers: mix, highpass at f_c, and the
-    regenerative 2-divider resolved at its fixed point (output phase is half
-    the measured sum-band phase). Returns the output, its total phase and
-    the sum band, which `divider_residual` takes to check the loop. Refuses
-    a duration that leaves no loop interior to check."""
+                   ) -> Tuple[Waveform, np.ndarray]:
+    """Tail shared by the two-input averagers: mix, and the regenerative
+    2-divider resolved at its fixed point, whose output phase is half the
+    phase of the product's sum band [f_c, 3*f_c] (the difference band near
+    f1-f2 lies below it). Returns the output and its total phase. Refuses a
+    duration that leaves no loop interior for `divider_residual`."""
     _loop_interior(len(a), a.fs, f_c, settle)
-    # sum band near 2*f_c survives; difference band near f1-f2 is removed
-    summed = ideal_filter(mix(a, b), "highpass", f_c)
-    dev = demodulate_phase(summed, 2.0 * f_c)
-    k = np.arange(len(a))
-    phase_out_total = 0.5 * (TWO_PI * 2.0 * f_c * k / a.fs + dev)
-    out = Waveform(fs=a.fs, samples=0.5 * np.cos(phase_out_total))
-    return out, phase_out_total, summed
+    total = 0.5 * demodulate_phase(mix(a, b), f_c, 3.0 * f_c)
+    return Waveform(fs=a.fs, samples=0.5 * np.cos(total)), total
 
 
 def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: float,
                           duration: float, seed: int) -> SimulationResult:
-    """Two-oscillator averaging chain: mix, highpass at f_c, regenerative
+    """Two-oscillator averaging chain: mix, sum band above f_c, regenerative
     2-divider resolved at its steady state. Output ~ (1/2)cos(w't + theta'_t)
     with w' and theta'_t the means of the inputs: taps ((0, 1/2, 0), (1, 1/2, 0))."""
     f_c = spec1.f_c
     (w1, w2), paths, omegas = _draw((spec1, spec2), fs, duration, seed, 2.0 * f_c)
-    out, phase_out_total, _ = _average_stage(w1, w2, f_c)
+    out, phase_out_total = _average_stage(w1, w2, f_c)
     return SimulationResult(output=out,
                             expected=_expected(((0, 0.5, 0.0), (1, 0.5, 0.0)), paths, omegas),
                             phases=paths, omegas=omegas, measured_total_phase=phase_out_total)
@@ -258,9 +232,7 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
     waves, paths, omegas = _draw(specs, fs, duration, seed, 4.0 * f_c)
     out = ideal_filter(mix(mix(waves[0], waves[1]), mix(waves[2], waves[3])),
                        "highpass", 3.0 * f_c)
-    dev = demodulate_phase(out, 4.0 * f_c, f_cut=f_c)
-    k = np.arange(len(out))
-    measured = TWO_PI * 4.0 * f_c * k / fs + dev
+    measured = demodulate_phase(out, 3.0 * f_c, 5.0 * f_c)
     return SimulationResult(output=out,
                             expected=_expected(tuple((i, 1.0, 0.0) for i in range(4)),
                                                paths, omegas),
@@ -282,6 +254,6 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
     (w,), paths, (om,) = _draw((spec,), fs, duration, seed, 2.0 * f_c)
     if lag_i >= len(w) // 4:
         raise ParameterError("duration must be much longer than the delay")
-    out, phase_out_total, _ = _average_stage(w, delay_block(w, delta), f_c, settle=lag_i)
+    out, phase_out_total = _average_stage(w, delay_block(w, delta), f_c, settle=lag_i)
     return SimulationResult(output=out, expected=_expected(delayed_taps(delta), paths, (om,)),
                             phases=paths, omegas=(om, om), measured_total_phase=phase_out_total)

@@ -339,8 +339,8 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
     w1, w2 = (stochastic.oscillator_waveform(
         spec, 0.0, stochastic.wiener_path(spec.beta, 0.0, 1.0 / fs, n_div, (seed, i), TAG_DIVIDER),
         fs, n_div) for i in (0, 1))
-    divided, _, summed = circuit._average_stage(w1, w2, f_c)
-    err = circuit.divider_residual(summed, divided, f_c)
+    divided, _ = circuit._average_stage(w1, w2, f_c)
+    err = circuit.divider_residual(w1, w2, divided, f_c)
     record("divider-loop-residual", err, 1e-3, err < 1e-3)
 
     delta = 1e-6

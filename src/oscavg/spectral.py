@@ -66,7 +66,7 @@ def welch_psd(x, fs: float, segment_len: int = 1024,
     offsets from the carrier for baseband inputs.
     """
     data = np.asarray(x)
-    if data.ndim > 2 or data.size == 0:
+    if not 1 <= data.ndim <= 2 or data.size == 0:
         raise ParameterError("pass a non-empty sequence or (rows, n) ensemble")
     n = data.shape[-1]
     if segment_len > n:
@@ -99,8 +99,8 @@ def autocorr_per_path(sequences: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     n = sequences.shape[1]
     out = np.empty((sequences.shape[0], len(lags)), dtype=complex)
     for j, lag in enumerate(lags):
-        if lag >= n:
-            raise ParameterError(f"lag {lag} >= sequence length {n}")
+        if not isinstance(lag, (int, np.integer)) or not 0 <= lag < n:
+            raise ParameterError(f"lag {lag!r} must be an integer in [0, {n})")
         if lag == 0:
             out[:, j] = np.mean(sequences.real**2 + sequences.imag**2, axis=1)
         else:

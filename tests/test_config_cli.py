@@ -274,9 +274,11 @@ class TestFigureCommands:
         ("simulate", "duration = nan"),
         ("simulate", "f_c_scaled = 1e7"),  # fs = 64e6 cannot carry it
         ("simulate", "duration = 1e6"),  # 6.4e13 samples: over the cap
-        # a cutoff so low that the divider check's edge trim is infinite
+        # a cutoff so low that the filters' edge trim is infinite
         ("simulate", "scenario = averaged_independent\nf_c_scaled = 1e-300"),
         ("simulate", "scenario = delayed_self\ndelta = 1e-6\nf_c_scaled = 1e-300"),
+        # 512 samples, all of them inside the filters' edge trim
+        ("simulate", "scenario = averaged_independent\nduration = 8e-6"),
         # one sample: too short for the mixing tree's filters
         ("simulate", "scenario = averaged_n\nn_oscillators = 4\nduration = 2e-8"),
         # non-finite intermediate values: only the finite check may report
@@ -297,6 +299,9 @@ class TestFigureCommands:
             assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # simulate checks no divider loop, so its messages name none
+        if command == "simulate":
+            assert "check" not in err
         # a command-line run prints warnings to stderr too
         assert not caught, [str(w.message) for w in caught]
 

@@ -148,6 +148,8 @@ class TestEnsembleWelch:
         with pytest.raises(ParameterError):
             welch_psd(np.zeros((0, 128)), fs=1.0, segment_len=64)
         with pytest.raises(ParameterError):
+            welch_psd(np.float64(1.0), fs=1.0, segment_len=1)
+        with pytest.raises(ParameterError):
             psd_of_phase_shift([], 1.0, segment_len=64)
 
 
@@ -197,6 +199,11 @@ class TestAutocorrEstimate:
     def test_lag_bounds(self):
         with pytest.raises(ParameterError):
             autocorr_per_path(np.ones((2, 16), dtype=complex), [15, 16])
+        # a negative lag would average the wrong samples, a fractional one
+        # cannot index them
+        for lag in (-2, 2.5):
+            with pytest.raises(ParameterError):
+                autocorr_per_path(np.exp(1j * np.arange(8.0)), [lag])
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):

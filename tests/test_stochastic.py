@@ -201,13 +201,15 @@ class TestOscillatorWaveform:
 
     def test_demodulation_recovers_phase(self):
         # beta small enough that the out-of-band part of the walk is below
-        # the 1e-6 rad RMS oracle tolerance (error ~ sqrt(beta/(pi*f_cut)))
+        # the 1e-6 rad RMS oracle tolerance (error ~ sqrt(beta/(pi*f_cut)),
+        # f_cut the band's half-width)
         beta = 1e-6
         n = 1 << 17
         spec = OscillatorSpec(f_c=self.fc, beta=beta)
         path = wiener_path(beta, 0.0, 1.0 / self.fs, n, (3, 0))
         w = oscillator_waveform(spec, 0.0, path, self.fs, n)
-        dev = demodulate_phase(w, self.fc)
+        ramp = TWO_PI * self.fc * np.arange(n) / self.fs
+        dev = demodulate_phase(w, self.fc / 2, 1.5 * self.fc) - ramp
         trim = n // 16
         err = dev[trim:-trim] - path.samples[trim:-trim]
         err -= TWO_PI * np.round(np.mean(err) / TWO_PI)
