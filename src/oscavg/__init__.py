@@ -9,7 +9,6 @@ autocorrelations and spectra, and Welch-based estimation to compare the two.
 from .analytic import (
     DelayedAvgParams,
     bates2_cdf,
-    bates2_pdf,
     delayed_avg_autocorr,
     delayed_avg_psd,
     delayed_taps,

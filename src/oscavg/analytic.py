@@ -108,15 +108,6 @@ def delayed_avg_psd(p: DelayedAvgParams, omega):
     return tap_psd(p.beta, delayed_taps(p.delta), omega)
 
 
-def bates2_pdf(f_o: float, x):
-    """Density of the mean of two offsets uniform on +-f_o: triangle on
-    [-f_o, f_o] (x relative to the nominal frequency)."""
-    if f_o <= 0:
-        raise ParameterError("f_o must be > 0")
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) < f_o, (f_o - np.abs(x)) / f_o**2, 0.0)
-
-
 def bates2_cdf(f_o: float, x):
     """CDF of the n=2 uniform mean, for distribution tests."""
     if f_o <= 0:

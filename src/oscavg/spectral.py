@@ -69,8 +69,10 @@ def welch_psd(x, fs: float, segment_len: int = 1024,
     if not 1 <= data.ndim <= 2 or data.size == 0:
         raise ParameterError("pass a non-empty sequence or (rows, n) ensemble")
     n = data.shape[-1]
-    if segment_len > n:
-        raise ParameterError(f"segment_len={segment_len} exceeds data length {n}")
+    if not 1 <= segment_len <= n:
+        raise ParameterError(f"segment_len={segment_len} is not in [1, data length {n}]")
+    if not 0 < fs < np.inf:
+        raise ParameterError(f"fs={fs} must be finite and > 0")
     if not 0 <= overlap < 1:
         raise ParameterError("overlap must be in [0, 1)")
     if window not in ("hann", "rect"):

@@ -10,7 +10,6 @@ from oscavg import (
     DelayedAvgParams,
     ParameterError,
     bates2_cdf,
-    bates2_pdf,
     delayed_avg_autocorr,
     delayed_avg_psd,
     delayed_taps,
@@ -111,31 +110,32 @@ class TestBates2:
     F_O = 100.0
 
     def test_center_density(self):
-        assert bates2_pdf(self.F_O, 0.0) == pytest.approx(1.0 / self.F_O)
+        # half the mass below the center, where the density is 1/f_o
+        assert bates2_cdf(self.F_O, 0.0) == 0.5
+        h = 1e-6
+        slope = (bates2_cdf(self.F_O, h) - bates2_cdf(self.F_O, -h)) / (2 * h)
+        assert slope == pytest.approx(1.0 / self.F_O, rel=1e-6)
 
     def test_support_edges(self):
-        assert bates2_pdf(self.F_O, self.F_O) == 0.0
-        assert bates2_pdf(self.F_O, -self.F_O) == 0.0
-        assert bates2_pdf(self.F_O, 2 * self.F_O) == 0.0
-
-    def test_normalization(self):
-        val, _ = integrate.quad(lambda x: bates2_pdf(self.F_O, x),
-                                -self.F_O, self.F_O)
-        assert abs(val - 1.0) < 1e-9
+        assert bates2_cdf(self.F_O, -self.F_O) == 0.0
+        assert bates2_cdf(self.F_O, -2 * self.F_O) == 0.0
+        assert bates2_cdf(self.F_O, self.F_O) == 1.0
+        assert bates2_cdf(self.F_O, 2 * self.F_O) == 1.0
 
     def test_variance_is_half_uniform(self):
-        # f_o^2/6: half the single-draw f_o^2/3
-        val, _ = integrate.quad(lambda x: x * x * bates2_pdf(self.F_O, x),
-                                -self.F_O, self.F_O)
+        # f_o^2/6, half the single-draw f_o^2/3: for a symmetric law
+        # E[x^2] = int_0^f_o 2x P(|x| > x) dx = int_0^f_o 4x (1 - F(x)) dx
+        val, _ = integrate.quad(lambda x: 4.0 * x * (1.0 - bates2_cdf(self.F_O, x)),
+                                0.0, self.F_O)
         assert val == pytest.approx(self.F_O**2 / 6.0, rel=1e-9)
 
     def test_matches_histogram_of_uniform_pairs(self):
         rng = np.random.default_rng(1234)
         pairs = rng.uniform(-self.F_O, self.F_O, size=(1_000_000, 2)).mean(axis=1)
-        hist, edges = np.histogram(pairs, bins=100,
-                                   range=(-self.F_O, self.F_O), density=True)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        assert np.max(np.abs(hist - bates2_pdf(self.F_O, centers))) < 1e-2
+        counts, edges = np.histogram(pairs, bins=100, range=(-self.F_O, self.F_O))
+        # bin masses are at most 0.02, with standard errors of at most 1.4e-4
+        mass = np.diff(bates2_cdf(self.F_O, edges))
+        assert np.max(np.abs(counts / pairs.size - mass)) < 7e-4
 
     def test_cdf_monotone_and_bounded(self):
         xs = np.linspace(-150, 150, 301)

@@ -464,14 +464,58 @@ def test_battery_streams_disjoint_at_neighbouring_seeds(monkeypatch):
     assert not keys[11] & keys[12]
 
 
-def test_zero_delay_limit_check_can_fail(monkeypatch):
-    """The battery compares the model at zero delay with the one-oscillator
-    Lorentzian written out, so a model off by 1e-6 fails the check."""
+@pytest.mark.parametrize("name", ["delayed-psd-zero-delay-limit",
+                                  "delayed-psd-large-delay-limit", "lorentzian-unit-power"])
+def test_zero_delay_limit_check_can_fail(monkeypatch, name):
+    """The battery compares the model's delay limits and the pair's power
+    with the Lorentzians written out, so a model off by 1e-6 fails each."""
     tap_psd = analytic.tap_psd
     monkeypatch.setattr(analytic, "tap_psd", lambda *args: tap_psd(*args) * (1 + 1e-6))
     report = experiments.run_acceptance(ExperimentConfig(output_dir=""))
-    check, = (c for c in report["checks"] if c["name"] == "delayed-psd-zero-delay-limit")
+    check, = (c for c in report["checks"] if c["name"] == name)
     assert not check["passed"]
+
+
+def test_ensemble_checks_pass_over_100_seeds():
+    """The variance and autocorrelation checks are gated at Z_GATE standard
+    errors, a false-fail rate of 1e-4 per compared value: none fails at
+    seeds 1..100."""
+    failed = [(seed, name, measured) for seed in range(1, 101)
+              for name, measured, tolerance in experiments._ensemble_checks(1e4, seed)
+              if not measured < tolerance]
+    assert not failed
+
+
+def test_autocorr_check_finite_where_paths_do_not_spread():
+    """At beta = 1e-12 every path's exp(j theta) rounds to the same values:
+    the standard error is floored at eps, so the check reads 0, not 0/0."""
+    checks = {name: (measured, tolerance)
+              for name, measured, tolerance in experiments._ensemble_checks(1e-12, 1)}
+    measured, tolerance = checks["phase-shift-autocorr"]
+    assert measured < tolerance
+
+
+def test_variance_checks_fail_three_percent_off(monkeypatch):
+    """An ensemble whose walks diffuse at 1.03 beta fails all three
+    variance checks (each reads about 0.03, against 0.0123)."""
+    ensemble = stochastic.wiener_ensemble
+    monkeypatch.setattr(stochastic, "wiener_ensemble",
+                        lambda *args: ensemble(*args) * np.sqrt(1.03))
+    report = experiments.run_acceptance(ExperimentConfig(output_dir=""))
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("wiener-variance-slope", "pair-averaging-variance-halving",
+                 "quad-averaging-variance-quartering"):
+        assert not checks[name]["passed"]
+        assert checks[name]["tolerance"] == pytest.approx(0.0123, abs=1e-4)
+
+
+@pytest.mark.parametrize("beta", ["100", "1e6"])
+def test_acceptance_exits_0_across_beta(tmp_path, beta):
+    """The battery's checks hold away from the default beta, the pair's
+    unit power among them: its grid scales with the line."""
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text(f"beta = {beta}\n")
+    assert main(["acceptance", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 class TestAcceptanceCommand:

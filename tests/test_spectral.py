@@ -152,6 +152,12 @@ class TestEnsembleWelch:
         with pytest.raises(ParameterError):
             psd_of_phase_shift([], 1.0, segment_len=64)
 
+    @pytest.mark.parametrize("segment_len,fs", [(0, 1.0), (-4, 1.0), (8, 0.0),
+                                                (8, float("nan"))])
+    def test_bad_segment_len_or_fs_rejected(self, segment_len, fs):
+        with pytest.raises(ParameterError):
+            welch_psd(np.ones(16), fs=fs, segment_len=segment_len)
+
 
 class TestAutocorrEstimate:
     def test_zero_lag_unit_modulus(self):
