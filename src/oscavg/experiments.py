@@ -25,9 +25,9 @@ from .stochastic import STREAM_PHASE, TWO_PI, ParameterError
 LOG_GRID = (1e3, 1e7, 200)   # offset range and point count of the log sweep
 LIN_BAND = 2.5e6             # half-width of the linear sweep
 LIN_POINTS = 501
-# Samples per block of paths in the ensemble estimates (one Welch call per
-# block, at least one path). Output does not depend on it; it bounds the
-# memory one block takes.
+# Samples per block of paths in the ensemble estimates (at least one path).
+# Output does not depend on it. Each estimate allocates one set of Welch
+# buffers, sized by its largest block, so it bounds those buffers.
 BLOCK_SAMPLES = 2**15
 # Largest waveform `simulate` accepts, in samples (duration * fs). The
 # table is written TABLE_CHUNK_ROWS rows at a time, so its text (~35 bytes
@@ -305,6 +305,26 @@ def _ensemble_checks(beta: float, seed: int) -> List[Tuple[str, float, float]]:
     return out
 
 
+def _white_noise_check(seed: int) -> Tuple[str, float, float]:
+    """(name, measured, tolerance) of the Welch density scale on 2^16
+    samples of unit white noise at the master seed. mean(psd) * fs is
+    sum_t c_t x_t^2, where c_t = sum_s w^2_(t - start_s) / (S U) is sample
+    t's share of the S segments' window power U = sum w^2 (the c_t sum to
+    1). Against np.var, its relative standard error for Gaussian x is
+    sqrt(2 sum_t (c_t - 1/N)^2)."""
+    n, welch_args = 2**16, {"fs": 1e6, "segment_len": 1024, "overlap": 0.5, "window": "hann"}
+    white = stochastic.path_rng((seed, 0), TAG_WHITE_NOISE).normal(size=n)
+    est = spectral.welch_psd(white, **welch_args)
+    plan = spectral._plan(white.shape, **welch_args)
+    share = np.zeros(n)
+    for start in range(0, plan.segments * plan.step, plan.step):
+        share[start:start + len(plan.win)] += plan.win**2
+    share /= plan.segments * np.sum(plan.win**2)
+    return ("welch-white-normalization",
+            _rel_err(float(np.mean(est.psd)) * welch_args["fs"], float(np.var(white))),
+            Z_GATE * math.sqrt(2.0 * np.sum((share - 1.0 / n) ** 2)))
+
+
 def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
     """Run the property battery and write a machine-readable report.
 
@@ -370,10 +390,7 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
     power = np.trapezoid(analytic.tap_psd(beta, PAIR_TAPS, om_grid), om_grid) / TWO_PI
     checks.append(("lorentzian-unit-power", _rel_err(power, 2.0 / np.pi * math.atan(1e4)), 1e-9))
 
-    white = stochastic.path_rng((seed, 0), TAG_WHITE_NOISE).normal(size=2**16)
-    est = spectral.welch_psd(white, fs=1e6, segment_len=1024)
-    checks.append(("welch-white-normalization",
-                   _rel_err(float(np.mean(est.psd)) * 1e6, float(np.var(white))), 0.05))
+    checks.append(_white_noise_check(seed))
     tone = np.exp(1j * TWO_PI * 0.1 * np.arange(2**14))
     est = spectral.welch_psd(tone, fs=1.0, segment_len=1024)
     checks.append(("welch-tone-power", _rel_err(est.total_power(), 1.0), 0.02))

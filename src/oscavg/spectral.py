@@ -9,13 +9,18 @@ every segment of every row. The squared magnitudes are averaged over a
 row's segments and scaled by 1/(fs * sum(w^2)). That gives a two-sided
 density, so unit-variance white noise gives a flat 1/fs. Hann with 50%
 overlap is the default.
+
+Both entry points check their arguments in `_plan` and run one kernel,
+`_welch_rows`, which works in buffers its caller owns: `welch_psd`
+allocates them for its one call, `psd_of_phase_shift` once per ensemble.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +60,71 @@ def _window(kind: str, length: int) -> np.ndarray:
     return win
 
 
+class _Plan(NamedTuple):
+    """What a Welch estimate needs besides its data: the window, the step
+    between segment starts, the segments per row, and the density scale
+    fs * sum(w^2)."""
+
+    win: np.ndarray
+    step: int
+    segments: int
+    scale: float
+
+
+def _plan(shape, fs: float, segment_len: int, overlap: float, window: str) -> _Plan:
+    """Check the arguments of a Welch estimate over data of `shape` and
+    return its plan; every Welch entry point checks its arguments here."""
+    if not 1 <= len(shape) <= 2 or math.prod(shape) == 0:
+        raise ParameterError("pass a non-empty sequence or (rows, n) ensemble")
+    n = shape[-1]
+    if not 1 <= segment_len <= n:
+        raise ParameterError(f"segment_len={segment_len} is not in [1, data length {n}]")
+    if not 0 < fs < np.inf:
+        raise ParameterError(f"fs={fs} must be finite and > 0")
+    if not 0 <= overlap < 1:
+        raise ParameterError("overlap must be in [0, 1)")
+    if window not in ("hann", "rect"):
+        raise ParameterError("window must be 'hann' or 'rect'")
+    win = _window(window, segment_len)
+    step = segment_len - int(segment_len * overlap)
+    return _Plan(win, step, (n - segment_len) // step + 1, fs * np.sum(win**2))
+
+
+def _take(work: dict, key: str, shape, dtype) -> np.ndarray:
+    """A C-contiguous array of `shape` on the front of the flat buffer
+    work[key], which is replaced by a larger one when it is too small."""
+    size = math.prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def _welch_rows(x: np.ndarray, plan: _Plan, work: dict) -> np.ndarray:
+    """The Welch densities of the rows of the 2-d array `x`, in FFT order,
+    computed in buffers taken from `work` (see `_take`). The result is one
+    of those buffers, so it holds only until `work` is used again."""
+    segs = np.lib.stride_tricks.sliding_window_view(x, len(plan.win), axis=-1)[:, ::plan.step]
+    spec = _take(work, "spec", segs.shape, np.result_type(x.dtype, plan.win.dtype, np.complex64))
+    np.multiply(segs, plan.win, out=spec)
+    np.fft.fft(spec, axis=-1, out=spec)
+    power = _take(work, "power", segs.shape, spec.real.dtype)
+    np.square(spec.real, out=power)
+    np.square(spec.imag, out=spec.imag)
+    power += spec.imag
+    psd = _take(work, "psd", (x.shape[0], len(plan.win)), power.dtype)
+    np.mean(power, axis=1, out=psd)
+    psd /= plan.scale
+    return psd
+
+
+def _estimate(psd: np.ndarray, fs: float, n_segments: int) -> SpectrumEstimate:
+    """The estimate of densities `psd` given in FFT order, on the centered grid."""
+    segment_len = psd.shape[-1]
+    return SpectrumEstimate(freqs=np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs)),
+                            psd=np.fft.fftshift(psd, axes=-1), n_segments=n_segments)
+
+
 def welch_psd(x, fs: float, segment_len: int = 1024,
               overlap: float = 0.5, window: str = "hann") -> SpectrumEstimate:
     """Two-sided Welch density estimate of a real or complex sequence
@@ -66,28 +136,10 @@ def welch_psd(x, fs: float, segment_len: int = 1024,
     offsets from the carrier for baseband inputs.
     """
     data = np.asarray(x)
-    if not 1 <= data.ndim <= 2 or data.size == 0:
-        raise ParameterError("pass a non-empty sequence or (rows, n) ensemble")
-    n = data.shape[-1]
-    if not 1 <= segment_len <= n:
-        raise ParameterError(f"segment_len={segment_len} is not in [1, data length {n}]")
-    if not 0 < fs < np.inf:
-        raise ParameterError(f"fs={fs} must be finite and > 0")
-    if not 0 <= overlap < 1:
-        raise ParameterError("overlap must be in [0, 1)")
-    if window not in ("hann", "rect"):
-        raise ParameterError("window must be 'hann' or 'rect'")
-    win = _window(window, segment_len)
-    noverlap = int(segment_len * overlap)
-    step = segment_len - noverlap
-    segs = np.lib.stride_tricks.sliding_window_view(data, segment_len, axis=-1)[..., ::step, :]
-    spec = np.fft.fft(segs * win, axis=-1)
-    power = spec.real**2 + spec.imag**2
-    psd = np.fft.fftshift(power.mean(axis=-2), axes=-1) / (fs * np.sum(win**2))
-    freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
-    rows = data.shape[0] if data.ndim == 2 else 1
-    n_segments = rows * max(1, (n - noverlap) // step)
-    return SpectrumEstimate(freqs=freqs, psd=psd, n_segments=n_segments)
+    plan = _plan(data.shape, fs, segment_len, overlap, window)
+    rows = np.atleast_2d(data)
+    psd = _welch_rows(rows, plan, {})
+    return _estimate(psd if data.ndim == 2 else psd[0], fs, rows.shape[0] * plan.segments)
 
 
 def autocorr_per_path(sequences: np.ndarray, lags: Sequence[int]) -> np.ndarray:
@@ -116,26 +168,27 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
     """Welch PSD of exp(j*theta), averaged over an ensemble of phase paths.
 
     `blocks` yields 2-d arrays of phase samples, one path per row; pass one
-    ensemble as `[ens]`. Each block takes one Welch call. The row densities
-    are summed in path order and divided once at the end, so the result does
-    not depend on how the paths are split into blocks. The frequency grid is
-    the offset from the carrier in Hz.
+    ensemble as `[ens]`. Each block runs through the Welch kernel in work
+    buffers allocated once per call, sized by the largest block so far. The
+    row densities are summed in path order and divided once at the end, so
+    the result does not depend on how the paths are split into blocks. The
+    frequency grid is the offset from the carrier in Hz.
     """
-    acc, n_rows, n_segments, est = None, 0, 0, None
+    fs = 1.0 / dt if dt else np.inf  # dt = 0 is refused as fs = inf
+    work: dict = {}
+    acc, n_rows, n_segments = None, 0, 0
     for block in blocks:
         theta = np.atleast_2d(np.asarray(block, dtype=float))
-        z = np.empty(theta.shape, dtype=complex)
+        plan = _plan(theta.shape, fs, segment_len, overlap, window)
+        z = _take(work, "z", theta.shape, complex)
         np.cos(theta, out=z.real)
         np.sin(theta, out=z.imag)
-        est = welch_psd(z, fs=1.0 / dt, segment_len=segment_len, overlap=overlap,
-                        window=window)
-        for row in est.psd:
-            if acc is None:
-                acc = np.array(row)
-            else:
-                acc += row
-        n_rows += est.psd.shape[0]
-        n_segments += est.n_segments
-    if est is None:
+        if acc is None:
+            acc = np.zeros(segment_len)
+        for row in _welch_rows(z, plan, work):
+            acc += row
+        n_rows += theta.shape[0]
+        n_segments += theta.shape[0] * plan.segments
+    if acc is None:
         raise ParameterError("empty ensemble")
-    return SpectrumEstimate(freqs=est.freqs, psd=acc / n_rows, n_segments=n_segments)
+    return _estimate(acc / n_rows, fs, n_segments)

@@ -395,14 +395,20 @@ class TestFigureCommands:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_estimate_bytes_independent_of_block_size(self, tmp_path, monkeypatch):
+        # 8 paths of 4 * 512 samples: one block, one path per block, and
+        # blocks of 3, 3 and 2 paths (a ragged last block)
         cfg = _small_cfg(tmp_path)
-        main(["figure-linear", "--config", str(cfg), "--out", str(tmp_path / "a")])
-        monkeypatch.setattr(experiments, "BLOCK_SAMPLES", 1)  # one path per block
-        main(["figure-linear", "--config", str(cfg), "--out", str(tmp_path / "b")])
-        for name in ("psd_lin_base.est.data", "psd_lin_ind.est.data",
-                     "psd_lin_delta_1em6.est.data"):
-            assert (tmp_path / "a" / name).read_bytes() \
-                == (tmp_path / "b" / name).read_bytes()
+        block_samples = (experiments.BLOCK_SAMPLES, 1, 3 * 4 * 512)
+        for command, prefix in (("figure-log", "log"), ("figure-linear", "lin")):
+            for block in block_samples:
+                monkeypatch.setattr(experiments, "BLOCK_SAMPLES", block)
+                out = tmp_path / f"{prefix}_{block}"
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            for curve in ("base", "ind", "delta_1em6"):
+                name = f"psd_{prefix}_{curve}.est.data"
+                want = (tmp_path / f"{prefix}_{block_samples[0]}" / name).read_bytes()
+                for block in block_samples[1:]:
+                    assert (tmp_path / f"{prefix}_{block}" / name).read_bytes() == want
 
 
 @pytest.mark.parametrize("run", [experiments.run_figure_log, experiments.run_figure_linear])
@@ -507,6 +513,26 @@ def test_variance_checks_fail_three_percent_off(monkeypatch):
                  "quad-averaging-variance-quartering"):
         assert not checks[name]["passed"]
         assert checks[name]["tolerance"] == pytest.approx(0.0123, abs=1e-4)
+
+
+def test_white_noise_check_gated_at_its_standard_error(monkeypatch):
+    """welch-white-normalization is gated at Z_GATE standard errors of its
+    share-weighted sum (about 5.4e-3): no seed of 1..300 fails it, and a
+    density scaled by 1/(fs L) in place of 1/(fs sum(w^2)) does."""
+    checks = [experiments._white_noise_check(seed) for seed in range(1, 301)]
+    assert checks[0][2] == pytest.approx(5.40e-3, abs=1e-5)
+    assert all(measured < tolerance for _, measured, tolerance in checks)
+    welch = spectral.welch_psd
+
+    def per_segment_length(x, **kwargs):  # hann: sum(w^2) = 3 L / 8
+        est = welch(x, **kwargs)
+        return spectral.SpectrumEstimate(est.freqs, est.psd * 0.375, est.n_segments)
+
+    monkeypatch.setattr(spectral, "welch_psd", per_segment_length)
+    report = experiments.run_acceptance(ExperimentConfig(output_dir=""))
+    check, = (c for c in report["checks"] if c["name"] == "welch-white-normalization")
+    assert not check["passed"]
+    assert check["measured"] == pytest.approx(0.625, abs=0.01)
 
 
 @pytest.mark.parametrize("beta", ["100", "1e6"])

@@ -152,11 +152,60 @@ class TestEnsembleWelch:
         with pytest.raises(ParameterError):
             psd_of_phase_shift([], 1.0, segment_len=64)
 
+    @pytest.mark.parametrize("block_shapes", [
+        [(12, 2048), (3, 2048), (1, 2048)],    # shrinking
+        [(1, 2048), (3, 2048), (12, 2048)],    # growing in rows
+        [(2, 1024), (2, 4096), (3, 2560)],     # growing in length: more segments a row
+        [(1, 2048)] * 5,                       # one row each
+    ])
+    def test_matches_reference_written_out(self, block_shapes):
+        # the ensemble estimate is, bit for bit, the Welch density of each
+        # path's exp(j theta), summed row by row in path order and divided
+        # by the path count; the blocks shrink and grow as the buffers must
+        dt, seg = 1e-6, 512
+        blocks, first = [], 0
+        for rows, n in block_shapes:
+            blocks.append(wiener_ensemble(1e4, 0.0, dt, n, master_seed=211, n_paths=rows,
+                                          first_index=first))
+            first += rows
+        densities, n_segments = [], 0
+        for theta in blocks:
+            est = welch_psd(np.cos(theta) + 1j * np.sin(theta), fs=1 / dt, segment_len=seg)
+            densities.extend(est.psd)
+            n_segments += est.n_segments
+        total = densities[0].copy()
+        for row in densities[1:]:
+            total += row
+        got = psd_of_phase_shift(blocks, dt, segment_len=seg)
+        assert np.array_equal(got.psd, total / len(densities))
+        assert np.array_equal(got.freqs, est.freqs)
+        assert got.n_segments == n_segments
+
     @pytest.mark.parametrize("segment_len,fs", [(0, 1.0), (-4, 1.0), (8, 0.0),
-                                                (8, float("nan"))])
-    def test_bad_segment_len_or_fs_rejected(self, segment_len, fs):
-        with pytest.raises(ParameterError):
-            welch_psd(np.ones(16), fs=fs, segment_len=segment_len)
+                                                (8, float("nan")), (8, float("inf"))])
+    def test_bad_segment_len_or_fs_rejected(self, monkeypatch, segment_len, fs):
+        _rejected_alike(monkeypatch, segment_len=segment_len, fs=fs)
+
+    @pytest.mark.parametrize("overlap,window", [(1.0, "hann"), (-0.5, "hann"),
+                                                (0.5, "hamming")])
+    def test_bad_overlap_or_window_rejected(self, monkeypatch, overlap, window):
+        _rejected_alike(monkeypatch, overlap=overlap, window=window)
+
+
+def _rejected_alike(monkeypatch, segment_len=8, fs=1.0, overlap=0.5, window="hann"):
+    """Both Welch entry points refuse the arguments with the same message,
+    and before any FFT runs. psd_of_phase_shift takes dt = 1/fs, so fs = 0
+    is dt = inf, and fs = inf is dt = 0."""
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran before the arguments were checked")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    args = {"segment_len": segment_len, "overlap": overlap, "window": window}
+    with pytest.raises(ParameterError) as direct:
+        welch_psd(np.ones((2, 16)), fs=fs, **args)
+    with pytest.raises(ParameterError) as ensemble:
+        psd_of_phase_shift([np.zeros((2, 16))], np.inf if fs == 0 else 1.0 / fs, **args)
+    assert str(ensemble.value) == str(direct.value)
 
 
 class TestAutocorrEstimate:
