@@ -73,6 +73,9 @@ class ExperimentConfig:
                             ("n_oscillators", 2)):
             if getattr(self, name) < least:
                 raise ParameterError(f"{name} must be >= {least}")
+        # the range of a random stream's key (stochastic._check_key)
+        if self.seed >= 2**64 or self.n_paths > 2**32:
+            raise ParameterError("seed must be < 2**64 and n_paths <= 2**32")
         if self.scenario == "delayed_self" and self.delta is None:
             raise ParameterError("delayed_self scenario requires delta")
         if self.delta is not None and self.delta < 0:

@@ -86,8 +86,12 @@ def _plan(shape, fs: float, segment_len: int, overlap: float, window: str) -> _P
     if window not in ("hann", "rect"):
         raise ParameterError("window must be 'hann' or 'rect'")
     win = _window(window, segment_len)
+    power = np.sum(win**2)
+    if power == 0:  # the periodic hann of one sample is [0]
+        raise ParameterError(f"the {window} window of segment_len={segment_len} is all "
+                             f"zeros, so it has no power")
     step = segment_len - int(segment_len * overlap)
-    return _Plan(win, step, (n - segment_len) // step + 1, fs * np.sum(win**2))
+    return _Plan(win, step, (n - segment_len) // step + 1, fs * power)
 
 
 def _take(work: dict, key: str, shape, dtype) -> np.ndarray:

@@ -3,24 +3,25 @@
 All randomness is a function of a key, never of generation order, so
 ensembles are reproducible whatever order or thread count builds them.
 A Wiener path is keyed by (master_seed, path_index) and a stream tag: its
-increments come from a PCG64 stream that numpy's SeedSequence derives from
-master_seed and the spawn key (path_index, tag). An ensemble seeds the
-streams of a whole block of paths with one vectorised pass of that same
-hash (seed_words), so each row is the walk wiener_path draws for its key,
-bit for bit, without a SeedSequence per path. A frequency offset is
-counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11): one keyed BLAKE2b hash of (master_seed, path_index, offset tag)
-gives one uniform, which the distribution's inverse CDF maps to the offset.
+increments come from a PCG64 stream seeded as numpy's SeedSequence seeds
+one from master_seed and the spawn key (path_index, tag). _seed_words, the
+one seeding function, runs that hash for a whole block of paths at once,
+so each row of an ensemble is the walk wiener_path draws for its key, bit
+for bit. A frequency offset is counter-based (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11): one keyed BLAKE2b hash of
+(master_seed, path_index, offset tag) gives one uniform, which the
+distribution's inverse CDF maps to the offset.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -36,22 +37,35 @@ STREAM_PHASE = 0
 STREAM_OFFSET = 1
 
 # offset draws: the key (master, index, STREAM_OFFSET) as three unsigned
-# 64-bit words, hashed with BLAKE2b under a fixed personalization tag
-_OFFSET_KEY = struct.Struct("<3Q")
+# 64-bit words, hashed with BLAKE2b under a fixed tag into one such word
+_OFFSET_KEY, _OFFSET_BITS = struct.Struct("<3Q"), struct.Struct("<Q")
 _OFFSET_HASH = hashlib.blake2b(digest_size=8, person=b"oscavg-offset")
 _TWO53 = 2**53
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# 32-bit words mixes the entropy words, which are the master's
-# little-endian words zero-padded to four (a spawn key follows), then the
-# words of the path index and of the tag; the pool's output is the stream's
-# PCG64 seed
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx). For a master
+# in [0, 2**64) and a spawn key (index, tag) of words below 2**32 it reads
+# six entropy words: the master's two little-endian words zero-padded to
+# four, then the index, then the tag. Its hashmix call k xors a word with
+# INIT * MULT**k and multiplies it by INIT * MULT**(k + 1): calls 0-15 build
+# the pool from the master, 16-19 mix in the index and 20-23 the tag, and
+# the output's eight calls run under the B constants.
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 
+
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """(xor, multiplier) of hashmix calls first .. first + count - 1, shape
+    (2, count, 1) uint32: columns that broadcast along a block's rows."""
+    h = [init * pow(mult, k, 2**32) & _M32 for k in range(first, first + count + 1)]
+    return np.array([h[:-1], h[1:]], dtype=np.uint32)[..., None]
+
+
+_INDEX_MIX = _hash_consts(_INIT_A, _MULT_A, 16, 4)
+_TAG_MIX = _hash_consts(_INIT_A, _MULT_A, 20, 4)
+_OUT_MIX = _hash_consts(_INIT_B, _MULT_B, 0, 8).reshape(2, 2, 4, 1)
 
 # (source, weight, delay in seconds) of each term of a phase
 # sum_j weight_j * theta^(source_j)_{t - delay_j}; see analytic.py
@@ -64,119 +78,69 @@ class ParameterError(ValueError):
     the package is one; the CLI reports it with exit 2."""
 
 
-def path_rng(seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> np.random.Generator:
-    """Independent generator for one (master seed, path index) pair on one
-    stream tag."""
-    master, index = seed_id
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=(int(index), int(stream)))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def _words32(value: int) -> List[int]:
-    """The little-endian 32-bit words SeedSequence reads from an integer
-    >= 0 (one word, 0, for 0)."""
-    words = [value & _M32]
-    value >>= 32
-    while value:
-        words.append(value & _M32)
-        value >>= 32
-    return words
+def _check_key(master, index, rows: int, stream):
+    """ParameterError unless the key (master, index, tag) of `rows` streams
+    from `index` on is integers, with master in [0, 2**64) and every index
+    and the tag in [0, 2**32)."""
+    try:
+        operator.index(master), operator.index(index), operator.index(stream)
+        if 0 <= master < 2**64 and 0 <= index and index + rows <= 2**32 and 0 <= stream < 2**32:
+            return
+    except TypeError:  # not an integer
+        pass
+    raise ParameterError(f"stream key ({master!r}, {index!r}..+{rows}, {stream!r}) must be "
+                         f"integers: master in [0, 2**64), indices and tag in [0, 2**32)")
 
 
 @lru_cache(maxsize=64)
-def _block_hash(master: int, index_words: int, stream: int):
-    """What the hash of every key (master, index, stream) with an index of
-    `index_words` words shares: the pool after the master's words, the
-    (xor, multiplier) constants that mix each index word into it, the
-    stream tag's mixed words times _MIX_R, and the output constants. The hash
-    constants do not depend on the data, so a block of indices reuses them."""
-    h = _INIT_A
-
-    def constants(count: int, mult: int = _MULT_A) -> np.ndarray:
-        # the (xor, multiplier) pairs of the next `count` hashmix calls, as
-        # columns that broadcast along a block's rows
-        nonlocal h
-        pairs = np.empty((2, count, 1), dtype=np.uint32)
-        for i in range(count):
-            pairs[0, i] = h
-            h = h * mult & _M32
-            pairs[1, i] = h
-        return pairs
+def _master_pool(master: int) -> np.ndarray:
+    """The hash pool after the master's words (hashmix calls 0-15), a
+    read-only (4, 1) uint32 column."""
+    calls = iter(zip(*_hash_consts(_INIT_A, _MULT_A, 0, 16)[..., 0].tolist()))
 
     def hashmix(value: int) -> int:
-        [[xor]], [[mult]] = constants(1).tolist()
+        xor, mult = next(calls)
         value = (value ^ xor) * mult & _M32
         return value ^ (value >> _XSHIFT)
 
-    def mix(x: int, y: int) -> int:
-        r = (_MIX_L * x - _MIX_R * y) & _M32
-        return r ^ (r >> _XSHIFT)
-
-    entropy = _words32(master)
-    entropy += [0] * (4 - len(entropy))
-    pool = [hashmix(word) for word in entropy[:4]]
+    pool = [hashmix(word) for word in (master & _M32, master >> 32, 0, 0)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        pool = [mix(p, hashmix(word)) for p in pool]
-    # each later word meets the four pool words through four hashmix calls
-    index_consts = np.array([constants(4) for _ in range(index_words)])
-    stream_consts = np.array([[[hashmix(word) * _MIX_R & _M32] for _ in range(4)]
-                              for word in _words32(stream)], dtype=np.uint32)
-    h = _INIT_B
-    shared = (np.array(pool, dtype=np.uint32)[:, None], index_consts, stream_consts,
-              constants(8, _MULT_B).reshape(2, 2, 4, 1))
-    for array in shared:  # every caller gets these very arrays
-        array.flags.writeable = False
-    return shared
+                r = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])) & _M32
+                pool[dst] = r ^ (r >> _XSHIFT)
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool.flags.writeable = False
+    return pool
 
 
-def seed_words(master: int, first_index: int, n_paths: int,
-               stream: int = STREAM_PHASE) -> np.ndarray:
+def _seed_words(master, first_index, n_paths: int, stream) -> np.ndarray:
     """PCG64 seeds of the streams of (master, first_index + i) on a stream
     tag, shape (n_paths, 4), uint64: row i is numpy's
     SeedSequence(master, spawn_key=(first_index + i, stream))
-    .generate_state(4, np.uint64), computed for the whole block in one
-    vectorised pass. Indices below 2**32 are one word and larger ones two,
-    so the rows are hashed in those two groups."""
-    master, first_index, stream = int(master), int(first_index), int(stream)
-    if min(master, first_index, stream) < 0 or first_index + n_paths > 2**64:
-        raise ParameterError(f"seed key ({master}, {first_index}..+{n_paths}, {stream}) "
-                             f"must be integers >= 0, with path indices below 2**64")
-    index = np.arange(first_index, first_index + n_paths, dtype=np.uint64)
-    # the pool is (4, rows), so each operation runs along the rows; the
-    # output cycles twice through it
-    state = np.empty((2, 4, n_paths), dtype=np.uint32)
-    one_word = min(max(2**32 - first_index, 0), n_paths)
-    for rows, index_words in ((slice(0, one_word), 1), (slice(one_word, n_paths), 2)):
-        if rows.start == rows.stop:
-            continue
-        pool, index_consts, stream_consts, (out_xor, out_mult) = _block_hash(
-            master, index_words, stream)
-        for shift, (xor, mult) in zip((0, 32), index_consts):
-            y = (index[rows] >> np.uint64(shift)).astype(np.uint32) ^ xor
-            y *= mult
-            y ^= y >> _XSHIFT
-            y *= _MIX_R
-            pool = pool * _MIX_L - y
-            pool ^= pool >> _XSHIFT
-        for y in stream_consts:
-            pool *= _MIX_L
-            pool -= y
-            pool ^= pool >> _XSHIFT
-        block = state[:, :, rows]
-        np.bitwise_xor(pool, out_xor, out=block)
-        block *= out_mult
-        block ^= block >> _XSHIFT
+    .generate_state(4, np.uint64), hashed for the whole block in one
+    vectorised pass. Keys outside _check_key's range are a ParameterError."""
+    _check_key(master, first_index, n_paths, stream)
+    pool = _master_pool(int(master))  # (4, rows): each operation runs along the rows
+    index = np.arange(first_index, first_index + n_paths, dtype=np.uint32)
+    for word, (xor, mult) in ((index, _INDEX_MIX), (np.uint32(stream), _TAG_MIX)):
+        y = word ^ xor
+        y *= mult
+        y ^= y >> _XSHIFT
+        y *= _MIX_R
+        pool = pool * _MIX_L - y
+        pool ^= pool >> _XSHIFT
+    # the output cycles twice through the pool
+    state = pool ^ _OUT_MIX[0]
+    state *= _OUT_MIX[1]
+    state ^= state >> _XSHIFT
     # word pairs as little-endian 64-bit words, one contiguous row per path
     words = np.ascontiguousarray(state.reshape(8, n_paths).T)
     return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 class _Seeded(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose PCG64 seed seed_words has already hashed."""
+    """A seed sequence whose PCG64 seed _seed_words has already hashed."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
@@ -184,6 +148,13 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
     def generate_state(self, n_words, dtype=np.uint32):
         # PCG64 asks for exactly its four 64-bit words
         return self.words
+
+
+def path_rng(seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> np.random.Generator:
+    """Independent generator for one (master seed, path index) pair on one
+    stream tag."""
+    master, index = seed_id
+    return np.random.Generator(np.random.PCG64(_Seeded(_seed_words(master, index, 1, stream)[0])))
 
 
 def lag_samples(delay: float, dt: float) -> int:
@@ -317,14 +288,10 @@ def wiener_path(beta: float, theta0: float, dt: float, n: int,
 
 def _offset_bits(master: int, index: int) -> int:
     """64 hash bits of the offset key of (master, index)."""
-    try:
-        key = _OFFSET_KEY.pack(master, index, STREAM_OFFSET)
-    except struct.error:
-        raise ParameterError(
-            f"offset seed id {(master, index)!r} must be integers in [0, 2**64)") from None
+    _check_key(master, index, 1, STREAM_OFFSET)
     h = _OFFSET_HASH.copy()
-    h.update(key)
-    return int.from_bytes(h.digest(), "little")
+    h.update(_OFFSET_KEY.pack(master, index, STREAM_OFFSET))
+    return _OFFSET_BITS.unpack(h.digest())[0]
 
 
 def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
@@ -372,14 +339,14 @@ def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
                     first_index: int = 0, stream: int = STREAM_PHASE) -> np.ndarray:
     """Stack of n_paths independent walks, shape (n_paths, n); row i is
     wiener_path(beta, theta0, dt, n, (master_seed, first_index + i), stream)
-    bit for bit. One seed_words pass seeds every row's stream, the rows'
+    bit for bit. One _seed_words pass seeds every row's stream, the rows'
     standard normals are drawn straight into the block, and one cumulative
     sum integrates it."""
     _check_walk(beta, dt, n)
     out = np.empty((n_paths, n), dtype=float)
     if n > 1 and beta != 0.0:
         out[:, 0] = 0.0
-        for row, words in zip(out, seed_words(master_seed, first_index, n_paths, stream)):
+        for row, words in zip(out, _seed_words(master_seed, first_index, n_paths, stream)):
             np.random.Generator(np.random.PCG64(_Seeded(words))).standard_normal(out=row[1:])
         out *= np.sqrt(TWO_PI * beta * dt)
         # wiener_path's steps are normal(0.0, scale) = 0.0 + scale * z, never
@@ -417,17 +384,7 @@ def tap_ensemble(beta: float, taps: Taps, dt: float, n: int, master_seed: int,
     walks = {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, n_paths,
                                 first_index=first_index, stream=s)
              for s, L in longest.items()}
-    last_reader = {s: j for j, (s, _, _) in enumerate(taps)}
-    out = None
-    for j, ((s, weight, _), lag) in enumerate(zip(taps, lags)):
-        term = walks[s][:, longest[s] - lag:longest[s] - lag + n]
-        if weight != 1.0:
-            # a walk no later tap reads is scaled where it lies
-            term = np.multiply(term, weight, out=term if j == last_reader[s] else None)
-        elif out is None and j != last_reader[s]:
-            term = term.copy()  # the sum must not write into a walk still read
-        if out is None:
-            out = term
-        else:
-            out += term
+    out = np.zeros((n_paths, n))
+    for (s, weight, _), lag in zip(taps, lags):
+        out += weight * walks[s][:, longest[s] - lag:longest[s] - lag + n]
     return out

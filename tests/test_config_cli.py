@@ -98,6 +98,10 @@ class TestConfig:
         with pytest.raises(ParameterError):
             parse_offset_descriptor("gamma:2")
 
+    def test_largest_stream_keys_parse(self):
+        cfg = ExperimentConfig.from_text(f"seed = {2**64 - 1}\nn_paths = {2**32}\n")
+        assert (cfg.seed, cfg.n_paths) == (2**64 - 1, 2**32)
+
     def test_hash_changes_with_content(self):
         a = ExperimentConfig(seed=1)
         b = ExperimentConfig(seed=2)
@@ -269,6 +273,9 @@ class TestFigureCommands:
     @pytest.mark.parametrize("command,line", [
         ("figure-log", "seed = -1"),
         ("figure-log", "n_paths = abc"),
+        # outside the range of a random stream's key
+        ("figure-log", f"seed = {2**64}"),
+        ("figure-log", f"n_paths = {2**32 + 1}"),
         ("figure-linear", "segment_len = 0"),
         ("simulate", "fs = inf"),
         ("simulate", "duration = nan"),
@@ -446,22 +453,16 @@ def test_curve_streams_disjoint_at_600k_paths(tmp_path, monkeypatch, run):
 
 def test_battery_streams_disjoint_at_neighbouring_seeds(monkeypatch):
     """The (master, index, tag) key of every random stream the acceptance
-    battery draws, recorded where streams are seeded (path_rng for one
-    stream, seed_words for a block of them) at seeds 11 and 12: no key is
-    drawn at both."""
+    battery draws, recorded where every stream is seeded (_seed_words) at
+    seeds 11 and 12: no key is drawn at both."""
     keys = {}
-    path_rng, seed_words = stochastic.path_rng, stochastic.seed_words
+    seed_words = stochastic._seed_words
 
-    def record(seed_id, stream=stochastic.STREAM_PHASE):
-        keys[seed].add((*seed_id, stream))
-        return path_rng(seed_id, stream)
-
-    def record_block(master, first_index, n_paths, stream=stochastic.STREAM_PHASE):
+    def record(master, first_index, n_paths, stream):
         keys[seed].update((master, i, stream) for i in range(first_index, first_index + n_paths))
         return seed_words(master, first_index, n_paths, stream)
 
-    monkeypatch.setattr(stochastic, "path_rng", record)
-    monkeypatch.setattr(stochastic, "seed_words", record_block)
+    monkeypatch.setattr(stochastic, "_seed_words", record)
     for seed in (11, 12):
         keys[seed] = set()
         experiments.run_acceptance(ExperimentConfig(seed=seed, output_dir=""))
@@ -535,13 +536,27 @@ def test_white_noise_check_gated_at_its_standard_error(monkeypatch):
     assert check["measured"] == pytest.approx(0.625, abs=0.01)
 
 
-@pytest.mark.parametrize("beta", ["100", "1e6"])
+@pytest.mark.parametrize("beta", ["1e-3", "100", "1e6"])
 def test_acceptance_exits_0_across_beta(tmp_path, beta):
-    """The battery's checks hold away from the default beta, the pair's
-    unit power among them: its grid scales with the line."""
+    """The battery's checks hold away from the default beta, without a
+    warning: the pair's unit power grid and the quadrature check's delay
+    and offsets scale with the line."""
     cfg = tmp_path / "beta.cfg"
     cfg.write_text(f"beta = {beta}\n")
-    assert main(["acceptance", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["acceptance", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1e4])
+def test_quadrature_check_can_fail(monkeypatch, beta):
+    """delayed-psd-vs-quadrature (gate 1e-3) fails on a model 1 % off."""
+    tap_psd = analytic.tap_psd
+    monkeypatch.setattr(analytic, "tap_psd", lambda *args: tap_psd(*args) * (1 + 1e-2))
+    report = experiments.run_acceptance(ExperimentConfig(beta=beta, output_dir=""))
+    check, = (c for c in report["checks"] if c["name"] == "delayed-psd-vs-quadrature")
+    assert not check["passed"]
 
 
 class TestAcceptanceCommand:

@@ -182,9 +182,12 @@ class TestEnsembleWelch:
         assert got.n_segments == n_segments
 
     @pytest.mark.parametrize("segment_len,fs", [(0, 1.0), (-4, 1.0), (8, 0.0),
-                                                (8, float("nan")), (8, float("inf"))])
+                                                (8, float("nan")), (8, float("inf")),
+                                                (1, 1.0)])  # a hann of one sample is [0]
     def test_bad_segment_len_or_fs_rejected(self, monkeypatch, segment_len, fs):
-        _rejected_alike(monkeypatch, segment_len=segment_len, fs=fs)
+        message = _rejected_alike(monkeypatch, segment_len=segment_len, fs=fs)
+        if segment_len == 1:
+            assert "hann window" in message
 
     @pytest.mark.parametrize("overlap,window", [(1.0, "hann"), (-0.5, "hann"),
                                                 (0.5, "hamming")])
@@ -195,7 +198,7 @@ class TestEnsembleWelch:
 def _rejected_alike(monkeypatch, segment_len=8, fs=1.0, overlap=0.5, window="hann"):
     """Both Welch entry points refuse the arguments with the same message,
     and before any FFT runs. psd_of_phase_shift takes dt = 1/fs, so fs = 0
-    is dt = inf, and fs = inf is dt = 0."""
+    is dt = inf, and fs = inf is dt = 0. Returns the message."""
     def no_fft(*args, **kwargs):
         raise AssertionError("an FFT ran before the arguments were checked")
 
@@ -206,6 +209,7 @@ def _rejected_alike(monkeypatch, segment_len=8, fs=1.0, overlap=0.5, window="han
     with pytest.raises(ParameterError) as ensemble:
         psd_of_phase_shift([np.zeros((2, 16))], np.inf if fs == 0 else 1.0 / fs, **args)
     assert str(ensemble.value) == str(direct.value)
+    return str(direct.value)
 
 
 class TestAutocorrEstimate:

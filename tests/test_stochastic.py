@@ -79,21 +79,22 @@ class TestWienerPath:
 
 
 class TestEnsembleSeeding:
-    # wiener_ensemble hashes a block's stream seeds in one vectorised pass;
-    # numpy's SeedSequence and wiener_path are the oracles, bit for bit
+    # every stream is seeded by one vectorised hash; numpy's SeedSequence
+    # and wiener_path are the oracles, bit for bit, over the whole key range
+    # (master below 2**64, path index and tag below 2**32)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(master=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**200])
-           | st.integers(0, 2**40).map(lambda k: 2**128 + k),
-           first=st.sampled_from([0, 2**32 - 2, 2**64 - 3]) | st.integers(0, 2**64 - 3),
+    @given(master=st.sampled_from([0, 1, 12345, 2**32 - 1, 2**32, 2**64 - 1])
+           | st.integers(0, 2**64 - 1),
+           first=st.sampled_from([0, 77, 2**32 - 3]) | st.integers(0, 2**32 - 3),
            rows=st.integers(1, 3),
-           stream=st.integers(0, TAG_DELAYED + 3))
-    @example(master=0, first=2**32 - 2, rows=3, stream=0)  # one- and two-word indices
-    @example(master=2**200, first=2**64 - 3, rows=3, stream=TAG_DELAYED + 3)
+           stream=st.sampled_from([0, 5, 2**32 - 1]) | st.integers(0, 2**32 - 1))
+    @example(master=2**64 - 1, first=2**32 - 3, rows=3, stream=2**32 - 1)  # every key at its top
+    @example(master=2**32, first=0, rows=1, stream=0)
     def test_seed_words_are_seed_sequence_states(self, master, first, rows, stream):
         want = [np.random.SeedSequence(master, spawn_key=(i, stream)).generate_state(4, np.uint64)
                 for i in range(first, first + rows)]
-        got = stochastic.seed_words(master, first, rows, stream)
+        got = stochastic._seed_words(master, first, rows, stream)
         assert got.dtype == np.uint64 and np.array_equal(got, want)
 
     @pytest.mark.parametrize("beta,theta0,n", [
@@ -101,25 +102,42 @@ class TestEnsembleSeeding:
         (5e-324, -0.0, 8),  # steps of scale 0: wiener_path's are all +0.0
         (1e4, 0.3, 1), (0.0, 0.3, 9), (0.0, -0.0, 4)])
     def test_ensemble_rows_are_wiener_paths(self, beta, theta0, n):
-        first = 2**32 - 2
+        first = 2**32 - 4  # the last row has the largest index
         ens = wiener_ensemble(beta, theta0, 1e-6, n, 77, 4, first_index=first, stream=5)
         assert ens.shape == (4, n)
         for i, row in enumerate(ens):
             path = wiener_path(beta, theta0, 1e-6, n, (77, first + i), 5)
             assert row.tobytes() == path.samples.tobytes()
 
-    @pytest.mark.parametrize("master,first", [(-1, 0), (0, -1), (2**64, -2), (0, 2**64 - 1)])
+    @pytest.mark.parametrize("master,first", [
+        (-1, 0), (0, -1), (2**64, -2), (0, 2**64 - 1), (2**64, 0), (0, 2**32), (1.5, 0),
+        (0, 1.5)])
     def test_keys_outside_the_hash_rejected(self, master, first):
-        # two rows from 2**64 - 1 reach index 2**64
         with pytest.raises(ParameterError):
             wiener_ensemble(1e4, 0.0, 1e-6, 8, master, 2, first_index=first)
+        with pytest.raises(ParameterError):
+            stochastic.path_rng((master, first))
+        with pytest.raises(ParameterError):
+            sample_offset(OffsetDist.normal(1.0), (master, first))
+
+    def test_block_reaching_index_2_32_rejected(self):
+        assert wiener_ensemble(1e4, 0.0, 1e-6, 8, 0, 1, first_index=2**32 - 1).shape == (1, 8)
+        with pytest.raises(ParameterError):
+            wiener_ensemble(1e4, 0.0, 1e-6, 8, 0, 2, first_index=2**32 - 1)
+
+    @pytest.mark.parametrize("stream", [-1, 2**32, 1.5])
+    def test_tags_outside_the_hash_rejected(self, stream):
+        with pytest.raises(ParameterError):
+            wiener_ensemble(1e4, 0.0, 1e-6, 8, 0, 2, stream=stream)
+        with pytest.raises(ParameterError):
+            stochastic.path_rng((0, 0), stream)
 
     def test_hash_emits_no_warning(self):
-        stochastic._block_hash.cache_clear()
+        stochastic._master_pool.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stochastic.seed_words(2**200, 2**32 - 2, 4, 2**40)
-            stochastic.seed_words(2**64 - 1, 2**64 - 5, 5, TAG_DELAYED)
+            stochastic._seed_words(2**64 - 1, 2**32 - 5, 5, 2**32 - 1)
+            stochastic._seed_words(0, 0, 4, TAG_DELAYED)
 
 
 class TestSampleOffset:
@@ -140,7 +158,7 @@ class TestSampleOffset:
 
     @pytest.mark.parametrize("dist", [OffsetDist.uniform(100.0), OffsetDist.normal(50.0)])
     def test_draw_is_a_function_of_its_key(self, dist):
-        keys = [(7, i) for i in range(50)] + [(8, 3), (0, 0), (2**64 - 1, 2**64 - 1)]
+        keys = [(7, i) for i in range(50)] + [(8, 3), (0, 0), (2**64 - 1, 2**32 - 1)]
         first = [sample_offset(dist, k) for k in keys]
         assert [sample_offset(dist, k) for k in reversed(keys)] == first[::-1]
         assert [sample_offset(dist, k) for k in keys] == first
@@ -167,7 +185,8 @@ class TestSampleOffset:
         # u = 2**-54 or its mirror: |z| is ndtri(2**-54) = 8.29
         assert np.isfinite(z) and sign * z == pytest.approx(8.29, abs=0.01)
 
-    @pytest.mark.parametrize("seed_id", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (1.5, 0)])
+    @pytest.mark.parametrize("seed_id", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (1.5, 0),
+                                         (0, 2**32)])
     def test_key_outside_packable_range(self, seed_id):
         with pytest.raises(ParameterError):
             sample_offset(OffsetDist.normal(1.0), seed_id)
