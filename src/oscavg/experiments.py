@@ -27,15 +27,18 @@ LIN_BAND = 2.5e6             # half-width of the linear sweep
 LIN_POINTS = 501
 # Samples per block of paths in the ensemble estimates (at least one path).
 # Output does not depend on it. Each estimate allocates one set of Welch
-# buffers, sized by its largest block, so it bounds those buffers.
+# buffers, sized by its largest block's segments: paths * segments *
+# segment_len samples, more than the block's own samples when segments
+# overlap, so this alone does not bound them; MAX_SAMPLES caps each path's.
 BLOCK_SAMPLES = 2**15
-# Largest waveform `simulate` accepts, in samples (duration * fs). The
-# table is written TABLE_CHUNK_ROWS rows at a time, so its text (~35 bytes
-# a row, ~0.6 GB here) is never held in memory; the circuit's arrays are,
-# and a much larger input would fail in allocation instead of with a
-# one-line error.
-MAX_SIMULATE_SAMPLES = 2**24
-# Rows `_write_table` formats and writes at once (~2.3 MB of text). Output
+# Largest input a command accepts, in samples: a `simulate` waveform
+# (duration * fs), and an estimated figure path (4 * segment_len) and the
+# Welch segment samples it makes. The arrays of that size are held in
+# memory, and a much larger input would fail in allocation instead of with
+# a one-line error. Tables are written TABLE_CHUNK_ROWS rows at a time, so
+# their text (~35 bytes a row, ~0.6 GB here) never is.
+MAX_SAMPLES = 2**24
+# Rows `_write_table` formats and writes at once (~2.5 MB of text). Output
 # does not depend on it.
 TABLE_CHUNK_ROWS = 2**16
 
@@ -109,13 +112,107 @@ def _make_out_dir(out: Path):
         raise ParameterError(f"cannot write output: {exc}") from None
 
 
-def _open_output(path: Path):
-    """Open the output file `path` for writing text; a path that cannot be
-    opened is a ParameterError. Errors while writing are left as they are."""
+def _open_output(path: Path, mode: str = "w"):
+    """Open the output file `path` for writing (text unless `mode` says
+    "wb"); a path that cannot be opened is a ParameterError. Errors while
+    writing are left as they are."""
     try:
-        return path.open("w")
+        return path.open(mode)
     except OSError as exc:
         raise ParameterError(f"cannot write output: {exc}") from None
+
+
+def _words(texts) -> np.ndarray:
+    """The ASCII strings `texts`, joined, as little-endian uint32 words of
+    four characters each."""
+    return np.frombuffer("".join(texts).encode(), "<u4")
+
+
+def _pow10_pair(k: int) -> Tuple[float, float]:
+    """10**k as hi + lo: hi correctly rounded, and lo the rest correctly
+    rounded (int / int rounds correctly)."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """a as hi + lo, each with at most 26 significant bits, so the product
+    of two halves is exact (Dekker, Numer. Math. 18, 1971)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# Tables of `_format_rows`: 10**k for k in [-300, 300] as hi + lo, and as
+# 4-byte words the text "d.dd" of the leading three significand digits,
+# "dddd" of four more, and "+hto" of an exponent, NUL in place of the
+# hundreds digit below 100.
+_POW10_MIN = -300
+_POW10, _POW10_LO = np.array([_pow10_pair(k) for k in range(_POW10_MIN, 301)]).T
+_LEAD = _words(f"{k // 100}.{k % 100:02d}" for k in range(1000))
+_QUAD = _words(["%04d" * 10000 % tuple(range(10000))])
+_EXP_MIN = -324
+_EXP = _words(("-" if k < 0 else "+") + (f"{abs(k):03d}" if abs(k) >= 100 else f"\0{abs(k):02d}")
+              for k in range(_EXP_MIN, 309))
+
+
+def _format_rows(x: np.ndarray, y: np.ndarray) -> bytes:
+    """The bytes of "%.10e %.10e\\n" % (x[i], y[i]) for every row of the
+    finite columns x and y.
+
+    Each value is written from its 11-digit significand D and its exponent
+    E, |v| ~ D * 10**(E - 10). E is floor(log10|v|), and D is the rint of
+    the product T of |v| and 10**(10 - E):
+    - The product s of |v| and the correctly rounded power of ten is
+      within 2 ulp (< 5e-5 at 1e11) of T, so rint(s) is D unless s is
+      within 1e-3 of a tie.
+    - Near a tie, T - s is summed from the exact error of that product
+      (Dekker's split) and |v| times the power's own rounding error, to
+      within 1e-19, which puts T on one side of the tie. That leaves the
+      values within 1e-12 of a tie: in practice only exact ties.
+    A value takes (D, E) from Python's own "%.10e" instead when it is that
+    close to a tie, when s is below 1e10 or its D is 1e11 (E off by one at
+    a decade edge, or a carry into the next decade), or when |v| is
+    outside [1e-280, 1e280], where the power of ten could overflow (zeros
+    and subnormals among them). The text is assembled in 19 bytes a value,
+    NUL where the value has no sign or no third exponent digit, and the
+    NULs are dropped."""
+    v = np.column_stack((x, y)).ravel().astype(float, copy=False)  # x0 y0 x1 y1 ...
+    mag = np.abs(v)
+    fast = (mag >= 1e-280) & (mag <= 1e280)
+    scale = np.where(fast, mag, 1.0)
+    e = np.floor(np.log10(scale))
+    power = (10 - e).astype(np.intp) - _POW10_MIN
+    scale *= _POW10[power]
+    d = np.rint(scale)
+    near = np.flatnonzero(np.abs(scale - np.floor(scale) - 0.5) < 1e-3)
+    a, s, near_power = mag[near], scale[near], power[near]
+    (a_hi, a_lo), (p_hi, p_lo) = _split(a), _split(_POW10[near_power])
+    s_error = ((a_hi * p_hi - s) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    above_tie = (s - np.floor(s) - 0.5) + (s_error + a * _POW10_LO[near_power])  # T - tie
+    d[near] = np.floor(s) + (above_tie > 0)
+    fast[near[np.abs(above_tie) < 1e-12]] = False
+    fast &= (scale >= 1e10) & (d < 1e11)
+    for i in np.flatnonzero(~fast):
+        mant, exp = ("%.10e" % mag[i]).split("e")
+        d[i], e[i] = int(mant.replace(".", "")), int(exp)
+
+    text = np.empty((len(v), 19), np.uint8)
+    text[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    text[:, 13] = ord("e")
+    text[0::2, 18] = ord(" ")
+    text[1::2, 18] = ord("\n")
+    lead = np.floor(d / 1e8)  # exact: d is an integer below 2**53
+    d -= lead * 1e8
+    quad = np.floor(d / 1e4)
+    d -= quad * 1e4
+    for offset, table, index in ((1, _LEAD, lead), (5, _QUAD, quad), (9, _QUAD, d),
+                                 (14, _EXP, e - _EXP_MIN)):
+        word = np.ndarray((len(v),), "<u4", text, offset, (19,))
+        word[:] = table[index.astype(np.intp)]
+    return text.tobytes().translate(None, b"\0")
 
 
 def _write_table(path: Path, header: List[str], x: np.ndarray, y: np.ndarray):
@@ -127,14 +224,11 @@ def _write_table(path: Path, header: List[str], x: np.ndarray, y: np.ndarray):
     nan or an infinity."""
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ParameterError("non-finite value in output table")
-    with _open_output(path) as f:
-        f.write("".join(f"# {h}\n" for h in header))
+    with _open_output(path, "wb") as f:
+        f.write("".join(f"# {h}\n" for h in header).encode())
         for start in range(0, len(x), TABLE_CHUNK_ROWS):
-            stop = min(start + TABLE_CHUNK_ROWS, len(x))
-            # x and y interleaved, as Python floats: %-formatting them
-            # gives the bytes of f"{x:.10e}", several times faster
-            values = np.column_stack((x[start:stop], y[start:stop])).ravel().tolist()
-            f.write(("%.10e %.10e\n" * (stop - start)) % tuple(values))
+            f.write(_format_rows(x[start:start + TABLE_CHUNK_ROWS],
+                                 y[start:start + TABLE_CHUNK_ROWS]))
 
 
 def _emit_curve(out: Path, name: str, cfg_hash: str, grid_hz: np.ndarray,
@@ -154,6 +248,20 @@ def _emit_curve(out: Path, name: str, cfg_hash: str, grid_hz: np.ndarray,
     return written
 
 
+def _check_path_size(cfg: ExperimentConfig):
+    """Raise ParameterError if an estimated curve's path (4 * segment_len
+    samples) or its Welch segments' samples exceed MAX_SAMPLES."""
+    n = 4 * cfg.segment_len
+    if n > MAX_SAMPLES:
+        raise ParameterError(f"segment_len = {cfg.segment_len} makes paths of {n} samples, "
+                             f"over the limit of {MAX_SAMPLES}")
+    segments = spectral._segments(n, cfg.segment_len, cfg.overlap)[1]
+    if segments * cfg.segment_len > MAX_SAMPLES:
+        raise ParameterError(f"overlap = {cfg.overlap} makes {segments} Welch segments of "
+                             f"{cfg.segment_len} samples a path, over the limit of "
+                             f"{MAX_SAMPLES} samples")
+
+
 def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarray,
                   dt: float, estimates: bool
                   ) -> Tuple[Dict[str, List[str]], List[np.ndarray]]:
@@ -166,6 +274,8 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
     if len(set(tags)) < len(tags):
         raise ParameterError(f"deltas {', '.join(map(repr, cfg.deltas))} share a "
                              f"file tag; give delays that differ in 7 digits")
+    if estimates:
+        _check_path_size(cfg)
     _make_out_dir(out)
     omega = TWO_PI * grid
     cfg_hash = cfg.content_hash()
@@ -233,9 +343,9 @@ def run_figure_linear(cfg: ExperimentConfig, out_dir=None, estimates: bool = Tru
 def run_simulate(cfg: ExperimentConfig, out_dir=None) -> List[str]:
     """Raw waveform dump of the configured circuit scenario."""
     samples = cfg.duration * cfg.fs  # may be inf: check before rounding
-    if samples > MAX_SIMULATE_SAMPLES:
+    if samples > MAX_SAMPLES:
         raise ParameterError(f"duration * fs = {samples:g} samples exceeds the "
-                             f"simulate limit of {MAX_SIMULATE_SAMPLES}")
+                             f"simulate limit of {MAX_SAMPLES}")
     n = int(round(samples))
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     _make_out_dir(out)

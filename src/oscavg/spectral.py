@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -90,8 +90,14 @@ def _plan(shape, fs: float, segment_len: int, overlap: float, window: str) -> _P
     if power == 0:  # the periodic hann of one sample is [0]
         raise ParameterError(f"the {window} window of segment_len={segment_len} is all "
                              f"zeros, so it has no power")
+    return _Plan(win, *_segments(n, segment_len, overlap), fs * power)
+
+
+def _segments(n: int, segment_len: int, overlap: float) -> Tuple[int, int]:
+    """(step between segment starts, segment count) of a Welch estimate over
+    n samples, for 1 <= segment_len <= n and 0 <= overlap < 1."""
     step = segment_len - int(segment_len * overlap)
-    return _Plan(win, step, (n - segment_len) // step + 1, fs * power)
+    return step, (n - segment_len) // step + 1
 
 
 def _take(work: dict, key: str, shape, dtype) -> np.ndarray:

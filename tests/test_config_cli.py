@@ -185,6 +185,77 @@ class TestWriteTable:
         experiments._write_table(path, self.HEADER, x, y)
         assert path.read_bytes() == self.oracle(self.HEADER, x, y)
 
+    def assert_rows_match_oracle(self, tmp_path, x, y=None):
+        """Columns x and y (by default x negated in reverse) write the
+        oracle's bytes; the first mismatched rows are reported."""
+        x = np.asarray(x, dtype=float)
+        y = -x[::-1] if y is None else y
+        path = tmp_path / "t.data"
+        experiments._write_table(path, self.HEADER, x, y)
+        got = path.read_bytes().split(b"\n")
+        want = self.oracle(self.HEADER, x, y).split(b"\n")
+        assert len(got) == len(want)
+        assert [(g, w) for g, w in zip(got, want) if g != w][:5] == []
+
+    @staticmethod
+    def neighbours(values, ulps=2):
+        """`values` and their floats up to `ulps` steps below and above."""
+        values = np.asarray(values, dtype=float)
+        out, down, up = [values], values, values
+        with np.errstate(over="ignore"):  # the float above the largest is inf
+            for _ in range(ulps):
+                down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+                out += [down, up]
+        values = np.concatenate(out)
+        return values[np.isfinite(values)]
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        self.assert_rows_match_oracle(
+            tmp_path, self.neighbours([float(f"1e{k}") for k in range(-308, 309)]))
+
+    def test_carry_into_next_decade(self, tmp_path):
+        """The floats nearest 9.99999999995e±k round up to 1e(k+1) or stay
+        9.9999999999e±k, the last digit away from a carry."""
+        self.assert_rows_match_oracle(tmp_path, self.neighbours(
+            [float(f"9.9999999999{last}e{k}") for k in range(-308, 308) for last in (4, 5, 6)],
+            ulps=4))
+
+    def test_rounding_ties_at_11_digits(self, tmp_path):
+        """Exact ties (D + 1/2) * 10**(E - 10) of 11-digit significands D,
+        which a float holds for E in [10, 18] and round half to even, the
+        floats nearest the same decimal ties at every exponent, and their
+        neighbours; and sample times k / 64e6 near 2**24 samples, about
+        half of them within 2e-5 of a tie, and some (k a multiple of 15625)
+        exact ties."""
+        rng = np.random.default_rng(16)
+        digits = rng.integers(10**10, 10**11, 600)
+        twice = [(2 * int(d) + 1) * 10**int(k) for d, k in zip(digits, rng.integers(0, 9, 600))]
+        exact = [t / 2 for t in twice if t / 2 * 2 == t]
+        assert len(exact) > 300
+        decimal = [float(f"{d}5e{e}") for d, e in zip(digits, rng.integers(-318, 297, 600))]
+        times = np.concatenate([np.arange(2**24 - 2**14, 2**24), np.arange(0, 2**24, 15625)]) / 64e6
+        self.assert_rows_match_oracle(tmp_path, np.concatenate([self.neighbours(exact + decimal),
+                                                                times]))
+
+    def test_subnormals_zeros_extremes_and_3_digit_exponents(self, tmp_path):
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        rng = np.random.default_rng(17)
+        subnormal = rng.integers(1, 2**52, 500, dtype=np.int64).view(np.float64)
+        three_digit = rng.uniform(1, 10, 500) * 10.0 ** rng.integers(-307, 308, 500)
+        self.assert_rows_match_oracle(tmp_path, np.concatenate([
+            [0.0, -0.0, 5e-324, tiny, np.nextafter(tiny, 0), huge, -huge, 1e-100, 1e100,
+             9.9999999999e99, 1e-99, 1.7e308, 2.2e-308],
+            self.neighbours([5e-324, tiny, huge, 1e-280, 1e280]), subnormal,
+            three_digit[np.abs(np.floor(np.log10(three_digit))) >= 100]]))
+
+    def test_random_bit_patterns(self, tmp_path):
+        """10**6 random finite doubles of any sign and exponent."""
+        bits = np.random.default_rng(18).integers(0, 2**64, 1_100_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:10**6]
+        assert len(values) == 10**6
+        self.assert_rows_match_oracle(tmp_path, values[0::2], values[1::2])
+
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         def peak(rows):
             x, y = np.arange(rows) / 64e6, np.cos(0.1 * np.arange(rows))
@@ -277,6 +348,9 @@ class TestFigureCommands:
         ("figure-log", f"seed = {2**64}"),
         ("figure-log", f"n_paths = {2**32 + 1}"),
         ("figure-linear", "segment_len = 0"),
+        # estimate paths over the sample cap, or whose Welch segments are
+        ("figure-log --paths 1", "segment_len = 1099511627776"),
+        ("figure-log --paths 2", "overlap = 0.9999"),
         ("simulate", "fs = inf"),
         ("simulate", "duration = nan"),
         ("simulate", "f_c_scaled = 1e7"),  # fs = 64e6 cannot carry it
@@ -357,6 +431,33 @@ class TestFigureCommands:
             main(["simulate", "--seed", "3", "--out", str(tmp_path)])
         assert not isinstance(info.value, ParameterError)
 
+    @pytest.mark.parametrize("line", ["segment_len = 1099511627776", "overlap = 0.9999"])
+    def test_estimate_over_the_cap_writes_nothing(self, tmp_path, line):
+        """Estimates whose paths or Welch segments exceed MAX_SAMPLES are
+        refused before any table is written; the analytic tables are not."""
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        for command in ("figure-log", "figure-linear"):
+            assert main([command, "--paths", "1", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(["figure-log", "--no-estimates", "--config", str(cfg), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("segment_len,overlap,refused", [
+        (4096, 0.5, False),           # the default: 7 segments of a 16384-sample path
+        (2**22, 0.0, False),          # a path of MAX_SAMPLES, 4 segments of 2**22
+        (2**22 + 1, 0.0, True),       # a longer path
+        (2**22, 0.25, True),          # 5 segments of 2**22
+        (4096, 0.999, False),         # 2458 segments: 10 067 968 samples
+        (4096, 0.9999, True)])        # 12289 segments
+    def test_path_size_cap(self, segment_len, overlap, refused):
+        cfg = ExperimentConfig(segment_len=segment_len, overlap=overlap)
+        if refused:
+            with pytest.raises(ParameterError, match=f"over the limit of {experiments.MAX_SAMPLES}"):
+                experiments._check_path_size(cfg)
+        else:
+            experiments._check_path_size(cfg)
+
     def test_colliding_delay_tags_write_nothing(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("deltas = 1e-6,1e-6\n")
@@ -380,7 +481,7 @@ class TestFigureCommands:
             cfg = ExperimentConfig.from_text(text)
         except ParameterError:
             cfg = None
-        if cfg is None or not 4096 < cfg.duration * cfg.fs <= experiments.MAX_SIMULATE_SAMPLES:
+        if cfg is None or not 4096 < cfg.duration * cfg.fs <= experiments.MAX_SAMPLES:
             commands.append(["simulate"])
         out = tmp_path_factory.mktemp("fuzz")
         path = out / "fuzz.cfg"
