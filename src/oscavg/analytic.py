@@ -68,7 +68,7 @@ def tap_autocorr(beta: float, taps: Taps, tau):
     """Autocorrelation R(tau) of exp(j*phi) for the phase of `taps`."""
     kinks, rates, logc = _segments(beta, taps)
     at = np.abs(np.asarray(tau, dtype=float))
-    i = np.searchsorted(kinks, at, side="right") - 1
+    i = kinks.searchsorted(at, "right") - 1
     out = np.exp(logc[i] - rates[i] * at)
     return _like(tau, out)
 
@@ -118,19 +118,24 @@ def bates2_cdf(f_o: float, x):
     return np.where(x < 0, left, right)
 
 
-def psd_by_quadrature(autocorr: Callable[[np.ndarray], np.ndarray], omega: float,
-                      tail_rate: float,
+def psd_by_quadrature(autocorr: Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]],
+                      omega: float, tail_rate: float,
                       breakpoint: Union[float, Sequence[float]] = 0.0,
                       rel_tail: float = 1e-10) -> float:
     """Numeric Fourier transform of an even, exponentially decaying
     autocorrelation at a single angular frequency.
 
+    `autocorr` is called with a one-element array twice, to check its value
+    at 0 and its decay, and returns an array there. Inside the integrand it
+    is called with a float t and must return a scalar, R(t), as
+    `tap_autocorr` does for a float.
     `tail_rate` is the known decay rate of the envelope beyond the last
     breakpoint; the integration window [0, T] is sized so the truncated
     tail, bounded by the exponential envelope, contributes less than
     `rel_tail` relative to the zero-frequency scale 2/tail_rate.
     `breakpoint` is a kink (e.g. the delay) or a sequence of kinks (e.g.
-    the model's |d_j - d_k|), where the integral is split.
+    the model's |d_j - d_k|), where the integral is split. Each piece is
+    QUADPACK's QAWO cosine rule (Piessens et al., QUADPACK, 1983).
     """
     if tail_rate <= 0:
         raise ParameterError("tail_rate must be > 0")
@@ -144,12 +149,9 @@ def psd_by_quadrature(autocorr: Callable[[np.ndarray], np.ndarray], omega: float
     if abs(autocorr(np.array([T]))[0]) > 10.0 * math.exp(-tail_rate * (T - last)):
         raise ParameterError("autocorrelation does not decay at the stated rate")
 
-    def f(t):
-        return float(autocorr(np.array([t]))[0])
-
     total = 0.0
     for lo, hi in zip(edges, edges[1:] + [T]):
-        val, _ = integrate.quad(f, lo, hi, weight="cos", wvar=omega,
+        val, _ = integrate.quad(autocorr, lo, hi, weight="cos", wvar=omega,
                                 limit=400, epsabs=1e-13, epsrel=1e-11)
         total += val
     return 2.0 * total

@@ -25,12 +25,13 @@ from .stochastic import STREAM_PHASE, TWO_PI, ParameterError
 LOG_GRID = (1e3, 1e7, 200)   # offset range and point count of the log sweep
 LIN_BAND = 2.5e6             # half-width of the linear sweep
 LIN_POINTS = 501
-# Samples per block of paths in the ensemble estimates (at least one path).
-# Output does not depend on it. Each estimate allocates one set of Welch
-# buffers, sized by its largest block's segments: paths * segments *
-# segment_len samples, more than the block's own samples when segments
-# overlap, so this alone does not bound them; MAX_SAMPLES caps each path's.
-BLOCK_SAMPLES = 2**15
+# Welch segment samples (paths * segments * segment_len) per block of paths
+# in the ensemble estimates, at least one path. Output does not depend on
+# it. Each estimate allocates one set of Welch buffers, sized by its largest
+# block's segment samples, so this bounds them whatever the overlap; a path
+# alone can hold up to MAX_SAMPLES. 7 * 2**13 is two default paths (7
+# segments of 4096) and 32 of segment_len 256.
+BLOCK_SAMPLES = 7 * 2**13
 # Largest input a command accepts, in samples: a `simulate` waveform
 # (duration * fs), and an estimated figure path (4 * segment_len) and the
 # Welch segment samples it makes. The arrays of that size are held in
@@ -70,15 +71,16 @@ PAIR_TAPS = tuple((tag, 0.5, 0.0) for tag in TAG_PAIR)
 
 # ---------------------------------------------------------------------------
 # estimated curves (Welch over the curves' phase ensembles, built in blocks
-# of BLOCK_SAMPLES samples so no curve holds its whole ensemble)
+# of BLOCK_SAMPLES segment samples so no curve holds its whole ensemble)
 
 
 def _estimate(cfg: ExperimentConfig, taps, dt: float) -> spectral.SpectrumEstimate:
     """Welch estimate of the curve of `taps` over cfg.n_paths paths of four
-    segments, built in blocks of at most BLOCK_SAMPLES samples (at least one
-    path)."""
+    segment lengths, built in blocks of at most BLOCK_SAMPLES Welch segment
+    samples (at least one path)."""
     n = 4 * cfg.segment_len
-    rows = max(1, BLOCK_SAMPLES // n)
+    segments = spectral._segments(n, cfg.segment_len, cfg.overlap)[1]
+    rows = max(1, BLOCK_SAMPLES // (segments * cfg.segment_len))
     blocks = (stochastic.tap_ensemble(cfg.beta, taps, dt, n, cfg.seed,
                                       min(rows, cfg.n_paths - first), first_index=first)
               for first in range(0, cfg.n_paths, rows))
@@ -449,12 +451,12 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
     # sample variance and std of N draws: relative standard errors
     # sqrt((kurtosis - 1) / N), kurtosis 9/5 for a uniform, and sqrt(1/(2N))
     n_draws = 20000
-    draws = np.array([stochastic.sample_offset(stochastic.OffsetDist.uniform(100.0),
-                                               (seed, i)) for i in range(n_draws)])
+    dist = stochastic.OffsetDist.uniform(100.0)
+    draws = np.array([stochastic.sample_offset(dist, (seed, i)) for i in range(n_draws)])
     checks.append(("uniform-offset-variance", _rel_err(np.var(draws), 100.0**2 / 3.0),
                    Z_GATE * math.sqrt(0.8 / n_draws)))
-    draws = np.array([stochastic.sample_offset(stochastic.OffsetDist.normal(50.0),
-                                               (seed, i)) for i in range(n_draws)])
+    dist = stochastic.OffsetDist.normal(50.0)
+    draws = np.array([stochastic.sample_offset(dist, (seed, i)) for i in range(n_draws)])
     checks.append(("normal-offset-std", _rel_err(np.std(draws), 50.0),
                    Z_GATE * math.sqrt(0.5 / n_draws)))
 

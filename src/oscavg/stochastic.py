@@ -83,8 +83,9 @@ def _check_key(master, index, rows: int, stream):
     from `index` on is integers, with master in [0, 2**64) and every index
     and the tag in [0, 2**32)."""
     try:
-        operator.index(master), operator.index(index), operator.index(stream)
-        if 0 <= master < 2**64 and 0 <= index and index + rows <= 2**32 and 0 <= stream < 2**32:
+        # compared as Python ints: a NumPy integer would wrap in index + rows
+        m, i, s = operator.index(master), operator.index(index), operator.index(stream)
+        if 0 <= m < 2**64 and 0 <= i and i + rows <= 2**32 and 0 <= s < 2**32:
             return
     except TypeError:  # not an integer
         pass
@@ -287,10 +288,18 @@ def wiener_path(beta: float, theta0: float, dt: float, n: int,
 
 
 def _offset_bits(master: int, index: int) -> int:
-    """64 hash bits of the offset key of (master, index)."""
-    _check_key(master, index, 1, STREAM_OFFSET)
+    """64 hash bits of the offset key of (master, index). Packing the key
+    refuses anything but integers in [0, 2**64); with an index of 2**32 or
+    more, those are the keys _check_key refuses, so they go to it to raise
+    its ParameterError."""
+    try:
+        key = _OFFSET_KEY.pack(master, index, STREAM_OFFSET)
+    except struct.error:
+        key = None
+    if key is None or not index < 2**32:
+        _check_key(master, index, 1, STREAM_OFFSET)
     h = _OFFSET_HASH.copy()
-    h.update(_OFFSET_KEY.pack(master, index, STREAM_OFFSET))
+    h.update(key)
     return _OFFSET_BITS.unpack(h.digest())[0]
 
 
@@ -307,7 +316,8 @@ def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
         return float(offset_dist.param)
     k = _offset_bits(*seed_id) >> 11
     if offset_dist.kind == "uniform":
-        return offset_dist.param * ((2 * k + 1 - _TWO53) / _TWO53)
+        # |2k + 1 - 2**53| < 2**53: the int converts and scales exactly
+        return offset_dist.param * ((2 * k + 1 - _TWO53) * 2.0**-53)
     if 2 * k < _TWO53:
         return offset_dist.param * float(ndtri((k + 0.5) / _TWO53))
     return -offset_dist.param * float(ndtri((_TWO53 - k - 0.5) / _TWO53))

@@ -305,6 +305,36 @@ class TestPsdByQuadrature:
                                 tail_rate=PI_BETA)
         assert got == pytest.approx(2.0 / PI_BETA, rel=1e-6)  # ~6.3662e-5
 
+    @pytest.mark.parametrize("beta,taps", [
+        (BETA, ONE), (BETA, PAIR), (BETA, delayed_taps(1e-6)), (3e2, delayed_taps(4e-5)),
+        (BETA, tuple((0, 0.25, k * 1e-6) for k in range(4)))])  # the 4-tap cascade
+    def test_equals_the_array_integrand_sum(self, beta, taps):
+        # the integrand as it was: every t wrapped in a one-element array
+        from oscavg.analytic import _segments
+        kinks, rates, _ = _segments(beta, taps)
+        rate = float(rates[-1])
+        edges = sorted({0.0, *kinks.tolist()})
+        T = edges[-1] + -math.log(1e-10) / rate
+        for om in (0.0, 2 * np.pi * 1e4, 2 * np.pi * 3e5, 2 * np.pi * 7e6):
+            want = 2.0 * sum(integrate.quad(
+                lambda t: float(tap_autocorr(beta, taps, np.array([t]))[0]), lo, hi,
+                weight="cos", wvar=om, limit=400, epsabs=1e-13, epsrel=1e-11)[0]
+                for lo, hi in zip(edges, edges[1:] + [T]))
+            got = psd_by_quadrature(lambda t: tap_autocorr(beta, taps, t), om,
+                                    tail_rate=rate, breakpoint=kinks)
+            assert got.hex() == want.hex()
+
+    def test_integrand_called_with_floats(self):
+        a = PI_BETA
+        args = []
+
+        def autocorr(tau):
+            args.append(type(tau))
+            return np.exp(-a * np.abs(tau))
+
+        psd_by_quadrature(autocorr, 1e5, tail_rate=a)
+        assert args[:2] == [np.ndarray, np.ndarray] and set(args[2:]) == {float}
+
     def test_non_decaying_rejected(self):
         with pytest.raises(ParameterError):
             psd_by_quadrature(lambda tau: np.ones_like(tau), 1.0, tail_rate=1e4)

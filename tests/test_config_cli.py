@@ -503,10 +503,10 @@ class TestFigureCommands:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_estimate_bytes_independent_of_block_size(self, tmp_path, monkeypatch):
-        # 8 paths of 4 * 512 samples: one block, one path per block, and
-        # blocks of 3, 3 and 2 paths (a ragged last block)
+        # 8 paths of 7 Welch segments of 512 samples: one block, one path per
+        # block, and blocks of 3, 3 and 2 paths (a ragged last block)
         cfg = _small_cfg(tmp_path)
-        block_samples = (experiments.BLOCK_SAMPLES, 1, 3 * 4 * 512)
+        block_samples = (experiments.BLOCK_SAMPLES, 1, 3 * 7 * 512)
         for command, prefix in (("figure-log", "log"), ("figure-linear", "lin")):
             for block in block_samples:
                 monkeypatch.setattr(experiments, "BLOCK_SAMPLES", block)
@@ -517,6 +517,24 @@ class TestFigureCommands:
                 want = (tmp_path / f"{prefix}_{block_samples[0]}" / name).read_bytes()
                 for block in block_samples[1:]:
                     assert (tmp_path / f"{prefix}_{block}" / name).read_bytes() == want
+
+
+@pytest.mark.parametrize("segment_len,overlap,rows", [
+    (4096, 0.5, [2, 2, 1]),      # the default figure paths: 7 segments each
+    (256, 0.5, [32, 32, 1]),     # 7 segments of 256: 32 paths a block
+    (4096, 0.999, [1] * 5)])     # 2458 segments a path: one path a block
+def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, overlap, rows):
+    cfg = ExperimentConfig(n_paths=sum(rows), segment_len=segment_len, overlap=overlap)
+    seen = []
+
+    def record(beta, taps, dt, n, master_seed, n_paths, first_index=0):
+        seen.append(n_paths)
+        return np.zeros((n_paths, n))
+
+    monkeypatch.setattr(stochastic, "tap_ensemble", record)
+    monkeypatch.setattr(spectral, "psd_of_phase_shift", lambda blocks, dt, **kw: list(blocks))
+    experiments.estimate_base(cfg, 1e-7)
+    assert seen == rows
 
 
 @pytest.mark.parametrize("run", [experiments.run_figure_log, experiments.run_figure_linear])

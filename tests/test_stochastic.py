@@ -111,7 +111,9 @@ class TestEnsembleSeeding:
 
     @pytest.mark.parametrize("master,first", [
         (-1, 0), (0, -1), (2**64, -2), (0, 2**64 - 1), (2**64, 0), (0, 2**32), (1.5, 0),
-        (0, 1.5)])
+        (0, 1.5),
+        # NumPy integers, whose index + rows would wrap
+        (0, np.uint64(2**64 - 1)), (0, np.int64(2**63 - 1)), (np.int64(-1), 0)])
     def test_keys_outside_the_hash_rejected(self, master, first):
         with pytest.raises(ParameterError):
             wiener_ensemble(1e4, 0.0, 1e-6, 8, master, 2, first_index=first)
@@ -185,11 +187,49 @@ class TestSampleOffset:
         # u = 2**-54 or its mirror: |z| is ndtri(2**-54) = 8.29
         assert np.isfinite(z) and sign * z == pytest.approx(8.29, abs=0.01)
 
+    # (key, hash bits, uniform(100) draw, normal(50) draw), recorded once;
+    # (1, 0) and (2**63, 999) take the normal's mirror branch (k >= 2**52)
+    PINNED = [
+        ((0, 0), 0x455869C5F3177143, "-0x1.6e976aead0ad7p+5", "-0x1.e81f46234b539p+4"),
+        ((2**64 - 1, 2**32 - 1), 0x03E8C1902FCEDC85,
+         "-0x1.83c8a31d6a999p+6", "-0x1.b099f366e84b6p+6"),
+        ((1, 0), 0xECAB3CA20289F30E, "0x1.53971d7a47ef2p+6", "0x1.1f2f4156dbf6ep+6"),
+        ((0, 1), 0x5CB7C73323DBFA42, "-0x1.b906c600bfc23p+4", "-0x1.1a1ca3d4d0f21p+4"),
+        ((12345, 7), 0x42C2D59D3B675CAF, "-0x1.7ebe48e94cba0p+5", "-0x1.005ecdff77dc7p+5"),
+        ((2**32, 2**32 - 2), 0x5471D78DC3DEB00C,
+         "-0x1.10387cc9f7d02p+5", "-0x1.603c365110045p+4"),
+        ((7, 123456), 0x2782BD5098E356CC, "-0x1.148770642239ap+6", "-0x1.973354740102ap+5"),
+        ((2**63, 999), 0xD7CD42C54DBF3402, "0x1.126170a892f58p+6", "0x1.92b495331536ap+5"),
+    ]
+
+    @pytest.mark.parametrize("seed_id,bits,uniform,normal", PINNED)
+    def test_draws_pinned(self, seed_id, bits, uniform, normal):
+        assert stochastic._offset_bits(*seed_id) == bits
+        assert sample_offset(OffsetDist.uniform(100.0), seed_id).hex() == uniform
+        assert sample_offset(OffsetDist.normal(50.0), seed_id).hex() == normal
+
     @pytest.mark.parametrize("seed_id", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (1.5, 0),
                                          (0, 2**32)])
     def test_key_outside_packable_range(self, seed_id):
         with pytest.raises(ParameterError):
             sample_offset(OffsetDist.normal(1.0), seed_id)
+
+    KEY_WORDS = st.sampled_from([
+        0, 1, -1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, True, False,
+        np.int64(5), np.int64(-1), np.int64(2**63 - 1), np.uint64(7), np.uint64(2**32),
+        np.uint64(2**64 - 1), 1.5, np.float64(1.0), None]) | st.integers(-2**65, 2**65)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(master=KEY_WORDS, index=KEY_WORDS)
+    def test_refuses_exactly_the_keys_check_key_refuses(self, master, index):
+        try:
+            stochastic._check_key(master, index, 1, stochastic.STREAM_OFFSET)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                sample_offset(OffsetDist.uniform(1.0), (master, index))
+        else:
+            assert sample_offset(OffsetDist.uniform(1.0), (master, index)) == \
+                sample_offset(OffsetDist.uniform(1.0), (int(master), int(index)))
 
     def test_bad_descriptor(self):
         with pytest.raises(ParameterError):
