@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import integrate
 
 from .stochastic import ParameterError, Taps, _check_taps
 
@@ -148,6 +147,10 @@ def psd_by_quadrature(autocorr: Callable[[Union[float, np.ndarray]], Union[float
     T = last + max(1.0, -math.log(rel_tail)) / tail_rate
     if abs(autocorr(np.array([T]))[0]) > 10.0 * math.exp(-tail_rate * (T - last)):
         raise ParameterError("autocorrelation does not decay at the stated rate")
+
+    # imported here, not with the module: scipy.integrate alone takes longer
+    # to load than any command's set-up, and only this cross-check uses it
+    from scipy import integrate
 
     total = 0.0
     for lo, hi in zip(edges, edges[1:] + [T]):

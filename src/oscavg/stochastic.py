@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 TWO_PI = 2.0 * np.pi
 
@@ -287,6 +286,16 @@ def wiener_path(beta: float, theta0: float, dt: float, n: int,
     return PhasePath(dt=dt, samples=theta)
 
 
+def _ndtri(p):
+    """scipy.special.ndtri, imported on the first normal draw: importing
+    scipy.special costs more than a command's whole set-up, and nothing
+    else in the package needs it. That call rebinds this module's name to
+    scipy's ufunc, so later draws call it directly."""
+    global _ndtri
+    from scipy.special import ndtri as _ndtri
+    return _ndtri(p)
+
+
 def _offset_bits(master: int, index: int) -> int:
     """64 hash bits of the offset key of (master, index). Packing the key
     refuses anything but integers in [0, 2**64); with an index of 2**32 or
@@ -306,21 +315,23 @@ def _offset_bits(master: int, index: int) -> int:
 def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
     """Draw one frequency offset (Hz) from the given distribution.
 
-    The draw is a pure function of (distribution, seed_id). The top 53 bits
+    The draw is a pure function of (distribution, seed_id), and every kind,
+    delta too, refuses the keys _check_key refuses. The top 53 bits
     k of the key's hash give u = (k + 0.5) * 2**-53 in (0, 1); a uniform
     offset is param * (2u - 1), a normal one param * ndtri(u). Both are
     computed without rounding u: the normal takes the tail nearer to u, so
     the largest k maps to the mirror of the smallest, not to ndtri(1) = inf.
     """
     if offset_dist.kind == "delta":
+        _check_key(*seed_id, 1, STREAM_OFFSET)
         return float(offset_dist.param)
     k = _offset_bits(*seed_id) >> 11
     if offset_dist.kind == "uniform":
         # |2k + 1 - 2**53| < 2**53: the int converts and scales exactly
         return offset_dist.param * ((2 * k + 1 - _TWO53) * 2.0**-53)
     if 2 * k < _TWO53:
-        return offset_dist.param * float(ndtri((k + 0.5) / _TWO53))
-    return -offset_dist.param * float(ndtri((_TWO53 - k - 0.5) / _TWO53))
+        return offset_dist.param * float(_ndtri((k + 0.5) / _TWO53))
+    return -offset_dist.param * float(_ndtri((_TWO53 - k - 0.5) / _TWO53))
 
 
 def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: PhasePath,

@@ -590,6 +590,14 @@ def test_battery_streams_disjoint_at_neighbouring_seeds(monkeypatch):
     assert not keys[11] & keys[12]
 
 
+def test_z_gate_is_scipys_quantile():
+    """The battery's gate, written as a literal, is -ndtri(0.5e-4) bit for
+    bit, so no check's tolerance moves."""
+    from scipy.special import ndtri
+
+    assert experiments.Z_GATE.hex() == float(-ndtri(0.5e-4)).hex()
+
+
 @pytest.mark.parametrize("name", ["delayed-psd-zero-delay-limit",
                                   "delayed-psd-large-delay-limit", "lorentzian-unit-power"])
 def test_zero_delay_limit_check_can_fail(monkeypatch, name):

@@ -114,13 +114,35 @@ class TestWelchPsd:
         assert est.n_segments == (1 if shape == "1d" else 3) * len(times)
 
 
-def test_import_does_not_load_scipy_signal():
+# in a fresh interpreter: importing the package and running commands that
+# need no quadrature or normal draw load no scipy module; the first normal
+# draw imports scipy's ndtri and keeps calling it
+SCIPY_FREE = """
+import sys
+from oscavg import cli, stochastic
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+out, cfg = sys.argv[1:]
+cli.main(["figure-linear", "--paths", "4", "--out", out])
+cli.main(["simulate", "--config", cfg, "--out", out])
+assert not scipy_modules(), scipy_modules()
+stochastic.sample_offset(stochastic.OffsetDist.normal(1.0), (1, 2))
+import scipy.special
+assert stochastic._ndtri is scipy.special.ndtri
+"""
+
+
+def test_import_does_not_load_scipy(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", "import oscavg, sys; print('scipy.signal' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
-        check=True)
-    assert out.stdout.strip() == "False"
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text("scenario = averaged_independent\noffsets = uniform:10\n")
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE, str(tmp_path / "out"), str(cfg)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEnsembleWelch:

@@ -222,14 +222,15 @@ class TestSampleOffset:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(master=KEY_WORDS, index=KEY_WORDS)
     def test_refuses_exactly_the_keys_check_key_refuses(self, master, index):
-        try:
-            stochastic._check_key(master, index, 1, stochastic.STREAM_OFFSET)
-        except ParameterError:
-            with pytest.raises(ParameterError):
-                sample_offset(OffsetDist.uniform(1.0), (master, index))
-        else:
-            assert sample_offset(OffsetDist.uniform(1.0), (master, index)) == \
-                sample_offset(OffsetDist.uniform(1.0), (int(master), int(index)))
+        for dist in (OffsetDist.delta(2.0), OffsetDist.uniform(1.0), OffsetDist.normal(1.0)):
+            try:
+                stochastic._check_key(master, index, 1, stochastic.STREAM_OFFSET)
+            except ParameterError:
+                with pytest.raises(ParameterError):
+                    sample_offset(dist, (master, index))
+            else:
+                assert sample_offset(dist, (master, index)) == \
+                    sample_offset(dist, (int(master), int(index)))
 
     def test_bad_descriptor(self):
         with pytest.raises(ParameterError):
