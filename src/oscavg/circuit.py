@@ -54,14 +54,21 @@ def ideal_filter(w: Waveform, kind: str, f_cut: float) -> Waveform:
         raise ParameterError(f"unknown filter kind {kind!r}")
     if not (0 < f_cut < w.fs / 2):
         raise ParameterError(f"f_cut={f_cut:g} must lie in (0, fs/2={w.fs / 2:g})")
-    spec = np.fft.rfft(w.samples)
-    freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
+    spec, freqs = _spectrum(w)
     if kind == "lowpass":
         spec *= freqs <= f_cut
     else:
         spec *= freqs >= f_cut
     out = np.fft.irfft(spec, n=len(w))
     return Waveform(fs=w.fs, samples=out)
+
+
+def _spectrum(w: Waveform) -> Tuple[np.ndarray, np.ndarray]:
+    """rfft of w and the frequencies (Hz) of its bins; ParameterError if w is
+    empty."""
+    if len(w) == 0:
+        raise ParameterError("waveform is empty")
+    return np.fft.rfft(w.samples), np.fft.rfftfreq(len(w), d=1.0 / w.fs)
 
 
 def delay_block(w: Waveform, delta: float) -> Waveform:
@@ -75,21 +82,30 @@ def delay_block(w: Waveform, delta: float) -> Waveform:
 
 def demodulate_phase(w: Waveform, f_lo: float, f_hi: float) -> np.ndarray:
     """Total phase of the band [f_lo, f_hi] Hz of w, from its analytic signal
-    (Marple, IEEE Trans. Signal Process. 47(9), 1999). The ifft of the rfft
-    with the bins outside the band zeroed is half the analytic signal z, as
-    the band holds neither DC nor Nyquist. Element k is arg z_k plus the whole
-    turns of the sum of the steps arg(z_j conj(z_(j-1))), j <= k, each in
-    (-pi, pi]; the sum alone drifts by rounding (2.7e-8 rad over 2^16 samples
-    of a tone). Edge samples carry spectral-leakage error; callers should trim."""
+    (Marple, IEEE Trans. Signal Process. 47(9), 1999). The n-point ifft of
+    the rfft bins inside the band, every bin outside it zero, is half the
+    analytic signal z, as the band holds neither DC nor Nyquist. Element k is
+    arg z_k + 2*pi*K_k, with K_0 = 0 and K_k = -sum_(0<j<=k) rint((arg z_j -
+    arg z_(j-1))/(2*pi)): whole turns counted as exact integers, so the phase
+    does not drift, and each of its steps lies in [-pi, pi]. Edge samples
+    carry spectral-leakage error; callers should trim."""
     if not (0 < f_lo < f_hi < w.fs / 2):
         raise ParameterError(f"band [{f_lo:g}, {f_hi:g}] empty or outside (0, fs/2={w.fs / 2:g})")
-    spec = np.fft.rfft(w.samples)
-    freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
-    spec[(freqs < f_lo) | (freqs > f_hi)] = 0.0
-    z = np.fft.ifft(spec, len(w))
-    wrapped = np.angle(z)
-    z[1:] *= z[:-1].conj()
-    return wrapped + TWO_PI * np.round((np.cumsum(np.angle(z)) - wrapped) / TWO_PI)
+    spec, freqs = _spectrum(w)
+    lo, hi = freqs.searchsorted(f_lo), freqs.searchsorted(f_hi, "right")
+    z = np.zeros(len(w), dtype=complex)
+    z[lo:hi] = spec[lo:hi]
+    wrapped = np.angle(np.fft.ifft(z, out=z))
+    # turns[j] = -rint(step j / 2*pi), summed from the 0.0 in turns[0]
+    turns = np.empty_like(wrapped)
+    turns[0] = 0.0
+    np.subtract(wrapped[:-1], wrapped[1:], out=turns[1:])
+    turns[1:] /= TWO_PI
+    np.rint(turns, out=turns)
+    np.cumsum(turns, out=turns)
+    turns *= TWO_PI
+    turns += wrapped
+    return turns
 
 
 def edge_trim(fs: float, f_cut: float) -> int:
@@ -199,8 +215,11 @@ def _average_stage(a: Waveform, b: Waveform, f_c: float, settle: int = 0
     f1-f2 lies below it). Returns the output and its total phase. Refuses a
     duration that leaves no loop interior for `divider_residual`."""
     _loop_interior(len(a), a.fs, f_c, settle)
-    total = 0.5 * demodulate_phase(mix(a, b), f_c, 3.0 * f_c)
-    return Waveform(fs=a.fs, samples=0.5 * np.cos(total)), total
+    total = demodulate_phase(mix(a, b), f_c, 3.0 * f_c)
+    total *= 0.5
+    out = np.cos(total)
+    out *= 0.5
+    return Waveform(fs=a.fs, samples=out), total
 
 
 def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: float,

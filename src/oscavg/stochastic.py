@@ -159,8 +159,10 @@ def path_rng(seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> np.random.
 
 def lag_samples(delay: float, dt: float) -> int:
     """The delay as a whole number of steps of dt; ParameterError if it is
-    not one."""
+    negative or not one."""
     lag = delay / dt
+    if lag < 0:
+        raise ParameterError(f"delay {delay:g} s must be >= 0")
     if not (math.isfinite(lag) and math.isclose(lag, round(lag), abs_tol=1e-6)):
         raise ParameterError(f"delay {delay:g} s is not a multiple of dt={dt:g} s")
     return int(round(lag))
@@ -264,6 +266,28 @@ def _check_walk(beta: float, dt: float, n: int):
         raise ParameterError("n must be >= 1")
 
 
+def _fill_walks(out: np.ndarray, beta: float, theta0: float, dt: float, rngs):
+    """Fill each row of out, shape (rows, n), with a walk from theta0 whose
+    steps are sqrt(2*pi*beta*dt) times the standard normals of one generator
+    of rngs(), which is called only if there are steps: none when n = 1 or
+    beta = 0, where every sample is theta0."""
+    if out.shape[1] > 1 and beta != 0.0:
+        out[:, 0] = 0.0
+        for row, rng in zip(out, rngs()):
+            rng.standard_normal(out=row[1:])
+        out *= np.sqrt(TWO_PI * beta * dt)
+        # normal(0.0, scale) draws 0.0 + scale * z, never -0.0; summing from
+        # the 0.0 in column 0 turns a step of -0.0 into 0.0 the same way, so
+        # the sums match theta0 + cumsum(normal(0.0, scale, n - 1)) and are
+        # never -0.0, and a theta0 of +-0.0 would change none of them
+        np.cumsum(out, axis=1, out=out)
+        if theta0 != 0.0:
+            out += theta0
+    else:
+        out.fill(theta0)
+    out[:, 0] = theta0
+
+
 def wiener_path(beta: float, theta0: float, dt: float, n: int,
                 seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> PhasePath:
     """Sample a phase random walk with diffusion rate beta.
@@ -275,14 +299,7 @@ def wiener_path(beta: float, theta0: float, dt: float, n: int,
     """
     _check_walk(beta, dt, n)
     theta = np.empty(n, dtype=float)
-    theta[0] = theta0
-    if n > 1:
-        if beta == 0.0:
-            theta[1:] = theta0
-        else:
-            rng = path_rng(seed_id, stream)
-            incr = rng.normal(0.0, np.sqrt(TWO_PI * beta * dt), size=n - 1)
-            theta[1:] = theta0 + np.cumsum(incr)
+    _fill_walks(theta[None, :], beta, theta0, dt, lambda: (path_rng(seed_id, stream),))
     return PhasePath(dt=dt, samples=theta)
 
 
@@ -346,13 +363,18 @@ def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: PhasePath,
     if fs < min_fs:
         raise ParameterError(
             f"fs={fs:g} Hz too low for carrier {f_inst:g} Hz; need fs >= {min_fs:g}")
+    if n < 1:
+        raise ParameterError("n must be >= 1")
     if len(phase) < n:
         raise ParameterError("phase path shorter than requested waveform")
     if not np.isclose(phase.dt, 1.0 / fs, rtol=1e-9):
         raise ParameterError("phase path dt inconsistent with fs")
-    k = np.arange(n)
-    samples = np.cos(TWO_PI * (spec.f_c + f_i) * k / fs + phase.samples[:n])
-    return Waveform(fs=fs, samples=samples)
+    # the operations of cos(2*pi*(f_c + f_i) * k / fs + theta_k), in order
+    samples = np.arange(n, dtype=float)
+    samples *= TWO_PI * (spec.f_c + f_i)
+    samples /= fs
+    samples += phase.samples[:n]
+    return Waveform(fs=fs, samples=np.cos(samples, out=samples))
 
 
 def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
@@ -365,21 +387,9 @@ def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
     sum integrates it."""
     _check_walk(beta, dt, n)
     out = np.empty((n_paths, n), dtype=float)
-    if n > 1 and beta != 0.0:
-        out[:, 0] = 0.0
-        for row, words in zip(out, _seed_words(master_seed, first_index, n_paths, stream)):
-            np.random.Generator(np.random.PCG64(_Seeded(words))).standard_normal(out=row[1:])
-        out *= np.sqrt(TWO_PI * beta * dt)
-        # wiener_path's steps are normal(0.0, scale) = 0.0 + scale * z, never
-        # -0.0; summing from the 0.0 in column 0 turns a step of -0.0 into 0.0
-        # the same way, so the sums match theirs and are never -0.0, and a
-        # theta0 of +-0.0 would change none of them
-        np.cumsum(out, axis=1, out=out)
-        if theta0 != 0.0:
-            out += theta0
-    else:
-        out.fill(theta0)
-    out[:, 0] = theta0
+    _fill_walks(out, beta, theta0, dt, lambda: (
+        np.random.Generator(np.random.PCG64(_Seeded(words)))
+        for words in _seed_words(master_seed, first_index, n_paths, stream)))
     return out
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oscavg import (
     DelayedAvgParams,
@@ -129,7 +131,43 @@ def noisy_tone(f0, n, fs=64e6, sigma=0.05, seed=3):
     return Waveform(fs=fs, samples=np.cos(TWO_PI * f0 * np.arange(n) / fs + walk))
 
 
+def conjugate_product_phase(w, f_lo, f_hi):
+    """The band's phase as a masked half spectrum, ifft, and the running sum
+    of the steps arg(z_j conj(z_(j-1))) rounded to whole turns about arg z:
+    the read-out demodulate_phase must reproduce bit for bit."""
+    spec = np.fft.rfft(w.samples)
+    freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
+    spec[(freqs < f_lo) | (freqs > f_hi)] = 0.0
+    z = np.fft.ifft(spec, len(w))
+    wrapped = np.angle(z)
+    z[1:] *= z[:-1].conj()
+    return wrapped + TWO_PI * np.round((np.cumsum(np.angle(z)) - wrapped) / TWO_PI)
+
+
 class TestDemodulatePhase:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(16, 4096), f0=st.floats(0.5e6, 20e6),
+           sigma=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1),
+           lo=st.floats(0.05, 0.95), hi=st.floats(1.05, 1.5))
+    @example(n=6400, f0=2e6, sigma=0.05, seed=3, lo=0.5, hi=1.5)
+    def test_bytes_match_conjugate_product_oracle(self, n, f0, sigma, seed, lo, hi):
+        # a noisy tone at f0 and a band [lo*f0, hi*f0] around it
+        w = noisy_tone(f0, n, sigma=sigma, seed=seed)
+        w = Waveform(fs=w.fs, samples=w.samples
+                     + 0.1 * np.random.default_rng(seed).standard_normal(n))
+        got = demodulate_phase(w, lo * f0, hi * f0)
+        assert got.tobytes() == conjugate_product_phase(w, lo * f0, hi * f0).tobytes()
+
+    def test_band_edges_on_bins_are_inside(self):
+        # white noise, so every bin counts; f_lo and f_hi are bin frequencies
+        w = Waveform(fs=64e6, samples=np.random.default_rng(8).standard_normal(6400))
+        freqs = np.fft.rfftfreq(len(w), d=1.0 / w.fs)
+        f_lo, f_hi = freqs[100], freqs[300]
+        got = demodulate_phase(w, f_lo, f_hi)
+        assert got.tobytes() == conjugate_product_phase(w, f_lo, f_hi).tobytes()
+        for lo, hi in ((np.nextafter(f_lo, np.inf), f_hi), (f_lo, np.nextafter(f_hi, 0.0))):
+            assert got.tobytes() != demodulate_phase(w, lo, hi).tobytes()
+
     @pytest.mark.parametrize("f0,n,f_lo,f_hi", [
         (2e6, 64000, 1e6, 3e6),
         (2.0006e6, 64000, 1e6, 3e6),
@@ -153,6 +191,13 @@ class TestDemodulatePhase:
     def test_band_outside_nyquist_or_empty_rejected(self, f_lo, f_hi):
         with pytest.raises(ParameterError):
             demodulate_phase(noisy_tone(2e6, 1024), f_lo, f_hi)
+
+    def test_empty_waveform_rejected(self):
+        empty = Waveform(fs=FS, samples=np.zeros(0))
+        with pytest.raises(ParameterError):
+            demodulate_phase(empty, 1e6, 3e6)
+        with pytest.raises(ParameterError):
+            ideal_filter(empty, "lowpass", 1e6)
 
     @pytest.mark.parametrize("kind", ["lowpass", "highpass"])
     def test_filter_bytes_match_oracle(self, kind):
@@ -345,6 +390,10 @@ class TestDelayedSelfAverage:
         with pytest.raises(ParameterError):
             simulate_delayed_self_average(spec, 1.37e-7, FS, 512e-6, seed=0)
 
+    def test_negative_delay_rejected(self):
+        with pytest.raises(ParameterError):
+            simulate_delayed_self_average(OscillatorSpec(f_c=FC), -64 / FS, FS, 512e-6, seed=0)
+
 
 class TestDelayBlock:
     def test_integer_shift(self):
@@ -358,3 +407,7 @@ class TestDelayBlock:
             delay_block(tone(1e6, n=64), 1.5 / FS)
         with pytest.raises(ParameterError):
             delay_block(tone(1e6, n=64), float("nan"))
+
+    def test_negative_delay_rejected(self):
+        with pytest.raises(ParameterError):
+            delay_block(tone(1e6, n=64), -2 / FS)

@@ -24,7 +24,31 @@ from oscavg.experiments import TAG_DELAYED
 TWO_PI = 2.0 * np.pi
 
 
+# (beta, theta0, n) of walks checked bit for bit
+WALK_CASES = [
+    (1e4, 0.0, 64), (1e4, 0.7, 64), (1e4, -2.5, 33), (1e4, -0.0, 17),
+    (5e-324, -0.0, 8),  # steps of scale 0: normal(0.0, 0.0) draws +0.0
+    (1e4, 0.3, 1), (0.0, 0.3, 9), (0.0, -0.0, 4)]
+
+
+def walk_oracle(beta, theta0, dt, n, seed_id, stream):
+    """theta0, then theta0 plus the running sum of n - 1 draws of
+    normal(0.0, sqrt(2*pi*beta*dt)) from path_rng(seed_id, stream)."""
+    theta = np.full(n, theta0)
+    if n > 1 and beta != 0.0:
+        steps = stochastic.path_rng(seed_id, stream).normal(0.0, np.sqrt(TWO_PI * beta * dt), n - 1)
+        theta[1:] = theta0 + np.cumsum(steps)
+    return theta
+
+
 class TestWienerPath:
+    @pytest.mark.parametrize("beta,theta0,n", WALK_CASES)
+    def test_bytes_match_running_sum_oracle(self, beta, theta0, n):
+        for index in (0, 2**32 - 1):
+            path = wiener_path(beta, theta0, 1e-6, n, (77, index), 5)
+            assert path.samples.tobytes() == walk_oracle(beta, theta0, 1e-6, n, (77, index),
+                                                         5).tobytes()
+
     def test_zero_diffusion_is_constant(self):
         p = wiener_path(0.0, 1.0, 1e-6, 500, (1, 0))
         assert np.all(p.samples == 1.0)
@@ -97,10 +121,7 @@ class TestEnsembleSeeding:
         got = stochastic._seed_words(master, first, rows, stream)
         assert got.dtype == np.uint64 and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("beta,theta0,n", [
-        (1e4, 0.0, 64), (1e4, 0.7, 64), (1e4, -2.5, 33), (1e4, -0.0, 17),
-        (5e-324, -0.0, 8),  # steps of scale 0: wiener_path's are all +0.0
-        (1e4, 0.3, 1), (0.0, 0.3, 9), (0.0, -0.0, 4)])
+    @pytest.mark.parametrize("beta,theta0,n", WALK_CASES)
     def test_ensemble_rows_are_wiener_paths(self, beta, theta0, n):
         first = 2**32 - 4  # the last row has the largest index
         ens = wiener_ensemble(beta, theta0, 1e-6, n, 77, 4, first_index=first, stream=5)
@@ -281,6 +302,22 @@ class TestOscillatorWaveform:
         path = wiener_path(1e4, 0.0, 1.0 / self.fs, n, (4, 0))
         w = oscillator_waveform(spec, 0.0, path, self.fs, n)
         assert np.max(np.abs(w.samples)) <= 1.0
+
+    def test_bytes_match_cosine_oracle(self):
+        # an offset carrier and a phase path longer than the waveform
+        n, f_i = 5000, -1234.5
+        spec = OscillatorSpec(f_c=self.fc, beta=1e4)
+        path = wiener_path(1e4, 0.4, 1.0 / self.fs, n + 17, (5, 0))
+        w = oscillator_waveform(spec, f_i, path, self.fs, n)
+        expected = np.cos(TWO_PI * (self.fc + f_i) * np.arange(n) / self.fs + path.samples[:n])
+        assert w.samples.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_waveform_rejected(self, n):
+        spec = OscillatorSpec(f_c=self.fc)
+        path = wiener_path(0.0, 0.0, 1.0 / self.fs, 8, (0, 0))
+        with pytest.raises(ParameterError):
+            oscillator_waveform(spec, 0.0, path, self.fs, n)
 
     def test_undersampling_rejected(self):
         n = 64
