@@ -24,19 +24,22 @@ from .stochastic import STREAM_PHASE, TWO_PI, ParameterError
 LOG_GRID = (1e3, 1e7, 200)   # offset range and point count of the log sweep
 LIN_BAND = 2.5e6             # half-width of the linear sweep
 LIN_POINTS = 501
-# Welch segment samples (paths * segments * segment_len) per block of paths
-# in the ensemble estimates, at least one path. Output does not depend on
-# it. Each estimate allocates one set of Welch buffers, sized by its largest
-# block's segment samples, so this bounds them whatever the overlap; a path
-# alone can hold up to MAX_SAMPLES. 7 * 2**13 is two default paths (7
-# segments of 4096) and 32 of segment_len 256.
+# Samples per block of paths in the ensemble estimates, at least one path,
+# counting per path the larger of its Welch segment samples (segments *
+# segment_len) and its longest walk (the path and its taps' largest lag).
+# Output does not depend on it. Each estimate allocates one set of Welch
+# buffers, sized by its largest block's segment samples, so this bounds them
+# whatever the overlap, and each source's walks whatever the delay; a path
+# alone can hold up to MAX_SAMPLES. 7 * 2**13 is two default paths (7 segments of
+# 4096) and 32 of segment_len 256.
 BLOCK_SAMPLES = 7 * 2**13
 # Largest input a command accepts, in samples: a `simulate` waveform
-# (duration * fs), and an estimated figure path (4 * segment_len) and the
-# Welch segment samples it makes. The arrays of that size are held in
-# memory, and a much larger input would fail in allocation instead of with
-# a one-line error. Tables are written TABLE_CHUNK_ROWS rows at a time, so
-# their text (~35 bytes a row, ~0.6 GB here) never is.
+# (duration * fs), and an estimated figure path (4 * segment_len), the
+# Welch segment samples it makes and a delayed curve's walk. The arrays of
+# that size are held in memory, and a much larger input would fail in
+# allocation instead of with a one-line error. Tables are written
+# TABLE_CHUNK_ROWS rows at a time, so their text (~35 bytes a row, ~0.6 GB
+# here) never is.
 MAX_SAMPLES = 2**24
 # Rows `_write_table` formats and writes at once (~2.5 MB of text). Output
 # does not depend on it.
@@ -70,16 +73,18 @@ PAIR_TAPS = tuple((tag, 0.5, 0.0) for tag in TAG_PAIR)
 
 # ---------------------------------------------------------------------------
 # estimated curves (Welch over the curves' phase ensembles, built in blocks
-# of BLOCK_SAMPLES segment samples so no curve holds its whole ensemble)
+# of BLOCK_SAMPLES samples so no curve holds its whole ensemble)
 
 
 def _estimate(cfg: ExperimentConfig, taps, dt: float) -> spectral.SpectrumEstimate:
     """Welch estimate of the curve of `taps` over cfg.n_paths paths of four
-    segment lengths, built in blocks of at most BLOCK_SAMPLES Welch segment
-    samples (at least one path)."""
+    segment lengths, built in blocks of at most BLOCK_SAMPLES samples (at
+    least one path), counting per path the larger of its Welch segment
+    samples and its longest walk (the path and its taps' largest lag)."""
     n = 4 * cfg.segment_len
     segments = spectral._segments(n, cfg.segment_len, cfg.overlap)[1]
-    rows = max(1, BLOCK_SAMPLES // (segments * cfg.segment_len))
+    walk = n + max(stochastic.lag_samples(delay, dt) for _, _, delay in taps)
+    rows = max(1, BLOCK_SAMPLES // max(segments * cfg.segment_len, walk))
     blocks = (stochastic.tap_ensemble(cfg.beta, taps, dt, n, cfg.seed,
                                       min(rows, cfg.n_paths - first), first_index=first)
               for first in range(0, cfg.n_paths, rows))
@@ -263,6 +268,18 @@ def _check_path_size(cfg: ExperimentConfig):
                              f"{MAX_SAMPLES} samples")
 
 
+def _check_delayed_walks(cfg: ExperimentConfig, dt: float):
+    """Raise ParameterError if a delay is not a whole number of steps of dt,
+    or if its delayed curve's walk (4 * segment_len samples and the delay's
+    lag) exceeds MAX_SAMPLES."""
+    n = 4 * cfg.segment_len
+    for delta in cfg.deltas:
+        walk = n + stochastic.lag_samples(delta, dt)
+        if walk > MAX_SAMPLES:
+            raise ParameterError(f"delay {delta:g} s makes delayed walks of {walk} samples "
+                                 f"at dt={dt:g} s, over the limit of {MAX_SAMPLES}")
+
+
 def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarray,
                   dt: float, estimates: bool
                   ) -> Tuple[Dict[str, List[str]], List[np.ndarray]]:
@@ -277,6 +294,7 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
                              f"file tag; give delays that differ in 7 digits")
     if estimates:
         _check_path_size(cfg)
+        _check_delayed_walks(cfg, dt)
     _make_out_dir(out)
     omega = TWO_PI * grid
     cfg_hash = cfg.content_hash()

@@ -13,6 +13,11 @@ overlap is the default.
 Both entry points check their arguments in `_plan` and run one kernel,
 `_welch_rows`, which works in buffers its caller owns: `welch_psd`
 allocates them for its one call, `psd_of_phase_shift` once per ensemble.
+
+`psd_of_phase_shift` takes the phasors exp(j theta) of its phase paths in
+single precision: theta is reduced to [-pi, pi] in float64, and cos and sin
+of its float32 cast are each within 2**-22 of the exact value for |theta|
+up to 1e8 rad. The FFT and every sum after it run in float64.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .stochastic import ParameterError
+from .stochastic import TWO_PI, ParameterError
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,19 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
     row densities are summed in path order and divided once at the end, so
     the result does not depend on how the paths are split into blocks. The
     frequency grid is the offset from the carrier in Hz.
+
+    The phasors are single precision. Each phase is reduced in float64 to
+    t = theta - 2 pi rint(theta / 2 pi), clipped to [-pi, pi], and cast to
+    float32; cos t and sin t are taken in float32. The clip moves t only
+    where rounding leaves it a few float64 steps of theta past +-pi, and for
+    |theta| beyond about 2**52 rad, where a float64 phase holds no angle.
+    For |theta| up to 1e8 rad each component of a phasor is within 2**-22
+    of cos theta and sin theta (0.68 * 2**-22 at most over 2e6 phases; the
+    reduction's own error grows as 1.5e-16 |theta|). So a segment's FFT is
+    within E = sqrt(2) 2**-22 sum|w| of its float64 value, and each density
+    within (2 |X| E + E**2) / (fs sum(w**2)) of the float64 phasors'
+    density, averaged over the segments' float64 transforms X. Without the
+    float64 reduction the cast alone would cost 5e-4 at |theta| = 1e4.
     """
     fs = 1.0 / dt if dt else np.inf  # dt = 0 is refused as fs = inf
     work: dict = {}
@@ -190,9 +208,16 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
     for block in blocks:
         theta = np.atleast_2d(np.asarray(block, dtype=float))
         plan = _plan(theta.shape, fs, segment_len, overlap, window)
+        turn = _take(work, "turn", theta.shape, float)
+        np.divide(theta, TWO_PI, out=turn)
+        np.rint(turn, out=turn)
+        turn *= TWO_PI
+        np.subtract(theta, turn, out=turn)
+        reduced = _take(work, "reduced", theta.shape, np.float32)
+        np.clip(turn, -np.pi, np.pi, out=reduced, casting="same_kind")
         z = _take(work, "z", theta.shape, complex)
-        np.cos(theta, out=z.real)
-        np.sin(theta, out=z.imag)
+        np.cos(reduced, out=z.real, dtype=np.float32)
+        np.sin(reduced, out=z.imag, dtype=np.float32)
         if acc is None:
             acc = np.zeros(segment_len)
         for row in _welch_rows(z, plan, work):

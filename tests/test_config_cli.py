@@ -351,6 +351,8 @@ class TestFigureCommands:
         # estimate paths over the sample cap, or whose Welch segments are
         ("figure-log --paths 1", "segment_len = 1099511627776"),
         ("figure-log --paths 2", "overlap = 0.9999"),
+        # a delayed walk of 16384 + 4e10 samples
+        ("figure-log --paths 1", "deltas = 1000"),
         ("simulate", "fs = inf"),
         ("simulate", "duration = nan"),
         ("simulate", "f_c_scaled = 1e7"),  # fs = 64e6 cannot carry it
@@ -385,6 +387,28 @@ class TestFigureCommands:
             assert "check" not in err
         # a command-line run prints warnings to stderr too
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("command", ["figure-log", "figure-linear"])
+    @pytest.mark.parametrize("deltas", ["1e-6,3e-8",   # not a whole number of steps
+                                        "1e-6,1000"])  # a walk over the sample cap
+    def test_bad_delay_refused_before_any_estimate(self, tmp_path, capsys, monkeypatch,
+                                                   command, deltas):
+        """A delay the estimates cannot use is refused with one line and
+        exit 2 before any curve is estimated or any file written; without
+        estimates the analytic curves need no lag, and the run goes on."""
+        cfg = tmp_path / "delays.cfg"
+        cfg.write_text(f"deltas = {deltas}\n")
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("a curve was estimated before the delays were checked")
+
+        monkeypatch.setattr(spectral, "psd_of_phase_shift", no_estimate)
+        out = tmp_path / "out"
+        assert main([command, "--paths", "2", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: delay ") and err.count("\n") == 1
+        assert not out.exists()
+        assert main([command, "--no-estimates", "--config", str(cfg), "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("out", ["a#b", "out ", "a\nb"])
     def test_out_the_text_cannot_carry_exit_2(self, tmp_path, capsys, monkeypatch, out):
@@ -458,6 +482,16 @@ class TestFigureCommands:
         else:
             experiments._check_path_size(cfg)
 
+    @pytest.mark.parametrize("lag,refused", [(2**24 - 2**14, False),  # a walk of MAX_SAMPLES
+                                             (2**24 - 2**14 + 1, True)])
+    def test_delayed_walk_cap(self, lag, refused):
+        cfg = ExperimentConfig(deltas=(1e-6, lag * 1e-8))
+        if refused:
+            with pytest.raises(ParameterError, match=f"over the limit of {experiments.MAX_SAMPLES}"):
+                experiments._check_delayed_walks(cfg, 1e-8)
+        else:
+            experiments._check_delayed_walks(cfg, 1e-8)
+
     def test_colliding_delay_tags_write_nothing(self, tmp_path):
         cfg = tmp_path / "dup.cfg"
         cfg.write_text("deltas = 1e-6,1e-6\n")
@@ -519,11 +553,19 @@ class TestFigureCommands:
                     assert (tmp_path / f"{prefix}_{block}" / name).read_bytes() == want
 
 
-@pytest.mark.parametrize("segment_len,overlap,rows", [
-    (4096, 0.5, [2, 2, 1]),      # the default figure paths: 7 segments each
-    (256, 0.5, [32, 32, 1]),     # 7 segments of 256: 32 paths a block
-    (4096, 0.999, [1] * 5)])     # 2458 segments a path: one path a block
-def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, overlap, rows):
+@pytest.mark.parametrize("segment_len,overlap,delta,rows", [
+    # the default figure paths: 7 segments each
+    pytest.param(4096, 0.5, None, [2, 2, 1], id="4096-0.5-rows0"),
+    # the default delay: a lag of 10 samples
+    pytest.param(4096, 0.5, 1e-6, [2, 2, 1], id="4096-0.5-delay1e-06"),
+    # 7 segments of 256: 32 paths a block
+    pytest.param(256, 0.5, None, [32, 32, 1], id="256-0.5-rows1"),
+    # walks of 1024 + 2560 samples: 16 paths a block
+    pytest.param(256, 0.5, 2.56e-4, [16, 16, 1], id="256-0.5-delay2.56e-04"),
+    # 2458 segments a path: one path a block
+    pytest.param(4096, 0.999, None, [1] * 5, id="4096-0.999-rows2")])
+def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, overlap,
+                                                    delta, rows):
     cfg = ExperimentConfig(n_paths=sum(rows), segment_len=segment_len, overlap=overlap)
     seen = []
 
@@ -533,7 +575,10 @@ def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, ov
 
     monkeypatch.setattr(stochastic, "tap_ensemble", record)
     monkeypatch.setattr(spectral, "psd_of_phase_shift", lambda blocks, dt, **kw: list(blocks))
-    experiments.estimate_base(cfg, 1e-7)
+    if delta is None:
+        experiments.estimate_base(cfg, 1e-7)
+    else:
+        experiments.estimate_delayed(cfg, delta, 1e-7)
     assert seen == rows
 
 

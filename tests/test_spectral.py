@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,13 @@ from oscavg import (
     welch_psd,
     wiener_ensemble,
 )
-from oscavg.experiments import PAIR_TAPS, estimate_delayed, estimate_independent
+from oscavg.experiments import (
+    BASE_TAPS,
+    PAIR_TAPS,
+    TAG_DELAYED,
+    estimate_delayed,
+    estimate_independent,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -182,8 +189,9 @@ class TestEnsembleWelch:
     ])
     def test_matches_reference_written_out(self, block_shapes):
         # the ensemble estimate is, bit for bit, the Welch density of each
-        # path's exp(j theta), summed row by row in path order and divided
-        # by the path count; the blocks shrink and grow as the buffers must
+        # path's single-precision exp(j theta), summed row by row in path
+        # order and divided by the path count; the blocks shrink and grow as
+        # the buffers must
         dt, seg = 1e-6, 512
         blocks, first = [], 0
         for rows, n in block_shapes:
@@ -192,7 +200,9 @@ class TestEnsembleWelch:
             first += rows
         densities, n_segments = [], 0
         for theta in blocks:
-            est = welch_psd(np.cos(theta) + 1j * np.sin(theta), fs=1 / dt, segment_len=seg)
+            reduced = (theta - TWO_PI * np.rint(theta / TWO_PI)).astype(np.float32)
+            phasor = np.cos(reduced).astype(float) + 1j * np.sin(reduced).astype(float)
+            est = welch_psd(phasor, fs=1 / dt, segment_len=seg)
             densities.extend(est.psd)
             n_segments += est.n_segments
         total = densities[0].copy()
@@ -202,6 +212,47 @@ class TestEnsembleWelch:
         assert np.array_equal(got.psd, total / len(densities))
         assert np.array_equal(got.freqs, est.freqs)
         assert got.n_segments == n_segments
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_single_precision_phasors_within_bound_of_float64(self, seed):
+        # every bin of the four default figure-log curves, path by path,
+        # against the Welch density of the float64 phasors
+        dt, seg = 2.5e-8, 4096
+        for taps in (BASE_TAPS, PAIR_TAPS, delayed_taps(1e-6, TAG_DELAYED),
+                     delayed_taps(1e-7, TAG_DELAYED + 1)):
+            theta = tap_ensemble(1e4, taps, dt, 4 * seg, master_seed=seed, n_paths=2)
+            want, bound = _float64_phasor_density_and_bound(theta, dt, seg)
+            for row, s64, slack in zip(theta, want, bound):
+                got = psd_of_phase_shift([row[None]], dt, segment_len=seg).psd
+                assert np.all(np.abs(got - s64) <= slack)
+
+    def test_bound_fails_without_float64_reduction(self):
+        # the float32 cast of theta itself, at |theta| ~ 1e3 rad, is off by
+        # half a float32 step there (3e-5 rad), beyond the bound
+        dt, seg = 2.5e-8, 4096
+        theta = 1e3 + tap_ensemble(1e4, BASE_TAPS, dt, 4 * seg, master_seed=1, n_paths=3)
+        want, bound = _float64_phasor_density_and_bound(theta, dt, seg)
+        cast = theta.astype(np.float32)
+        got = welch_psd(np.cos(cast).astype(float) + 1j * np.sin(cast).astype(float),
+                        fs=1 / dt, segment_len=seg).psd
+        assert np.any(np.abs(got - want) > bound)
+
+    def test_caller_block_not_modified(self):
+        theta = wiener_ensemble(1e4, 5e3, 1e-6, 2048, master_seed=212, n_paths=3)
+        kept = theta.copy()
+        theta.flags.writeable = False
+        psd_of_phase_shift([theta, theta[:1]], 1e-6, segment_len=512)
+        assert np.array_equal(theta, kept)
+
+    @pytest.mark.parametrize("phase", [1e17, -1e300, 1.7e308])
+    def test_huge_finite_phases_give_finite_estimate(self, phase):
+        # beyond ~2**52 rad a float64 phase holds no angle, and the reduced
+        # phase can be far outside [-pi, pi] (about -2e292 at 1.7e308)
+        theta = phase + np.arange(128.0).reshape(2, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = psd_of_phase_shift([theta], 1e-6, segment_len=16)
+        assert np.all(np.isfinite(est.psd))
 
     @pytest.mark.parametrize("segment_len,fs", [(0, 1.0), (-4, 1.0), (8, 0.0),
                                                 (8, float("nan")), (8, float("inf")),
@@ -215,6 +266,22 @@ class TestEnsembleWelch:
                                                 (0.5, "hamming")])
     def test_bad_overlap_or_window_rejected(self, monkeypatch, overlap, window):
         _rejected_alike(monkeypatch, overlap=overlap, window=window)
+
+
+def _float64_phasor_density_and_bound(theta, dt, seg):
+    """Per path of `theta`, the Welch density (hann, 50 % overlap) of its
+    float64 phasors cos theta + j sin theta, and the bound on how far the
+    density of phasors with components within 2**-22 of them can be: the
+    mean over the path's segments of (2 |X| E + E**2) / (fs sum(w**2)),
+    with X a segment's float64 transform and E = sqrt(2) 2**-22 sum|w|."""
+    fs = 1 / dt
+    z = np.cos(theta) + 1j * np.sin(theta)
+    win = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(seg) / seg)
+    segments = np.lib.stride_tricks.sliding_window_view(z, seg, axis=-1)[:, ::seg // 2]
+    x = np.abs(np.fft.fftshift(np.fft.fft(segments * win, axis=-1), axes=-1))
+    e = np.sqrt(2) * 2.0**-22 * np.sum(np.abs(win))
+    bound = np.mean(2 * x * e + e**2, axis=1) / (fs * np.sum(win**2))
+    return welch_psd(z, fs=fs, segment_len=seg).psd, bound
 
 
 def _rejected_alike(monkeypatch, segment_len=8, fs=1.0, overlap=0.5, window="hann"):
