@@ -26,6 +26,7 @@ PSDs are two-sided in angular frequency, S(w) = int R(tau) e^{-j w tau} dtau.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from typing import Callable, Sequence, Tuple, Union
@@ -63,8 +64,28 @@ def _segments(beta: float, taps: Taps) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     return kinks, rates, logc
 
 
+@lru_cache(maxsize=256)
+def _segment_lists(beta: float, taps: Taps) -> Tuple[list, list, list]:
+    """_segments(beta, taps) as Python lists, for tap_autocorr's float path."""
+    return tuple(col.tolist() for col in _segments(beta, taps))
+
+
 def tap_autocorr(beta: float, taps: Taps, tau):
-    """Autocorrelation R(tau) of exp(j*phi) for the phase of `taps`."""
+    """Autocorrelation R(tau) of exp(j*phi) for the phase of `taps`.
+
+    A Python float tau, the argument QUADPACK passes the integrand, takes a
+    path without NumPy scalar wrapping: bisection over the segment table as
+    lists and one np.exp, returning a float bit-identical to the array
+    path's tap_autocorr(beta, taps, np.array([tau]))[0]. (math.exp differs
+    from NumPy's exp in the last bit for some arguments, and quadrature
+    would carry that into its result.) Other inputs, np.float64 and 0-d
+    arrays too, take the array path.
+    """
+    if type(tau) is float:
+        kinks, rates, logc = _segment_lists(beta, taps)
+        at = abs(tau)
+        i = bisect_right(kinks, at) - 1
+        return float(np.exp(logc[i] - rates[i] * at))
     kinks, rates, logc = _segments(beta, taps)
     at = np.abs(np.asarray(tau, dtype=float))
     i = kinks.searchsorted(at, "right") - 1
@@ -131,13 +152,18 @@ def psd_by_quadrature(autocorr: Callable[[Union[float, np.ndarray]], Union[float
     `tail_rate` is the known decay rate of the envelope beyond the last
     breakpoint; the integration window [0, T] is sized so the truncated
     tail, bounded by the exponential envelope, contributes less than
-    `rel_tail` relative to the zero-frequency scale 2/tail_rate.
+    `rel_tail` relative to the zero-frequency scale 2/tail_rate. `omega`
+    and `tail_rate` must be finite, `tail_rate` > 0 and `rel_tail` in (0, 1).
     `breakpoint` is a kink (e.g. the delay) or a sequence of kinks (e.g.
     the model's |d_j - d_k|), where the integral is split. Each piece is
     QUADPACK's QAWO cosine rule (Piessens et al., QUADPACK, 1983).
     """
-    if tail_rate <= 0:
-        raise ParameterError("tail_rate must be > 0")
+    if not math.isfinite(omega):
+        raise ParameterError("omega must be finite")
+    if not (math.isfinite(tail_rate) and tail_rate > 0):
+        raise ParameterError("tail_rate must be finite and > 0")
+    if not 0 < rel_tail < 1:
+        raise ParameterError("rel_tail must be in (0, 1)")
     probe = np.asarray(autocorr(np.array([0.0])), dtype=float)
     if not np.all(np.isfinite(probe)):
         raise ParameterError("autocorrelation not finite at 0")

@@ -212,6 +212,8 @@ class OscillatorSpec:
             raise ParameterError("f_c must be finite and > 0")
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ParameterError("beta must be finite and >= 0")
+        if not np.isfinite(self.theta0):
+            raise ParameterError("theta0 must be finite")
         # initial phase stored wrapped to [0, 2*pi); mod can round up to 2*pi
         wrapped = float(np.mod(self.theta0, TWO_PI))
         if wrapped >= TWO_PI:
@@ -257,9 +259,11 @@ class Waveform:
         return np.arange(self.samples.size) / self.fs
 
 
-def _check_walk(beta: float, dt: float, n: int):
+def _check_walk(beta: float, theta0: float, dt: float, n: int):
     if not (np.isfinite(beta) and beta >= 0):
         raise ParameterError("beta must be finite and >= 0")
+    if not np.isfinite(theta0):
+        raise ParameterError("theta0 must be finite")
     if not (np.isfinite(dt) and dt > 0):
         raise ParameterError("dt must be finite and > 0")
     if n < 1:
@@ -297,19 +301,21 @@ def wiener_path(beta: float, theta0: float, dt: float, n: int,
     step size. samples[0] equals theta0 (unwrapped). They are drawn from
     path_rng(seed_id, stream).
     """
-    _check_walk(beta, dt, n)
+    _check_walk(beta, theta0, dt, n)
     theta = np.empty(n, dtype=float)
     _fill_walks(theta[None, :], beta, theta0, dt, lambda: (path_rng(seed_id, stream),))
     return PhasePath(dt=dt, samples=theta)
 
 
 def _ndtri(p):
-    """scipy.special.ndtri, imported on the first normal draw: importing
-    scipy.special costs more than a command's whole set-up, and nothing
-    else in the package needs it. That call rebinds this module's name to
-    scipy's ufunc, so later draws call it directly."""
+    """scipy's ndtri for one float, imported on the first normal draw:
+    importing scipy.special costs more than a command's whole set-up, and
+    nothing else in the package needs it. That call rebinds this module's
+    name to scipy.special.cython_special.ndtri, the same Cephes routine as
+    the scipy.special.ndtri ufunc without its per-call ufunc overhead, so
+    later draws call it directly and get a float."""
     global _ndtri
-    from scipy.special import ndtri as _ndtri
+    from scipy.special.cython_special import ndtri as _ndtri
     return _ndtri(p)
 
 
@@ -347,8 +353,8 @@ def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
         # |2k + 1 - 2**53| < 2**53: the int converts and scales exactly
         return offset_dist.param * ((2 * k + 1 - _TWO53) * 2.0**-53)
     if 2 * k < _TWO53:
-        return offset_dist.param * float(_ndtri((k + 0.5) / _TWO53))
-    return -offset_dist.param * float(_ndtri((_TWO53 - k - 0.5) / _TWO53))
+        return offset_dist.param * _ndtri((k + 0.5) / _TWO53)
+    return -offset_dist.param * _ndtri((_TWO53 - k - 0.5) / _TWO53)
 
 
 def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: PhasePath,
@@ -385,7 +391,7 @@ def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
     bit for bit. One _seed_words pass seeds every row's stream, the rows'
     standard normals are drawn straight into the block, and one cumulative
     sum integrates it."""
-    _check_walk(beta, dt, n)
+    _check_walk(beta, theta0, dt, n)
     out = np.empty((n_paths, n), dtype=float)
     _fill_walks(out, beta, theta0, dt, lambda: (
         np.random.Generator(np.random.PCG64(_Seeded(words)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,85 @@ class TestPsdByQuadrature:
     def test_non_decaying_rejected(self):
         with pytest.raises(ParameterError):
             psd_by_quadrature(lambda tau: np.ones_like(tau), 1.0, tail_rate=1e4)
+
+    @pytest.mark.parametrize("tail_rate", [math.nan, math.inf])
+    def test_non_finite_tail_rate_rejected(self, tail_rate):
+        # nan and inf used to return a density of 0.0
+        with pytest.raises(ParameterError, match="tail_rate"):
+            psd_by_quadrature(lambda tau: np.exp(-PI_BETA * np.abs(tau)), 1e5,
+                              tail_rate=tail_rate)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_rejected(self, omega):
+        # these used to return nan after an IntegrationWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="omega"):
+                psd_by_quadrature(lambda tau: np.exp(-PI_BETA * np.abs(tau)), omega,
+                                  tail_rate=PI_BETA)
+
+    @pytest.mark.parametrize("rel_tail", [0.0, -1e-10, 1.0, 2.0, math.nan])
+    def test_rel_tail_outside_unit_interval_rejected(self, rel_tail):
+        # 0 used to raise a bare "math domain error"
+        with pytest.raises(ParameterError, match="rel_tail"):
+            psd_by_quadrature(lambda tau: np.exp(-PI_BETA * np.abs(tau)), 1e5,
+                              tail_rate=PI_BETA, rel_tail=rel_tail)
+
+
+FIVE_TAP_SETS = [(BETA, ONE), (BETA, PAIR), (BETA, delayed_taps(1e-6)),
+                 (3e2, delayed_taps(4e-5)), (BETA, tuple((0, 0.25, k * 1e-6) for k in range(4)))]
+
+
+def float_path_arguments(beta, taps):
+    """Signed zeros, every kink and its neighbours on both sides of 0, and
+    arguments far beyond the table and outside the reals."""
+    from oscavg.analytic import _segments
+    taus = [0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    for kink in _segments(beta, taps)[0].tolist():
+        for t in (kink, float(np.nextafter(kink, -np.inf)), float(np.nextafter(kink, np.inf))):
+            taus += [t, -t]
+    return taus + np.linspace(-3e-5, 3e-5, 61).tolist()
+
+
+def assert_float_path_is_array_path(beta, taps, taus):
+    for t in taus:
+        got = tap_autocorr(beta, taps, t)
+        # the array path warns where rate * |tau| overflows or is 0 * inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = tap_autocorr(beta, taps, np.array([t]))[0]
+        assert type(got) is float
+        assert got.hex() == float(want).hex(), t
+
+
+class TestAutocorrFloatPath:
+    @pytest.mark.parametrize("beta,taps", FIVE_TAP_SETS)
+    def test_equals_the_array_path(self, beta, taps):
+        assert_float_path_is_array_path(beta, taps, float_path_arguments(beta, taps))
+
+    @given(beta=st.floats(min_value=1e-3, max_value=1e5),
+           taps=st.lists(st.tuples(st.integers(0, 2),
+                                   st.floats(min_value=-1.0, max_value=1.0),
+                                   st.floats(min_value=0.0, max_value=1e-5)),
+                         min_size=1, max_size=5).map(tuple),
+           tau=st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_array_path_for_drawn_taps(self, beta, taps, tau):
+        assert_float_path_is_array_path(beta, taps, float_path_arguments(beta, taps) + [tau])
+
+    def test_numpy_scalar_and_0d_inputs_unchanged(self):
+        taps = delayed_taps(1e-6)
+        for t in (0.0, 3e-7, -1e-6, 2.5e-6):
+            want = tap_autocorr(BETA, taps, np.array([t]))[0]
+            scalar = tap_autocorr(BETA, taps, np.float64(t))
+            assert type(scalar) is float and scalar == want
+            zero_d = tap_autocorr(BETA, taps, np.array(t))
+            assert type(zero_d) is np.float64 and zero_d == want
+
+    # bad taps on this path: test_bad_taps_rejected passes a float tau
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(ParameterError, match="beta"):
+            tap_autocorr(beta, ONE, 1e-6)
 
 
 class TestDbcHz:

@@ -101,6 +101,14 @@ class TestWienerPath:
         with pytest.raises(ParameterError):
             wiener_path(1e4, 0.0, 1e-6, 0, (0, 0))
 
+    @pytest.mark.parametrize("theta0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta0_rejected(self, theta0):
+        # an all-NaN walk would only show up later, as a non-finite table value
+        with pytest.raises(ParameterError, match="theta0"):
+            wiener_path(1e4, theta0, 1e-6, 10, (0, 0))
+        with pytest.raises(ParameterError, match="theta0"):
+            wiener_ensemble(1e4, theta0, 1e-6, 10, 0, 2)
+
 
 class TestEnsembleSeeding:
     # every stream is seeded by one vectorised hash; numpy's SeedSequence
@@ -208,6 +216,27 @@ class TestSampleOffset:
         # u = 2**-54 or its mirror: |z| is ndtri(2**-54) = 8.29
         assert np.isfinite(z) and sign * z == pytest.approx(8.29, abs=0.01)
 
+    @staticmethod
+    def ufunc_normal(sigma, k):
+        """The normal draw of the top 53 hash bits k through scipy's ndtri
+        ufunc, as sample_offset's docstring states it."""
+        from scipy.special import ndtri
+        if 2 * k < 2**53:
+            return sigma * float(ndtri((k + 0.5) / 2**53))
+        return -sigma * float(ndtri((2**53 - k - 0.5) / 2**53))
+
+    def test_normal_is_the_ndtri_ufunc(self):
+        for i in range(10_000):
+            want = self.ufunc_normal(50.0, stochastic._offset_bits(13, i) >> 11)
+            assert sample_offset(OffsetDist.normal(50.0), (13, i)).hex() == want.hex()
+
+    @pytest.mark.parametrize("k", [0, 2**52 - 1, 2**52, 2**53 - 1])
+    def test_normal_at_branch_edges_is_the_ndtri_ufunc(self, monkeypatch, k):
+        # 2**52 is the first k of the mirror branch
+        monkeypatch.setattr(stochastic, "_offset_bits", lambda master, index: k << 11)
+        got = sample_offset(OffsetDist.normal(50.0), (0, 0))
+        assert type(got) is float and got.hex() == self.ufunc_normal(50.0, k).hex()
+
     # (key, hash bits, uniform(100) draw, normal(50) draw), recorded once;
     # (1, 0) and (2**63, 999) take the normal's mirror branch (k >= 2**52)
     PINNED = [
@@ -272,6 +301,13 @@ class TestOscillatorWaveform:
         mag = np.abs(np.fft.rfft(w.samples))
         freqs = np.fft.rfftfreq(n, d=1.0 / self.fs)
         assert abs(freqs[np.argmax(mag)] - self.fc) <= self.fs / n
+
+    @pytest.mark.parametrize("theta0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta0_rejected(self, theta0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="theta0"):
+                OscillatorSpec(f_c=self.fc, theta0=theta0)
 
     def test_initial_phase(self):
         n = 64
