@@ -26,6 +26,7 @@ PSDs are two-sided in angular frequency, S(w) = int R(tau) e^{-j w tau} dtau.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
@@ -34,6 +35,9 @@ from typing import Callable, Sequence, Tuple, Union
 import numpy as np
 
 from .stochastic import ParameterError, Taps, _check_taps
+
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def _like(x, out):
@@ -60,6 +64,9 @@ def _segments(beta: float, taps: Taps) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     kinks, at = np.unique(gap, return_inverse=True)
     a = math.pi * beta
     rates = a * np.cumsum(np.bincount(at, weights=coef))
+    # past the last kink the rate is a * sum_s (sum_{j in s} a_j)**2 >= 0, but
+    # rounding can leave it a few ulp below 0, where R would grow without bound
+    rates[-1] = max(rates[-1], 0.0)
     logc = a * np.cumsum(np.bincount(at, weights=coef * gap))
     return kinks, rates, logc
 
@@ -80,16 +87,23 @@ def tap_autocorr(beta: float, taps: Taps, tau):
     from NumPy's exp in the last bit for some arguments, and quadrature
     would carry that into its result.) Other inputs, np.float64 and 0-d
     arrays too, take the array path.
+
+    Both paths cap |tau| at the largest float, so a zero rate contributes
+    nothing at any tau: R(+-inf) is exp(c_last) where no diffusion is left
+    beyond the last kink, and 0 where some is. A nan tau gives nan.
     """
     if type(tau) is float:
         kinks, rates, logc = _segment_lists(beta, taps)
         at = abs(tau)
+        if at > _FLOAT_MAX:
+            at = _FLOAT_MAX
         i = bisect_right(kinks, at) - 1
         return float(np.exp(logc[i] - rates[i] * at))
     kinks, rates, logc = _segments(beta, taps)
-    at = np.abs(np.asarray(tau, dtype=float))
+    at = np.minimum(np.abs(np.asarray(tau, dtype=float)), _FLOAT_MAX)
     i = kinks.searchsorted(at, "right") - 1
-    out = np.exp(logc[i] - rates[i] * at)
+    with np.errstate(over="ignore"):  # rate * |tau| past the largest float: R is 0
+        out = np.exp(logc[i] - rates[i] * at)
     return _like(tau, out)
 
 
@@ -155,8 +169,9 @@ def psd_by_quadrature(autocorr: Callable[[Union[float, np.ndarray]], Union[float
     `rel_tail` relative to the zero-frequency scale 2/tail_rate. `omega`
     and `tail_rate` must be finite, `tail_rate` > 0 and `rel_tail` in (0, 1).
     `breakpoint` is a kink (e.g. the delay) or a sequence of kinks (e.g.
-    the model's |d_j - d_k|), where the integral is split. Each piece is
-    QUADPACK's QAWO cosine rule (Piessens et al., QUADPACK, 1983).
+    the model's |d_j - d_k|), each finite and >= 0, where the integral is
+    split. Each piece is QUADPACK's QAWO cosine rule (Piessens et al.,
+    QUADPACK, 1983).
     """
     if not math.isfinite(omega):
         raise ParameterError("omega must be finite")
@@ -164,10 +179,13 @@ def psd_by_quadrature(autocorr: Callable[[Union[float, np.ndarray]], Union[float
         raise ParameterError("tail_rate must be finite and > 0")
     if not 0 < rel_tail < 1:
         raise ParameterError("rel_tail must be in (0, 1)")
+    kinks = [float(k) for k in np.ravel(breakpoint)]
+    if not all(math.isfinite(k) and k >= 0 for k in kinks):
+        raise ParameterError("breakpoint kinks must be finite and >= 0")
     probe = np.asarray(autocorr(np.array([0.0])), dtype=float)
     if not np.all(np.isfinite(probe)):
         raise ParameterError("autocorrelation not finite at 0")
-    edges = sorted({0.0, *map(float, np.ravel(breakpoint))})
+    edges = sorted({0.0, *kinks})
     last = edges[-1]
     # exp tail bound: int_T^inf C e^{-r (t - t0)} dt < rel_tail * 2/r
     T = last + max(1.0, -math.log(rel_tail)) / tail_rate

@@ -25,21 +25,20 @@ LOG_GRID = (1e3, 1e7, 200)   # offset range and point count of the log sweep
 LIN_BAND = 2.5e6             # half-width of the linear sweep
 LIN_POINTS = 501
 # Samples per block of paths in the ensemble estimates, at least one path,
-# counting per path the larger of its Welch segment samples (segments *
-# segment_len) and its longest walk (the path and its taps' largest lag).
-# Output does not depend on it. Each estimate allocates one set of Welch
-# buffers, sized by its largest block's segment samples, so this bounds them
-# whatever the overlap, and each source's walks whatever the delay; a path
-# alone can hold up to MAX_SAMPLES. 7 * 2**13 is two default paths (7 segments of
-# 4096) and 32 of segment_len 256.
+# counting per path its `_path_samples`: the larger of its Welch segment
+# samples (segments * segment_len) and its longest walk (the path and its
+# taps' largest lag). Output does not depend on it. Each estimate allocates
+# one set of Welch buffers, sized by its largest block's segment samples,
+# so this bounds them whatever the overlap, and each source's walks
+# whatever the delay; a path alone can hold up to MAX_SAMPLES. 7 * 2**13 is
+# two default paths (7 segments of 4096) and 32 of segment_len 256.
 BLOCK_SAMPLES = 7 * 2**13
 # Largest input a command accepts, in samples: a `simulate` waveform
-# (duration * fs), and an estimated figure path (4 * segment_len), the
-# Welch segment samples it makes and a delayed curve's walk. The arrays of
-# that size are held in memory, and a much larger input would fail in
-# allocation instead of with a one-line error. Tables are written
-# TABLE_CHUNK_ROWS rows at a time, so their text (~35 bytes a row, ~0.6 GB
-# here) never is.
+# (duration * fs), and an estimated figure path's `_path_samples` (its
+# Welch segment samples or its longest walk). The arrays of that size are
+# held in memory, and a much larger input would fail in allocation instead
+# of with a one-line error. Tables are written TABLE_CHUNK_ROWS rows at a
+# time, so their text (~35 bytes a row, ~0.6 GB here) never is.
 MAX_SAMPLES = 2**24
 # Rows `_write_table` formats and writes at once (~2.5 MB of text). Output
 # does not depend on it.
@@ -76,15 +75,24 @@ PAIR_TAPS = tuple((tag, 0.5, 0.0) for tag in TAG_PAIR)
 # of BLOCK_SAMPLES samples so no curve holds its whole ensemble)
 
 
+def _path_samples(cfg: ExperimentConfig, taps, dt: float) -> int:
+    """Samples one estimated path of the curve of `taps` holds at once: the
+    larger of its Welch segment samples (segments * segment_len over its
+    4 * segment_len samples) and its longest walk (the path and its taps'
+    largest lag). A delay that is not a whole number of steps of dt is a
+    ParameterError."""
+    n = 4 * cfg.segment_len
+    segments = spectral._segments(n, cfg.segment_len, cfg.overlap)[1]
+    return max(segments * cfg.segment_len,
+               n + max(stochastic.lag_samples(delay, dt) for _, _, delay in taps))
+
+
 def _estimate(cfg: ExperimentConfig, taps, dt: float) -> spectral.SpectrumEstimate:
     """Welch estimate of the curve of `taps` over cfg.n_paths paths of four
     segment lengths, built in blocks of at most BLOCK_SAMPLES samples (at
-    least one path), counting per path the larger of its Welch segment
-    samples and its longest walk (the path and its taps' largest lag)."""
+    least one path), counting per path its `_path_samples`."""
     n = 4 * cfg.segment_len
-    segments = spectral._segments(n, cfg.segment_len, cfg.overlap)[1]
-    walk = n + max(stochastic.lag_samples(delay, dt) for _, _, delay in taps)
-    rows = max(1, BLOCK_SAMPLES // max(segments * cfg.segment_len, walk))
+    rows = max(1, BLOCK_SAMPLES // _path_samples(cfg, taps, dt))
     blocks = (stochastic.tap_ensemble(cfg.beta, taps, dt, n, cfg.seed,
                                       min(rows, cfg.n_paths - first), first_index=first)
               for first in range(0, cfg.n_paths, rows))
@@ -134,29 +142,12 @@ def _words(texts) -> np.ndarray:
     return np.frombuffer("".join(texts).encode(), "<u4")
 
 
-def _pow10_pair(k: int) -> Tuple[float, float]:
-    """10**k as hi + lo: hi correctly rounded, and lo the rest correctly
-    rounded (int / int rounds correctly)."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    hi = num / den
-    hi_num, hi_den = hi.as_integer_ratio()
-    return hi, (num * hi_den - hi_num * den) / (den * hi_den)
-
-
-def _split(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """a as hi + lo, each with at most 26 significant bits, so the product
-    of two halves is exact (Dekker, Numer. Math. 18, 1971)."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-# Tables of `_format_rows`: 10**k for k in [-300, 300] as hi + lo, and as
-# 4-byte words the text "d.dd" of the leading three significand digits,
-# "dddd" of four more, and "+hto" of an exponent, NUL in place of the
-# hundreds digit below 100.
+# Tables of `_format_rows`: 10**k for k in [-300, 300], correctly rounded
+# (int / int rounds correctly), and as 4-byte words the text "d.dd" of the
+# leading three significand digits, "dddd" of four more, and "+hto" of an
+# exponent, NUL in place of the hundreds digit below 100.
 _POW10_MIN = -300
-_POW10, _POW10_LO = np.array([_pow10_pair(k) for k in range(_POW10_MIN, 301)]).T
+_POW10 = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(_POW10_MIN, 301)])
 _LEAD = _words(f"{k // 100}.{k % 100:02d}" for k in range(1000))
 _QUAD = _words(["%04d" * 10000 % tuple(range(10000))])
 _EXP_MIN = -324
@@ -170,37 +161,25 @@ def _format_rows(x: np.ndarray, y: np.ndarray) -> bytes:
 
     Each value is written from its 11-digit significand D and its exponent
     E, |v| ~ D * 10**(E - 10). E is floor(log10|v|), and D is the rint of
-    the product T of |v| and 10**(10 - E):
-    - The product s of |v| and the correctly rounded power of ten is
-      within 2 ulp (< 5e-5 at 1e11) of T, so rint(s) is D unless s is
-      within 1e-3 of a tie.
-    - Near a tie, T - s is summed from the exact error of that product
-      (Dekker's split) and |v| times the power's own rounding error, to
-      within 1e-19, which puts T on one side of the tie. That leaves the
-      values within 1e-12 of a tie: in practice only exact ties.
-    A value takes (D, E) from Python's own "%.10e" instead when it is that
-    close to a tie, when s is below 1e10 or its D is 1e11 (E off by one at
-    a decade edge, or a carry into the next decade), or when |v| is
-    outside [1e-280, 1e280], where the power of ten could overflow (zeros
-    and subnormals among them). The text is assembled in 19 bytes a value,
-    NUL where the value has no sign or no third exponent digit, and the
-    NULs are dropped."""
+    the exact product of |v| and 10**(10 - E). Its floating-point product
+    s with the correctly rounded power of ten is within 2 ulp (< 5e-5 at
+    1e11) of the exact one, so rint(s) is D unless s is within 1e-3 of a
+    tie. A value takes (D, E) from Python's own "%.10e" instead when s is
+    inside that 1e-3 window (~0.1 % of a default `simulate` table's
+    values, but 15.6 % of a 2**24-row one), when s is below 1e10 or
+    its D is 1e11 (E off by one at a decade edge, or a carry into the next
+    decade), or when |v| is outside [1e-280, 1e280], where the power of
+    ten could overflow (zeros and subnormals among them). The text is
+    assembled in 19 bytes a value, NUL where the value has no sign or no
+    third exponent digit, and the NULs are dropped."""
     v = np.column_stack((x, y)).ravel().astype(float, copy=False)  # x0 y0 x1 y1 ...
     mag = np.abs(v)
     fast = (mag >= 1e-280) & (mag <= 1e280)
     scale = np.where(fast, mag, 1.0)
     e = np.floor(np.log10(scale))
-    power = (10 - e).astype(np.intp) - _POW10_MIN
-    scale *= _POW10[power]
+    scale *= _POW10[(10 - e).astype(np.intp) - _POW10_MIN]
     d = np.rint(scale)
-    near = np.flatnonzero(np.abs(scale - np.floor(scale) - 0.5) < 1e-3)
-    a, s, near_power = mag[near], scale[near], power[near]
-    (a_hi, a_lo), (p_hi, p_lo) = _split(a), _split(_POW10[near_power])
-    s_error = ((a_hi * p_hi - s) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    above_tie = (s - np.floor(s) - 0.5) + (s_error + a * _POW10_LO[near_power])  # T - tie
-    d[near] = np.floor(s) + (above_tie > 0)
-    fast[near[np.abs(above_tie) < 1e-12]] = False
-    fast &= (scale >= 1e10) & (d < 1e11)
+    fast &= (scale >= 1e10) & (d < 1e11) & (np.abs(scale - np.floor(scale) - 0.5) >= 1e-3)
     for i in np.flatnonzero(~fast):
         mant, exp = ("%.10e" % mag[i]).split("e")
         d[i], e[i] = int(mant.replace(".", "")), int(exp)
@@ -254,32 +233,6 @@ def _emit_curve(out: Path, name: str, cfg_hash: str, grid_hz: np.ndarray,
     return written
 
 
-def _check_path_size(cfg: ExperimentConfig):
-    """Raise ParameterError if an estimated curve's path (4 * segment_len
-    samples) or its Welch segments' samples exceed MAX_SAMPLES."""
-    n = 4 * cfg.segment_len
-    if n > MAX_SAMPLES:
-        raise ParameterError(f"segment_len = {cfg.segment_len} makes paths of {n} samples, "
-                             f"over the limit of {MAX_SAMPLES}")
-    segments = spectral._segments(n, cfg.segment_len, cfg.overlap)[1]
-    if segments * cfg.segment_len > MAX_SAMPLES:
-        raise ParameterError(f"overlap = {cfg.overlap} makes {segments} Welch segments of "
-                             f"{cfg.segment_len} samples a path, over the limit of "
-                             f"{MAX_SAMPLES} samples")
-
-
-def _check_delayed_walks(cfg: ExperimentConfig, dt: float):
-    """Raise ParameterError if a delay is not a whole number of steps of dt,
-    or if its delayed curve's walk (4 * segment_len samples and the delay's
-    lag) exceeds MAX_SAMPLES."""
-    n = 4 * cfg.segment_len
-    for delta in cfg.deltas:
-        walk = n + stochastic.lag_samples(delta, dt)
-        if walk > MAX_SAMPLES:
-            raise ParameterError(f"delay {delta:g} s makes delayed walks of {walk} samples "
-                                 f"at dt={dt:g} s, over the limit of {MAX_SAMPLES}")
-
-
 def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarray,
                   dt: float, estimates: bool
                   ) -> Tuple[Dict[str, List[str]], List[np.ndarray]]:
@@ -287,19 +240,12 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
     averaged independent pair, and one delayed-self curve per configured
     delay. Each curve's taps give its analytic PSD, and its estimate from
     phase paths sampled at step dt. Returns the files written per curve and
-    each delay's analytic PSD."""
+    each delay's analytic PSD. With estimates on, every curve's paths are
+    checked against MAX_SAMPLES before anything is written."""
     tags = [delta_tag(delta) for delta in cfg.deltas]
     if len(set(tags)) < len(tags):
         raise ParameterError(f"deltas {', '.join(map(repr, cfg.deltas))} share a "
                              f"file tag; give delays that differ in 7 digits")
-    if estimates:
-        _check_path_size(cfg)
-        _check_delayed_walks(cfg, dt)
-    _make_out_dir(out)
-    omega = TWO_PI * grid
-    cfg_hash = cfg.content_hash()
-    written: Dict[str, List[str]] = {}
-
     # (key, file stem, taps, estimator); each curve kind keeps an estimator
     # of its own name, by which the benchmark's tracer times it
     curves = [("base", "base", BASE_TAPS, lambda: estimate_base(cfg, dt)),
@@ -308,6 +254,21 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
         stream = TAG_DELAYED + j
         curves.append((f"delta_{tag}", f"delta_{tag}", analytic.delayed_taps(delta, stream),
                        partial(estimate_delayed, cfg, delta, dt, stream)))
+    if estimates:
+        # every curve has the base curve's Welch samples and the base curve is
+        # checked first, so a delayed curve over the limit is over it by its walk
+        for _, _, taps, _ in curves:
+            samples = _path_samples(cfg, taps, dt)
+            if samples > MAX_SAMPLES:
+                lag = max(delay for _, _, delay in taps)
+                cause = (f"delay {lag:g} s at dt={dt:g} s" if lag else
+                         f"segment_len = {cfg.segment_len} with overlap = {cfg.overlap}")
+                raise ParameterError(f"{cause} makes estimated paths of {samples} samples, "
+                                     f"over the limit of {MAX_SAMPLES}")
+    _make_out_dir(out)
+    omega = TWO_PI * grid
+    cfg_hash = cfg.content_hash()
+    written: Dict[str, List[str]] = {}
     psds = []
     for key, stem, taps, estimate in curves:
         psds.append(analytic.tap_psd(cfg.beta, taps, omega))

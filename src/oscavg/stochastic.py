@@ -45,9 +45,10 @@ _TWO53 = 2**53
 # in [0, 2**64) and a spawn key (index, tag) of words below 2**32 it reads
 # six entropy words: the master's two little-endian words zero-padded to
 # four, then the index, then the tag. Its hashmix call k xors a word with
-# INIT * MULT**k and multiplies it by INIT * MULT**(k + 1): calls 0-15 build
-# the pool from the master, 16-19 mix in the index and 20-23 the tag, and
-# the output's eight calls run under the B constants.
+# INIT * MULT**k and multiplies it by INIT * MULT**(k + 1). Calls 0-15 build
+# the pool from the master, which numpy's SeedSequence(master).pool holds;
+# calls 16-19 mix in the index and 20-23 the tag, and the output's eight
+# calls run under the B constants.
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -94,22 +95,9 @@ def _check_key(master, index, rows: int, stream):
 
 @lru_cache(maxsize=64)
 def _master_pool(master: int) -> np.ndarray:
-    """The hash pool after the master's words (hashmix calls 0-15), a
-    read-only (4, 1) uint32 column."""
-    calls = iter(zip(*_hash_consts(_INIT_A, _MULT_A, 0, 16)[..., 0].tolist()))
-
-    def hashmix(value: int) -> int:
-        xor, mult = next(calls)
-        value = (value ^ xor) * mult & _M32
-        return value ^ (value >> _XSHIFT)
-
-    pool = [hashmix(word) for word in (master & _M32, master >> 32, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                r = (_MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])) & _M32
-                pool[dst] = r ^ (r >> _XSHIFT)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    """The hash pool after the master's words (hashmix calls 0-15), as
+    numpy's SeedSequence(master) holds it: a read-only (4, 1) uint32 column."""
+    pool = np.random.SeedSequence(master).pool[:, None]
     pool.flags.writeable = False
     return pool
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -356,6 +357,17 @@ class TestPsdByQuadrature:
                 psd_by_quadrature(lambda tau: np.exp(-PI_BETA * np.abs(tau)), omega,
                                   tail_rate=PI_BETA)
 
+    # a negative kink used to return 13.7 and [1e-6, -5e-6] 2.9 times the
+    # closed form; nan returned nan after an IntegrationWarning
+    @pytest.mark.parametrize("breakpoint", [-1e-6, [1e-6, -5e-6], math.nan])
+    def test_negative_or_non_finite_breakpoint_rejected(self, breakpoint):
+        taps = delayed_taps(1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="breakpoint"):
+                psd_by_quadrature(lambda t: tap_autocorr(BETA, taps, t), 2 * np.pi * 1e5,
+                                  tail_rate=PI_BETA, breakpoint=breakpoint)
+
     @pytest.mark.parametrize("rel_tail", [0.0, -1e-10, 1.0, 2.0, math.nan])
     def test_rel_tail_outside_unit_interval_rejected(self, rel_tail):
         # 0 used to raise a bare "math domain error"
@@ -372,7 +384,8 @@ def float_path_arguments(beta, taps):
     """Signed zeros, every kink and its neighbours on both sides of 0, and
     arguments far beyond the table and outside the reals."""
     from oscavg.analytic import _segments
-    taus = [0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    taus = [0.0, -0.0, 1e300, -1e300, 1e306, -1e306, sys.float_info.max,
+            -sys.float_info.max, math.inf, -math.inf, math.nan]
     for kink in _segments(beta, taps)[0].tolist():
         for t in (kink, float(np.nextafter(kink, -np.inf)), float(np.nextafter(kink, np.inf))):
             taus += [t, -t]
@@ -381,9 +394,10 @@ def float_path_arguments(beta, taps):
 
 def assert_float_path_is_array_path(beta, taps, taus):
     for t in taus:
-        got = tap_autocorr(beta, taps, t)
-        # the array path warns where rate * |tau| overflows or is 0 * inf
-        with np.errstate(over="ignore", invalid="ignore"):
+        # neither path warns, also where rate * |tau| overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tap_autocorr(beta, taps, t)
             want = tap_autocorr(beta, taps, np.array([t]))[0]
         assert type(got) is float
         assert got.hex() == float(want).hex(), t
@@ -403,6 +417,27 @@ class TestAutocorrFloatPath:
     @settings(max_examples=200, deadline=None)
     def test_equals_the_array_path_for_drawn_taps(self, beta, taps, tau):
         assert_float_path_is_array_path(beta, taps, float_path_arguments(beta, taps) + [tau])
+
+    # no diffusion left beyond the last kink: R is exp(c_last) from there on,
+    # out to +-inf (where both paths used to give nan); the third set's last
+    # rate rounds to -7e-12, which used to make R overflow to inf
+    @pytest.mark.parametrize("beta,taps", [
+        (0.0, ONE), (BETA, ((0, 1.0, 0.0), (0, -1.0, 1e-6))),
+        (BETA, ((0, 0.7, 2e-6), (0, 0.6, 0.0), (0, -1.2999999999999998, 3e-6)))])
+    def test_zero_rate_contributes_nothing_at_any_tau(self, beta, taps):
+        # R = exp(pi*beta * sum_s sum_{j,k in s} a_j a_k |d_j - d_k|) from the
+        # last kink on, when sum_s (sum_{j in s} a_j)**2 is 0
+        want = math.exp(math.pi * beta * sum(a * b * abs(d - e) for s, a, d in taps
+                                             for t, b, e in taps if s == t))
+        last = max(abs(d - e) for _, _, d in taps for _, _, e in taps)
+        taus = [last, 1e-5, 1e10, 1e306, sys.float_info.max, math.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = [tap_autocorr(beta, taps, t) for t in taus + [-t for t in taus]]
+            assert tail == [tail[0]] * len(tail)
+            assert tail[0] == pytest.approx(want, rel=1e-12)
+            assert np.array_equal(tap_autocorr(beta, taps, np.array(taus)), tail[:len(taus)])
+        assert_float_path_is_array_path(beta, taps, float_path_arguments(beta, taps))
 
     def test_numpy_scalar_and_0d_inputs_unchanged(self):
         taps = delayed_taps(1e-6)

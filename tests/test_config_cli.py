@@ -237,6 +237,22 @@ class TestWriteTable:
         self.assert_rows_match_oracle(tmp_path, np.concatenate([self.neighbours(exact + decimal),
                                                                 times]))
 
+    def test_values_either_side_of_the_tie_window(self, tmp_path):
+        """Values whose product s sits 0.9e-3 and 1.1e-3 below and above an
+        11-digit rounding tie, at every decade from 1e-280 to 1e280: inside
+        the 1e-3 window Python's "%.10e" writes them, outside it rint(s)
+        alone decides."""
+        decades = np.arange(-280, 280)
+        digits = np.random.default_rng(19).integers(10**10, 10**11 - 1, decades.size)
+        fractions = {"4989": False, "4991": True, "5009": True, "5011": False}  # inside?
+        values = np.array([float(f"{d}.{f}e{k - 10}")
+                           for d, k in zip(digits.tolist(), decades.tolist()) for f in fractions])
+        # the formatter's product with its decade's power of ten
+        s = values * experiments._POW10[10 - np.repeat(decades, 4) - experiments._POW10_MIN]
+        inside = np.abs(s - np.floor(s) - 0.5) < 1e-3
+        assert np.array_equal(inside, np.tile(list(fractions.values()), decades.size))
+        self.assert_rows_match_oracle(tmp_path, values)
+
     def test_subnormals_zeros_extremes_and_3_digit_exponents(self, tmp_path):
         tiny, huge = np.finfo(float).tiny, np.finfo(float).max
         rng = np.random.default_rng(17)
@@ -467,30 +483,40 @@ class TestFigureCommands:
         assert not out.exists()
         assert main(["figure-log", "--no-estimates", "--config", str(cfg), "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("segment_len,overlap,refused", [
-        (4096, 0.5, False),           # the default: 7 segments of a 16384-sample path
-        (2**22, 0.0, False),          # a path of MAX_SAMPLES, 4 segments of 2**22
-        (2**22 + 1, 0.0, True),       # a longer path
-        (2**22, 0.25, True),          # 5 segments of 2**22
-        (4096, 0.999, False),         # 2458 segments: 10 067 968 samples
-        (4096, 0.9999, True)])        # 12289 segments
-    def test_path_size_cap(self, segment_len, overlap, refused):
+    @staticmethod
+    def assert_estimates_refused(cfg, tmp_path, cause):
+        """A figure with estimates on is refused, naming `cause` and the
+        limit, before its output directory is made."""
+        out = tmp_path / "out"
+        with pytest.raises(ParameterError, match=f"^{cause}.*, over the limit of "
+                                                 f"{experiments.MAX_SAMPLES}$"):
+            experiments._write_figure(cfg, out, "log", np.array([1e3]), 1e-8, estimates=True)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("segment_len,overlap,samples,refused", [
+        (4096, 0.5, 7 * 4096, False),             # the default: 7 segments of a 16384-sample path
+        (2**22, 0.0, 2**24, False),               # a path of MAX_SAMPLES, 4 segments of 2**22
+        (2**22 + 1, 0.0, 4 * (2**22 + 1), True),  # a longer path
+        (2**22, 0.25, 5 * 2**22, True),           # 5 segments of 2**22
+        (4096, 0.999, 2458 * 4096, False),        # 2458 segments: 10 067 968 samples
+        (4096, 0.9999, 12289 * 4096, True)])      # 12289 segments
+    def test_path_size_cap(self, tmp_path, segment_len, overlap, samples, refused):
         cfg = ExperimentConfig(segment_len=segment_len, overlap=overlap)
+        assert experiments._path_samples(cfg, experiments.BASE_TAPS, 1e-8) == samples
+        assert (samples > experiments.MAX_SAMPLES) == refused
         if refused:
-            with pytest.raises(ParameterError, match=f"over the limit of {experiments.MAX_SAMPLES}"):
-                experiments._check_path_size(cfg)
-        else:
-            experiments._check_path_size(cfg)
+            self.assert_estimates_refused(cfg, tmp_path, "segment_len = ")
 
     @pytest.mark.parametrize("lag,refused", [(2**24 - 2**14, False),  # a walk of MAX_SAMPLES
                                              (2**24 - 2**14 + 1, True)])
-    def test_delayed_walk_cap(self, lag, refused):
+    def test_delayed_walk_cap(self, tmp_path, lag, refused):
         cfg = ExperimentConfig(deltas=(1e-6, lag * 1e-8))
+        taps = analytic.delayed_taps(lag * 1e-8, experiments.TAG_DELAYED + 1)
+        samples = experiments._path_samples(cfg, taps, 1e-8)
+        assert samples == 4 * cfg.segment_len + lag
+        assert (samples > experiments.MAX_SAMPLES) == refused
         if refused:
-            with pytest.raises(ParameterError, match=f"over the limit of {experiments.MAX_SAMPLES}"):
-                experiments._check_delayed_walks(cfg, 1e-8)
-        else:
-            experiments._check_delayed_walks(cfg, 1e-8)
+            self.assert_estimates_refused(cfg, tmp_path, f"delay {lag * 1e-8:g} s ")
 
     def test_colliding_delay_tags_write_nothing(self, tmp_path):
         cfg = tmp_path / "dup.cfg"

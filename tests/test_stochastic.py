@@ -129,6 +129,13 @@ class TestEnsembleSeeding:
         got = stochastic._seed_words(master, first, rows, stream)
         assert got.dtype == np.uint64 and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("master", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_master_pool_is_seed_sequence_pool(self, master):
+        pool = stochastic._master_pool(master)
+        assert pool.shape == (4, 1) and pool.dtype == np.uint32
+        assert not pool.flags.writeable
+        assert np.array_equal(pool[:, 0], np.random.SeedSequence(master).pool)
+
     @pytest.mark.parametrize("beta,theta0,n", WALK_CASES)
     def test_ensemble_rows_are_wiener_paths(self, beta, theta0, n):
         first = 2**32 - 4  # the last row has the largest index
