@@ -3,10 +3,11 @@ quadrature cross-check.
 
 A curve is a tuple of taps (source s_j, weight a_j, delay d_j in seconds):
 its phase is phi_t = sum_j a_j theta^(s_j)_{t - d_j} over independent
-Wiener phases of diffusion rate beta, one per source (the curve's stream
-tag; `stochastic.tap_ensemble` samples the same sum). One oscillator is
-((s, 1, 0),), the averaged pair ((s, 1/2, 0), (s', 1/2, 0)), the delayed
-self-average ((s, 1/2, 0), (s, 1/2, delta)). exp(j*phi) has autocorrelation
+Wiener phases of diffusion rate beta, one per source (a stream tag, which
+curves estimated together share; `stochastic.tap_ensemble` samples the
+same sum). One oscillator is ((s, 1, 0),), the averaged pair ((s, 1/2, 0),
+(s', 1/2, 0)), the delayed self-average ((s, 1/2, 0), (s, 1/2, delta)).
+exp(j*phi) has autocorrelation
 
     R(tau) = exp(-pi*beta * sum_s sum_{j,k in s} a_j a_k max(0, |tau| - |d_j - d_k|)),
 
@@ -45,9 +46,9 @@ def _like(x, out):
     return float(out) if np.isscalar(x) else out
 
 
-def delayed_taps(delta: float, source: int = 0) -> Taps:
-    """Taps of the delayed self-average (theta_t + theta_{t-delta})/2."""
-    return ((source, 0.5, 0.0), (source, 0.5, delta))
+def delayed_taps(delta: float) -> Taps:
+    """Taps of the delayed self-average (theta_t + theta_{t-delta})/2 on source 0."""
+    return ((0, 0.5, 0.0), (0, 0.5, delta))
 
 
 @lru_cache(maxsize=256)

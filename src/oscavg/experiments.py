@@ -24,14 +24,12 @@ from .stochastic import STREAM_PHASE, TWO_PI, ParameterError
 LOG_GRID = (1e3, 1e7, 200)   # offset range and point count of the log sweep
 LIN_BAND = 2.5e6             # half-width of the linear sweep
 LIN_POINTS = 501
-# Samples per block of paths in the ensemble estimates, at least one path,
-# counting per path its `_path_samples`: the larger of its Welch segment
-# samples (segments * segment_len) and its longest walk (the path and its
-# taps' largest lag). Output does not depend on it. Each estimate allocates
-# one set of Welch buffers, sized by its largest block's segment samples,
-# so this bounds them whatever the overlap, and each source's walks
-# whatever the delay; a path alone can hold up to MAX_SAMPLES. 7 * 2**13 is
-# two default paths (7 segments of 4096) and 32 of segment_len 256.
+# Samples per block of paths in a figure's one estimation pass, at least one
+# path. A path counts the larger of its Welch segment samples (segments *
+# segment_len), which size the pass's one set of Welch buffers, and all its
+# walks (one per source: the path and the largest lag on it) and curves'
+# phases. Output does not depend on it. 7 * 2**13 is one default path of a
+# default figure (two walks and four phases of 16384) and nine of segment_len 256.
 BLOCK_SAMPLES = 7 * 2**13
 # Largest input a command accepts, in samples: a `simulate` waveform
 # (duration * fs), and an estimated figure path's `_path_samples` (its
@@ -56,61 +54,51 @@ def delta_tag(delta: float) -> str:
 
 
 # Stream tags (see stochastic.STREAM_PHASE) of the acceptance battery's own
-# draws and of the estimated curves. Each curve's taps (analytic.py) name
-# its sources by these tags, so path i of a curve is built from the walks
-# of (seed, i) on them: the base curve on STREAM_PHASE, the pair on both
-# TAG_PAIR tags, delay j of a figure on TAG_DELAYED + j (keep it the highest
-# tag). So no two curves share a stream at any n_paths.
+# draws and of the pair's second oscillator. Path i of a curve is built from
+# the walks of (seed, i) on its taps' sources (analytic.py): the base and
+# every delayed curve read the oscillator on STREAM_PHASE, and the pair
+# averages it with the one on TAG_PARTNER. One pass draws each walk once for
+# all curves, so they share random numbers; no figure draws a battery tag.
 TAG_WHITE_NOISE = 2      # welch-white-normalization
 TAG_DIVIDER = 3          # divider-loop-residual
-TAG_PAIR = (4, 5)
-TAG_DELAYED = 6
+TAG_PARTNER = 4
 
 BASE_TAPS = ((STREAM_PHASE, 1.0, 0.0),)
-PAIR_TAPS = tuple((tag, 0.5, 0.0) for tag in TAG_PAIR)
+PAIR_TAPS = ((STREAM_PHASE, 0.5, 0.0), (TAG_PARTNER, 0.5, 0.0))
 
 
 # ---------------------------------------------------------------------------
-# estimated curves (Welch over the curves' phase ensembles, built in blocks
-# of BLOCK_SAMPLES samples so no curve holds its whole ensemble)
+# estimated curves (Welch over the curves' phase ensembles, in one pass over
+# blocks of BLOCK_SAMPLES samples, so no curve holds its whole ensemble)
 
 
 def _path_samples(cfg: ExperimentConfig, taps, dt: float) -> int:
-    """Samples one estimated path of the curve of `taps` holds at once: the
-    larger of its Welch segment samples (segments * segment_len over its
-    4 * segment_len samples) and its longest walk (the path and its taps'
-    largest lag). A delay that is not a whole number of steps of dt is a
-    ParameterError."""
+    """Samples in the largest array one estimated path of the curve of
+    `taps` holds: the larger of its Welch segment samples (segments *
+    segment_len over its 4 * segment_len samples) and its longest walk (the
+    path and its taps' largest lag). A delay that is not a whole number of
+    steps of dt is a ParameterError."""
     n = 4 * cfg.segment_len
     segments = spectral._segments(n, cfg.segment_len, cfg.overlap)[1]
     return max(segments * cfg.segment_len,
                n + max(stochastic.lag_samples(delay, dt) for _, _, delay in taps))
 
 
-def _estimate(cfg: ExperimentConfig, taps, dt: float) -> spectral.SpectrumEstimate:
-    """Welch estimate of the curve of `taps` over cfg.n_paths paths of four
-    segment lengths, built in blocks of at most BLOCK_SAMPLES samples (at
-    least one path), counting per path its `_path_samples`."""
+def estimate_curves(cfg: ExperimentConfig, curves, dt: float
+                    ) -> List[spectral.SpectrumEstimate]:
+    """Welch estimates of `curves`, a sequence of taps, over cfg.n_paths
+    paths of four segment lengths, in one pass over blocks of at most
+    BLOCK_SAMPLES samples (at least one path): each block's walks are drawn
+    once for all curves, and each estimate is, bit for bit, its curve's alone."""
     n = 4 * cfg.segment_len
-    rows = max(1, BLOCK_SAMPLES // _path_samples(cfg, taps, dt))
-    blocks = (stochastic.tap_ensemble(cfg.beta, taps, dt, n, cfg.seed,
+    welch = spectral._segments(n, cfg.segment_len, cfg.overlap)[1] * cfg.segment_len
+    walks = sum(n + lag for lag in stochastic.source_lags(curves, dt).values())
+    rows = max(1, BLOCK_SAMPLES // max(welch, walks + len(curves) * n))
+    blocks = (stochastic.tap_ensemble(cfg.beta, curves, dt, n, cfg.seed,
                                       min(rows, cfg.n_paths - first), first_index=first)
               for first in range(0, cfg.n_paths, rows))
     return spectral.psd_of_phase_shift(blocks, dt, segment_len=cfg.segment_len,
                                        overlap=cfg.overlap, window=cfg.window)
-
-
-def estimate_base(cfg: ExperimentConfig, dt: float) -> spectral.SpectrumEstimate:
-    return _estimate(cfg, BASE_TAPS, dt)
-
-
-def estimate_independent(cfg: ExperimentConfig, dt: float) -> spectral.SpectrumEstimate:
-    return _estimate(cfg, PAIR_TAPS, dt)
-
-
-def estimate_delayed(cfg: ExperimentConfig, delta: float, dt: float,
-                     stream: int = TAG_DELAYED) -> spectral.SpectrumEstimate:
-    return _estimate(cfg, analytic.delayed_taps(delta, stream), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +207,16 @@ def _write_table(path: Path, header: List[str], x: np.ndarray, y: np.ndarray):
 def _emit_curve(out: Path, name: str, cfg_hash: str, grid_hz: np.ndarray,
                 analytic_vals: np.ndarray,
                 est: Optional[spectral.SpectrumEstimate]) -> List[str]:
-    written = []
     header = [f"oscavg table {name}", f"config {cfg_hash}",
               "columns: offset_hz psd_dbc_hz"]
     _write_table(out / f"{name}.data", header + ["kind analytic"],
                  grid_hz, analytic.to_dbc_hz(analytic_vals))
-    written.append(f"{name}.data")
-    if est is not None:
-        vals = np.maximum(est.interp(grid_hz), np.finfo(float).tiny)
-        _write_table(out / f"{name}.est.data", header + ["kind estimated"],
-                     grid_hz, analytic.to_dbc_hz(vals))
-        written.append(f"{name}.est.data")
-    return written
+    if est is None:
+        return [f"{name}.data"]
+    vals = np.maximum(est.interp(grid_hz), np.finfo(float).tiny)
+    _write_table(out / f"{name}.est.data", header + ["kind estimated"],
+                 grid_hz, analytic.to_dbc_hz(vals))
+    return [f"{name}.data", f"{name}.est.data"]
 
 
 def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarray,
@@ -239,25 +225,20 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
     """Write one figure's curves over `grid` (Hz): the base oscillator, the
     averaged independent pair, and one delayed-self curve per configured
     delay. Each curve's taps give its analytic PSD, and its estimate from
-    phase paths sampled at step dt. Returns the files written per curve and
-    each delay's analytic PSD. With estimates on, every curve's paths are
-    checked against MAX_SAMPLES before anything is written."""
+    phase paths sampled at step dt (all curves in one pass). Returns the
+    files written per curve and each delay's analytic PSD. With estimates
+    on, every curve's paths are checked against MAX_SAMPLES first."""
     tags = [delta_tag(delta) for delta in cfg.deltas]
     if len(set(tags)) < len(tags):
         raise ParameterError(f"deltas {', '.join(map(repr, cfg.deltas))} share a "
                              f"file tag; give delays that differ in 7 digits")
-    # (key, file stem, taps, estimator); each curve kind keeps an estimator
-    # of its own name, by which the benchmark's tracer times it
-    curves = [("base", "base", BASE_TAPS, lambda: estimate_base(cfg, dt)),
-              ("independent", "ind", PAIR_TAPS, lambda: estimate_independent(cfg, dt))]
-    for j, (tag, delta) in enumerate(zip(tags, cfg.deltas)):
-        stream = TAG_DELAYED + j
-        curves.append((f"delta_{tag}", f"delta_{tag}", analytic.delayed_taps(delta, stream),
-                       partial(estimate_delayed, cfg, delta, dt, stream)))
+    curves = [("base", "base", BASE_TAPS), ("independent", "ind", PAIR_TAPS)]
+    curves += [(f"delta_{tag}", f"delta_{tag}", analytic.delayed_taps(delta))
+               for tag, delta in zip(tags, cfg.deltas)]
     if estimates:
         # every curve has the base curve's Welch samples and the base curve is
         # checked first, so a delayed curve over the limit is over it by its walk
-        for _, _, taps, _ in curves:
+        for _, _, taps in curves:
             samples = _path_samples(cfg, taps, dt)
             if samples > MAX_SAMPLES:
                 lag = max(delay for _, _, delay in taps)
@@ -266,15 +247,12 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
                 raise ParameterError(f"{cause} makes estimated paths of {samples} samples, "
                                      f"over the limit of {MAX_SAMPLES}")
     _make_out_dir(out)
-    omega = TWO_PI * grid
+    psds = [analytic.tap_psd(cfg.beta, taps, TWO_PI * grid) for _, _, taps in curves]
+    ests = (estimate_curves(cfg, [taps for _, _, taps in curves], dt) if estimates
+            else [None] * len(curves))
     cfg_hash = cfg.content_hash()
-    written: Dict[str, List[str]] = {}
-    psds = []
-    for key, stem, taps, estimate in curves:
-        psds.append(analytic.tap_psd(cfg.beta, taps, omega))
-        est = estimate() if estimates else None
-        written[key] = _emit_curve(out, f"psd_{prefix}_{stem}", cfg_hash, grid,
-                                   psds[-1], est)
+    written = {key: _emit_curve(out, f"psd_{prefix}_{stem}", cfg_hash, grid, psd, est)
+               for (key, stem, _), psd, est in zip(curves, psds, ests)}
     return written, psds[2:]
 
 

@@ -12,7 +12,8 @@ overlap is the default.
 
 Both entry points check their arguments in `_plan` and run one kernel,
 `_welch_rows`, which works in buffers its caller owns: `welch_psd`
-allocates them for its one call, `psd_of_phase_shift` once per ensemble.
+allocates them for its one call, `psd_of_phase_shift` once for all the
+curves of its ensemble.
 
 `psd_of_phase_shift` takes the phasors exp(j theta) of its phase paths in
 single precision: theta is reduced to [-pi, pi] in float64, and cos and sin
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -179,15 +180,18 @@ def autocorr_per_path(sequences: np.ndarray, lags: Sequence[int]) -> np.ndarray:
 
 def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
                        segment_len: int = 1024, overlap: float = 0.5,
-                       window: str = "hann") -> SpectrumEstimate:
-    """Welch PSD of exp(j*theta), averaged over an ensemble of phase paths.
+                       window: str = "hann") -> List[SpectrumEstimate]:
+    """Welch PSD of exp(j*theta) of each of a set of curves, averaged over
+    its ensemble of phase paths; one estimate per curve.
 
-    `blocks` yields 2-d arrays of phase samples, one path per row; pass one
-    ensemble as `[ens]`. Each block runs through the Welch kernel in work
-    buffers allocated once per call, sized by the largest block so far. The
-    row densities are summed in path order and divided once at the end, so
-    the result does not depend on how the paths are split into blocks. The
-    frequency grid is the offset from the carrier in Hz.
+    `blocks` yields (curves, rows, n) arrays of phase samples: the next
+    paths of every curve, one per row, the same curves in each block; pass
+    one curve's ensemble as `[ens[None]]`. Every curve runs through the
+    Welch kernel in one set of work buffers, allocated once per call and
+    sized by the largest block so far. A curve's row densities are summed
+    in path order and divided once at the end, so its estimate depends on
+    neither the split into blocks nor the other curves. The frequency grid
+    is the offset from the carrier in Hz.
 
     The phasors are single precision. Each phase is reduced in float64 to
     t = theta - 2 pi rint(theta / 2 pi), clipped to [-pi, pi], and cast to
@@ -206,24 +210,27 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
     work: dict = {}
     acc, n_rows, n_segments = None, 0, 0
     for block in blocks:
-        theta = np.atleast_2d(np.asarray(block, dtype=float))
-        plan = _plan(theta.shape, fs, segment_len, overlap, window)
-        turn = _take(work, "turn", theta.shape, float)
-        np.divide(theta, TWO_PI, out=turn)
-        np.rint(turn, out=turn)
-        turn *= TWO_PI
-        np.subtract(theta, turn, out=turn)
-        reduced = _take(work, "reduced", theta.shape, np.float32)
-        np.clip(turn, -np.pi, np.pi, out=reduced, casting="same_kind")
-        z = _take(work, "z", theta.shape, complex)
-        np.cos(reduced, out=z.real, dtype=np.float32)
-        np.sin(reduced, out=z.imag, dtype=np.float32)
-        if acc is None:
-            acc = np.zeros(segment_len)
-        for row in _welch_rows(z, plan, work):
-            acc += row
-        n_rows += theta.shape[0]
-        n_segments += theta.shape[0] * plan.segments
+        curves = np.asarray(block, dtype=float)
+        if curves.ndim != 3 or not len(curves) or (acc is not None and len(curves) != len(acc)):
+            raise ParameterError("pass blocks of (curves, rows, n) phases, the same "
+                                 "curves in every block")
+        plan = _plan(curves.shape[1:], fs, segment_len, overlap, window)
+        acc = np.zeros((len(curves), segment_len)) if acc is None else acc
+        turn = _take(work, "turn", curves.shape[1:], float)
+        reduced = _take(work, "reduced", curves.shape[1:], np.float32)
+        z = _take(work, "z", curves.shape[1:], complex)
+        for theta, total in zip(curves, acc):
+            np.divide(theta, TWO_PI, out=turn)
+            np.rint(turn, out=turn)
+            turn *= TWO_PI
+            np.subtract(theta, turn, out=turn)
+            np.clip(turn, -np.pi, np.pi, out=reduced, casting="same_kind")
+            np.cos(reduced, out=z.real, dtype=np.float32)
+            np.sin(reduced, out=z.imag, dtype=np.float32)
+            for row in _welch_rows(z, plan, work):
+                total += row
+        n_rows += curves.shape[1]
+        n_segments += curves.shape[1] * plan.segments
     if acc is None:
         raise ParameterError("empty ensemble")
-    return _estimate(acc / n_rows, fs, n_segments)
+    return [_estimate(total / n_rows, fs, n_segments) for total in acc]

@@ -30,7 +30,7 @@ TWO_PI = 2.0 * np.pi
 # Stream tags. A tag is a key word of its own, beside the path index, so
 # streams with different tags stay disjoint at any index. STREAM_PHASE
 # keys an oscillator's Wiener path, STREAM_OFFSET its offset draw; the
-# figure curves and the acceptance battery use tags from 2 up
+# acceptance battery and the figures' second oscillator use tags from 2 up
 # (experiments.py).
 STREAM_PHASE = 0
 STREAM_OFFSET = 1
@@ -394,22 +394,36 @@ def _check_taps(taps: Taps):
                              f"weight, finite delay >= 0), at least one")
 
 
-def tap_ensemble(beta: float, taps: Taps, dt: float, n: int, master_seed: int,
+def source_lags(curves, dt: float) -> dict:
+    """{source: its largest lag, in steps of dt, over the taps of `curves`};
+    ParameterError for taps that are not valid, or for no curve."""
+    lags: dict = {}
+    for taps in curves:
+        _check_taps(taps)
+        for s, _, delay in taps:
+            lags[s] = max(lags.get(s, 0), lag_samples(delay, dt))
+    if not lags:
+        raise ParameterError("pass at least one curve's taps")
+    return lags
+
+
+def tap_ensemble(beta: float, curves, dt: float, n: int, master_seed: int,
                  n_paths: int, first_index: int = 0) -> np.ndarray:
-    """Stack of n_paths phases sum_j a_j theta^(s_j)_{t - d_j}, shape
-    (n_paths, n), for taps (s_j, a_j, d_j). Source s is the walk of
-    (master_seed, first_index + i) on stream tag s, extended backwards by the
-    largest lag L of its taps, so no start-up transient appears; a tap of
-    lag l (d_j in whole steps of dt) adds a_j * theta[:, L - l : L - l + n],
-    in tap order."""
-    _check_taps(taps)
-    lags = [lag_samples(delay, dt) for _, _, delay in taps]
-    longest = {s: max(lag for (t, _, _), lag in zip(taps, lags) if t == s)
-               for s, _, _ in taps}
+    """Phases sum_j a_j theta^(s_j)_{t - d_j} of each curve of taps (s_j, a_j,
+    d_j) in `curves`, shape (len(curves), n_paths, n); pass one curve as
+    [taps]. Source s is the walk of (master_seed, first_index + i) on stream
+    tag s, drawn once, long enough for every curve. A curve whose largest
+    lag on s is L reads its first n + L samples, bit for bit the walk of
+    n + L samples, so its rows do not depend on the other curves and show no
+    start-up transient: a tap of lag l (d_j in whole steps of dt) adds
+    a_j * theta[:, L - l : L - l + n], in tap order."""
     walks = {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, n_paths,
                                 first_index=first_index, stream=s)
-             for s, L in longest.items()}
-    out = np.zeros((n_paths, n))
-    for (s, weight, _), lag in zip(taps, lags):
-        out += weight * walks[s][:, longest[s] - lag:longest[s] - lag + n]
+             for s, L in source_lags(curves, dt).items()}
+    out = np.zeros((len(curves), n_paths, n))
+    for phase, taps in zip(out, curves):
+        own = source_lags([taps], dt)
+        for s, weight, delay in taps:
+            start = own[s] - lag_samples(delay, dt)
+            phase += weight * walks[s][:, start:start + n]
     return out

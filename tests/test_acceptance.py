@@ -157,8 +157,8 @@ def test_06_delayed_psd_closed_form_vs_quadrature():
 def test_07_delayed_autocorr_mc_with_kink():
     dt, lag, paths = 1e-6, 20, 20_000
     delta = lag * dt
-    ens = tap_ensemble(BETA, delayed_taps(delta), dt, 2048, master_seed=1007,
-                       n_paths=400)
+    ens = tap_ensemble(BETA, [delayed_taps(delta)], dt, 2048, master_seed=1007,
+                       n_paths=400)[0]
     u = np.exp(1j * ens)
     p = DelayedAvgParams(BETA, delta)
     lags = list(range(1, 2 * lag + 1))

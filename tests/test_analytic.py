@@ -274,7 +274,7 @@ class TestTapModel:
 
     def test_segment_table_built_once(self):
         from oscavg.analytic import _segments
-        taps = delayed_taps(3e-6, source=9)
+        taps = ((9, 0.5, 0.0), (9, 0.5, 3e-6))  # not cached by another test
         before = _segments.cache_info()
         tap_psd(BETA, taps, 1.0)
         tap_autocorr(BETA, taps, np.array([1e-6, 5e-6]))

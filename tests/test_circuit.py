@@ -374,8 +374,8 @@ class TestDelayedSelfAverage:
         # MC autocorrelation at delta/2, delta, 2*delta within 3 standard errors
         beta, dt, lag = 1e4, 1e-6, 20
         delta = lag * dt
-        ens = tap_ensemble(beta, delayed_taps(delta), dt, 100, master_seed=102,
-                           n_paths=10_000)
+        ens = tap_ensemble(beta, [delayed_taps(delta)], dt, 100, master_seed=102,
+                           n_paths=10_000)[0]
         u = np.exp(1j * ens)
         p = DelayedAvgParams(beta, delta)
         for test_lag in (lag // 2, lag, 2 * lag):

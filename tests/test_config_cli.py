@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tracemalloc
@@ -511,7 +512,7 @@ class TestFigureCommands:
                                              (2**24 - 2**14 + 1, True)])
     def test_delayed_walk_cap(self, tmp_path, lag, refused):
         cfg = ExperimentConfig(deltas=(1e-6, lag * 1e-8))
-        taps = analytic.delayed_taps(lag * 1e-8, experiments.TAG_DELAYED + 1)
+        taps = analytic.delayed_taps(lag * 1e-8)
         samples = experiments._path_samples(cfg, taps, 1e-8)
         assert samples == 4 * cfg.segment_len + lag
         assert (samples > experiments.MAX_SAMPLES) == refused
@@ -563,57 +564,141 @@ class TestFigureCommands:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_estimate_bytes_independent_of_block_size(self, tmp_path, monkeypatch):
-        # 8 paths of 7 Welch segments of 512 samples: one block, one path per
-        # block, and blocks of 3, 3 and 2 paths (a ragged last block)
-        cfg = _small_cfg(tmp_path)
-        block_samples = (experiments.BLOCK_SAMPLES, 1, 3 * 7 * 512)
+        # 8 paths, each holding two walks and four phases of 2048 samples
+        # (12 328 samples in figure-log, 12 308 in figure-linear): blocks of
+        # 4 and 4 paths, one path per block, and blocks of 3, 3 and 2 paths
+        # (a ragged last block)
+        cfg = _small_cfg(tmp_path, deltas="1e-6,1e-7")
+        block_samples = (experiments.BLOCK_SAMPLES, 1, 3 * 12328)
         for command, prefix in (("figure-log", "log"), ("figure-linear", "lin")):
             for block in block_samples:
                 monkeypatch.setattr(experiments, "BLOCK_SAMPLES", block)
                 out = tmp_path / f"{prefix}_{block}"
                 assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-            for curve in ("base", "ind", "delta_1em6"):
+            for curve in ("base", "ind", "delta_1em6", "delta_1em7"):
                 name = f"psd_{prefix}_{curve}.est.data"
                 want = (tmp_path / f"{prefix}_{block_samples[0]}" / name).read_bytes()
                 for block in block_samples[1:]:
                     assert (tmp_path / f"{prefix}_{block}" / name).read_bytes() == want
 
+    @pytest.mark.parametrize("command,prefix", [("figure-log", "log"),
+                                                ("figure-linear", "lin")])
+    def test_curve_bytes_independent_of_the_other_curves(self, tmp_path, command, prefix):
+        """A curve's estimate table holds the same rows, byte for byte,
+        whichever other curves share its pass: one delay, or that delay
+        between two others. Only the header's config hash differs."""
+        def rows(path):
+            return [line for line in path.read_bytes().splitlines(True)
+                    if not line.startswith(b"#")]
 
-@pytest.mark.parametrize("segment_len,overlap,delta,rows", [
-    # the default figure paths: 7 segments each
-    pytest.param(4096, 0.5, None, [2, 2, 1], id="4096-0.5-rows0"),
-    # the default delay: a lag of 10 samples
-    pytest.param(4096, 0.5, 1e-6, [2, 2, 1], id="4096-0.5-delay1e-06"),
-    # 7 segments of 256: 32 paths a block
-    pytest.param(256, 0.5, None, [32, 32, 1], id="256-0.5-rows1"),
-    # walks of 1024 + 2560 samples: 16 paths a block
-    pytest.param(256, 0.5, 2.56e-4, [16, 16, 1], id="256-0.5-delay2.56e-04"),
+        for deltas in ("1e-6", "1e-7,1e-6,3e-6"):
+            cfg = tmp_path / f"{deltas}.cfg"
+            cfg.write_text(f"beta = 1e4\nn_paths = 8\nsegment_len = 512\ndeltas = {deltas}\n")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / deltas)]) == 0
+        for curve in ("base", "ind", "delta_1em6"):
+            name = f"psd_{prefix}_{curve}.est.data"
+            assert rows(tmp_path / "1e-6" / name) == rows(tmp_path / "1e-7,1e-6,3e-6" / name)
+
+    def test_base_estimate_bytes_pinned(self, tmp_path):
+        """The base curve reads only the oscillator on STREAM_PHASE, as it did
+        when every curve drew walks of its own: its table of a small
+        figure-log keeps the sha256 it had then."""
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("beta = 1e4\nn_paths = 8\nsegment_len = 512\ndeltas = 1e-6\n")
+        assert main(["figure-log", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        digest = hashlib.sha256((tmp_path / "out" / "psd_log_base.est.data").read_bytes())
+        assert digest.hexdigest() == ("474d0cc19c5adc94d4114d2a92e0c219"
+                                      "1aa8fb2252db5bb3ff2b42141a6034d9")
+
+
+def _figure_curves(deltas):
+    return ([experiments.BASE_TAPS, experiments.PAIR_TAPS]
+            + [analytic.delayed_taps(delta) for delta in deltas])
+
+
+@pytest.mark.parametrize("segment_len,overlap,deltas,rows", [
+    # the default figure paths, base and pair: two walks and two phases of
+    # 16384 samples, one path a block
+    pytest.param(4096, 0.5, (), [1] * 3, id="4096-0.5-rows0"),
+    # the default delay, a lag of 10 samples: walks of 16394 and 16384
+    # samples and three phases, one path a block
+    pytest.param(4096, 0.5, (1e-6,), [1] * 3, id="4096-0.5-delay1e-06"),
+    # segment_len 256: two walks and two phases of 1024, 14 paths a block
+    pytest.param(256, 0.5, (), [14, 14, 1], id="256-0.5-rows1"),
+    # walks of 1024 + 2560 and 1024 samples and three phases: 7 paths a block
+    pytest.param(256, 0.5, (2.56e-4,), [7, 7, 1], id="256-0.5-delay2.56e-04"),
+    # 30 segments of 256 a path (7680 samples) outweigh its walks and phases
+    # (4096): 7 paths a block
+    pytest.param(256, 0.9, (), [7, 7, 1], id="256-0.9-welch"),
     # 2458 segments a path: one path a block
-    pytest.param(4096, 0.999, None, [1] * 5, id="4096-0.999-rows2")])
+    pytest.param(4096, 0.999, (), [1] * 5, id="4096-0.999-rows2")])
 def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, overlap,
-                                                    delta, rows):
+                                                    deltas, rows):
+    """The one pass's blocks, with every walk drawn (as zeros) and every
+    phase built: each holds at most BLOCK_SAMPLES samples of walks and
+    phases, and of Welch segments, unless it is one path."""
     cfg = ExperimentConfig(n_paths=sum(rows), segment_len=segment_len, overlap=overlap)
-    seen = []
+    curves = _figure_curves(deltas)
+    welch = spectral._segments(4 * segment_len, segment_len, overlap)[1] * segment_len
+    walks, seen = [], []
 
-    def record(beta, taps, dt, n, master_seed, n_paths, first_index=0):
-        seen.append(n_paths)
+    def record(beta, theta0, dt, n, master_seed, n_paths, first_index=0,
+               stream=stochastic.STREAM_PHASE):
+        walks.append(n_paths * n)
         return np.zeros((n_paths, n))
 
-    monkeypatch.setattr(stochastic, "tap_ensemble", record)
-    monkeypatch.setattr(spectral, "psd_of_phase_shift", lambda blocks, dt, **kw: list(blocks))
-    if delta is None:
-        experiments.estimate_base(cfg, 1e-7)
-    else:
-        experiments.estimate_delayed(cfg, delta, 1e-7)
+    def consume(blocks, dt, **welch_args):
+        for block in blocks:
+            paths = block.shape[1]
+            assert block.shape == (len(curves), paths, 4 * segment_len)
+            seen.append(paths)
+            held = sum(walks) + block.size
+            walks.clear()
+            assert paths == 1 or max(held, paths * welch) <= experiments.BLOCK_SAMPLES
+        return [None] * len(curves)
+
+    monkeypatch.setattr(stochastic, "wiener_ensemble", record)
+    monkeypatch.setattr(spectral, "psd_of_phase_shift", consume)
+    experiments.estimate_curves(cfg, curves, 1e-7)
     assert seen == rows
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("dt", [2.5e-8, 5e-8], ids=["log", "lin"])
+def test_one_pass_equals_each_curve_alone(monkeypatch, seed, dt):
+    """Every curve's estimate from the one pass over blocks of 3, 3 and 1
+    paths (6184 samples a path in figure-log's step, 6164 in
+    figure-linear's) is, bit for bit, psd_of_phase_shift over tap_ensemble
+    blocks of 2, 2, 2 and 1 paths of that curve alone."""
+    cfg = ExperimentConfig(n_paths=7, segment_len=256, seed=seed, deltas=(1e-6, 1e-7))
+    curves = _figure_curves(cfg.deltas)
+    n, seen = 4 * cfg.segment_len, []
+    tap_ensemble = stochastic.tap_ensemble
+
+    def spy(*args, **kwargs):
+        seen.append(args[5])
+        return tap_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic, "tap_ensemble", spy)
+    monkeypatch.setattr(experiments, "BLOCK_SAMPLES", 3 * 6184)
+    got = experiments.estimate_curves(cfg, curves, dt)
+    assert seen == [3, 3, 1]
+    for taps, est in zip(curves, got):
+        blocks = [tap_ensemble(cfg.beta, [taps], dt, n, seed, min(2, cfg.n_paths - first),
+                               first_index=first) for first in range(0, cfg.n_paths, 2)]
+        want = spectral.psd_of_phase_shift(blocks, dt, segment_len=cfg.segment_len)[0]
+        assert np.array_equal(est.psd, want.psd)
+        assert np.array_equal(est.freqs, want.freqs)
+        assert est.n_segments == want.n_segments
+
+
 @pytest.mark.parametrize("run", [experiments.run_figure_log, experiments.run_figure_linear])
-def test_curve_streams_disjoint_at_600k_paths(tmp_path, monkeypatch, run):
-    """Every figure curve's Wiener-path keys at n_paths = 600 000, recorded
-    by a stand-in for wiener_ensemble (no path is drawn): no key repeats,
-    within or across curves."""
-    curves, blocks = [], []
+def test_figure_draws_each_stream_key_once_at_600k_paths(tmp_path, monkeypatch, run):
+    """Every Wiener-path key of a figure at n_paths = 600 000, recorded by a
+    stand-in for wiener_ensemble (no path is drawn): each (seed, index,
+    tag) key is drawn exactly once, on the figure's two source tags, and
+    neither is the offset tag or a battery tag."""
+    blocks = []
 
     def record(beta, theta0, dt, n, master_seed, n_paths, first_index=0,
                stream=stochastic.STREAM_PHASE):
@@ -621,10 +706,10 @@ def test_curve_streams_disjoint_at_600k_paths(tmp_path, monkeypatch, run):
         return np.zeros((n_paths, n))
 
     def consume(phase_blocks, dt, **welch_args):
-        start = len(blocks)
-        for _ in phase_blocks:
-            pass
-        curves.append(blocks[start:])
+        curves = 0
+        for block in phase_blocks:
+            curves = len(block)
+        return [None] * curves
 
     monkeypatch.setattr(stochastic, "wiener_ensemble", record)
     monkeypatch.setattr(spectral, "psd_of_phase_shift", consume)
@@ -632,13 +717,16 @@ def test_curve_streams_disjoint_at_600k_paths(tmp_path, monkeypatch, run):
                            seed=5)
     run(cfg, out_dir=tmp_path)
 
-    assert len(curves) == 5
-    assert {b[0] for curve in curves for b in curve} == {cfg.seed}
+    assert {b[0] for b in blocks} == {cfg.seed}
+    tags = {b[1] for b in blocks}
+    assert tags == {stochastic.STREAM_PHASE, experiments.TAG_PARTNER}
+    assert not tags & {stochastic.STREAM_OFFSET, experiments.TAG_WHITE_NOISE,
+                       experiments.TAG_DIVIDER}
     keys = np.sort(np.concatenate([np.arange(first, first + rows, dtype=np.int64) + (tag << 32)
-                                   for curve in curves for _, tag, first, rows in curve]))
-    assert keys.size == 6 * cfg.n_paths  # the pair draws two per path
-    repeats = np.count_nonzero(np.diff(keys) == 0)
-    assert repeats == 0, f"{repeats} path keys are drawn by two curves"
+                                   for _, tag, first, rows in blocks]))
+    every = np.concatenate([np.arange(cfg.n_paths, dtype=np.int64) + (tag << 32)
+                            for tag in sorted(tags)])
+    assert np.array_equal(keys, every)
 
 
 def test_battery_streams_disjoint_at_neighbouring_seeds(monkeypatch):

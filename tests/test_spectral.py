@@ -20,13 +20,7 @@ from oscavg import (
     welch_psd,
     wiener_ensemble,
 )
-from oscavg.experiments import (
-    BASE_TAPS,
-    PAIR_TAPS,
-    TAG_DELAYED,
-    estimate_delayed,
-    estimate_independent,
-)
+from oscavg.experiments import BASE_TAPS, PAIR_TAPS, estimate_curves
 
 TWO_PI = 2.0 * np.pi
 
@@ -63,7 +57,7 @@ class TestWelchPsd:
     def test_wiener_phase_shift_matches_analytic(self):
         beta, dt = 1e4, 1e-6
         ens = wiener_ensemble(beta, 0.0, dt, 8192, master_seed=201, n_paths=200)
-        est = psd_of_phase_shift([ens], dt, segment_len=1024)
+        est = psd_of_phase_shift([ens[None]], dt, segment_len=1024)[0]
         band = (np.abs(est.freqs) > 2 * 1e6 / 1024) & (np.abs(est.freqs) < 1e5)
         want = tap_psd(beta, ((0, 1.0, 0.0),), TWO_PI * est.freqs[band])
         diff_db = to_dbc_hz(est.psd[band]) - to_dbc_hz(want)
@@ -166,10 +160,11 @@ class TestEnsembleWelch:
         assert rows.n_segments == 16 * single.n_segments
         assert np.array_equal(welch_psd(u[::-1], fs=1 / dt, segment_len=512).psd,
                               rows.psd[::-1])
-        a = psd_of_phase_shift([ens], dt, segment_len=512).psd
-        b = psd_of_phase_shift([ens[::-1]], dt, segment_len=512).psd
+        a = psd_of_phase_shift([ens[None]], dt, segment_len=512)[0].psd
+        b = psd_of_phase_shift([ens[None, ::-1]], dt, segment_len=512)[0].psd
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
-        blocked = psd_of_phase_shift([ens[:3], ens[3:4], ens[4:]], dt, segment_len=512)
+        blocked = psd_of_phase_shift([ens[None, :3], ens[None, 3:4], ens[None, 4:]], dt,
+                                     segment_len=512)[0]
         assert np.array_equal(blocked.psd, a)
         assert blocked.n_segments == rows.n_segments
 
@@ -180,6 +175,24 @@ class TestEnsembleWelch:
             welch_psd(np.float64(1.0), fs=1.0, segment_len=1)
         with pytest.raises(ParameterError):
             psd_of_phase_shift([], 1.0, segment_len=64)
+
+    @pytest.mark.parametrize("blocks", [
+        [np.zeros((2, 128))],                          # a block of one curve's rows alone
+        [np.zeros((0, 2, 128))],                       # no curve
+        [np.zeros((2, 2, 128)), np.zeros((1, 2, 128))]])  # curves that change between blocks
+    def test_blocks_not_of_the_same_curves_rejected(self, blocks):
+        with pytest.raises(ParameterError, match="curves"):
+            psd_of_phase_shift(blocks, 1.0, segment_len=64)
+
+    def test_each_curve_estimated_as_if_alone(self):
+        # two curves in one pass, in shared work buffers, against each alone
+        ens = wiener_ensemble(1e4, 0.0, 1e-6, 2048, master_seed=213, n_paths=6)
+        pair = np.stack([ens[:3], 1e3 + ens[3:]])
+        got = psd_of_phase_shift([pair[:, :2], pair[:, 2:]], 1e-6, segment_len=512)
+        for curve, est in zip(pair, got):
+            want = psd_of_phase_shift([curve[None]], 1e-6, segment_len=512)[0]
+            assert np.array_equal(est.psd, want.psd)
+            assert est.n_segments == want.n_segments
 
     @pytest.mark.parametrize("block_shapes", [
         [(12, 2048), (3, 2048), (1, 2048)],    # shrinking
@@ -208,7 +221,7 @@ class TestEnsembleWelch:
         total = densities[0].copy()
         for row in densities[1:]:
             total += row
-        got = psd_of_phase_shift(blocks, dt, segment_len=seg)
+        got = psd_of_phase_shift([b[None] for b in blocks], dt, segment_len=seg)[0]
         assert np.array_equal(got.psd, total / len(densities))
         assert np.array_equal(got.freqs, est.freqs)
         assert got.n_segments == n_segments
@@ -218,19 +231,18 @@ class TestEnsembleWelch:
         # every bin of the four default figure-log curves, path by path,
         # against the Welch density of the float64 phasors
         dt, seg = 2.5e-8, 4096
-        for taps in (BASE_TAPS, PAIR_TAPS, delayed_taps(1e-6, TAG_DELAYED),
-                     delayed_taps(1e-7, TAG_DELAYED + 1)):
-            theta = tap_ensemble(1e4, taps, dt, 4 * seg, master_seed=seed, n_paths=2)
+        for taps in (BASE_TAPS, PAIR_TAPS, delayed_taps(1e-6), delayed_taps(1e-7)):
+            theta = tap_ensemble(1e4, [taps], dt, 4 * seg, master_seed=seed, n_paths=2)[0]
             want, bound = _float64_phasor_density_and_bound(theta, dt, seg)
             for row, s64, slack in zip(theta, want, bound):
-                got = psd_of_phase_shift([row[None]], dt, segment_len=seg).psd
+                got = psd_of_phase_shift([row[None, None]], dt, segment_len=seg)[0].psd
                 assert np.all(np.abs(got - s64) <= slack)
 
     def test_bound_fails_without_float64_reduction(self):
         # the float32 cast of theta itself, at |theta| ~ 1e3 rad, is off by
         # half a float32 step there (3e-5 rad), beyond the bound
         dt, seg = 2.5e-8, 4096
-        theta = 1e3 + tap_ensemble(1e4, BASE_TAPS, dt, 4 * seg, master_seed=1, n_paths=3)
+        theta = 1e3 + tap_ensemble(1e4, [BASE_TAPS], dt, 4 * seg, master_seed=1, n_paths=3)[0]
         want, bound = _float64_phasor_density_and_bound(theta, dt, seg)
         cast = theta.astype(np.float32)
         got = welch_psd(np.cos(cast).astype(float) + 1j * np.sin(cast).astype(float),
@@ -241,7 +253,7 @@ class TestEnsembleWelch:
         theta = wiener_ensemble(1e4, 5e3, 1e-6, 2048, master_seed=212, n_paths=3)
         kept = theta.copy()
         theta.flags.writeable = False
-        psd_of_phase_shift([theta, theta[:1]], 1e-6, segment_len=512)
+        psd_of_phase_shift([theta[None], theta[None, :1]], 1e-6, segment_len=512)
         assert np.array_equal(theta, kept)
 
     @pytest.mark.parametrize("phase", [1e17, -1e300, 1.7e308])
@@ -251,7 +263,7 @@ class TestEnsembleWelch:
         theta = phase + np.arange(128.0).reshape(2, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = psd_of_phase_shift([theta], 1e-6, segment_len=16)
+            est = psd_of_phase_shift([theta[None]], 1e-6, segment_len=16)[0]
         assert np.all(np.isfinite(est.psd))
 
     @pytest.mark.parametrize("segment_len,fs", [(0, 1.0), (-4, 1.0), (8, 0.0),
@@ -296,7 +308,7 @@ def _rejected_alike(monkeypatch, segment_len=8, fs=1.0, overlap=0.5, window="han
     with pytest.raises(ParameterError) as direct:
         welch_psd(np.ones((2, 16)), fs=fs, **args)
     with pytest.raises(ParameterError) as ensemble:
-        psd_of_phase_shift([np.zeros((2, 16))], np.inf if fs == 0 else 1.0 / fs, **args)
+        psd_of_phase_shift([np.zeros((1, 2, 16))], np.inf if fs == 0 else 1.0 / fs, **args)
     assert str(ensemble.value) == str(direct.value)
     return str(direct.value)
 
@@ -321,8 +333,8 @@ class TestAutocorrEstimate:
     def test_delayed_average_kink(self):
         # log-autocorr slope roughly doubles across the delay lag
         beta, dt, lag = 1e4, 1e-6, 20
-        ens = tap_ensemble(beta, delayed_taps(lag * dt), dt, 4096, master_seed=206,
-                           n_paths=400)
+        ens = tap_ensemble(beta, [delayed_taps(lag * dt)], dt, 4096, master_seed=206,
+                           n_paths=400)[0]
         r = autocorr_per_path(np.exp(1j * ens), range(41)).real.mean(axis=0)
         inner = np.arange(2, 19)
         outer = np.arange(22, 39)
@@ -336,7 +348,7 @@ class TestAutocorrEstimate:
         # the closed form, within 3 standard errors at every lag
         beta, dt = 1e4, 1e-6
         taps = ((0, 0.25, 0.0), (0, 0.25, 10 * dt), (1, 0.3, 0.0), (1, 0.2, 25 * dt))
-        ens = tap_ensemble(beta, taps, dt, 128, master_seed=210, n_paths=4000)
+        ens = tap_ensemble(beta, [taps], dt, 128, master_seed=210, n_paths=4000)[0]
         lags = list(range(1, 41))
         per_path = autocorr_per_path(np.exp(1j * ens), lags).real
         est = per_path.mean(axis=0)
@@ -361,7 +373,7 @@ class TestAutocorrEstimate:
 class TestPsdOfPhaseShift:
     def test_zero_diffusion_spike(self):
         ens = np.zeros((4, 4096))
-        est = psd_of_phase_shift([ens], 1e-6, segment_len=1024)
+        est = psd_of_phase_shift([ens[None]], 1e-6, segment_len=1024)[0]
         peak = est.freqs[np.argmax(est.psd)]
         assert abs(peak) <= 1e6 / 1024
         assert est.total_power() == pytest.approx(1.0, rel=0.01)
@@ -370,7 +382,7 @@ class TestPsdOfPhaseShift:
         # the figure commands' estimator and blocks, on 4096-sample paths
         beta, dt = 1e4, 1e-6
         cfg = ExperimentConfig(beta=beta, n_paths=200, segment_len=1024, seed=207)
-        est = estimate_independent(cfg, dt)
+        est = estimate_curves(cfg, [PAIR_TAPS], dt)[0]
         band = (np.abs(est.freqs) > 2 * 1e6 / 1024) & (np.abs(est.freqs) < 1e5)
         want = tap_psd(beta, PAIR_TAPS, TWO_PI * est.freqs[band])
         diff_db = to_dbc_hz(est.psd[band]) - to_dbc_hz(want)
@@ -380,7 +392,7 @@ class TestPsdOfPhaseShift:
         # delay of 10 us: notches at odd multiples of 50 kHz, spacing 1/delta
         beta, dt, delta = 1e4, 1e-6, 1e-5
         cfg = ExperimentConfig(beta=beta, n_paths=200, segment_len=2048, seed=209)
-        est = estimate_delayed(cfg, delta, dt)
+        est = estimate_curves(cfg, [delayed_taps(delta)], dt)[0]
         notch = est.interp(np.array([0.5e5, 1.5e5, 2.5e5]))
         mid = est.interp(np.array([1.0e5, 2.0e5, 3.0e5]))
         assert np.all(notch < mid)

@@ -19,7 +19,7 @@ from oscavg import (
     wiener_ensemble,
     wiener_path,
 )
-from oscavg.experiments import TAG_DELAYED
+from oscavg.experiments import TAG_PARTNER
 
 TWO_PI = 2.0 * np.pi
 
@@ -175,7 +175,7 @@ class TestEnsembleSeeding:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stochastic._seed_words(2**64 - 1, 2**32 - 5, 5, 2**32 - 1)
-            stochastic._seed_words(0, 0, 4, TAG_DELAYED)
+            stochastic._seed_words(0, 0, 4, TAG_PARTNER)
 
 
 class TestSampleOffset:
@@ -406,7 +406,7 @@ class TestPhaseShiftAutocorrMC:
 
 
 class TestTapEnsemble:
-    # the figure curves' former ensemble functions are the oracles, bit for bit
+    # walks of wiener_ensemble are the oracles, bit for bit
     BETA, DT, N, SEED = 1e4, 1e-6, 64, 31
 
     def walks(self, stream, n, rows=5, first=3):
@@ -414,8 +414,8 @@ class TestTapEnsemble:
                                first_index=first, stream=stream)
 
     def build(self, taps, rows=5, first=3):
-        return tap_ensemble(self.BETA, taps, self.DT, self.N, self.SEED, rows,
-                            first_index=first)
+        return tap_ensemble(self.BETA, [taps], self.DT, self.N, self.SEED, rows,
+                            first_index=first)[0]
 
     def test_one_tap_is_the_walk(self):
         assert np.array_equal(self.build(((0, 1.0, 0.0),)), self.walks(0, self.N))
@@ -449,10 +449,28 @@ class TestTapEnsemble:
         assert np.array_equal(np.vstack([self.build(taps, rows=2, first=0),
                                          self.build(taps, rows=4, first=2)]), whole)
 
+    def test_curves_share_walks_and_equal_each_curve_alone(self):
+        # one walk per source for every curve, each curve reading the front
+        # of it by its own largest lag: the lag-3 curve reads the first
+        # N + 3 samples of a walk drawn N + 7 long
+        curves = [((2, 0.5, 0.0), (2, 0.5, 7 * self.DT)), ((2, 1.0, 0.0),),
+                  ((2, 0.25, 0.0), (2, 0.75, 3 * self.DT)), ((2, 0.5, 0.0), (4, 0.5, 0.0))]
+        got = tap_ensemble(self.BETA, curves, self.DT, self.N, self.SEED, 5, first_index=3)
+        assert got.shape == (len(curves), 5, self.N)
+        for phase, taps in zip(got, curves):
+            assert np.array_equal(phase, self.build(taps))
+        assert np.array_equal(got[1], self.walks(2, self.N + 7)[:, :self.N])
+
     @pytest.mark.parametrize("taps", [(), ((0, 1.0, 0.5e-6),), ((0, 1.0, -1e-6),)])
     def test_bad_taps_rejected(self, taps):
         with pytest.raises(ParameterError):
             self.build(taps)
+        with pytest.raises(ParameterError):  # beside a good curve
+            tap_ensemble(self.BETA, [((0, 1.0, 0.0),), taps], self.DT, self.N, self.SEED, 2)
+
+    def test_no_curve_rejected(self):
+        with pytest.raises(ParameterError):
+            tap_ensemble(self.BETA, [], self.DT, self.N, self.SEED, 2)
 
 
 @given(theta0=st.floats(min_value=-100.0, max_value=100.0,
