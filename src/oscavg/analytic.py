@@ -39,6 +39,9 @@ from .stochastic import ParameterError, Taps, _check_taps
 
 
 _FLOAT_MAX = sys.float_info.max
+# the largest share of the zero-frequency density 2/tail_rate that
+# `psd_by_quadrature` leaves out by truncating the integral
+REL_TAIL = 1e-10
 
 
 def _like(x, out):
@@ -153,22 +156,19 @@ def bates2_cdf(f_o: float, x):
     return np.where(x < 0, left, right)
 
 
-def psd_by_quadrature(autocorr: Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]],
-                      omega: float, tail_rate: float,
-                      breakpoint: Union[float, Sequence[float]] = 0.0,
-                      rel_tail: float = 1e-10) -> float:
+def psd_by_quadrature(autocorr: Callable[[float], float], omega: float, tail_rate: float,
+                      breakpoint: Union[float, Sequence[float]] = 0.0) -> float:
     """Numeric Fourier transform of an even, exponentially decaying
     autocorrelation at a single angular frequency.
 
-    `autocorr` is called with a one-element array twice, to check its value
-    at 0 and its decay, and returns an array there. Inside the integrand it
-    is called with a float t and must return a scalar, R(t), as
-    `tap_autocorr` does for a float.
+    `autocorr` is called with a float t and must return a scalar, R(t), as
+    `tap_autocorr` does for a float: at 0 and at T, to check its value and
+    its decay, and inside the integrand.
     `tail_rate` is the known decay rate of the envelope beyond the last
     breakpoint; the integration window [0, T] is sized so the truncated
     tail, bounded by the exponential envelope, contributes less than
-    `rel_tail` relative to the zero-frequency scale 2/tail_rate. `omega`
-    and `tail_rate` must be finite, `tail_rate` > 0 and `rel_tail` in (0, 1).
+    REL_TAIL relative to the zero-frequency scale 2/tail_rate. `omega`
+    and `tail_rate` must be finite and `tail_rate` > 0.
     `breakpoint` is a kink (e.g. the delay) or a sequence of kinks (e.g.
     the model's |d_j - d_k|), each finite and >= 0, where the integral is
     split. Each piece is QUADPACK's QAWO cosine rule (Piessens et al.,
@@ -178,19 +178,16 @@ def psd_by_quadrature(autocorr: Callable[[Union[float, np.ndarray]], Union[float
         raise ParameterError("omega must be finite")
     if not (math.isfinite(tail_rate) and tail_rate > 0):
         raise ParameterError("tail_rate must be finite and > 0")
-    if not 0 < rel_tail < 1:
-        raise ParameterError("rel_tail must be in (0, 1)")
     kinks = [float(k) for k in np.ravel(breakpoint)]
     if not all(math.isfinite(k) and k >= 0 for k in kinks):
         raise ParameterError("breakpoint kinks must be finite and >= 0")
-    probe = np.asarray(autocorr(np.array([0.0])), dtype=float)
-    if not np.all(np.isfinite(probe)):
+    if not math.isfinite(autocorr(0.0)):
         raise ParameterError("autocorrelation not finite at 0")
     edges = sorted({0.0, *kinks})
     last = edges[-1]
-    # exp tail bound: int_T^inf C e^{-r (t - t0)} dt < rel_tail * 2/r
-    T = last + max(1.0, -math.log(rel_tail)) / tail_rate
-    if abs(autocorr(np.array([T]))[0]) > 10.0 * math.exp(-tail_rate * (T - last)):
+    # exp tail bound: int_T^inf C e^{-r (t - t0)} dt < REL_TAIL * 2/r
+    T = last + -math.log(REL_TAIL) / tail_rate
+    if abs(autocorr(T)) > 10.0 * math.exp(-tail_rate * (T - last)):
         raise ParameterError("autocorrelation does not decay at the stated rate")
 
     # imported here, not with the module: scipy.integrate alone takes longer

@@ -27,9 +27,11 @@ from .stochastic import (
     PhasePath,
     Taps,
     Waveform,
+    _add_taps,
     lag_samples,
     oscillator_waveform,
     sample_offset,
+    source_lags,
     wiener_path,
 )
 
@@ -168,14 +170,14 @@ def _expected(taps: Taps, phases: Sequence[PhasePath], omegas: Sequence[float]
     """A circuit's output as its taps state it, source s being input s: the
     frequency sum_j a_j omega_(s_j) and the phase sum_j a_j theta^(s_j)_{t - d_j},
     a delayed phase held at its first sample before t = d_j."""
-    dt, n = phases[0].dt, len(phases[0])
-    omega, phase = 0.0, np.zeros(n)
-    for s, a, d in taps:
-        omega += a * omegas[s]
-        src, lag = phases[s].samples, lag_samples(d, dt)
-        phase[:lag] += a * src[0]
-        phase[lag:] += a * src[:n - lag]
-    return SteadyStateResult(omega_prime=omega,
+    dt, phase = phases[0].dt, np.zeros(len(phases[0]))
+    # input s from t = -L_s, theta_0 held for the taps' largest lag L_s on it
+    held = {}
+    for s, L in source_lags([taps], dt).items():
+        src = phases[s].samples
+        held[s] = np.concatenate((np.full(L, src[0]), src)) if L else src
+    _add_taps(phase, taps, held, dt)
+    return SteadyStateResult(omega_prime=sum(a * omegas[s] for s, a, _ in taps),
                              phase_path_prime=PhasePath(dt=dt, samples=phase))
 
 
@@ -268,7 +270,7 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
     the output are start-up, where the expected phase holds theta_0 in
     place of theta_{t-delta}.
     """
-    lag_i = lag_samples(delta, 1.0 / fs)
+    lag_i = lag_samples(delta, 1.0 / fs if fs else np.inf)  # fs = 0 is refused as dt = inf
     f_c = spec.f_c
     (w,), paths, (om,) = _draw((spec,), fs, duration, seed, 2.0 * f_c)
     if lag_i >= len(w) // 4:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["output_dir"] = args.out
     if args.paths is not None:
         overrides["n_paths"] = args.paths
-    return cfg.override(**overrides) if overrides else cfg
+    return replace(cfg, **overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -134,9 +134,6 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_text(Path(path).read_text())
-
-    def override(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
 
 
 def _coerce(key: str, value: str):

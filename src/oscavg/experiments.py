@@ -26,14 +26,15 @@ LIN_BAND = 2.5e6             # half-width of the linear sweep
 LIN_POINTS = 501
 # Samples per block of paths in a figure's one estimation pass, at least one
 # path. A path counts the larger of its Welch segment samples (segments *
-# segment_len), which size the pass's one set of Welch buffers, and all its
-# walks (one per source: the path and the largest lag on it) and curves'
-# phases. Output does not depend on it. 7 * 2**13 is one default path of a
-# default figure (two walks and four phases of 16384) and nine of segment_len 256.
+# segment_len), which bound each Welch array of a block, and all its walks
+# (one per source: the path and the largest lag on it) and curves' phases,
+# so every array a block holds is bounded. Output does not depend on it.
+# 7 * 2**13 is one default path of a default figure (two walks and four
+# phases of 16384) and nine of segment_len 256.
 BLOCK_SAMPLES = 7 * 2**13
 # Largest input a command accepts, in samples: a `simulate` waveform
-# (duration * fs), and an estimated figure path's `_path_samples` (its
-# Welch segment samples or its longest walk). The arrays of that size are
+# (duration * fs), and an estimated figure path's Welch segment samples or
+# longest walk (`_path_plan`). The arrays of that size are
 # held in memory, and a much larger input would fail in allocation instead
 # of with a one-line error. Tables are written TABLE_CHUNK_ROWS rows at a
 # time, so their text (~35 bytes a row, ~0.6 GB here) never is.
@@ -72,16 +73,24 @@ PAIR_TAPS = ((STREAM_PHASE, 0.5, 0.0), (TAG_PARTNER, 0.5, 0.0))
 # blocks of BLOCK_SAMPLES samples, so no curve holds its whole ensemble)
 
 
-def _path_samples(cfg: ExperimentConfig, taps, dt: float) -> int:
-    """Samples in the largest array one estimated path of the curve of
-    `taps` holds: the larger of its Welch segment samples (segments *
-    segment_len over its 4 * segment_len samples) and its longest walk (the
-    path and its taps' largest lag). A delay that is not a whole number of
-    steps of dt is a ParameterError."""
+def _path_plan(cfg: ExperimentConfig, curves, dt: float) -> Tuple[int, dict]:
+    """(Welch segment samples of one estimated path of n = 4 * segment_len
+    samples, `stochastic.source_lags` of `curves`). Those segments and the
+    longest walk, n and the largest lag, are a path's largest arrays: either
+    over MAX_SAMPLES is a ParameterError, as is a delay not a whole step."""
     n = 4 * cfg.segment_len
-    segments = spectral._segments(n, cfg.segment_len, cfg.overlap)[1]
-    return max(segments * cfg.segment_len,
-               n + max(stochastic.lag_samples(delay, dt) for _, _, delay in taps))
+    welch = spectral._segments(n, cfg.segment_len, cfg.overlap)[1] * cfg.segment_len
+    limit = f"over the limit of {MAX_SAMPLES}"
+    if welch > MAX_SAMPLES:
+        raise ParameterError(f"segment_len = {cfg.segment_len} with overlap = {cfg.overlap} "
+                             f"makes estimated paths of {welch} samples, {limit}")
+    lags = stochastic.source_lags(curves, dt)
+    longest = n + max(lags.values())
+    if longest > MAX_SAMPLES:
+        delay = max(d for taps in curves for _, _, d in taps)
+        raise ParameterError(f"delay {delay:g} s at dt={dt:g} s makes estimated paths of "
+                             f"{longest} samples, {limit}")
+    return welch, lags
 
 
 def estimate_curves(cfg: ExperimentConfig, curves, dt: float
@@ -91,8 +100,8 @@ def estimate_curves(cfg: ExperimentConfig, curves, dt: float
     BLOCK_SAMPLES samples (at least one path): each block's walks are drawn
     once for all curves, and each estimate is, bit for bit, its curve's alone."""
     n = 4 * cfg.segment_len
-    welch = spectral._segments(n, cfg.segment_len, cfg.overlap)[1] * cfg.segment_len
-    walks = sum(n + lag for lag in stochastic.source_lags(curves, dt).values())
+    welch, lags = _path_plan(cfg, curves, dt)
+    walks = sum(n + lag for lag in lags.values())
     rows = max(1, BLOCK_SAMPLES // max(welch, walks + len(curves) * n))
     blocks = (stochastic.tap_ensemble(cfg.beta, curves, dt, n, cfg.seed,
                                       min(rows, cfg.n_paths - first), first_index=first)
@@ -235,21 +244,12 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
     curves = [("base", "base", BASE_TAPS), ("independent", "ind", PAIR_TAPS)]
     curves += [(f"delta_{tag}", f"delta_{tag}", analytic.delayed_taps(delta))
                for tag, delta in zip(tags, cfg.deltas)]
+    curve_taps = [taps for _, _, taps in curves]
     if estimates:
-        # every curve has the base curve's Welch samples and the base curve is
-        # checked first, so a delayed curve over the limit is over it by its walk
-        for _, _, taps in curves:
-            samples = _path_samples(cfg, taps, dt)
-            if samples > MAX_SAMPLES:
-                lag = max(delay for _, _, delay in taps)
-                cause = (f"delay {lag:g} s at dt={dt:g} s" if lag else
-                         f"segment_len = {cfg.segment_len} with overlap = {cfg.overlap}")
-                raise ParameterError(f"{cause} makes estimated paths of {samples} samples, "
-                                     f"over the limit of {MAX_SAMPLES}")
+        _path_plan(cfg, curve_taps, dt)
     _make_out_dir(out)
-    psds = [analytic.tap_psd(cfg.beta, taps, TWO_PI * grid) for _, _, taps in curves]
-    ests = (estimate_curves(cfg, [taps for _, _, taps in curves], dt) if estimates
-            else [None] * len(curves))
+    psds = [analytic.tap_psd(cfg.beta, taps, TWO_PI * grid) for taps in curve_taps]
+    ests = estimate_curves(cfg, curve_taps, dt) if estimates else [None] * len(curves)
     cfg_hash = cfg.content_hash()
     written = {key: _emit_curve(out, f"psd_{prefix}_{stem}", cfg_hash, grid, psd, est)
                for (key, stem, _), psd, est in zip(curves, psds, ests)}

@@ -11,9 +11,9 @@ density, so unit-variance white noise gives a flat 1/fs. Hann with 50%
 overlap is the default.
 
 Both entry points check their arguments in `_plan` and run one kernel,
-`_welch_rows`, which works in buffers its caller owns: `welch_psd`
-allocates them for its one call, `psd_of_phase_shift` once for all the
-curves of its ensemble.
+`_welch_rows`, on a 2-d array of rows; `psd_of_phase_shift` runs it on
+each curve of each block of paths it is given, so the arrays it holds at
+once are bounded by one block's.
 
 `psd_of_phase_shift` takes the phasors exp(j theta) of its phase paths in
 single precision: theta is reduced to [-pi, pi] in float64, and cos and sin
@@ -106,30 +106,16 @@ def _segments(n: int, segment_len: int, overlap: float) -> Tuple[int, int]:
     return step, (n - segment_len) // step + 1
 
 
-def _take(work: dict, key: str, shape, dtype) -> np.ndarray:
-    """A C-contiguous array of `shape` on the front of the flat buffer
-    work[key], which is replaced by a larger one when it is too small."""
-    size = math.prod(shape)
-    buf = work.get(key)
-    if buf is None or buf.size < size:
-        buf = work[key] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
-
-
-def _welch_rows(x: np.ndarray, plan: _Plan, work: dict) -> np.ndarray:
-    """The Welch densities of the rows of the 2-d array `x`, in FFT order,
-    computed in buffers taken from `work` (see `_take`). The result is one
-    of those buffers, so it holds only until `work` is used again."""
+def _welch_rows(x: np.ndarray, plan: _Plan) -> np.ndarray:
+    """The Welch densities of the rows of the 2-d array `x`, in FFT order."""
     segs = np.lib.stride_tricks.sliding_window_view(x, len(plan.win), axis=-1)[:, ::plan.step]
-    spec = _take(work, "spec", segs.shape, np.result_type(x.dtype, plan.win.dtype, np.complex64))
+    spec = np.empty(segs.shape, np.result_type(x.dtype, plan.win.dtype, np.complex64))
     np.multiply(segs, plan.win, out=spec)
     np.fft.fft(spec, axis=-1, out=spec)
-    power = _take(work, "power", segs.shape, spec.real.dtype)
-    np.square(spec.real, out=power)
+    power = np.square(spec.real)
     np.square(spec.imag, out=spec.imag)
     power += spec.imag
-    psd = _take(work, "psd", (x.shape[0], len(plan.win)), power.dtype)
-    np.mean(power, axis=1, out=psd)
+    psd = np.mean(power, axis=1)
     psd /= plan.scale
     return psd
 
@@ -154,7 +140,7 @@ def welch_psd(x, fs: float, segment_len: int = 1024,
     data = np.asarray(x)
     plan = _plan(data.shape, fs, segment_len, overlap, window)
     rows = np.atleast_2d(data)
-    psd = _welch_rows(rows, plan, {})
+    psd = _welch_rows(rows, plan)
     return _estimate(psd if data.ndim == 2 else psd[0], fs, rows.shape[0] * plan.segments)
 
 
@@ -186,12 +172,12 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
 
     `blocks` yields (curves, rows, n) arrays of phase samples: the next
     paths of every curve, one per row, the same curves in each block; pass
-    one curve's ensemble as `[ens[None]]`. Every curve runs through the
-    Welch kernel in one set of work buffers, allocated once per call and
-    sized by the largest block so far. A curve's row densities are summed
-    in path order and divided once at the end, so its estimate depends on
-    neither the split into blocks nor the other curves. The frequency grid
-    is the offset from the carrier in Hz.
+    one curve's ensemble as `[ens[None]]`. Each curve of a block runs
+    through the Welch kernel in turn, so the arrays held at once are bounded
+    by one block's. A curve's row densities are summed in path order and
+    divided once at the end, so its estimate depends on neither the split
+    into blocks nor the other curves. The frequency grid is the offset from
+    the carrier in Hz.
 
     The phasors are single precision. Each phase is reduced in float64 to
     t = theta - 2 pi rint(theta / 2 pi), clipped to [-pi, pi], and cast to
@@ -207,7 +193,6 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
     float64 reduction the cast alone would cost 5e-4 at |theta| = 1e4.
     """
     fs = 1.0 / dt if dt else np.inf  # dt = 0 is refused as fs = inf
-    work: dict = {}
     acc, n_rows, n_segments = None, 0, 0
     for block in blocks:
         curves = np.asarray(block, dtype=float)
@@ -216,9 +201,9 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
                                  "curves in every block")
         plan = _plan(curves.shape[1:], fs, segment_len, overlap, window)
         acc = np.zeros((len(curves), segment_len)) if acc is None else acc
-        turn = _take(work, "turn", curves.shape[1:], float)
-        reduced = _take(work, "reduced", curves.shape[1:], np.float32)
-        z = _take(work, "z", curves.shape[1:], complex)
+        turn = np.empty(curves.shape[1:])
+        reduced = np.empty(curves.shape[1:], np.float32)
+        z = np.empty(curves.shape[1:], complex)
         for theta, total in zip(curves, acc):
             np.divide(theta, TWO_PI, out=turn)
             np.rint(turn, out=turn)
@@ -227,7 +212,7 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
             np.clip(turn, -np.pi, np.pi, out=reduced, casting="same_kind")
             np.cos(reduced, out=z.real, dtype=np.float32)
             np.sin(reduced, out=z.imag, dtype=np.float32)
-            for row in _welch_rows(z, plan, work):
+            for row in _welch_rows(z, plan):
                 total += row
         n_rows += curves.shape[1]
         n_segments += curves.shape[1] * plan.segments

@@ -147,7 +147,9 @@ def path_rng(seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> np.random.
 
 def lag_samples(delay: float, dt: float) -> int:
     """The delay as a whole number of steps of dt; ParameterError if it is
-    negative or not one."""
+    negative or not one, or if dt is not finite and > 0."""
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"dt={dt:g} s must be finite and > 0")
     lag = delay / dt
     if lag < 0:
         raise ParameterError(f"delay {delay:g} s must be >= 0")
@@ -407,6 +409,17 @@ def source_lags(curves, dt: float) -> dict:
     return lags
 
 
+def _add_taps(phase: np.ndarray, taps: Taps, walks: dict, dt: float):
+    """Add sum_j a_j theta^(s_j)_{t - d_j} of `taps` to `phase`, whose last
+    axis is n samples, in tap order. walks[s] holds theta^(s) from t = -L_s,
+    n + L_s samples on its last axis, so a tap of lag l (d_j in whole steps
+    of dt) adds a_j * walks[s][..., L_s - l : L_s - l + n]."""
+    n = phase.shape[-1]
+    for s, weight, delay in taps:
+        start = walks[s].shape[-1] - n - lag_samples(delay, dt)
+        phase += weight * walks[s][..., start:start + n]
+
+
 def tap_ensemble(beta: float, curves, dt: float, n: int, master_seed: int,
                  n_paths: int, first_index: int = 0) -> np.ndarray:
     """Phases sum_j a_j theta^(s_j)_{t - d_j} of each curve of taps (s_j, a_j,
@@ -415,15 +428,12 @@ def tap_ensemble(beta: float, curves, dt: float, n: int, master_seed: int,
     tag s, drawn once, long enough for every curve. A curve whose largest
     lag on s is L reads its first n + L samples, bit for bit the walk of
     n + L samples, so its rows do not depend on the other curves and show no
-    start-up transient: a tap of lag l (d_j in whole steps of dt) adds
-    a_j * theta[:, L - l : L - l + n], in tap order."""
+    start-up transient (see `_add_taps`)."""
     walks = {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, n_paths,
                                 first_index=first_index, stream=s)
              for s, L in source_lags(curves, dt).items()}
     out = np.zeros((len(curves), n_paths, n))
     for phase, taps in zip(out, curves):
-        own = source_lags([taps], dt)
-        for s, weight, delay in taps:
-            start = own[s] - lag_samples(delay, dt)
-            phase += weight * walks[s][:, start:start + n]
+        _add_taps(phase, taps, {s: walks[s][:, :n + L]
+                                for s, L in source_lags([taps], dt).items()}, dt)
     return out

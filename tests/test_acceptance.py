@@ -5,6 +5,7 @@ prints a PASS line with the measured value (run pytest with -s to see them).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,7 +244,7 @@ def test_10_figure_shapes(tmp_path):
         assert np.all(dvals[band] <= base[band] + 1e-9)
         assert np.all(dvals[band] >= ind[band] - 1e-9)
 
-    cfg_lin = cfg.override(deltas=(1e-6,), output_dir=str(tmp_path / "lin"))
+    cfg_lin = replace(cfg, deltas=(1e-6,), output_dir=str(tmp_path / "lin"))
     run_figure_linear(cfg_lin, estimates=False)
     import json
 

@@ -335,7 +335,7 @@ class TestPsdByQuadrature:
             return np.exp(-a * np.abs(tau))
 
         psd_by_quadrature(autocorr, 1e5, tail_rate=a)
-        assert args[:2] == [np.ndarray, np.ndarray] and set(args[2:]) == {float}
+        assert len(args) > 2 and set(args) == {float}
 
     def test_non_decaying_rejected(self):
         with pytest.raises(ParameterError):
@@ -367,13 +367,6 @@ class TestPsdByQuadrature:
             with pytest.raises(ParameterError, match="breakpoint"):
                 psd_by_quadrature(lambda t: tap_autocorr(BETA, taps, t), 2 * np.pi * 1e5,
                                   tail_rate=PI_BETA, breakpoint=breakpoint)
-
-    @pytest.mark.parametrize("rel_tail", [0.0, -1e-10, 1.0, 2.0, math.nan])
-    def test_rel_tail_outside_unit_interval_rejected(self, rel_tail):
-        # 0 used to raise a bare "math domain error"
-        with pytest.raises(ParameterError, match="rel_tail"):
-            psd_by_quadrature(lambda tau: np.exp(-PI_BETA * np.abs(tau)), 1e5,
-                              tail_rate=PI_BETA, rel_tail=rel_tail)
 
 
 FIVE_TAP_SETS = [(BETA, ONE), (BETA, PAIR), (BETA, delayed_taps(1e-6)),

@@ -394,6 +394,13 @@ class TestDelayedSelfAverage:
         with pytest.raises(ParameterError):
             simulate_delayed_self_average(OscillatorSpec(f_c=FC), -64 / FS, FS, 512e-6, seed=0)
 
+    @pytest.mark.parametrize("fs", [0.0, np.inf, -FS])
+    def test_bad_sample_rate_rejected(self, fs):
+        # fs = 0 and inf used to end in ZeroDivisionError, and -FS read as a
+        # negative delay
+        with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
+            simulate_delayed_self_average(OscillatorSpec(f_c=FC), 1e-6, fs, 1e-3, seed=1)
+
 
 class TestDelayBlock:
     def test_integer_shift(self):

@@ -503,21 +503,38 @@ class TestFigureCommands:
         (4096, 0.9999, 12289 * 4096, True)])      # 12289 segments
     def test_path_size_cap(self, tmp_path, segment_len, overlap, samples, refused):
         cfg = ExperimentConfig(segment_len=segment_len, overlap=overlap)
-        assert experiments._path_samples(cfg, experiments.BASE_TAPS, 1e-8) == samples
         assert (samples > experiments.MAX_SAMPLES) == refused
         if refused:
+            with pytest.raises(ParameterError, match=f" of {samples} samples, "):
+                experiments._path_plan(cfg, [experiments.BASE_TAPS], 1e-8)
             self.assert_estimates_refused(cfg, tmp_path, "segment_len = ")
+        else:
+            welch, lags = experiments._path_plan(cfg, [experiments.BASE_TAPS], 1e-8)
+            assert (welch, lags) == (samples, {stochastic.STREAM_PHASE: 0})
 
     @pytest.mark.parametrize("lag,refused", [(2**24 - 2**14, False),  # a walk of MAX_SAMPLES
                                              (2**24 - 2**14 + 1, True)])
     def test_delayed_walk_cap(self, tmp_path, lag, refused):
         cfg = ExperimentConfig(deltas=(1e-6, lag * 1e-8))
-        taps = analytic.delayed_taps(lag * 1e-8)
-        samples = experiments._path_samples(cfg, taps, 1e-8)
-        assert samples == 4 * cfg.segment_len + lag
+        curves = [experiments.BASE_TAPS, analytic.delayed_taps(lag * 1e-8)]
+        samples = 4 * cfg.segment_len + lag
         assert (samples > experiments.MAX_SAMPLES) == refused
         if refused:
+            with pytest.raises(ParameterError, match=f" of {samples} samples, "):
+                experiments._path_plan(cfg, curves, 1e-8)
             self.assert_estimates_refused(cfg, tmp_path, f"delay {lag * 1e-8:g} s ")
+        else:
+            _, lags = experiments._path_plan(cfg, curves, 1e-8)
+            assert 4 * cfg.segment_len + lags[stochastic.STREAM_PHASE] == samples
+
+    def test_two_delays_over_the_cap_name_the_longer(self, tmp_path):
+        # the paths' longest walk is the one the message counts, so it names
+        # the delay of that walk, not the first delay over the limit
+        short, long = 2**24 - 2**14 + 1, 2**24
+        cfg = ExperimentConfig(deltas=(short * 1e-8, long * 1e-8))
+        self.assert_estimates_refused(
+            cfg, tmp_path, f"delay {long * 1e-8:g} s at dt=1e-08 s makes estimated paths "
+                           f"of {4 * cfg.segment_len + long} samples")
 
     def test_colliding_delay_tags_write_nothing(self, tmp_path):
         cfg = tmp_path / "dup.cfg"

@@ -185,7 +185,7 @@ class TestEnsembleWelch:
             psd_of_phase_shift(blocks, 1.0, segment_len=64)
 
     def test_each_curve_estimated_as_if_alone(self):
-        # two curves in one pass, in shared work buffers, against each alone
+        # two curves in one pass, blocks of both at once, against each alone
         ens = wiener_ensemble(1e4, 0.0, 1e-6, 2048, master_seed=213, n_paths=6)
         pair = np.stack([ens[:3], 1e3 + ens[3:]])
         got = psd_of_phase_shift([pair[:, :2], pair[:, 2:]], 1e-6, segment_len=512)
@@ -203,8 +203,8 @@ class TestEnsembleWelch:
     def test_matches_reference_written_out(self, block_shapes):
         # the ensemble estimate is, bit for bit, the Welch density of each
         # path's single-precision exp(j theta), summed row by row in path
-        # order and divided by the path count; the blocks shrink and grow as
-        # the buffers must
+        # order and divided by the path count, whether the blocks shrink or
+        # grow in rows or in length
         dt, seg = 1e-6, 512
         blocks, first = [], 0
         for rows, n in block_shapes:

@@ -472,6 +472,13 @@ class TestTapEnsemble:
         with pytest.raises(ParameterError):
             tap_ensemble(self.BETA, [], self.DT, self.N, self.SEED, 2)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-6, np.inf, np.nan])
+    def test_bad_step_rejected(self, dt):
+        # dt = 0 used to end in ZeroDivisionError, and dt < 0 read as a
+        # negative delay
+        with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
+            tap_ensemble(self.BETA, [((0, 1.0, 0.0),)], dt, 8, 1, 1)
+
 
 @given(theta0=st.floats(min_value=-100.0, max_value=100.0,
                         allow_nan=False, allow_infinity=False))
