@@ -40,7 +40,6 @@ from .stochastic import (
     OffsetDist,
     OscillatorSpec,
     ParameterError,
-    PhasePath,
     Waveform,
     oscillator_waveform,
     path_rng,

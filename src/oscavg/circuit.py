@@ -13,6 +13,7 @@ divider loop, on request, to measure how far it is from the fixed point.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -21,10 +22,10 @@ import numpy as np
 
 from .analytic import delayed_taps
 from .stochastic import (
+    MAX_SAMPLES,
     TWO_PI,
     OscillatorSpec,
     ParameterError,
-    PhasePath,
     Taps,
     Waveform,
     _add_taps,
@@ -66,10 +67,7 @@ def ideal_filter(w: Waveform, kind: str, f_cut: float) -> Waveform:
 
 
 def _spectrum(w: Waveform) -> Tuple[np.ndarray, np.ndarray]:
-    """rfft of w and the frequencies (Hz) of its bins; ParameterError if w is
-    empty."""
-    if len(w) == 0:
-        raise ParameterError("waveform is empty")
+    """rfft of w and the frequencies (Hz) of its bins."""
     return np.fft.rfft(w.samples), np.fft.rfftfreq(len(w), d=1.0 / w.fs)
 
 
@@ -126,7 +124,7 @@ class SteadyStateResult:
     path."""
 
     omega_prime: float
-    phase_path_prime: PhasePath
+    phase_path_prime: Waveform
 
 
 @dataclass(frozen=True)
@@ -137,23 +135,30 @@ class SimulationResult:
 
     output: Waveform
     expected: SteadyStateResult
-    phases: Tuple[PhasePath, ...]
+    phases: Tuple[Waveform, ...]
     omegas: Tuple[float, ...]
     measured_total_phase: np.ndarray
 
 
 def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int,
-          f_top: float) -> Tuple[List[Waveform], Tuple[PhasePath, ...], Tuple[float, ...]]:
+          f_top: float) -> Tuple[List[Waveform], Tuple[Waveform, ...], Tuple[float, ...]]:
     """Waveforms, phase paths and angular frequencies of a circuit's input
-    oscillators, oscillator i drawn on (seed, i). They must share one
-    carrier, fs must cover mixing products up to f_top Hz (fs >= 8*f_top),
-    and the duration must span at least 16 samples."""
+    oscillators, oscillator i drawn on (seed, i): the one place that sizes
+    a simulated waveform. They must share one carrier, fs must be finite
+    and cover mixing products up to f_top Hz (fs >= 8*f_top), and the
+    duration must be finite and span 16 to MAX_SAMPLES samples."""
     if any(s.f_c != specs[0].f_c for s in specs):
         raise ParameterError("oscillators must share the nominal frequency")
-    if fs < 8.0 * f_top:
-        raise ParameterError(f"fs={fs:g} too low; need >= {8.0 * f_top:g} "
+    if not 8.0 * f_top <= fs < math.inf:
+        raise ParameterError(f"fs={fs:g} must be finite and >= {8.0 * f_top:g} "
                              f"to cover products near {f_top:g} Hz")
-    n = int(round(duration * fs))
+    if not math.isfinite(duration):
+        raise ParameterError(f"duration={duration:g} s must be finite")
+    samples = duration * fs
+    if samples > MAX_SAMPLES:
+        raise ParameterError(f"duration * fs = {samples:g} samples exceeds the "
+                             f"simulate limit of {MAX_SAMPLES}")
+    n = int(round(samples))
     if n < 16:
         raise ParameterError("duration too short")
     waves, paths, omegas = [], [], []
@@ -165,12 +170,13 @@ def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int
     return waves, tuple(paths), tuple(omegas)
 
 
-def _expected(taps: Taps, phases: Sequence[PhasePath], omegas: Sequence[float]
+def _expected(taps: Taps, phases: Sequence[Waveform], omegas: Sequence[float]
               ) -> SteadyStateResult:
     """A circuit's output as its taps state it, source s being input s: the
     frequency sum_j a_j omega_(s_j) and the phase sum_j a_j theta^(s_j)_{t - d_j},
     a delayed phase held at its first sample before t = d_j."""
-    dt, phase = phases[0].dt, np.zeros(len(phases[0]))
+    fs, phase = phases[0].fs, np.zeros(len(phases[0]))
+    dt = 1.0 / fs
     # input s from t = -L_s, theta_0 held for the taps' largest lag L_s on it
     held = {}
     for s, L in source_lags([taps], dt).items():
@@ -178,7 +184,7 @@ def _expected(taps: Taps, phases: Sequence[PhasePath], omegas: Sequence[float]
         held[s] = np.concatenate((np.full(L, src[0]), src)) if L else src
     _add_taps(phase, taps, held, dt)
     return SteadyStateResult(omega_prime=sum(a * omegas[s] for s, a, _ in taps),
-                             phase_path_prime=PhasePath(dt=dt, samples=phase))
+                             phase_path_prime=Waveform(fs=fs, samples=phase))
 
 
 def _loop_interior(n: int, fs: float, f_c: float, settle: int) -> slice:
@@ -270,11 +276,11 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
     the output are start-up, where the expected phase holds theta_0 in
     place of theta_{t-delta}.
     """
-    lag_i = lag_samples(delta, 1.0 / fs if fs else np.inf)  # fs = 0 is refused as dt = inf
     f_c = spec.f_c
-    (w,), paths, (om,) = _draw((spec,), fs, duration, seed, 2.0 * f_c)
+    (w,), paths, omegas = _draw((spec,), fs, duration, seed, 2.0 * f_c)
+    lag_i = lag_samples(delta, 1.0 / fs)
     if lag_i >= len(w) // 4:
         raise ParameterError("duration must be much longer than the delay")
     out, phase_out_total = _average_stage(w, delay_block(w, delta), f_c, settle=lag_i)
-    return SimulationResult(output=out, expected=_expected(delayed_taps(delta), paths, (om,)),
-                            phases=paths, omegas=(om, om), measured_total_phase=phase_out_total)
+    return SimulationResult(output=out, expected=_expected(delayed_taps(delta), paths, omegas),
+                            phases=paths, omegas=omegas, measured_total_phase=phase_out_total)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analytic, circuit, spectral, stochastic
 from .config import ExperimentConfig
-from .stochastic import STREAM_PHASE, TWO_PI, ParameterError
+from .stochastic import MAX_SAMPLES, STREAM_PHASE, TWO_PI, ParameterError
 
 LOG_GRID = (1e3, 1e7, 200)   # offset range and point count of the log sweep
 LIN_BAND = 2.5e6             # half-width of the linear sweep
@@ -32,15 +32,9 @@ LIN_POINTS = 501
 # 7 * 2**13 is one default path of a default figure (two walks and four
 # phases of 16384) and nine of segment_len 256.
 BLOCK_SAMPLES = 7 * 2**13
-# Largest input a command accepts, in samples: a `simulate` waveform
-# (duration * fs), and an estimated figure path's Welch segment samples or
-# longest walk (`_path_plan`). The arrays of that size are
-# held in memory, and a much larger input would fail in allocation instead
-# of with a one-line error. Tables are written TABLE_CHUNK_ROWS rows at a
-# time, so their text (~35 bytes a row, ~0.6 GB here) never is.
-MAX_SAMPLES = 2**24
-# Rows `_write_table` formats and writes at once (~2.5 MB of text). Output
-# does not depend on it.
+# Rows `_write_table` formats and writes at once (~2.5 MB of text), so the
+# text of a `simulate` table of MAX_SAMPLES rows (~35 bytes a row, ~0.6 GB)
+# is never held in memory. Output does not depend on it.
 TABLE_CHUNK_ROWS = 2**16
 
 
@@ -125,8 +119,9 @@ def _make_out_dir(out: Path):
 
 def _open_output(path: Path, mode: str = "w"):
     """Open the output file `path` for writing (text unless `mode` says
-    "wb"); a path that cannot be opened is a ParameterError. Errors while
-    writing are left as they are."""
+    "wb"), after making its directory; a path that cannot be opened is a
+    ParameterError. Errors while writing are left as they are."""
+    _make_out_dir(path.parent)
     try:
         return path.open(mode)
     except OSError as exc:
@@ -202,8 +197,8 @@ def _write_table(path: Path, header: List[str], x: np.ndarray, y: np.ndarray):
     one `f"{x:.10e} {y:.10e}"` row per (x, y) pair, each line ending in a
     newline. Rows are formatted and written TABLE_CHUNK_ROWS at a time, so
     the text held in memory does not grow with the table. Raises
-    ParameterError, before anything is written, if either column holds a
-    nan or an infinity."""
+    ParameterError, before any file or directory is made, if either column
+    holds a nan or an infinity."""
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ParameterError("non-finite value in output table")
     with _open_output(path, "wb") as f:
@@ -247,7 +242,7 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
     curve_taps = [taps for _, _, taps in curves]
     if estimates:
         _path_plan(cfg, curve_taps, dt)
-    _make_out_dir(out)
+    _make_out_dir(out)  # before the estimates, so that a bad location fails fast
     psds = [analytic.tap_psd(cfg.beta, taps, TWO_PI * grid) for taps in curve_taps]
     ests = estimate_curves(cfg, curve_taps, dt) if estimates else [None] * len(curves)
     cfg_hash = cfg.content_hash()
@@ -256,14 +251,12 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
     return written, psds[2:]
 
 
-def run_figure_log(cfg: ExperimentConfig, out_dir=None, estimates: bool = True
-                   ) -> Dict[str, List[str]]:
+def run_figure_log(cfg: ExperimentConfig, estimates: bool = True) -> Dict[str, List[str]]:
     """Log-frequency PSD sweep of every curve."""
     lo, hi, npts = LOG_GRID
     grid = np.logspace(np.log10(lo), np.log10(hi), npts)
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
     # baseband rate covering the top plotted offset
-    return _write_figure(cfg, out, "log", grid, 1.0 / (4.0 * hi), estimates)[0]
+    return _write_figure(cfg, Path(cfg.output_dir), "log", grid, 1.0 / (4.0 * hi), estimates)[0]
 
 
 def find_notches(grid_hz: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -273,13 +266,12 @@ def find_notches(grid_hz: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.asarray(grid_hz)[idx]
 
 
-def run_figure_linear(cfg: ExperimentConfig, out_dir=None, estimates: bool = True
-                      ) -> Dict[str, List[str]]:
+def run_figure_linear(cfg: ExperimentConfig, estimates: bool = True) -> Dict[str, List[str]]:
     """Linear-band PSD sweep over +-2.5 MHz with a notch-position sidecar."""
     if not cfg.deltas:
         raise ParameterError("linear figure requires at least one delay")
     grid = np.linspace(-LIN_BAND, LIN_BAND, LIN_POINTS)
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = Path(cfg.output_dir)
     written, delayed = _write_figure(cfg, out, "lin", grid,
                                      1.0 / (4.0 * LIN_BAND * 2.0), estimates)
     notch_summary = {}
@@ -298,21 +290,13 @@ def run_figure_linear(cfg: ExperimentConfig, out_dir=None, estimates: bool = Tru
     return written
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir=None) -> List[str]:
-    """Raw waveform dump of the configured circuit scenario."""
-    samples = cfg.duration * cfg.fs  # may be inf: check before rounding
-    if samples > MAX_SAMPLES:
-        raise ParameterError(f"duration * fs = {samples:g} samples exceeds the "
-                             f"simulate limit of {MAX_SAMPLES}")
-    n = int(round(samples))
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    _make_out_dir(out)
+def run_simulate(cfg: ExperimentConfig) -> List[str]:
+    """Raw waveform dump of the configured circuit scenario, whose waveform
+    `circuit._draw` sizes and checks. A refused run makes no directory."""
     spec = stochastic.OscillatorSpec(f_c=cfg.f_c_scaled, offset_dist=cfg.offsets,
                                      beta=cfg.beta)
     if cfg.scenario == "base":
-        f_i = stochastic.sample_offset(cfg.offsets, (cfg.seed, 0))
-        path = stochastic.wiener_path(cfg.beta, 0.0, 1.0 / cfg.fs, n, (cfg.seed, 0))
-        wave = stochastic.oscillator_waveform(spec, f_i, path, cfg.fs, n)
+        (wave,), _, _ = circuit._draw((spec,), cfg.fs, cfg.duration, cfg.seed, spec.f_c)
     elif cfg.scenario == "averaged_independent":
         wave = circuit.simulate_pair_average(spec, spec, cfg.fs, cfg.duration,
                                              cfg.seed).output
@@ -324,7 +308,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir=None) -> List[str]:
     else:
         wave = circuit.simulate_delayed_self_average(spec, cfg.delta, cfg.fs,
                                                      cfg.duration, cfg.seed).output
-    path_out = out / f"waveform_{cfg.scenario}.data"
+    path_out = Path(cfg.output_dir) / f"waveform_{cfg.scenario}.data"
     _write_table(path_out, [f"oscavg waveform {cfg.scenario}",
                             f"config {cfg.content_hash()}",
                             "columns: time_s amplitude"],
@@ -395,7 +379,7 @@ def _white_noise_check(seed: int) -> Tuple[str, float, float]:
             Z_GATE * math.sqrt(2.0 * np.sum((share - 1.0 / n) ** 2)))
 
 
-def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
+def run_acceptance(cfg: ExperimentConfig) -> Dict:
     """Run the property battery and write a machine-readable report.
 
     Returns the report dict; report['passed'] reflects overall status. A
@@ -477,9 +461,7 @@ def run_acceptance(cfg: ExperimentConfig, out_dir=None) -> Dict:
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    if out_dir is not None or cfg.output_dir:
-        out = Path(out_dir if out_dir is not None else cfg.output_dir)
-        _make_out_dir(out)
-        with _open_output(out / "acceptance_report.json") as f:
+    if cfg.output_dir:
+        with _open_output(Path(cfg.output_dir) / "acceptance_report.json") as f:
             f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report

@@ -35,6 +35,13 @@ TWO_PI = 2.0 * np.pi
 STREAM_PHASE = 0
 STREAM_OFFSET = 1
 
+# Largest input the package accepts, in samples: a simulated waveform
+# (duration * fs, `circuit._draw`), and an estimated figure path's Welch
+# segment samples or longest walk (`experiments._path_plan`). Arrays of
+# that size are held in memory, and a much larger input would fail in
+# allocation instead of with a one-line error.
+MAX_SAMPLES = 2**24
+
 # offset draws: the key (master, index, STREAM_OFFSET) as three unsigned
 # 64-bit words, hashed with BLAKE2b under a fixed tag into one such word
 _OFFSET_KEY, _OFFSET_BITS = struct.Struct("<3Q"), struct.Struct("<Q")
@@ -80,17 +87,18 @@ class ParameterError(ValueError):
 
 def _check_key(master, index, rows: int, stream):
     """ParameterError unless the key (master, index, tag) of `rows` streams
-    from `index` on is integers, with master in [0, 2**64) and every index
-    and the tag in [0, 2**32)."""
+    from `index` on is integers, with master in [0, 2**64), rows >= 0 and
+    every index and the tag in [0, 2**32)."""
     try:
         # compared as Python ints: a NumPy integer would wrap in index + rows
-        m, i, s = operator.index(master), operator.index(index), operator.index(stream)
-        if 0 <= m < 2**64 and 0 <= i and i + rows <= 2**32 and 0 <= s < 2**32:
+        m, i, r, s = (operator.index(k) for k in (master, index, rows, stream))
+        if 0 <= m < 2**64 and 0 <= i and 0 <= r and i + r <= 2**32 and 0 <= s < 2**32:
             return
     except TypeError:  # not an integer
         pass
-    raise ParameterError(f"stream key ({master!r}, {index!r}..+{rows}, {stream!r}) must be "
-                         f"integers: master in [0, 2**64), indices and tag in [0, 2**32)")
+    raise ParameterError(f"stream key ({master!r}, {index!r}..+{rows!r}, {stream!r}) must be "
+                         f"integers: master in [0, 2**64), rows >= 0, indices and tag in "
+                         f"[0, 2**32)")
 
 
 @lru_cache(maxsize=64)
@@ -212,15 +220,16 @@ class OscillatorSpec:
 
 
 @dataclass(frozen=True)
-class PhasePath:
-    """One uniformly sampled phase realization, stored unwrapped (radians)."""
+class Waveform:
+    """Uniformly sampled real signal at fs samples a second: an oscillator
+    or circuit output, or a phase path, stored unwrapped (radians)."""
 
-    dt: float
+    fs: float
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ParameterError("dt must be finite and > 0")
+        if not (np.isfinite(self.fs) and self.fs > 0):
+            raise ParameterError("fs must be finite and > 0")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise ParameterError("samples must be a non-empty 1-d array")
@@ -229,27 +238,15 @@ class PhasePath:
     def __len__(self) -> int:
         return self.samples.size
 
-
-@dataclass(frozen=True)
-class Waveform:
-    """Uniformly sampled real signal."""
-
-    fs: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if not (np.isfinite(self.fs) and self.fs > 0):
-            raise ParameterError("fs must be finite and > 0")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
     def times(self) -> np.ndarray:
         return np.arange(self.samples.size) / self.fs
 
 
-def _check_walk(beta: float, theta0: float, dt: float, n: int):
+def _check_walk(beta: float, theta0: float, dt: float, n: int, master, index, rows: int,
+                stream):
+    """ParameterError for a walk's bad parameters or stream key, whether or
+    not the walk has a step to draw."""
+    _check_key(master, index, rows, stream)
     if not (np.isfinite(beta) and beta >= 0):
         raise ParameterError("beta must be finite and >= 0")
     if not np.isfinite(theta0):
@@ -283,18 +280,18 @@ def _fill_walks(out: np.ndarray, beta: float, theta0: float, dt: float, rngs):
 
 
 def wiener_path(beta: float, theta0: float, dt: float, n: int,
-                seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> PhasePath:
+                seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> Waveform:
     """Sample a phase random walk with diffusion rate beta.
 
     Increments between consecutive samples are i.i.d. zero-mean Gaussian
     with variance 2*pi*beta*dt, which is exact for this process at any
-    step size. samples[0] equals theta0 (unwrapped). They are drawn from
-    path_rng(seed_id, stream).
+    step size. samples[0] equals theta0 (unwrapped), and fs is 1 / dt. They
+    are drawn from path_rng(seed_id, stream).
     """
-    _check_walk(beta, theta0, dt, n)
+    _check_walk(beta, theta0, dt, n, *seed_id, 1, stream)
     theta = np.empty(n, dtype=float)
     _fill_walks(theta[None, :], beta, theta0, dt, lambda: (path_rng(seed_id, stream),))
-    return PhasePath(dt=dt, samples=theta)
+    return Waveform(fs=1.0 / dt, samples=theta)
 
 
 def _ndtri(p):
@@ -347,7 +344,7 @@ def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
     return -offset_dist.param * _ndtri((_TWO53 - k - 0.5) / _TWO53)
 
 
-def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: PhasePath,
+def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: Waveform,
                         fs: float, n: int) -> Waveform:
     """Sampled oscillator output cos(2*pi*(f_c + f_i)*t + theta_t).
 
@@ -363,8 +360,8 @@ def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: PhasePath,
         raise ParameterError("n must be >= 1")
     if len(phase) < n:
         raise ParameterError("phase path shorter than requested waveform")
-    if not np.isclose(phase.dt, 1.0 / fs, rtol=1e-9):
-        raise ParameterError("phase path dt inconsistent with fs")
+    if not np.isclose(phase.fs, fs, rtol=1e-9):
+        raise ParameterError("phase path fs inconsistent with fs")
     # the operations of cos(2*pi*(f_c + f_i) * k / fs + theta_k), in order
     samples = np.arange(n, dtype=float)
     samples *= TWO_PI * (spec.f_c + f_i)
@@ -381,7 +378,7 @@ def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
     bit for bit. One _seed_words pass seeds every row's stream, the rows'
     standard normals are drawn straight into the block, and one cumulative
     sum integrates it."""
-    _check_walk(beta, theta0, dt, n)
+    _check_walk(beta, theta0, dt, n, master_seed, first_index, n_paths, stream)
     out = np.empty((n_paths, n), dtype=float)
     _fill_walks(out, beta, theta0, dt, lambda: (
         np.random.Generator(np.random.PCG64(_Seeded(words)))

@@ -192,13 +192,6 @@ class TestDemodulatePhase:
         with pytest.raises(ParameterError):
             demodulate_phase(noisy_tone(2e6, 1024), f_lo, f_hi)
 
-    def test_empty_waveform_rejected(self):
-        empty = Waveform(fs=FS, samples=np.zeros(0))
-        with pytest.raises(ParameterError):
-            demodulate_phase(empty, 1e6, 3e6)
-        with pytest.raises(ParameterError):
-            ideal_filter(empty, "lowpass", 1e6)
-
     @pytest.mark.parametrize("kind", ["lowpass", "highpass"])
     def test_filter_bytes_match_oracle(self, kind):
         w = noisy_tone(2e6, 6401)
@@ -394,12 +387,36 @@ class TestDelayedSelfAverage:
         with pytest.raises(ParameterError):
             simulate_delayed_self_average(OscillatorSpec(f_c=FC), -64 / FS, FS, 512e-6, seed=0)
 
-    @pytest.mark.parametrize("fs", [0.0, np.inf, -FS])
-    def test_bad_sample_rate_rejected(self, fs):
-        # fs = 0 and inf used to end in ZeroDivisionError, and -FS read as a
-        # negative delay
-        with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
-            simulate_delayed_self_average(OscillatorSpec(f_c=FC), 1e-6, fs, 1e-3, seed=1)
+
+# the three circuits at one oscillator spec, called as circuit(fs, duration)
+SIMULATIONS = {
+    "pair": lambda fs, duration: simulate_pair_average(
+        OscillatorSpec(f_c=FC), OscillatorSpec(f_c=FC), fs, duration, seed=1),
+    "tree": lambda fs, duration: simulate_mixing_tree(
+        [OscillatorSpec(f_c=FC)] * 4, fs, duration, seed=1),
+    "delayed": lambda fs, duration: simulate_delayed_self_average(
+        OscillatorSpec(f_c=FC), 1e-6, fs, duration, seed=1),
+}
+
+
+class TestWaveformSize:
+    @pytest.mark.parametrize("circuit", SIMULATIONS)
+    @pytest.mark.parametrize("fs", [0.0, np.inf, np.nan, -FS])
+    def test_bad_sample_rate_rejected(self, circuit, fs):
+        # fs = inf and nan used to end in OverflowError and ValueError, and
+        # the delayed circuit read -FS as a negative delay
+        with pytest.raises(ParameterError, match="fs=.* must be finite and >= "):
+            SIMULATIONS[circuit](fs, 1e-3)
+
+    @pytest.mark.parametrize("circuit", SIMULATIONS)
+    @pytest.mark.parametrize("duration,message", [
+        (np.nan, "duration=nan s must be finite"), (-np.inf, "duration=-inf s must be finite"),
+        # 3.2e13 samples: numpy used to refuse the allocation with MemoryError
+        (1e6, "exceeds the simulate limit of 16777216"),
+        (15.49 / FS, "duration too short")])
+    def test_bad_duration_rejected(self, circuit, duration, message):
+        with pytest.raises(ParameterError, match=message):
+            SIMULATIONS[circuit](FS, duration)
 
 
 class TestDelayBlock:

@@ -394,14 +394,17 @@ class TestFigureCommands:
     def test_bad_input_one_line_exit_2(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
+        out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([*command.split(), "--config", str(cfg), "--out", str(tmp_path)]) == 2
+            assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        # simulate checks no divider loop, so its messages name none
+        # simulate checks no divider loop, so its messages name none, and a
+        # refused run makes no output directory
         if command == "simulate":
             assert "check" not in err
+            assert not out.exists()
         # a command-line run prints warnings to stderr too
         assert not caught, [str(w.message) for w in caught]
 
@@ -731,8 +734,8 @@ def test_figure_draws_each_stream_key_once_at_600k_paths(tmp_path, monkeypatch, 
     monkeypatch.setattr(stochastic, "wiener_ensemble", record)
     monkeypatch.setattr(spectral, "psd_of_phase_shift", consume)
     cfg = ExperimentConfig(n_paths=600_000, segment_len=1, deltas=(1e-7, 2e-7, 3e-7),
-                           seed=5)
-    run(cfg, out_dir=tmp_path)
+                           seed=5, output_dir=str(tmp_path))
+    run(cfg)
 
     assert {b[0] for b in blocks} == {cfg.seed}
     tags = {b[1] for b in blocks}

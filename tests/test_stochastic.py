@@ -9,7 +9,7 @@ from oscavg import (
     OffsetDist,
     OscillatorSpec,
     ParameterError,
-    PhasePath,
+    Waveform,
     autocorr_per_path,
     demodulate_phase,
     oscillator_waveform,
@@ -157,6 +157,23 @@ class TestEnsembleSeeding:
             stochastic.path_rng((master, first))
         with pytest.raises(ParameterError):
             sample_offset(OffsetDist.normal(1.0), (master, first))
+
+    @pytest.mark.parametrize("beta,n", [(0.0, 16), (1e4, 1)])  # walks without steps
+    @pytest.mark.parametrize("master,first", [(-5, 0), (2**70, 0), (0, 2**32), (1.5, 0)])
+    def test_keys_checked_without_steps(self, beta, n, master, first):
+        # a walk that draws nothing used to skip the key check
+        with pytest.raises(ParameterError, match="stream key"):
+            wiener_ensemble(beta, 0.0, 1e-8, n, master, 2, first_index=first)
+        with pytest.raises(ParameterError, match="stream key"):
+            wiener_path(beta, 0.0, 1e-8, n, (master, first))
+        with pytest.raises(ParameterError, match="stream key"):
+            tap_ensemble(beta, [((0, 1.0, 0.0),)], 1e-8, n, master, 2, first_index=first)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e4])
+    def test_negative_path_count_rejected(self, beta):
+        # used to end in numpy's "negative dimensions" ValueError
+        with pytest.raises(ParameterError, match="stream key"):
+            wiener_ensemble(beta, 0.0, 1e-8, 16, 0, -1)
 
     def test_block_reaching_index_2_32_rejected(self):
         assert wiener_ensemble(1e4, 0.0, 1e-6, 8, 0, 1, first_index=2**32 - 1).shape == (1, 8)
@@ -308,6 +325,11 @@ class TestOscillatorWaveform:
         mag = np.abs(np.fft.rfft(w.samples))
         freqs = np.fft.rfftfreq(n, d=1.0 / self.fs)
         assert abs(freqs[np.argmax(mag)] - self.fc) <= self.fs / n
+
+    def test_path_at_another_rate_rejected(self):
+        path = wiener_path(0.0, 0.0, 2.0 / self.fs, 64, (0, 0))
+        with pytest.raises(ParameterError, match="fs inconsistent"):
+            oscillator_waveform(OscillatorSpec(f_c=self.fc), 0.0, path, self.fs, 64)
 
     @pytest.mark.parametrize("theta0", [np.nan, np.inf, -np.inf])
     def test_non_finite_theta0_rejected(self, theta0):
@@ -495,8 +517,10 @@ def test_zero_beta_paths_constant(n, theta0):
     assert np.all(p.samples == p.samples[0])
 
 
-def test_phase_path_validation():
+@pytest.mark.parametrize("fs,samples", [
+    (0.0, np.zeros(4)), (-1e6, np.zeros(4)), (np.inf, np.zeros(4)), (np.nan, np.zeros(4)),
+    (1e6, np.zeros(0)), (1e6, np.zeros((2, 4))), (1e6, 0.0)])
+def test_waveform_validation(fs, samples):
+    # a phase path and a signal alike: finite fs > 0, a non-empty 1-d array
     with pytest.raises(ParameterError):
-        PhasePath(dt=0.0, samples=np.zeros(4))
-    with pytest.raises(ParameterError):
-        PhasePath(dt=1e-6, samples=np.zeros(0))
+        Waveform(fs=fs, samples=samples)
