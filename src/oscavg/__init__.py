@@ -1,9 +1,9 @@
 """Phase-noise averaging circuit simulator.
 
-Wiener-model oscillators, the mixer/divider averaging circuits (two
-oscillators, delayed self-averaging) and the four-oscillator mixing stage,
-one closed-form model of weighted, delayed Wiener phases for their
-autocorrelations and spectra, and Welch-based estimation to compare the two.
+Wiener-model oscillators, mixer/divider averaging circuits built from taps
+(the pair and the delayed self-average among them), the four-oscillator
+mixing stage, one closed-form model of weighted, delayed Wiener phases for
+their autocorrelations and spectra, and Welch estimates to compare them.
 """
 
 from .analytic import (
@@ -28,6 +28,7 @@ from .circuit import (
     simulate_delayed_self_average,
     simulate_mixing_tree,
     simulate_pair_average,
+    simulate_taps,
 )
 from .config import ExperimentConfig, parse_offset_descriptor
 from .spectral import (

@@ -1,14 +1,14 @@
 """Oscillator-averaging circuits: mixers, ideal filters, divider loops.
 
-The simulations build each circuit's sampled signal chain (mix, filter,
-divider resolved at its fixed point). Every phase they report comes from
-one read-out, `demodulate_phase`: the unwrapped phase of a band's analytic
-signal. The divider's output phase is half that of the mixer's sum band.
-Each states its expected output through the taps of `analytic`, source i
-being the circuit's input oscillator i: the phase sum_j a_j
-theta^(s_j)_{t - d_j} and the frequency sum_j a_j omega_(s_j).
-`divider_residual` re-feeds an averaging stage's output through its
-divider loop, on request, to measure how far it is from the fixed point.
+`simulate_taps` builds the averaging circuit of any 2^k taps of `analytic`
+(source i being input oscillator i) as a tree of averaging stages (mix,
+divider resolved at its fixed point), and states its expected output: the
+phase sum_j a_j theta^(s_j)_{t - d_j}, the frequency sum_j a_j omega_(s_j).
+The pair and the delayed self-average are two such tap sets. Every phase
+comes from one read-out, `demodulate_phase`: the unwrapped phase of a
+band's analytic signal. `divider_residual` re-feeds a stage's output
+through its divider loop, on request, to measure how far it is from the
+fixed point.
 """
 
 from __future__ import annotations
@@ -140,12 +140,11 @@ class SimulationResult:
     measured_total_phase: np.ndarray
 
 
-def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int,
-          f_top: float) -> Tuple[List[Waveform], Tuple[Waveform, ...], Tuple[float, ...]]:
-    """Waveforms, phase paths and angular frequencies of a circuit's input
-    oscillators, oscillator i drawn on (seed, i): the one place that sizes
-    a simulated waveform. They must share one carrier, fs must be finite
-    and cover mixing products up to f_top Hz (fs >= 8*f_top), and the
+def _samples(specs: Sequence[OscillatorSpec], fs: float, duration: float,
+             f_top: float) -> int:
+    """Samples in a simulated waveform, duration * fs rounded: the one place
+    that sizes one. The oscillators must share one carrier, fs must be
+    finite and cover mixing products up to f_top Hz (fs >= 8*f_top), and the
     duration must be finite and span 16 to MAX_SAMPLES samples."""
     if any(s.f_c != specs[0].f_c for s in specs):
         raise ParameterError("oscillators must share the nominal frequency")
@@ -161,6 +160,14 @@ def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int
     n = int(round(samples))
     if n < 16:
         raise ParameterError("duration too short")
+    return n
+
+
+def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int,
+          f_top: float) -> Tuple[List[Waveform], Tuple[Waveform, ...], Tuple[float, ...]]:
+    """Waveforms, phase paths and angular frequencies of a circuit's input
+    oscillators, oscillator i drawn on (seed, i), `_samples` long."""
+    n = _samples(specs, fs, duration, f_top)
     waves, paths, omegas = [], [], []
     for i, spec in enumerate(specs):
         f_i = sample_offset(spec.offset_dist, (seed, i))
@@ -217,11 +224,11 @@ def divider_residual(a: Waveform, b: Waveform, output: Waveform, f_c: float,
 
 def _average_stage(a: Waveform, b: Waveform, f_c: float, settle: int = 0
                    ) -> Tuple[Waveform, np.ndarray]:
-    """Tail shared by the two-input averagers: mix, and the regenerative
-    2-divider resolved at its fixed point, whose output phase is half the
-    phase of the product's sum band [f_c, 3*f_c] (the difference band near
-    f1-f2 lies below it). Returns the output and its total phase. Refuses a
-    duration that leaves no loop interior for `divider_residual`."""
+    """One averaging stage: mix, and the regenerative 2-divider resolved at
+    its fixed point, whose output phase is half the phase of the product's
+    sum band [f_c, 3*f_c] (the difference band near f1-f2 lies below it).
+    Returns the output and its total phase. Refuses a duration that leaves
+    no loop interior for `divider_residual`."""
     _loop_interior(len(a), a.fs, f_c, settle)
     total = demodulate_phase(mix(a, b), f_c, 3.0 * f_c)
     total *= 0.5
@@ -230,17 +237,44 @@ def _average_stage(a: Waveform, b: Waveform, f_c: float, settle: int = 0
     return Waveform(fs=a.fs, samples=out), total
 
 
+def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, duration: float,
+                  seed: int) -> SimulationResult:
+    """The averaging circuit of `taps` (s_j, a_j, d_j) on inputs `specs`: a
+    tree of averaging stages over leaves input s_j delayed by d_j, every
+    stage settling over the largest lag. The taps must be 2^k >= 2 of
+    weight 2^-k on sources indexing `specs`, each delay a whole number of
+    samples below n/4; they and the stages' loop interior are checked
+    before any draw. The output's phase is (sum a_j w_(s_j)) t + sum a_j
+    theta^(s_j)_{t-d_j} - sum a_j w_(s_j) d_j, `expected` holding the first
+    two terms, up to a multiple of pi/2^(k-1) (each divider's sign is
+    free). A cascade of delayed leaves under two stages reads ~5e-4 rad
+    rms off its taps, from a cause not yet found."""
+    k = len(taps).bit_length() - 1
+    if k < 1 or len(taps) != 2**k or any(a != 2.0**-k or s not in range(len(specs))
+                                         for s, a, _ in taps):
+        raise ParameterError(f"taps {taps!r} need 2^k >= 2 of weight 2^-k, sources < {len(specs)}")
+    f_c = specs[0].f_c
+    n = _samples(specs, fs, duration, 2.0 * f_c)
+    settle = max(source_lags([taps], 1.0 / fs).values())
+    if settle >= n // 4:
+        raise ParameterError("duration must be much longer than the delay")
+    _loop_interior(n, fs, f_c, settle)
+    waves, paths, omegas = _draw(specs, fs, duration, seed, 2.0 * f_c)
+    level = [delay_block(waves[s], d) if d else waves[s] for s, _, d in taps]
+    while len(level) > 1:
+        stages = [_average_stage(a, b, f_c, settle) for a, b in zip(level[::2], level[1::2])]
+        level = [out for out, _ in stages]
+    ((out, total),) = stages
+    return SimulationResult(output=out, expected=_expected(taps, paths, omegas),
+                            phases=paths, omegas=omegas, measured_total_phase=total)
+
+
 def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: float,
                           duration: float, seed: int) -> SimulationResult:
     """Two-oscillator averaging chain: mix, sum band above f_c, regenerative
     2-divider resolved at its steady state. Output ~ (1/2)cos(w't + theta'_t)
     with w' and theta'_t the means of the inputs: taps ((0, 1/2, 0), (1, 1/2, 0))."""
-    f_c = spec1.f_c
-    (w1, w2), paths, omegas = _draw((spec1, spec2), fs, duration, seed, 2.0 * f_c)
-    out, phase_out_total = _average_stage(w1, w2, f_c)
-    return SimulationResult(output=out,
-                            expected=_expected(((0, 0.5, 0.0), (1, 0.5, 0.0)), paths, omegas),
-                            phases=paths, omegas=omegas, measured_total_phase=phase_out_total)
+    return simulate_taps((spec1, spec2), ((0, 0.5, 0.0), (1, 0.5, 0.0)), fs, duration, seed)
 
 
 def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
@@ -250,9 +284,8 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
 
     It does not average: the output phase is the *sum* of the input phases
     (four taps of weight 1), not their mean, and it has no divider. It
-    stays (the `averaged_n` scenario) because the
-    benchmark's waveform workload checks this sum-phase output, until a
-    tree of averaging stages replaces it."""
+    stays (the `averaged_n` scenario) because the benchmark's waveform
+    workload checks this sum-phase output, until `simulate_taps` replaces it."""
     if len(specs) != 4:
         raise ParameterError("mixing tree takes exactly 4 oscillators")
     f_c = specs[0].f_c
@@ -268,19 +301,8 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
 
 def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
                                   duration: float, seed: int) -> SimulationResult:
-    """Average an oscillator with its own output delayed by delta: delay
-    block, then the two-input averaging chain. Output phase is
-    (theta_t + theta_{t-delta})/2, the taps `analytic.delayed_taps(delta)`.
-
-    delta must be an integer number of samples; the first delta seconds of
-    the output are start-up, where the expected phase holds theta_0 in
-    place of theta_{t-delta}.
-    """
-    f_c = spec.f_c
-    (w,), paths, omegas = _draw((spec,), fs, duration, seed, 2.0 * f_c)
-    lag_i = lag_samples(delta, 1.0 / fs)
-    if lag_i >= len(w) // 4:
-        raise ParameterError("duration must be much longer than the delay")
-    out, phase_out_total = _average_stage(w, delay_block(w, delta), f_c, settle=lag_i)
-    return SimulationResult(output=out, expected=_expected(delayed_taps(delta), paths, omegas),
-                            phases=paths, omegas=omegas, measured_total_phase=phase_out_total)
+    """Average an oscillator with its own output delayed by delta, a whole
+    number of samples: the taps `analytic.delayed_taps(delta)`, output phase
+    (theta_t + theta_{t-delta})/2. The first delta seconds are start-up,
+    where the expected phase holds theta_0 in place of theta_{t-delta}."""
+    return simulate_taps((spec,), delayed_taps(delta), fs, duration, seed)

@@ -30,7 +30,7 @@ from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .stochastic import TWO_PI, ParameterError
+from .stochastic import TWO_PI, ParameterError, _step_rate
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
     density, averaged over the segments' float64 transforms X. Without the
     float64 reduction the cast alone would cost 5e-4 at |theta| = 1e4.
     """
-    fs = 1.0 / dt if dt else np.inf  # dt = 0 is refused as fs = inf
+    fs = _step_rate(dt)
     acc, n_rows, n_segments = None, 0, 0
     for block in blocks:
         curves = np.asarray(block, dtype=float)

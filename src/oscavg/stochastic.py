@@ -153,11 +153,17 @@ def path_rng(seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> np.random.
     return np.random.Generator(np.random.PCG64(_Seeded(_seed_words(master, index, 1, stream)[0])))
 
 
+def _step_rate(dt: float) -> float:
+    """1/dt; ParameterError unless dt is finite and > 0 with 1/dt finite."""
+    if not (0 < dt < math.inf and 1.0 / float(dt) < math.inf):
+        raise ParameterError(f"dt={dt:g} s must be finite and > 0, with 1/dt finite")
+    return 1.0 / float(dt)
+
+
 def lag_samples(delay: float, dt: float) -> int:
     """The delay as a whole number of steps of dt; ParameterError if it is
-    negative or not one, or if dt is not finite and > 0."""
-    if not 0 < dt < math.inf:
-        raise ParameterError(f"dt={dt:g} s must be finite and > 0")
+    negative or not one, or if dt is not a step _step_rate accepts."""
+    _step_rate(dt)
     lag = delay / dt
     if lag < 0:
         raise ParameterError(f"delay {delay:g} s must be >= 0")
@@ -251,8 +257,7 @@ def _check_walk(beta: float, theta0: float, dt: float, n: int, master, index, ro
         raise ParameterError("beta must be finite and >= 0")
     if not np.isfinite(theta0):
         raise ParameterError("theta0 must be finite")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ParameterError("dt must be finite and > 0")
+    _step_rate(dt)
     if n < 1:
         raise ParameterError("n must be >= 1")
 

@@ -18,9 +18,11 @@ from oscavg import (
     simulate_delayed_self_average,
     simulate_mixing_tree,
     simulate_pair_average,
+    simulate_taps,
     tap_ensemble,
     wiener_path,
 )
+from oscavg import circuit
 from oscavg.analytic import delayed_taps
 from oscavg.circuit import _average_stage, _draw, _expected, edge_trim
 
@@ -286,8 +288,9 @@ class TestPairAverage:
         with pytest.raises(ParameterError):
             simulate_pair_average(spec, spec, 8e6, 512e-6, seed=0)
 
-    def test_too_short_for_divider_check_rejected(self):
-        # 256 samples leave no interior once 128 are trimmed at each end
+    def test_too_short_for_divider_check_rejected(self, no_draw):
+        # 256 samples leave no interior once 128 are trimmed at each end;
+        # refused before the inputs are drawn
         spec = OscillatorSpec(f_c=FC)
         with pytest.raises(ParameterError):
             simulate_pair_average(spec, spec, FS, 256 / FS, seed=0)
@@ -378,17 +381,70 @@ class TestDelayedSelfAverage:
             want = delayed_avg_autocorr(p, test_lag * dt)
             assert abs(est - want) < 3 * se
 
-    def test_unaligned_delay_rejected(self):
-        spec = OscillatorSpec(f_c=FC)
+    # unaligned, negative, and a quarter of the 16384 samples
+    @pytest.mark.parametrize("delta", [1.37e-7, -64 / FS, 4096 / FS])
+    def test_bad_delay_refused_before_draw(self, no_draw, delta):
         with pytest.raises(ParameterError):
-            simulate_delayed_self_average(spec, 1.37e-7, FS, 512e-6, seed=0)
-
-    def test_negative_delay_rejected(self):
+            simulate_delayed_self_average(OscillatorSpec(f_c=FC), delta, FS, 512e-6, seed=0)
         with pytest.raises(ParameterError):
-            simulate_delayed_self_average(OscillatorSpec(f_c=FC), -64 / FS, FS, 512e-6, seed=0)
+            simulate_taps(PAIR, ((0, 0.5, 0.0), (1, 0.5, delta)), FS, 512e-6, seed=0)
 
 
-# the three circuits at one oscillator spec, called as circuit(fs, duration)
+PAIR = (OscillatorSpec(f_c=FC),) * 2
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Make drawing an oscillator waveform fail the test."""
+    def draw(*args, **kwargs):
+        raise AssertionError("a waveform was drawn before the taps were checked")
+
+    monkeypatch.setattr(circuit, "oscillator_waveform", draw)
+
+
+class TestTapTree:
+    """simulate_taps against its taps at beta = 1e-3, uniform +-10 Hz
+    offsets, fs = 64 MHz, f_c = 1 MHz, 1 ms."""
+
+    FS = 64e6
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n_specs,taps", [
+        (4, tuple((i, 0.25, 0.0) for i in range(4))),
+        (8, tuple((i, 0.125, 0.0) for i in range(8))),
+        # a pair, each delay-averaged at 16 samples
+        (2, ((0, 0.25, 0.0), (0, 0.25, 16 / 64e6), (1, 0.25, 0.0), (1, 0.25, 16 / 64e6))),
+    ], ids=["4-inputs", "8-inputs", "delayed-pair"])
+    def test_phase_matches_taps(self, n_specs, taps, seed):
+        spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(10.0))
+        res = simulate_taps((spec,) * n_specs, taps, self.FS, 1e-3, seed)
+        n = len(res.output)
+        lag = round(max(d for _, _, d in taps) * self.FS)
+        t = np.arange(n) / self.FS
+        expected = (res.expected.omega_prime * t + res.expected.phase_path_prime.samples
+                    - sum(a * res.omegas[s] * d for s, a, d in taps))
+        # the output phase is fixed only up to a multiple of pi/2^(k-1),
+        # since each divider's output sign is free: after removing the
+        # mean offset, compare modulo that step
+        step = np.pi / (len(taps) // 2)
+        err = res.measured_total_phase - expected
+        err -= step * np.round(np.mean(err) / step)
+        trim = max(n // 16, 4 * lag)
+        assert np.sqrt(np.mean(err[trim:-trim] ** 2)) < 1e-4
+
+    @pytest.mark.parametrize("taps", [
+        (), ((0, 1.0, 0.0),),  # 2^0 taps
+        ((0, 0.5, 0.0), (1, 0.25, 0.0), (0, 0.25, 0.0)),  # 3 taps
+        ((0, 0.75, 0.0), (1, 0.25, 0.0)),  # weights not 2^-k
+        ((0, 0.5, 0.0), (2, 0.5, 0.0)), ((0, 0.5, 0.0), (-1, 0.5, 0.0)),  # no such input
+        ((0, 0.5, 0.0), (1.0, 0.5, 0.0)),  # not an integer source
+    ])
+    def test_bad_taps_refused_before_draw(self, no_draw, taps):
+        with pytest.raises(ParameterError):
+            simulate_taps(PAIR, taps, FS, 512e-6, seed=0)
+
+
+# the circuits at one oscillator spec, called as circuit(fs, duration)
 SIMULATIONS = {
     "pair": lambda fs, duration: simulate_pair_average(
         OscillatorSpec(f_c=FC), OscillatorSpec(f_c=FC), fs, duration, seed=1),
@@ -396,6 +452,9 @@ SIMULATIONS = {
         [OscillatorSpec(f_c=FC)] * 4, fs, duration, seed=1),
     "delayed": lambda fs, duration: simulate_delayed_self_average(
         OscillatorSpec(f_c=FC), 1e-6, fs, duration, seed=1),
+    "taps": lambda fs, duration: simulate_taps(
+        PAIR, ((0, 0.25, 0.0), (1, 0.25, 0.0), (0, 0.25, 1e-6), (1, 0.25, 1e-6)), fs, duration,
+        seed=1),
 }
 
 

@@ -13,6 +13,7 @@ from oscavg import (
     autocorr_per_path,
     demodulate_phase,
     oscillator_waveform,
+    psd_of_phase_shift,
     sample_offset,
     stochastic,
     tap_ensemble,
@@ -494,12 +495,19 @@ class TestTapEnsemble:
         with pytest.raises(ParameterError):
             tap_ensemble(self.BETA, [], self.DT, self.N, self.SEED, 2)
 
-    @pytest.mark.parametrize("dt", [0.0, -1e-6, np.inf, np.nan])
+    @pytest.mark.parametrize("dt", [0.0, -1e-6, np.inf, np.nan, 5e-324])
     def test_bad_step_rejected(self, dt):
         # dt = 0 used to end in ZeroDivisionError, and dt < 0 read as a
-        # negative delay
+        # negative delay; at dt = 5e-324, where 1/dt overflows, wiener_path
+        # and psd_of_phase_shift refused an fs, and the ensembles returned walks
         with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
             tap_ensemble(self.BETA, [((0, 1.0, 0.0),)], dt, 8, 1, 1)
+        with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
+            wiener_path(1.0, 0.0, dt, 4, (1, 0))
+        with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
+            wiener_ensemble(1.0, 0.0, dt, 4, 1, 1)
+        with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
+            psd_of_phase_shift([np.zeros((1, 2, 16))], dt, segment_len=8)
 
 
 @given(theta0=st.floats(min_value=-100.0, max_value=100.0,
