@@ -93,6 +93,8 @@ def demodulate_phase(w: Waveform, f_lo: float, f_hi: float) -> np.ndarray:
         raise ParameterError(f"band [{f_lo:g}, {f_hi:g}] empty or outside (0, fs/2={w.fs / 2:g})")
     spec, freqs = _spectrum(w)
     lo, hi = freqs.searchsorted(f_lo), freqs.searchsorted(f_hi, "right")
+    if lo == hi:
+        raise ParameterError(f"band [{f_lo:g}, {f_hi:g}] holds no rfft bin of {len(w)} samples")
     z = np.zeros(len(w), dtype=complex)
     z[lo:hi] = spec[lo:hi]
     wrapped = np.angle(np.fft.ifft(z, out=z))
@@ -171,8 +173,8 @@ def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int
     waves, paths, omegas = [], [], []
     for i, spec in enumerate(specs):
         f_i = sample_offset(spec.offset_dist, (seed, i))
-        paths.append(wiener_path(spec.beta, spec.theta0, 1.0 / fs, n, (seed, i)))
-        waves.append(oscillator_waveform(spec, f_i, paths[-1], fs, n))
+        paths.append(wiener_path(spec.beta, 0.0, 1.0 / fs, n, (seed, i)))
+        waves.append(oscillator_waveform(spec, f_i, paths[-1], fs))
         omegas.append(TWO_PI * (spec.f_c + f_i))
     return waves, tuple(paths), tuple(omegas)
 
@@ -205,8 +207,7 @@ def _loop_interior(n: int, fs: float, f_c: float, settle: int) -> slice:
     return slice(settle + trim, n - trim)
 
 
-def divider_residual(a: Waveform, b: Waveform, output: Waveform, f_c: float,
-                     settle: int = 0) -> float:
+def divider_residual(a: Waveform, b: Waveform, output: Waveform, f_c: float) -> float:
     """Substitution check of the regenerative 2-divider on waveforms.
 
     Feeds `output` back through the divider loop (mixer with the sum band
@@ -215,21 +216,18 @@ def divider_residual(a: Waveform, b: Waveform, output: Waveform, f_c: float,
     interior. At the fixed point the mixer's product near f_c reproduces
     the output; an output phase off by e radians reads about |sin(e)|.
     """
-    interior = _loop_interior(len(output), output.fs, f_c, settle)
+    interior = _loop_interior(len(output), output.fs, f_c, 0)
     summed = ideal_filter(mix(a, b), "highpass", f_c)
     loop = ideal_filter(mix(summed, Waveform(fs=output.fs, samples=4.0 * output.samples)),
                         "lowpass", 2.0 * f_c)
     return float(np.max(np.abs(loop.samples[interior] - output.samples[interior])))
 
 
-def _average_stage(a: Waveform, b: Waveform, f_c: float, settle: int = 0
-                   ) -> Tuple[Waveform, np.ndarray]:
+def _average_stage(a: Waveform, b: Waveform, f_c: float) -> Tuple[Waveform, np.ndarray]:
     """One averaging stage: mix, and the regenerative 2-divider resolved at
     its fixed point, whose output phase is half the phase of the product's
     sum band [f_c, 3*f_c] (the difference band near f1-f2 lies below it).
-    Returns the output and its total phase. Refuses a duration that leaves
-    no loop interior for `divider_residual`."""
-    _loop_interior(len(a), a.fs, f_c, settle)
+    Returns the output and its total phase."""
     total = demodulate_phase(mix(a, b), f_c, 3.0 * f_c)
     total *= 0.5
     out = np.cos(total)
@@ -240,15 +238,15 @@ def _average_stage(a: Waveform, b: Waveform, f_c: float, settle: int = 0
 def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, duration: float,
                   seed: int) -> SimulationResult:
     """The averaging circuit of `taps` (s_j, a_j, d_j) on inputs `specs`: a
-    tree of averaging stages over leaves input s_j delayed by d_j, every
-    stage settling over the largest lag. The taps must be 2^k >= 2 of
-    weight 2^-k on sources indexing `specs`, each delay a whole number of
-    samples below n/4; they and the stages' loop interior are checked
-    before any draw. The output's phase is (sum a_j w_(s_j)) t + sum a_j
-    theta^(s_j)_{t-d_j} - sum a_j w_(s_j) d_j, `expected` holding the first
-    two terms, up to a multiple of pi/2^(k-1) (each divider's sign is
-    free). A cascade of delayed leaves under two stages reads ~5e-4 rad
-    rms off its taps, from a cause not yet found."""
+    tree of averaging stages over leaves input s_j delayed by d_j. The taps
+    must be 2^k >= 2 of weight 2^-k on sources indexing `specs`, each delay
+    a whole number of samples below n/4; they and the loop interior past
+    the largest lag are checked before any draw. The output's phase is
+    (sum a_j w_(s_j)) t + sum a_j theta^(s_j)_{t-d_j} - sum a_j w_(s_j) d_j,
+    `expected` holding the first two terms, up to a multiple of pi/2^(k-1)
+    (each divider's sign is free). A cascade of delayed leaves under two
+    stages reads 2e-4 to 5e-4 rad rms off its taps, from the zero-padded
+    start of each delayed leaf (`delay_block`)."""
     k = len(taps).bit_length() - 1
     if k < 1 or len(taps) != 2**k or any(a != 2.0**-k or s not in range(len(specs))
                                          for s, a, _ in taps):
@@ -262,7 +260,7 @@ def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, durati
     waves, paths, omegas = _draw(specs, fs, duration, seed, 2.0 * f_c)
     level = [delay_block(waves[s], d) if d else waves[s] for s, _, d in taps]
     while len(level) > 1:
-        stages = [_average_stage(a, b, f_c, settle) for a, b in zip(level[::2], level[1::2])]
+        stages = [_average_stage(a, b, f_c) for a, b in zip(level[::2], level[1::2])]
         level = [out for out, _ in stages]
     ((out, total),) = stages
     return SimulationResult(output=out, expected=_expected(taps, paths, omegas),

@@ -204,25 +204,17 @@ class OffsetDist:
 @dataclass(frozen=True)
 class OscillatorSpec:
     """Parameters of one oscillator: nominal frequency, offset distribution,
-    diffusion rate of the phase random walk, initial phase."""
+    diffusion rate of the phase random walk (which starts at 0)."""
 
     f_c: float
     offset_dist: OffsetDist = field(default_factory=OffsetDist.delta)
     beta: float = 0.0
-    theta0: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.f_c) and self.f_c > 0):
             raise ParameterError("f_c must be finite and > 0")
         if not (np.isfinite(self.beta) and self.beta >= 0):
             raise ParameterError("beta must be finite and >= 0")
-        if not np.isfinite(self.theta0):
-            raise ParameterError("theta0 must be finite")
-        # initial phase stored wrapped to [0, 2*pi); mod can round up to 2*pi
-        wrapped = float(np.mod(self.theta0, TWO_PI))
-        if wrapped >= TWO_PI:
-            wrapped = 0.0
-        object.__setattr__(self, "theta0", wrapped)
 
 
 @dataclass(frozen=True)
@@ -350,8 +342,9 @@ def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
 
 
 def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: Waveform,
-                        fs: float, n: int) -> Waveform:
-    """Sampled oscillator output cos(2*pi*(f_c + f_i)*t + theta_t).
+                        fs: float) -> Waveform:
+    """Sampled oscillator output cos(2*pi*(f_c + f_i)*t + theta_t), as long
+    as its phase path.
 
     Requires fs >= 8*(f_c + |f_i|) so downstream mixing products near
     4*f_c remain representable.
@@ -361,17 +354,13 @@ def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: Waveform,
     if fs < min_fs:
         raise ParameterError(
             f"fs={fs:g} Hz too low for carrier {f_inst:g} Hz; need fs >= {min_fs:g}")
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    if len(phase) < n:
-        raise ParameterError("phase path shorter than requested waveform")
     if not np.isclose(phase.fs, fs, rtol=1e-9):
         raise ParameterError("phase path fs inconsistent with fs")
     # the operations of cos(2*pi*(f_c + f_i) * k / fs + theta_k), in order
-    samples = np.arange(n, dtype=float)
+    samples = np.arange(len(phase), dtype=float)
     samples *= TWO_PI * (spec.f_c + f_i)
     samples /= fs
-    samples += phase.samples[:n]
+    samples += phase.samples
     return Waveform(fs=fs, samples=np.cos(samples, out=samples))
 
 

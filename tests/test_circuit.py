@@ -153,12 +153,25 @@ class TestDemodulatePhase:
            lo=st.floats(0.05, 0.95), hi=st.floats(1.05, 1.5))
     @example(n=6400, f0=2e6, sigma=0.05, seed=3, lo=0.5, hi=1.5)
     def test_bytes_match_conjugate_product_oracle(self, n, f0, sigma, seed, lo, hi):
-        # a noisy tone at f0 and a band [lo*f0, hi*f0] around it
+        # a noisy tone at f0 and a band [lo*f0, hi*f0] around it; a short
+        # waveform's bins can all miss the band, which is then refused
         w = noisy_tone(f0, n, sigma=sigma, seed=seed)
         w = Waveform(fs=w.fs, samples=w.samples
                      + 0.1 * np.random.default_rng(seed).standard_normal(n))
+        freqs = np.fft.rfftfreq(n, d=1.0 / w.fs)
+        if not np.any((freqs >= lo * f0) & (freqs <= hi * f0)):
+            with pytest.raises(ParameterError, match="holds no rfft bin"):
+                demodulate_phase(w, lo * f0, hi * f0)
+            return
         got = demodulate_phase(w, lo * f0, hi * f0)
         assert got.tobytes() == conjugate_product_phase(w, lo * f0, hi * f0).tobytes()
+
+    def test_band_between_bins_rejected(self):
+        # bins every 1 kHz: [1.0001, 1.0002] MHz holds none, and used to
+        # read as a phase of 64 000 zeros
+        with pytest.raises(ParameterError, match=r"\[1\.0001e\+06, 1\.0002e\+06\] holds no "
+                                                 r"rfft bin of 64000 samples"):
+            demodulate_phase(tone(1e6, fs=64e6, n=64000), 1.0001e6, 1.0002e6)
 
     def test_band_edges_on_bins_are_inside(self):
         # white noise, so every bin counts; f_lo and f_hi are bin frequencies
@@ -362,9 +375,9 @@ class TestDelayedSelfAverage:
         assert np.sqrt(np.mean(err**2)) < 1e-4
         (w,), _, _ = _draw((spec,), FS, 2048e-6, 101, 2 * FC)
         delayed = delay_block(w, delta)
-        out, _ = _average_stage(w, delayed, FC, settle=lag)
+        out, _ = _average_stage(w, delayed, FC)
         assert out.samples.tobytes() == res.output.samples.tobytes()
-        assert divider_residual(w, delayed, out, FC, settle=lag) < 1e-3
+        assert divider_residual(w, delayed, out, FC) < 1e-3
 
     def test_autocorr_matches_piecewise_form(self):
         # MC autocorrelation at delta/2, delta, 2*delta within 3 standard errors
@@ -409,13 +422,18 @@ class TestTapTree:
     FS = 64e6
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("n_specs,taps", [
-        (4, tuple((i, 0.25, 0.0) for i in range(4))),
-        (8, tuple((i, 0.125, 0.0) for i in range(8))),
+    @pytest.mark.parametrize("n_specs,taps,gate", [
+        (4, tuple((i, 0.25, 0.0) for i in range(4)), 1e-4),
+        (8, tuple((i, 0.125, 0.0) for i in range(8)), 1e-4),
         # a pair, each delay-averaged at 16 samples
-        (2, ((0, 0.25, 0.0), (0, 0.25, 16 / 64e6), (1, 0.25, 0.0), (1, 0.25, 16 / 64e6))),
-    ], ids=["4-inputs", "8-inputs", "delayed-pair"])
-    def test_phase_matches_taps(self, n_specs, taps, seed):
+        (2, ((0, 0.25, 0.0), (0, 0.25, 16 / 64e6), (1, 0.25, 0.0), (1, 0.25, 16 / 64e6)), 1e-4),
+        # delayed leaves under two stages read 4.7e-4 to 5.0e-4 rad rms off:
+        # delay_block zero-pads each delayed leaf's start, and leaves sliced
+        # from a longer draw read 1.4e-5 to 1.6e-5. The gate tightens when
+        # the next benchmark change draws the inputs from t = -L.
+        (1, tuple((0, 0.25, k * 16 / 64e6) for k in range(4)), 1e-3),
+    ], ids=["4-inputs", "8-inputs", "delayed-pair", "delayed-cascade"])
+    def test_phase_matches_taps(self, n_specs, taps, gate, seed):
         spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(10.0))
         res = simulate_taps((spec,) * n_specs, taps, self.FS, 1e-3, seed)
         n = len(res.output)
@@ -430,7 +448,7 @@ class TestTapTree:
         err = res.measured_total_phase - expected
         err -= step * np.round(np.mean(err) / step)
         trim = max(n // 16, 4 * lag)
-        assert np.sqrt(np.mean(err[trim:-trim] ** 2)) < 1e-4
+        assert np.sqrt(np.mean(err[trim:-trim] ** 2)) < gate
 
     @pytest.mark.parametrize("taps", [
         (), ((0, 1.0, 0.0),),  # 2^0 taps

@@ -913,7 +913,7 @@ class TestSimulateCommand:
         if scenario == "base":
             f_i = stochastic.sample_offset(spec.offset_dist, (seed, 0))
             path = stochastic.wiener_path(1e3, 0.0, 1.0 / fs, n, (seed, 0))
-            wave = stochastic.oscillator_waveform(spec, f_i, path, fs, n)
+            wave = stochastic.oscillator_waveform(spec, f_i, path, fs)
         elif scenario == "averaged_independent":
             wave = circuit.simulate_pair_average(spec, spec, fs, duration, seed).output
         elif scenario == "averaged_n":

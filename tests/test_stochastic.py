@@ -322,7 +322,7 @@ class TestOscillatorWaveform:
         n = 1 << 14
         spec = OscillatorSpec(f_c=self.fc)
         path = wiener_path(0.0, 0.0, 1.0 / self.fs, n, (0, 0))
-        w = oscillator_waveform(spec, 0.0, path, self.fs, n)
+        w = oscillator_waveform(spec, 0.0, path, self.fs)
         mag = np.abs(np.fft.rfft(w.samples))
         freqs = np.fft.rfftfreq(n, d=1.0 / self.fs)
         assert abs(freqs[np.argmax(mag)] - self.fc) <= self.fs / n
@@ -330,20 +330,13 @@ class TestOscillatorWaveform:
     def test_path_at_another_rate_rejected(self):
         path = wiener_path(0.0, 0.0, 2.0 / self.fs, 64, (0, 0))
         with pytest.raises(ParameterError, match="fs inconsistent"):
-            oscillator_waveform(OscillatorSpec(f_c=self.fc), 0.0, path, self.fs, 64)
-
-    @pytest.mark.parametrize("theta0", [np.nan, np.inf, -np.inf])
-    def test_non_finite_theta0_rejected(self, theta0):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="theta0"):
-                OscillatorSpec(f_c=self.fc, theta0=theta0)
+            oscillator_waveform(OscillatorSpec(f_c=self.fc), 0.0, path, self.fs)
 
     def test_initial_phase(self):
         n = 64
-        spec = OscillatorSpec(f_c=self.fc, theta0=np.pi / 2)
+        spec = OscillatorSpec(f_c=self.fc)
         path = wiener_path(0.0, np.pi / 2, 1.0 / self.fs, n, (0, 0))
-        w = oscillator_waveform(spec, 0.0, path, self.fs, n)
+        w = oscillator_waveform(spec, 0.0, path, self.fs)
         assert w.samples[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_demodulation_recovers_phase(self):
@@ -354,7 +347,7 @@ class TestOscillatorWaveform:
         n = 1 << 17
         spec = OscillatorSpec(f_c=self.fc, beta=beta)
         path = wiener_path(beta, 0.0, 1.0 / self.fs, n, (3, 0))
-        w = oscillator_waveform(spec, 0.0, path, self.fs, n)
+        w = oscillator_waveform(spec, 0.0, path, self.fs)
         ramp = TWO_PI * self.fc * np.arange(n) / self.fs
         dev = demodulate_phase(w, self.fc / 2, 1.5 * self.fc) - ramp
         trim = n // 16
@@ -366,31 +359,24 @@ class TestOscillatorWaveform:
         n = 4096
         spec = OscillatorSpec(f_c=self.fc, beta=1e4)
         path = wiener_path(1e4, 0.0, 1.0 / self.fs, n, (4, 0))
-        w = oscillator_waveform(spec, 0.0, path, self.fs, n)
+        w = oscillator_waveform(spec, 0.0, path, self.fs)
         assert np.max(np.abs(w.samples)) <= 1.0
 
     def test_bytes_match_cosine_oracle(self):
-        # an offset carrier and a phase path longer than the waveform
+        # an offset carrier, the waveform as long as its phase path
         n, f_i = 5000, -1234.5
         spec = OscillatorSpec(f_c=self.fc, beta=1e4)
-        path = wiener_path(1e4, 0.4, 1.0 / self.fs, n + 17, (5, 0))
-        w = oscillator_waveform(spec, f_i, path, self.fs, n)
-        expected = np.cos(TWO_PI * (self.fc + f_i) * np.arange(n) / self.fs + path.samples[:n])
+        path = wiener_path(1e4, 0.4, 1.0 / self.fs, n, (5, 0))
+        w = oscillator_waveform(spec, f_i, path, self.fs)
+        expected = np.cos(TWO_PI * (self.fc + f_i) * np.arange(n) / self.fs + path.samples)
         assert w.samples.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("n", [0, -3])
-    def test_empty_waveform_rejected(self, n):
-        spec = OscillatorSpec(f_c=self.fc)
-        path = wiener_path(0.0, 0.0, 1.0 / self.fs, 8, (0, 0))
-        with pytest.raises(ParameterError):
-            oscillator_waveform(spec, 0.0, path, self.fs, n)
 
     def test_undersampling_rejected(self):
         n = 64
         spec = OscillatorSpec(f_c=self.fc)
         path = wiener_path(0.0, 0.0, 1.0 / (4 * self.fc), n, (0, 0))
         with pytest.raises(ParameterError):
-            oscillator_waveform(spec, 0.0, path, 4 * self.fc, n)
+            oscillator_waveform(spec, 0.0, path, 4 * self.fc)
 
 
 def phase_shift(paths):
@@ -508,13 +494,6 @@ class TestTapEnsemble:
             wiener_ensemble(1.0, 0.0, dt, 4, 1, 1)
         with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
             psd_of_phase_shift([np.zeros((1, 2, 16))], dt, segment_len=8)
-
-
-@given(theta0=st.floats(min_value=-100.0, max_value=100.0,
-                        allow_nan=False, allow_infinity=False))
-def test_spec_wraps_initial_phase(theta0):
-    spec = OscillatorSpec(f_c=1e6, theta0=theta0)
-    assert 0.0 <= spec.theta0 < TWO_PI
 
 
 @given(n=st.integers(min_value=1, max_value=200),
