@@ -450,6 +450,12 @@ class TestTapTree:
         trim = max(n // 16, 4 * lag)
         assert np.sqrt(np.mean(err[trim:-trim] ** 2)) < gate
 
+    def test_inputs_start_at_zero_phase(self):
+        spec = OscillatorSpec(f_c=FC, beta=1e-3)
+        res = simulate_taps((spec,) * 2, ((0, 0.5, 0.0), (1, 0.5, 0.0)), self.FS, 512e-6, seed=4)
+        assert [p.samples[0] for p in res.phases] == [0.0, 0.0]
+        assert not np.array_equal(res.phases[0].samples, res.phases[1].samples)
+
     @pytest.mark.parametrize("taps", [
         (), ((0, 1.0, 0.0),),  # 2^0 taps
         ((0, 0.5, 0.0), (1, 0.25, 0.0), (0, 0.25, 0.0)),  # 3 taps

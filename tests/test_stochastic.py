@@ -332,6 +332,12 @@ class TestOscillatorWaveform:
         with pytest.raises(ParameterError, match="fs inconsistent"):
             oscillator_waveform(OscillatorSpec(f_c=self.fc), 0.0, path, self.fs)
 
+    @pytest.mark.parametrize("n", [1, 17, 5000])
+    def test_length_follows_phase_path(self, n):
+        path = wiener_path(1e4, 0.0, 1.0 / self.fs, n, (6, 0))
+        w = oscillator_waveform(OscillatorSpec(f_c=self.fc), 0.0, path, self.fs)
+        assert len(w) == n and w.fs == path.fs
+
     def test_initial_phase(self):
         n = 64
         spec = OscillatorSpec(f_c=self.fc)
