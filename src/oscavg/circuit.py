@@ -166,13 +166,18 @@ def _samples(specs: Sequence[OscillatorSpec], fs: float, duration: float,
 
 
 def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int,
-          f_top: float) -> Tuple[List[Waveform], Tuple[Waveform, ...], Tuple[float, ...]]:
+          f_top: float, check_offsets=None
+          ) -> Tuple[List[Waveform], Tuple[Waveform, ...], Tuple[float, ...]]:
     """Waveforms, phase paths and angular frequencies of a circuit's input
-    oscillators, oscillator i drawn on (seed, i), `_samples` long."""
+    oscillators, oscillator i drawn on (seed, i), `_samples` long. Every
+    offset is drawn first and passed to check_offsets, if given, which
+    raises ParameterError before any walk is drawn."""
     n = _samples(specs, fs, duration, f_top)
+    offsets = [sample_offset(spec.offset_dist, (seed, i)) for i, spec in enumerate(specs)]
+    if check_offsets is not None:
+        check_offsets(offsets)
     waves, paths, omegas = [], [], []
-    for i, spec in enumerate(specs):
-        f_i = sample_offset(spec.offset_dist, (seed, i))
+    for i, (spec, f_i) in enumerate(zip(specs, offsets)):
         paths.append(wiener_path(spec.beta, 0.0, 1.0 / fs, n, (seed, i)))
         waves.append(oscillator_waveform(spec, f_i, paths[-1], fs))
         omegas.append(TWO_PI * (spec.f_c + f_i))
@@ -235,13 +240,29 @@ def _average_stage(a: Waveform, b: Waveform, f_c: float) -> Tuple[Waveform, np.n
     return Waveform(fs=a.fs, samples=out), total
 
 
+def _check_stage_bands(taps: Taps, offsets: Sequence[float], f_c: float):
+    """ParameterError unless each leaf pair of `taps` (taps 2j and 2j + 1),
+    of drawn offsets a and b, has |a| + |b| < f_c: only then does a stage's
+    band [f_c, 3*f_c] hold the sum product, at 2*f_c + a + b, and not the
+    difference product, at |a - b|. A deeper stage mixes means of such
+    pairs, each below f_c/2 in size, so it passes too."""
+    for (s, _, _), (r, _, _) in zip(taps[::2], taps[1::2]):
+        if not abs(offsets[s]) + abs(offsets[r]) < f_c:
+            raise ParameterError(
+                f"drawn offsets {offsets[s]:g} and {offsets[r]:g} Hz of inputs {s} and {r} "
+                f"need |a| + |b| < f_c = {f_c:g} Hz: a stage's band [f_c, 3*f_c] cannot "
+                f"separate their sum and difference products")
+
+
 def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, duration: float,
                   seed: int) -> SimulationResult:
     """The averaging circuit of `taps` (s_j, a_j, d_j) on inputs `specs`: a
     tree of averaging stages over leaves input s_j delayed by d_j. The taps
     must be 2^k >= 2 of weight 2^-k on sources indexing `specs`, each delay
     a whole number of samples below n/4; they and the loop interior past
-    the largest lag are checked before any draw. The output's phase is
+    the largest lag are checked before any draw. Each leaf pair's drawn
+    offsets a and b need |a| + |b| < f_c, checked before any walk is drawn
+    (`_check_stage_bands`). The output's phase is
     (sum a_j w_(s_j)) t + sum a_j theta^(s_j)_{t-d_j} - sum a_j w_(s_j) d_j,
     `expected` holding the first two terms, up to a multiple of pi/2^(k-1)
     (each divider's sign is free). A cascade of delayed leaves under two
@@ -257,7 +278,8 @@ def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, durati
     if settle >= n // 4:
         raise ParameterError("duration must be much longer than the delay")
     _loop_interior(n, fs, f_c, settle)
-    waves, paths, omegas = _draw(specs, fs, duration, seed, 2.0 * f_c)
+    waves, paths, omegas = _draw(specs, fs, duration, seed, 2.0 * f_c,
+                                 lambda offsets: _check_stage_bands(taps, offsets, f_c))
     level = [delay_block(waves[s], d) if d else waves[s] for s, _, d in taps]
     while len(level) > 1:
         stages = [_average_stage(a, b, f_c) for a, b in zip(level[::2], level[1::2])]
@@ -271,8 +293,21 @@ def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: floa
                           duration: float, seed: int) -> SimulationResult:
     """Two-oscillator averaging chain: mix, sum band above f_c, regenerative
     2-divider resolved at its steady state. Output ~ (1/2)cos(w't + theta'_t)
-    with w' and theta'_t the means of the inputs: taps ((0, 1/2, 0), (1, 1/2, 0))."""
+    with w' and theta'_t the means of the inputs: taps ((0, 1/2, 0), (1, 1/2, 0)).
+    The drawn offsets need |f_1| + |f_2| < f_c."""
     return simulate_taps((spec1, spec2), ((0, 0.5, 0.0), (1, 0.5, 0.0)), fs, duration, seed)
+
+
+def _check_tree_band(offsets: Sequence[float], f_c: float):
+    """ParameterError unless the mixing tree's band (3*f_c, 5*f_c) holds its
+    product at 4*f_c + sum f_i and none at 2*f_c + sum f_i - 2*f_j: unless
+    |sum f_i| < f_c and sum f_i - 2*min f_i < f_c."""
+    total = sum(offsets)
+    if not (abs(total) < f_c and total - 2.0 * min(offsets) < f_c):
+        raise ParameterError(
+            f"drawn offsets {', '.join(f'{f:g}' for f in offsets)} Hz need |sum| < f_c and "
+            f"sum - 2*min < f_c = {f_c:g} Hz: the band (3*f_c, 5*f_c) cannot separate "
+            f"the mixing tree's products")
 
 
 def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
@@ -283,11 +318,14 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
     It does not average: the output phase is the *sum* of the input phases
     (four taps of weight 1), not their mean, and it has no divider. It
     stays (the `averaged_n` scenario) because the benchmark's waveform
-    workload checks this sum-phase output, until `simulate_taps` replaces it."""
+    workload checks this sum-phase output, until `simulate_taps` replaces it.
+    The drawn offsets need |sum f_i| < f_c and sum f_i - 2*min f_i < f_c
+    (`_check_tree_band`), checked before any walk is drawn."""
     if len(specs) != 4:
         raise ParameterError("mixing tree takes exactly 4 oscillators")
     f_c = specs[0].f_c
-    waves, paths, omegas = _draw(specs, fs, duration, seed, 4.0 * f_c)
+    waves, paths, omegas = _draw(specs, fs, duration, seed, 4.0 * f_c,
+                                 lambda offsets: _check_tree_band(offsets, f_c))
     out = ideal_filter(mix(mix(waves[0], waves[1]), mix(waves[2], waves[3])),
                        "highpass", 3.0 * f_c)
     measured = demodulate_phase(out, 3.0 * f_c, 5.0 * f_c)
@@ -302,5 +340,6 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
     """Average an oscillator with its own output delayed by delta, a whole
     number of samples: the taps `analytic.delayed_taps(delta)`, output phase
     (theta_t + theta_{t-delta})/2. The first delta seconds are start-up,
-    where the expected phase holds theta_0 in place of theta_{t-delta}."""
+    where the expected phase holds theta_0 in place of theta_{t-delta}.
+    The drawn offset needs |f| < f_c/2."""
     return simulate_taps((spec,), delayed_taps(delta), fs, duration, seed)

@@ -29,8 +29,12 @@ LIN_POINTS = 501
 # segment_len), which bound each Welch array of a block, and all its walks
 # (one per source: the path and the largest lag on it) and curves' phases,
 # so every array a block holds is bounded. Output does not depend on it.
-# 7 * 2**13 is one default path of a default figure (two walks and four
-# phases of 16384) and nine of segment_len 256.
+# A default figure's path counts 98 344 samples (figure-log: walks of
+# 16 424 and 16 384, four phases of 16 384), over 7 * 2**13, so it runs one
+# path a block by the floor; a segment_len = 256 path counts 6 164
+# (figure-linear), so nine run a block. At 256 such paths (seed 5, one
+# CPU), figure-linear took 229-263 ms with one-path blocks against 94-95
+# ms at 7 * 2**13: medians of 7 runs, in two alternating sets.
 BLOCK_SAMPLES = 7 * 2**13
 # Rows `_write_table` formats and writes at once (~2.5 MB of text), so the
 # text of a `simulate` table of MAX_SAMPLES rows (~35 bytes a row, ~0.6 GB)

@@ -20,7 +20,6 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -101,15 +100,6 @@ def _check_key(master, index, rows: int, stream):
                          f"[0, 2**32)")
 
 
-@lru_cache(maxsize=64)
-def _master_pool(master: int) -> np.ndarray:
-    """The hash pool after the master's words (hashmix calls 0-15), as
-    numpy's SeedSequence(master) holds it: a read-only (4, 1) uint32 column."""
-    pool = np.random.SeedSequence(master).pool[:, None]
-    pool.flags.writeable = False
-    return pool
-
-
 def _seed_words(master, first_index, n_paths: int, stream) -> np.ndarray:
     """PCG64 seeds of the streams of (master, first_index + i) on a stream
     tag, shape (n_paths, 4), uint64: row i is numpy's
@@ -117,7 +107,7 @@ def _seed_words(master, first_index, n_paths: int, stream) -> np.ndarray:
     .generate_state(4, np.uint64), hashed for the whole block in one
     vectorised pass. Keys outside _check_key's range are a ParameterError."""
     _check_key(master, first_index, n_paths, stream)
-    pool = _master_pool(int(master))  # (4, rows): each operation runs along the rows
+    pool = np.random.SeedSequence(int(master)).pool[:, None]  # each operation runs along rows
     index = np.arange(first_index, first_index + n_paths, dtype=np.uint32)
     for word, (xor, mult) in ((index, _INDEX_MIX), (np.uint32(stream), _TAG_MIX)):
         y = word ^ xor
@@ -240,11 +230,9 @@ class Waveform:
         return np.arange(self.samples.size) / self.fs
 
 
-def _check_walk(beta: float, theta0: float, dt: float, n: int, master, index, rows: int,
-                stream):
-    """ParameterError for a walk's bad parameters or stream key, whether or
-    not the walk has a step to draw."""
-    _check_key(master, index, rows, stream)
+def _check_walk(beta: float, theta0: float, dt: float, n: int):
+    """ParameterError for a walk's bad parameters, whether or not the walk
+    has a step to draw; its seeding checks its stream key."""
     if not (np.isfinite(beta) and beta >= 0):
         raise ParameterError("beta must be finite and >= 0")
     if not np.isfinite(theta0):
@@ -257,11 +245,11 @@ def _check_walk(beta: float, theta0: float, dt: float, n: int, master, index, ro
 def _fill_walks(out: np.ndarray, beta: float, theta0: float, dt: float, rngs):
     """Fill each row of out, shape (rows, n), with a walk from theta0 whose
     steps are sqrt(2*pi*beta*dt) times the standard normals of one generator
-    of rngs(), which is called only if there are steps: none when n = 1 or
+    of rngs, an iterable read only if there are steps: none when n = 1 or
     beta = 0, where every sample is theta0."""
     if out.shape[1] > 1 and beta != 0.0:
         out[:, 0] = 0.0
-        for row, rng in zip(out, rngs()):
+        for row, rng in zip(out, rngs):
             rng.standard_normal(out=row[1:])
         out *= np.sqrt(TWO_PI * beta * dt)
         # normal(0.0, scale) draws 0.0 + scale * z, never -0.0; summing from
@@ -285,9 +273,10 @@ def wiener_path(beta: float, theta0: float, dt: float, n: int,
     step size. samples[0] equals theta0 (unwrapped), and fs is 1 / dt. They
     are drawn from path_rng(seed_id, stream).
     """
-    _check_walk(beta, theta0, dt, n, *seed_id, 1, stream)
+    _check_walk(beta, theta0, dt, n)
+    rng = path_rng(seed_id, stream)
     theta = np.empty(n, dtype=float)
-    _fill_walks(theta[None, :], beta, theta0, dt, lambda: (path_rng(seed_id, stream),))
+    _fill_walks(theta[None, :], beta, theta0, dt, (rng,))
     return Waveform(fs=1.0 / dt, samples=theta)
 
 
@@ -322,17 +311,16 @@ def _offset_bits(master: int, index: int) -> int:
 def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
     """Draw one frequency offset (Hz) from the given distribution.
 
-    The draw is a pure function of (distribution, seed_id), and every kind,
-    delta too, refuses the keys _check_key refuses. The top 53 bits
-    k of the key's hash give u = (k + 0.5) * 2**-53 in (0, 1); a uniform
+    The draw is a pure function of (distribution, seed_id). Every kind,
+    delta too, hashes the key, so refuses the keys _check_key refuses. The
+    top 53 bits k of the hash give u = (k + 0.5) * 2**-53 in (0, 1); a uniform
     offset is param * (2u - 1), a normal one param * ndtri(u). Both are
     computed without rounding u: the normal takes the tail nearer to u, so
     the largest k maps to the mirror of the smallest, not to ndtri(1) = inf.
     """
-    if offset_dist.kind == "delta":
-        _check_key(*seed_id, 1, STREAM_OFFSET)
-        return float(offset_dist.param)
     k = _offset_bits(*seed_id) >> 11
+    if offset_dist.kind == "delta":
+        return float(offset_dist.param)
     if offset_dist.kind == "uniform":
         # |2k + 1 - 2**53| < 2**53: the int converts and scales exactly
         return offset_dist.param * ((2 * k + 1 - _TWO53) * 2.0**-53)
@@ -372,11 +360,12 @@ def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
     bit for bit. One _seed_words pass seeds every row's stream, the rows'
     standard normals are drawn straight into the block, and one cumulative
     sum integrates it."""
-    _check_walk(beta, theta0, dt, n, master_seed, first_index, n_paths, stream)
+    _check_walk(beta, theta0, dt, n)
+    words = _seed_words(master_seed, first_index, n_paths, stream)
     out = np.empty((n_paths, n), dtype=float)
-    _fill_walks(out, beta, theta0, dt, lambda: (
-        np.random.Generator(np.random.PCG64(_Seeded(words)))
-        for words in _seed_words(master_seed, first_index, n_paths, stream)))
+    # built lazily: a walk without steps builds no generator
+    _fill_walks(out, beta, theta0, dt,
+                (np.random.Generator(np.random.PCG64(_Seeded(w))) for w in words))
     return out
 
 

@@ -408,10 +408,11 @@ PAIR = (OscillatorSpec(f_c=FC),) * 2
 
 @pytest.fixture
 def no_draw(monkeypatch):
-    """Make drawing an oscillator waveform fail the test."""
+    """Make drawing an input's walk or waveform fail the test."""
     def draw(*args, **kwargs):
-        raise AssertionError("a waveform was drawn before the taps were checked")
+        raise AssertionError("a walk or waveform was drawn before the input was checked")
 
+    monkeypatch.setattr(circuit, "wiener_path", draw)
     monkeypatch.setattr(circuit, "oscillator_waveform", draw)
 
 
@@ -466,6 +467,73 @@ class TestTapTree:
     def test_bad_taps_refused_before_draw(self, no_draw, taps):
         with pytest.raises(ParameterError):
             simulate_taps(PAIR, taps, FS, 512e-6, seed=0)
+
+
+def _at(*offsets):
+    """Inputs at f_c = FC, beta = 1e-3, with fixed offsets given in units of FC."""
+    return tuple(OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.delta(f * FC))
+                 for f in offsets)
+
+
+class TestReadoutBand:
+    """A circuit refuses drawn offsets whose mixing products its read-out
+    band cannot separate, before any walk is drawn; at fs = 64 MHz, 1 ms,
+    offsets just outside the rule read 86 to 1563 rad off `expected`."""
+
+    FS = 64e6
+
+    def phase_error(self, res, step):
+        """rms of measured - expected total phase over the middle 7/8,
+        modulo `step`."""
+        t = np.arange(len(res.output)) / self.FS
+        err = res.measured_total_phase - (res.expected.omega_prime * t
+                                          + res.expected.phase_path_prime.samples)
+        err -= step * np.round(np.mean(err) / step)
+        trim = len(err) // 16
+        return np.sqrt(np.mean(err[trim:-trim] ** 2))
+
+    @pytest.mark.parametrize("offsets", [(0.49, 0.49), (0.7, 0.2), (-0.49, 0.49)])
+    def test_pair_inside_the_band_accepted(self, offsets):
+        res = simulate_pair_average(*_at(*offsets), self.FS, 1e-3, seed=1)
+        assert self.phase_error(res, np.pi) < 1e-4
+
+    def test_four_inputs_inside_the_band_accepted(self):
+        # the first pair sums to 0.95 f_c; the second stage's inputs are means
+        taps = tuple((i, 0.25, 0.0) for i in range(4))
+        res = simulate_taps(_at(0.9, -0.05, 0.3, 0.3), taps, self.FS, 1e-3, seed=1)
+        assert self.phase_error(res, np.pi / 2) < 1e-4
+
+    def test_tree_inside_the_band_accepted(self):
+        res = simulate_mixing_tree(_at(0.3, -0.3, 0.3, -0.3), self.FS, 1e-3, seed=1)
+        assert self.phase_error(res, TWO_PI) < 1e-4
+
+    @pytest.mark.parametrize("offsets", [(0.51, 0.51), (0.51, -0.51), (0.9, 0.1)])
+    def test_pair_outside_the_band_refused(self, no_draw, offsets):
+        with pytest.raises(ParameterError, match=r"need \|a\| \+ \|b\| < f_c = 1e\+06 Hz"):
+            simulate_pair_average(*_at(*offsets), self.FS, 1e-3, seed=1)
+
+    def test_four_inputs_outside_the_band_refused(self, no_draw):
+        # a second-stage pair of 0.3 + 0.75 f_c
+        taps = tuple((i, 0.25, 0.0) for i in range(4))
+        with pytest.raises(ParameterError, match="inputs 2 and 3"):
+            simulate_taps(_at(0.9, -0.05, 0.3, 0.75), taps, self.FS, 1e-3, seed=1)
+
+    def test_delayed_self_average_outside_the_band_refused(self, no_draw):
+        with pytest.raises(ParameterError, match="inputs 0 and 0"):
+            simulate_delayed_self_average(_at(0.55)[0], 1e-6, self.FS, 1e-3, seed=1)
+
+    @pytest.mark.parametrize("offsets", [
+        (0.3, 0.3, 0.3, -0.5),  # a product at 2 f_c + sum - 2 f_3 = 3.4 f_c, inside the band
+        (0.26, 0.26, 0.26, 0.26)])  # the product at 4 f_c + sum = 5.04 f_c, above it
+    def test_tree_outside_the_band_refused(self, no_draw, offsets):
+        with pytest.raises(ParameterError, match=r"the band \(3\*f_c, 5\*f_c\)"):
+            simulate_mixing_tree(_at(*offsets), self.FS, 1e-3, seed=1)
+
+    def test_drawn_offsets_checked(self, no_draw):
+        # uniform +-6e5 Hz at seed 1 draws +509385 and -562368 Hz
+        spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(6e5))
+        with pytest.raises(ParameterError, match="drawn offsets 509385 and -562368 Hz"):
+            simulate_pair_average(spec, spec, self.FS, 1e-3, seed=1)
 
 
 # the circuits at one oscillator spec, called as circuit(fs, duration)

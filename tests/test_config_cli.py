@@ -379,6 +379,10 @@ class TestFigureCommands:
         ("simulate", "scenario = delayed_self\ndelta = 1e-6\nf_c_scaled = 1e-300"),
         # 512 samples, all of them inside the filters' edge trim
         ("simulate", "scenario = averaged_independent\nduration = 8e-6"),
+        # drawn offsets whose mixing products the read-out band cannot separate
+        ("simulate", "scenario = averaged_independent\noffsets = delta:6e5"),
+        ("simulate", "scenario = delayed_self\ndelta = 1e-6\noffsets = delta:6e5"),
+        ("simulate", "scenario = averaged_n\nn_oscillators = 4\noffsets = delta:3e5"),
         # one sample: too short for the mixing tree's filters
         ("simulate", "scenario = averaged_n\nn_oscillators = 4\nduration = 2e-8"),
         # non-finite intermediate values: only the finite check may report

@@ -130,13 +130,6 @@ class TestEnsembleSeeding:
         got = stochastic._seed_words(master, first, rows, stream)
         assert got.dtype == np.uint64 and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("master", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_master_pool_is_seed_sequence_pool(self, master):
-        pool = stochastic._master_pool(master)
-        assert pool.shape == (4, 1) and pool.dtype == np.uint32
-        assert not pool.flags.writeable
-        assert np.array_equal(pool[:, 0], np.random.SeedSequence(master).pool)
-
     @pytest.mark.parametrize("beta,theta0,n", WALK_CASES)
     def test_ensemble_rows_are_wiener_paths(self, beta, theta0, n):
         first = 2**32 - 4  # the last row has the largest index
@@ -170,6 +163,14 @@ class TestEnsembleSeeding:
         with pytest.raises(ParameterError, match="stream key"):
             tap_ensemble(beta, [((0, 1.0, 0.0),)], 1e-8, n, master, 2, first_index=first)
 
+    def test_keys_checked_before_allocation(self):
+        # 2**62 samples: allocating first would end in numpy's "array is
+        # too big" ValueError, raised before anything is allocated
+        with pytest.raises(ParameterError, match="stream key"):
+            wiener_path(1e4, 0.0, 1e-6, 2**62, (-1, 0))
+        with pytest.raises(ParameterError, match="stream key"):
+            wiener_ensemble(1e4, 0.0, 1e-6, 2**62, -1, 2)
+
     @pytest.mark.parametrize("beta", [0.0, 1e4])
     def test_negative_path_count_rejected(self, beta):
         # used to end in numpy's "negative dimensions" ValueError
@@ -189,7 +190,6 @@ class TestEnsembleSeeding:
             stochastic.path_rng((0, 0), stream)
 
     def test_hash_emits_no_warning(self):
-        stochastic._master_pool.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stochastic._seed_words(2**64 - 1, 2**32 - 5, 5, 2**32 - 1)
