@@ -28,7 +28,6 @@ from .stochastic import (
     ParameterError,
     Taps,
     Waveform,
-    _add_taps,
     lag_samples,
     oscillator_waveform,
     sample_offset,
@@ -146,7 +145,8 @@ def _samples(specs: Sequence[OscillatorSpec], fs: float, duration: float,
              f_top: float) -> int:
     """Samples in a simulated waveform, duration * fs rounded: the one place
     that sizes one. The oscillators must share one carrier, fs must be
-    finite and cover mixing products up to f_top Hz (fs >= 8*f_top), and the
+    finite and cover mixing products up to f_top Hz (fs >= 8*f_top), f_top
+    being at least every drawn carrier f_c + |f_i| (`_draw`), and the
     duration must be finite and span 16 to MAX_SAMPLES samples."""
     if any(s.f_c != specs[0].f_c for s in specs):
         raise ParameterError("oscillators must share the nominal frequency")
@@ -169,11 +169,13 @@ def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int
           f_top: float, check_offsets=None
           ) -> Tuple[List[Waveform], Tuple[Waveform, ...], Tuple[float, ...]]:
     """Waveforms, phase paths and angular frequencies of a circuit's input
-    oscillators, oscillator i drawn on (seed, i), `_samples` long. Every
-    offset is drawn first and passed to check_offsets, if given, which
-    raises ParameterError before any walk is drawn."""
-    n = _samples(specs, fs, duration, f_top)
+    oscillators, oscillator i drawn on (seed, i), `_samples` long. The
+    offsets f_i are drawn first: `_samples` checks fs >= 8*(f_c + |f_i|) too,
+    and check_offsets, if given, is passed them; either raises
+    ParameterError before any walk is drawn."""
     offsets = [sample_offset(spec.offset_dist, (seed, i)) for i, spec in enumerate(specs)]
+    f_top = max(f_top, *(s.f_c + abs(f) for s, f in zip(specs, offsets)))
+    n = _samples(specs, fs, duration, f_top)
     if check_offsets is not None:
         check_offsets(offsets)
     waves, paths, omegas = [], [], []
@@ -188,17 +190,12 @@ def _expected(taps: Taps, phases: Sequence[Waveform], omegas: Sequence[float]
               ) -> SteadyStateResult:
     """A circuit's output as its taps state it, source s being input s: the
     frequency sum_j a_j omega_(s_j) and the phase sum_j a_j theta^(s_j)_{t - d_j},
-    a delayed phase held at its first sample before t = d_j."""
-    fs, phase = phases[0].fs, np.zeros(len(phases[0]))
-    dt = 1.0 / fs
-    # input s from t = -L_s, theta_0 held for the taps' largest lag L_s on it
-    held = {}
-    for s, L in source_lags([taps], dt).items():
-        src = phases[s].samples
-        held[s] = np.concatenate((np.full(L, src[0]), src)) if L else src
-    _add_taps(phase, taps, held, dt)
+    a delayed phase zero (theta_0) before t = d_j, as its leaf is (`delay_block`)."""
+    phase = np.zeros(len(phases[0]))
+    for s, a, d in taps:
+        phase += a * (delay_block(phases[s], d) if d else phases[s]).samples
     return SteadyStateResult(omega_prime=sum(a * omegas[s] for s, a, _ in taps),
-                             phase_path_prime=Waveform(fs=fs, samples=phase))
+                             phase_path_prime=Waveform(fs=phases[0].fs, samples=phase))
 
 
 def _loop_interior(n: int, fs: float, f_c: float, settle: int) -> slice:
@@ -340,6 +337,6 @@ def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,
     """Average an oscillator with its own output delayed by delta, a whole
     number of samples: the taps `analytic.delayed_taps(delta)`, output phase
     (theta_t + theta_{t-delta})/2. The first delta seconds are start-up,
-    where the expected phase holds theta_0 in place of theta_{t-delta}.
+    where the expected phase, as the leaf, reads theta_0 = 0 for theta_{t-delta}.
     The drawn offset needs |f| < f_c/2."""
     return simulate_taps((spec,), delayed_taps(delta), fs, duration, seed)

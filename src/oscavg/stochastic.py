@@ -389,31 +389,23 @@ def source_lags(curves, dt: float) -> dict:
     return lags
 
 
-def _add_taps(phase: np.ndarray, taps: Taps, walks: dict, dt: float):
-    """Add sum_j a_j theta^(s_j)_{t - d_j} of `taps` to `phase`, whose last
-    axis is n samples, in tap order. walks[s] holds theta^(s) from t = -L_s,
-    n + L_s samples on its last axis, so a tap of lag l (d_j in whole steps
-    of dt) adds a_j * walks[s][..., L_s - l : L_s - l + n]."""
-    n = phase.shape[-1]
-    for s, weight, delay in taps:
-        start = walks[s].shape[-1] - n - lag_samples(delay, dt)
-        phase += weight * walks[s][..., start:start + n]
-
-
 def tap_ensemble(beta: float, curves, dt: float, n: int, master_seed: int,
                  n_paths: int, first_index: int = 0) -> np.ndarray:
     """Phases sum_j a_j theta^(s_j)_{t - d_j} of each curve of taps (s_j, a_j,
     d_j) in `curves`, shape (len(curves), n_paths, n); pass one curve as
     [taps]. Source s is the walk of (master_seed, first_index + i) on stream
     tag s, drawn once, long enough for every curve. A curve whose largest
-    lag on s is L reads its first n + L samples, bit for bit the walk of
-    n + L samples, so its rows do not depend on the other curves and show no
-    start-up transient (see `_add_taps`)."""
+    lag on s is L reads its first n + L samples, with t = 0 at sample L: a
+    tap of lag l adds a_j times samples L - l to L - l + n, in tap order.
+    Those are bit for bit the walk of n + L samples, so its rows do not
+    depend on the other curves and show no start-up transient."""
     walks = {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, n_paths,
                                 first_index=first_index, stream=s)
              for s, L in source_lags(curves, dt).items()}
     out = np.zeros((len(curves), n_paths, n))
     for phase, taps in zip(out, curves):
-        _add_taps(phase, taps, {s: walks[s][:, :n + L]
-                                for s, L in source_lags([taps], dt).items()}, dt)
+        lags = source_lags([taps], dt)
+        for s, weight, delay in taps:
+            start = lags[s] - lag_samples(delay, dt)
+            phase += weight * walks[s][:, start:start + n]
     return out

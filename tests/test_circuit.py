@@ -350,12 +350,23 @@ class TestDelayedSelfAverage:
         assert np.array_equal(res.expected.phase_path_prime.samples,
                               res.phases[0].samples)
 
-    def test_expected_holds_theta0_before_delay(self):
+    @pytest.mark.parametrize("taps", [
+        delayed_taps(64 / FS),  # the delayed self-average
+        tuple((0, 0.25, k * 16 / FS) for k in range(4)),  # a cascade of delays
+    ], ids=["delayed-self", "delayed-cascade"])
+    def test_expected_holds_theta0_before_delay(self, taps):
+        """The expected phase delays each tap as `delay_block` delays its
+        leaf, bit for bit: theta_0 before t = d_j, summed in tap order."""
         spec = OscillatorSpec(f_c=FC, beta=1e-3)
-        res = simulate_delayed_self_average(spec, 64 / FS, FS, 512e-6, seed=100)
+        res = simulate_taps((spec,), taps, FS, 512e-6, seed=100)
         theta = res.phases[0].samples
-        held = np.concatenate([np.full(64, theta[0]), theta[:-64]])
-        assert np.array_equal(res.expected.phase_path_prime.samples, 0.5 * (theta + held))
+        want = np.zeros(len(theta))
+        for _, a, d in taps:
+            lag = round(d * FS)
+            held = np.concatenate([np.full(lag, theta[0]), theta[:len(theta) - lag]])
+            assert np.array_equal(delay_block(res.phases[0], d).samples, held)
+            want += a * held
+        assert res.expected.phase_path_prime.samples.tobytes() == want.tobytes()
 
     def test_direct_average_oracle(self):
         spec = OscillatorSpec(f_c=FC, beta=1e-3)
@@ -568,6 +579,16 @@ class TestWaveformSize:
     def test_bad_duration_rejected(self, circuit, duration, message):
         with pytest.raises(ParameterError, match=message):
             SIMULATIONS[circuit](FS, duration)
+
+    @pytest.mark.parametrize("circuit", [
+        # fs = 8 MHz cannot carry 1.1 MHz, over 2**24 samples
+        lambda: _draw(_at(0.1), 8e6, 2**24 / 8e6, 0, FC),
+        # an input no tap reads, at 8.5 MHz: fs = 64 MHz cannot carry it
+        lambda: simulate_taps(_at(0.0, 0.0, 7.5), ((0, 0.5, 0.0), (1, 0.5, 0.0)), 64e6, 1e-3, 1),
+    ], ids=["base", "unread-input"])
+    def test_carrier_refused_before_draw(self, no_draw, circuit):
+        with pytest.raises(ParameterError, match="fs=.* must be finite and >= "):
+            circuit()
 
 
 class TestDelayBlock:

@@ -373,6 +373,7 @@ class TestFigureCommands:
         ("simulate", "fs = inf"),
         ("simulate", "duration = nan"),
         ("simulate", "f_c_scaled = 1e7"),  # fs = 64e6 cannot carry it
+        ("simulate", "fs = 8e6\noffsets = delta:1e5"),  # nor fs = 8e6 the 1.1e6 carrier
         ("simulate", "duration = 1e6"),  # 6.4e13 samples: over the cap
         # a cutoff so low that the filters' edge trim is infinite
         ("simulate", "scenario = averaged_independent\nf_c_scaled = 1e-300"),
