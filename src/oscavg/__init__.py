@@ -1,9 +1,10 @@
 """Phase-noise averaging circuit simulator.
 
-Wiener-model oscillators, mixer/divider averaging circuits built from taps
-(the pair and the delayed self-average among them), the four-oscillator
-mixing stage, one closed-form model of weighted, delayed Wiener phases for
-their autocorrelations and spectra, and Welch estimates to compare them.
+Wiener-model oscillators, averaging circuits of one mixer/divide-by-k stage
+over any k >= 2 equal-weight taps (the pair and the delayed self-average
+among them), the four-oscillator mixing stage, one closed-form model of
+weighted, delayed Wiener phases for their autocorrelations and spectra,
+and Welch estimates to compare them.
 """
 
 from .analytic import (

@@ -1,14 +1,14 @@
 """Oscillator-averaging circuits: mixers, ideal filters, divider loops.
 
-`simulate_taps` builds the averaging circuit of any 2^k taps of `analytic`
-(source i being input oscillator i) as a tree of averaging stages (mix,
-divider resolved at its fixed point), and states its expected output: the
-phase sum_j a_j theta^(s_j)_{t - d_j}, the frequency sum_j a_j omega_(s_j).
-The pair and the delayed self-average are two such tap sets. Every phase
-comes from one read-out, `demodulate_phase`: the unwrapped phase of a
-band's analytic signal. `divider_residual` re-feeds a stage's output
-through its divider loop, on request, to measure how far it is from the
-fixed point.
+`simulate_taps` builds the averaging circuit of any k >= 2 equal-weight
+taps of `analytic` (source i being input oscillator i) as one averaging
+stage (mix all k, divide-by-k resolved at its fixed point), and states its
+expected output: the phase sum_j a_j theta^(s_j)_{t - d_j}, the frequency
+sum_j a_j omega_(s_j). The pair and the delayed self-average are two such
+tap sets. Every phase comes from one read-out, `demodulate_phase`: the
+unwrapped phase of a band's analytic signal. `divider_residual` re-feeds
+a 2-input stage's output through its divider loop, on request, to measure
+how far it is from the fixed point.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +29,7 @@ from .stochastic import (
     ParameterError,
     Taps,
     Waveform,
+    _check_taps,
     lag_samples,
     oscillator_waveform,
     sample_offset,
@@ -225,63 +227,60 @@ def divider_residual(a: Waveform, b: Waveform, output: Waveform, f_c: float) -> 
     return float(np.max(np.abs(loop.samples[interior] - output.samples[interior])))
 
 
-def _average_stage(a: Waveform, b: Waveform, f_c: float) -> Tuple[Waveform, np.ndarray]:
-    """One averaging stage: mix, and the regenerative 2-divider resolved at
-    its fixed point, whose output phase is half the phase of the product's
-    sum band [f_c, 3*f_c] (the difference band near f1-f2 lies below it).
-    Returns the output and its total phase."""
-    total = demodulate_phase(mix(a, b), f_c, 3.0 * f_c)
-    total *= 0.5
+def _average_stage(waves: Sequence[Waveform], f_c: float) -> Tuple[Waveform, np.ndarray]:
+    """One averaging stage of k = len(waves) >= 2 inputs: mix all k, and the
+    regenerative divide-by-k resolved at its fixed point (Miller, Proc. IRE
+    27(7), 1939), whose output phase is 1/k of the phase of the product's
+    band [(k-1)*f_c, (k+1)*f_c]. Returns the output, of amplitude 1/2, and
+    its total phase."""
+    k = len(waves)
+    total = demodulate_phase(reduce(mix, waves), (k - 1) * f_c, (k + 1) * f_c)
+    total /= k
     out = np.cos(total)
     out *= 0.5
-    return Waveform(fs=a.fs, samples=out), total
+    return Waveform(fs=waves[0].fs, samples=out), total
 
 
-def _check_stage_bands(taps: Taps, offsets: Sequence[float], f_c: float):
-    """ParameterError unless each leaf pair of `taps` (taps 2j and 2j + 1),
-    of drawn offsets a and b, has |a| + |b| < f_c: only then does a stage's
-    band [f_c, 3*f_c] hold the sum product, at 2*f_c + a + b, and not the
-    difference product, at |a - b|. A deeper stage mixes means of such
-    pairs, each below f_c/2 in size, so it passes too."""
-    for (s, _, _), (r, _, _) in zip(taps[::2], taps[1::2]):
-        if not abs(offsets[s]) + abs(offsets[r]) < f_c:
-            raise ParameterError(
-                f"drawn offsets {offsets[s]:g} and {offsets[r]:g} Hz of inputs {s} and {r} "
-                f"need |a| + |b| < f_c = {f_c:g} Hz: a stage's band [f_c, 3*f_c] cannot "
-                f"separate their sum and difference products")
+def _check_band(offsets: Sequence[float], f_c: float, k: int):
+    """ParameterError unless the band [(k-1)*f_c, (k+1)*f_c] of the product
+    of k carriers at f_c + f_i holds its component at k*f_c + sum f_i and
+    none at (k-2)*f_c + sum f_i - 2*f_j: unless |sum f_i| < f_c and
+    sum f_i - 2*min f_i < f_c. At k = 2 that is |a| + |b| < f_c."""
+    total = sum(offsets)
+    if not (abs(total) < f_c and total - 2.0 * min(offsets) < f_c):
+        raise ParameterError(
+            f"drawn offsets {', '.join(f'{f:g}' for f in offsets)} Hz need |sum| < f_c and "
+            f"sum - 2*min < f_c = {f_c:g} Hz: the band [{k - 1}*f_c, {k + 1}*f_c] cannot "
+            f"separate their mixing products")
 
 
 def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, duration: float,
                   seed: int) -> SimulationResult:
-    """The averaging circuit of `taps` (s_j, a_j, d_j) on inputs `specs`: a
-    tree of averaging stages over leaves input s_j delayed by d_j. The taps
-    must be 2^k >= 2 of weight 2^-k on sources indexing `specs`, each delay
-    a whole number of samples below n/4; they and the loop interior past
-    the largest lag are checked before any draw. Each leaf pair's drawn
-    offsets a and b need |a| + |b| < f_c, checked before any walk is drawn
-    (`_check_stage_bands`). The output's phase is
+    """The averaging circuit of `taps` (s_j, a_j, d_j) on inputs `specs`: one
+    averaging stage over k leaves, leaf j input s_j delayed by d_j. The taps
+    must be k >= 2 of weight 1/k on sources indexing `specs`, each delay a
+    whole number of samples below n/4, and fs >= 8*k*f_c; they and the loop
+    interior past the largest lag are checked before any draw. The leaves'
+    drawn offsets f_j need |sum f_j| < f_c and sum f_j - 2*min f_j < f_c,
+    checked before any walk is drawn (`_check_band`). The output's phase is
     (sum a_j w_(s_j)) t + sum a_j theta^(s_j)_{t-d_j} - sum a_j w_(s_j) d_j,
-    `expected` holding the first two terms, up to a multiple of pi/2^(k-1)
-    (each divider's sign is free). A cascade of delayed leaves under two
-    stages reads 2e-4 to 5e-4 rad rms off its taps, from the zero-padded
-    start of each delayed leaf (`delay_block`)."""
-    k = len(taps).bit_length() - 1
-    if k < 1 or len(taps) != 2**k or any(a != 2.0**-k or s not in range(len(specs))
-                                         for s, a, _ in taps):
-        raise ParameterError(f"taps {taps!r} need 2^k >= 2 of weight 2^-k, sources < {len(specs)}")
+    `expected` holding the first two terms, up to a multiple of 2*pi/k (the
+    divider's phase is free)."""
+    _check_taps(taps)
+    k = len(taps)
+    if k < 2 or any(a != 1.0 / k or s not in range(len(specs)) for s, a, _ in taps):
+        raise ParameterError(f"taps {taps!r} need k >= 2 of weight 1/k, sources < {len(specs)}")
     f_c = specs[0].f_c
-    n = _samples(specs, fs, duration, 2.0 * f_c)
+    n = _samples(specs, fs, duration, k * f_c)
     settle = max(source_lags([taps], 1.0 / fs).values())
     if settle >= n // 4:
         raise ParameterError("duration must be much longer than the delay")
     _loop_interior(n, fs, f_c, settle)
-    waves, paths, omegas = _draw(specs, fs, duration, seed, 2.0 * f_c,
-                                 lambda offsets: _check_stage_bands(taps, offsets, f_c))
-    level = [delay_block(waves[s], d) if d else waves[s] for s, _, d in taps]
-    while len(level) > 1:
-        stages = [_average_stage(a, b, f_c) for a, b in zip(level[::2], level[1::2])]
-        level = [out for out, _ in stages]
-    ((out, total),) = stages
+    waves, paths, omegas = _draw(
+        specs, fs, duration, seed, k * f_c,
+        lambda offsets: _check_band([offsets[s] for s, _, _ in taps], f_c, k))
+    out, total = _average_stage([delay_block(waves[s], d) if d else waves[s]
+                                 for s, _, d in taps], f_c)
     return SimulationResult(output=out, expected=_expected(taps, paths, omegas),
                             phases=paths, omegas=omegas, measured_total_phase=total)
 
@@ -295,18 +294,6 @@ def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: floa
     return simulate_taps((spec1, spec2), ((0, 0.5, 0.0), (1, 0.5, 0.0)), fs, duration, seed)
 
 
-def _check_tree_band(offsets: Sequence[float], f_c: float):
-    """ParameterError unless the mixing tree's band (3*f_c, 5*f_c) holds its
-    product at 4*f_c + sum f_i and none at 2*f_c + sum f_i - 2*f_j: unless
-    |sum f_i| < f_c and sum f_i - 2*min f_i < f_c."""
-    total = sum(offsets)
-    if not (abs(total) < f_c and total - 2.0 * min(offsets) < f_c):
-        raise ParameterError(
-            f"drawn offsets {', '.join(f'{f:g}' for f in offsets)} Hz need |sum| < f_c and "
-            f"sum - 2*min < f_c = {f_c:g} Hz: the band (3*f_c, 5*f_c) cannot separate "
-            f"the mixing tree's products")
-
-
 def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
                          duration: float, seed: int) -> SimulationResult:
     """Four-oscillator mixing stage: two pairwise mixers feeding a third,
@@ -317,12 +304,12 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
     stays (the `averaged_n` scenario) because the benchmark's waveform
     workload checks this sum-phase output, until `simulate_taps` replaces it.
     The drawn offsets need |sum f_i| < f_c and sum f_i - 2*min f_i < f_c
-    (`_check_tree_band`), checked before any walk is drawn."""
+    (`_check_band`), checked before any walk is drawn."""
     if len(specs) != 4:
         raise ParameterError("mixing tree takes exactly 4 oscillators")
     f_c = specs[0].f_c
     waves, paths, omegas = _draw(specs, fs, duration, seed, 4.0 * f_c,
-                                 lambda offsets: _check_tree_band(offsets, f_c))
+                                 lambda offsets: _check_band(offsets, f_c, 4))
     out = ideal_filter(mix(mix(waves[0], waves[1]), mix(waves[2], waves[3])),
                        "highpass", 3.0 * f_c)
     measured = demodulate_phase(out, 3.0 * f_c, 5.0 * f_c)

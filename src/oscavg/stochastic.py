@@ -19,7 +19,9 @@ import hashlib
 import math
 import operator
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Tuple
 
 import numpy as np
@@ -337,6 +339,8 @@ def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: Waveform,
     Requires fs >= 8*(f_c + |f_i|) so downstream mixing products near
     4*f_c remain representable.
     """
+    if not math.isfinite(f_i):
+        raise ParameterError(f"offset f_i={f_i:g} Hz must be finite")
     f_inst = spec.f_c + abs(f_i)
     min_fs = 8.0 * f_inst
     if fs < min_fs:
@@ -369,9 +373,19 @@ def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
     return out
 
 
+def _is_tap(tap) -> bool:
+    """Whether tap is a (source, weight, delay) triple: an integer source
+    >= 0, a finite real weight and a finite real delay >= 0."""
+    if not (isinstance(tap, Sequence) and len(tap) == 3):
+        return False
+    s, a, d = tap
+    return (isinstance(s, (int, np.integer)) and s >= 0 and isinstance(a, Real)
+            and isinstance(d, Real) and math.isfinite(a) and 0 <= d < math.inf)
+
+
 def _check_taps(taps: Taps):
-    if not taps or not all(isinstance(s, (int, np.integer)) and s >= 0 and math.isfinite(a)
-                           and 0 <= d < math.inf for s, a, d in taps):
+    """ParameterError unless taps is a non-empty sequence of `_is_tap` triples."""
+    if not (isinstance(taps, Sequence) and taps and all(map(_is_tap, taps))):
         raise ParameterError(f"taps {taps!r} must be (integer source >= 0, finite "
                              f"weight, finite delay >= 0), at least one")
 

@@ -278,11 +278,21 @@ class TestPairAverage:
         amp = np.sqrt(2.0 * np.mean(res.output.samples[trim:-trim] ** 2))
         assert amp == pytest.approx(0.5, abs=1e-3)
 
+    def test_stage_is_mix_then_half_the_sum_band_phase(self):
+        # the 2-input stage, bit for bit: output 0.5*cos(phase / 2) of the
+        # product's band [f_c, 3*f_c]
+        spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(50.0))
+        (a, b), _, _ = _draw((spec, spec), FS, 512e-6, 85, 2 * FC)
+        out, total = _average_stage((a, b), FC)
+        half = 0.5 * demodulate_phase(mix(a, b), FC, 3 * FC)
+        assert total.tobytes() == half.tobytes()
+        assert out.samples.tobytes() == (0.5 * np.cos(half)).tobytes()
+
     def test_substitution_residual(self):
         spec = OscillatorSpec(f_c=FC, beta=1e-3)
         res = simulate_pair_average(spec, spec, FS, 512e-6, seed=83)
         (a, b), _, _ = _draw((spec, spec), FS, 512e-6, 83, 2 * FC)
-        out, _ = _average_stage(a, b, FC)
+        out, _ = _average_stage((a, b), FC)
         assert out.samples.tobytes() == res.output.samples.tobytes()
         assert divider_residual(a, b, out, FC) < 1e-3
 
@@ -386,7 +396,7 @@ class TestDelayedSelfAverage:
         assert np.sqrt(np.mean(err**2)) < 1e-4
         (w,), _, _ = _draw((spec,), FS, 2048e-6, 101, 2 * FC)
         delayed = delay_block(w, delta)
-        out, _ = _average_stage(w, delayed, FC)
+        out, _ = _average_stage((w, delayed), FC)
         assert out.samples.tobytes() == res.output.samples.tobytes()
         assert divider_residual(w, delayed, out, FC) < 1e-3
 
@@ -428,8 +438,8 @@ def no_draw(monkeypatch):
 
 
 class TestTapTree:
-    """simulate_taps against its taps at beta = 1e-3, uniform +-10 Hz
-    offsets, fs = 64 MHz, f_c = 1 MHz, 1 ms."""
+    """simulate_taps, one stage over k leaves, against its taps at
+    beta = 1e-3, uniform +-10 Hz offsets, fs = 64 MHz, f_c = 1 MHz, 1 ms."""
 
     FS = 64e6
 
@@ -439,12 +449,11 @@ class TestTapTree:
         (8, tuple((i, 0.125, 0.0) for i in range(8)), 1e-4),
         # a pair, each delay-averaged at 16 samples
         (2, ((0, 0.25, 0.0), (0, 0.25, 16 / 64e6), (1, 0.25, 0.0), (1, 0.25, 16 / 64e6)), 1e-4),
-        # delayed leaves under two stages read 4.7e-4 to 5.0e-4 rad rms off:
-        # delay_block zero-pads each delayed leaf's start, and leaves sliced
-        # from a longer draw read 1.4e-5 to 1.6e-5. The gate tightens when
-        # the next benchmark change draws the inputs from t = -L.
-        (1, tuple((0, 0.25, k * 16 / 64e6) for k in range(4)), 1e-3),
-    ], ids=["4-inputs", "8-inputs", "delayed-pair", "delayed-cascade"])
+        # delayed leaves of one input, 16 samples apart
+        (1, tuple((0, 0.25, k * 16 / 64e6) for k in range(4)), 1e-4),
+        *((k, tuple((i, 1 / k, 0.0) for i in range(k)), 1e-4) for k in (3, 5, 6, 7)),
+    ], ids=["4-inputs", "8-inputs", "delayed-pair", "delayed-cascade",
+            "3-inputs", "5-inputs", "6-inputs", "7-inputs"])
     def test_phase_matches_taps(self, n_specs, taps, gate, seed):
         spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(10.0))
         res = simulate_taps((spec,) * n_specs, taps, self.FS, 1e-3, seed)
@@ -453,10 +462,10 @@ class TestTapTree:
         t = np.arange(n) / self.FS
         expected = (res.expected.omega_prime * t + res.expected.phase_path_prime.samples
                     - sum(a * res.omegas[s] * d for s, a, d in taps))
-        # the output phase is fixed only up to a multiple of pi/2^(k-1),
-        # since each divider's output sign is free: after removing the
-        # mean offset, compare modulo that step
-        step = np.pi / (len(taps) // 2)
+        # the output phase is fixed only up to a multiple of 2*pi/k, since
+        # a divide-by-k may settle on any of its k phases: after removing
+        # the mean offset, compare modulo that step
+        step = TWO_PI / len(taps)
         err = res.measured_total_phase - expected
         err -= step * np.round(np.mean(err) / step)
         trim = max(n // 16, 4 * lag)
@@ -469,9 +478,9 @@ class TestTapTree:
         assert not np.array_equal(res.phases[0].samples, res.phases[1].samples)
 
     @pytest.mark.parametrize("taps", [
-        (), ((0, 1.0, 0.0),),  # 2^0 taps
-        ((0, 0.5, 0.0), (1, 0.25, 0.0), (0, 0.25, 0.0)),  # 3 taps
-        ((0, 0.75, 0.0), (1, 0.25, 0.0)),  # weights not 2^-k
+        (), ((0, 1.0, 0.0),),  # fewer than 2 taps
+        ((0, 0.5, 0.0), (1, 0.25, 0.0), (0, 0.25, 0.0)),  # 3 taps, weights not 1/3
+        ((0, 0.75, 0.0), (1, 0.25, 0.0)),  # weights not 1/k
         ((0, 0.5, 0.0), (2, 0.5, 0.0)), ((0, 0.5, 0.0), (-1, 0.5, 0.0)),  # no such input
         ((0, 0.5, 0.0), (1.0, 0.5, 0.0)),  # not an integer source
     ])
@@ -508,11 +517,12 @@ class TestReadoutBand:
         res = simulate_pair_average(*_at(*offsets), self.FS, 1e-3, seed=1)
         assert self.phase_error(res, np.pi) < 1e-4
 
-    def test_four_inputs_inside_the_band_accepted(self):
-        # the first pair sums to 0.95 f_c; the second stage's inputs are means
-        taps = tuple((i, 0.25, 0.0) for i in range(4))
-        res = simulate_taps(_at(0.9, -0.05, 0.3, 0.3), taps, self.FS, 1e-3, seed=1)
-        assert self.phase_error(res, np.pi / 2) < 1e-4
+    @pytest.mark.parametrize("offsets", [(0.3, 0.3, -0.3), (0.2, 0.2, 0.2, -0.35)])
+    def test_inputs_inside_the_band_accepted(self, offsets):
+        k = len(offsets)
+        taps = tuple((i, 1 / k, 0.0) for i in range(k))
+        res = simulate_taps(_at(*offsets), taps, self.FS, 1e-3, seed=1)
+        assert self.phase_error(res, TWO_PI / k) < 1e-4
 
     def test_tree_inside_the_band_accepted(self):
         res = simulate_mixing_tree(_at(0.3, -0.3, 0.3, -0.3), self.FS, 1e-3, seed=1)
@@ -520,30 +530,37 @@ class TestReadoutBand:
 
     @pytest.mark.parametrize("offsets", [(0.51, 0.51), (0.51, -0.51), (0.9, 0.1)])
     def test_pair_outside_the_band_refused(self, no_draw, offsets):
-        with pytest.raises(ParameterError, match=r"need \|a\| \+ \|b\| < f_c = 1e\+06 Hz"):
+        with pytest.raises(ParameterError, match=r"need \|sum\| < f_c and sum - 2\*min < "
+                                                 r"f_c = 1e\+06 Hz: the band \[1\*f_c, 3\*f_c\]"):
             simulate_pair_average(*_at(*offsets), self.FS, 1e-3, seed=1)
 
-    def test_four_inputs_outside_the_band_refused(self, no_draw):
-        # a second-stage pair of 0.3 + 0.75 f_c
-        taps = tuple((i, 0.25, 0.0) for i in range(4))
-        with pytest.raises(ParameterError, match="inputs 2 and 3"):
-            simulate_taps(_at(0.9, -0.05, 0.3, 0.75), taps, self.FS, 1e-3, seed=1)
+    # unchecked, they read 511, 221, 436, 754 and 1030 rad off their taps
+    @pytest.mark.parametrize("offsets", [
+        (0.3, 0.3, -0.5),  # a product at f_c + sum - 2 f_2 = 2.1 f_c, inside the band
+        (0.5, 0.3, 0.25),  # the product at 3 f_c + sum = 4.05 f_c, above it
+        (0.2, 0.2, 0.2, -0.45),
+        (0.9, -0.05, 0.3, 0.3), (0.9, -0.05, 0.3, 0.75)])
+    def test_inputs_outside_the_band_refused(self, no_draw, offsets):
+        k = len(offsets)
+        taps = tuple((i, 1 / k, 0.0) for i in range(k))
+        with pytest.raises(ParameterError, match=rf"the band \[{k - 1}\*f_c, {k + 1}\*f_c\]"):
+            simulate_taps(_at(*offsets), taps, self.FS, 1e-3, seed=1)
 
     def test_delayed_self_average_outside_the_band_refused(self, no_draw):
-        with pytest.raises(ParameterError, match="inputs 0 and 0"):
+        with pytest.raises(ParameterError, match="drawn offsets 550000, 550000 Hz"):
             simulate_delayed_self_average(_at(0.55)[0], 1e-6, self.FS, 1e-3, seed=1)
 
     @pytest.mark.parametrize("offsets", [
         (0.3, 0.3, 0.3, -0.5),  # a product at 2 f_c + sum - 2 f_3 = 3.4 f_c, inside the band
         (0.26, 0.26, 0.26, 0.26)])  # the product at 4 f_c + sum = 5.04 f_c, above it
     def test_tree_outside_the_band_refused(self, no_draw, offsets):
-        with pytest.raises(ParameterError, match=r"the band \(3\*f_c, 5\*f_c\)"):
+        with pytest.raises(ParameterError, match=r"the band \[3\*f_c, 5\*f_c\]"):
             simulate_mixing_tree(_at(*offsets), self.FS, 1e-3, seed=1)
 
     def test_drawn_offsets_checked(self, no_draw):
         # uniform +-6e5 Hz at seed 1 draws +509385 and -562368 Hz
         spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(6e5))
-        with pytest.raises(ParameterError, match="drawn offsets 509385 and -562368 Hz"):
+        with pytest.raises(ParameterError, match="drawn offsets 509385, -562368 Hz"):
             simulate_pair_average(spec, spec, self.FS, 1e-3, seed=1)
 
 
@@ -585,7 +602,10 @@ class TestWaveformSize:
         lambda: _draw(_at(0.1), 8e6, 2**24 / 8e6, 0, FC),
         # an input no tap reads, at 8.5 MHz: fs = 64 MHz cannot carry it
         lambda: simulate_taps(_at(0.0, 0.0, 7.5), ((0, 0.5, 0.0), (1, 0.5, 0.0)), 64e6, 1e-3, 1),
-    ], ids=["base", "unread-input"])
+        # three inputs need fs >= 24 MHz; 20 MHz covers each carrier alone
+        lambda: simulate_taps(_at(0.0, 0.0, 0.0), tuple((i, 1 / 3, 0.0) for i in range(3)),
+                              20e6, 1e-3, 1),
+    ], ids=["base", "unread-input", "three-inputs"])
     def test_carrier_refused_before_draw(self, no_draw, circuit):
         with pytest.raises(ParameterError, match="fs=.* must be finite and >= "):
             circuit()

@@ -15,8 +15,11 @@ from oscavg import (
     oscillator_waveform,
     psd_of_phase_shift,
     sample_offset,
+    simulate_taps,
     stochastic,
+    tap_autocorr,
     tap_ensemble,
+    tap_psd,
     wiener_ensemble,
     wiener_path,
 )
@@ -332,6 +335,13 @@ class TestOscillatorWaveform:
         with pytest.raises(ParameterError, match="fs inconsistent"):
             oscillator_waveform(OscillatorSpec(f_c=self.fc), 0.0, path, self.fs)
 
+    @pytest.mark.parametrize("f_i", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_rejected(self, f_i):
+        # f_i = nan used to give an all-nan waveform
+        path = wiener_path(0.0, 0.0, 1.0 / self.fs, 64, (0, 0))
+        with pytest.raises(ParameterError, match="f_i=.* must be finite"):
+            oscillator_waveform(OscillatorSpec(f_c=self.fc), f_i, path, self.fs)
+
     @pytest.mark.parametrize("n", [1, 17, 5000])
     def test_length_follows_phase_path(self, n):
         path = wiener_path(1e4, 0.0, 1.0 / self.fs, n, (6, 0))
@@ -482,6 +492,21 @@ class TestTapEnsemble:
             self.build(taps)
         with pytest.raises(ParameterError):  # beside a good curve
             tap_ensemble(self.BETA, [((0, 1.0, 0.0),), taps], self.DT, self.N, self.SEED, 2)
+
+    # taps of two and four fields used to raise ValueError, a str weight
+    # TypeError, wherever taps are taken
+    @pytest.mark.parametrize("taps", [
+        ((0, 1.0),), ((0, 1.0, 0.0, 0.0),), ((0, 0.5, 0.0), (1, 0.5)),
+        ((0, "1.0", 0.0),), ((0, 1.0, "0"),), ((0, 1.0, None),), (None,), 3, "abc"])
+    @pytest.mark.parametrize("call", [
+        lambda taps: tap_psd(1e4, taps, 1.0), lambda taps: tap_autocorr(1e4, taps, 0.0),
+        lambda taps: tap_ensemble(1e4, [taps], 1e-6, 8, 1, 2),
+        lambda taps: stochastic.source_lags([taps], 1e-6),
+        lambda taps: simulate_taps((OscillatorSpec(f_c=1e6),) * 2, taps, 64e6, 1e-3, 1)],
+        ids=["tap_psd", "tap_autocorr", "tap_ensemble", "source_lags", "simulate_taps"])
+    def test_malformed_taps_rejected(self, taps, call):
+        with pytest.raises(ParameterError, match="must be \\(integer source >= 0"):
+            call(taps)
 
     def test_no_curve_rejected(self):
         with pytest.raises(ParameterError):
