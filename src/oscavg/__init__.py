@@ -4,7 +4,8 @@ Wiener-model oscillators, averaging circuits of one mixer/divide-by-k stage
 over any k >= 2 equal-weight taps (the pair and the delayed self-average
 among them), the four-oscillator mixing stage, one closed-form model of
 weighted, delayed Wiener phases for their autocorrelations and spectra,
-and Welch estimates to compare them.
+and one Welch estimator, with per-bin standard errors and its exact
+expected density, to compare them.
 """
 
 from .analytic import (
@@ -32,12 +33,7 @@ from .circuit import (
     simulate_taps,
 )
 from .config import ExperimentConfig, parse_offset_descriptor
-from .spectral import (
-    SpectrumEstimate,
-    autocorr_per_path,
-    psd_of_phase_shift,
-    welch_psd,
-)
+from .spectral import SpectrumEstimate, expected_psd, psd_of_phase_shift
 from .stochastic import (
     OffsetDist,
     OscillatorSpec,

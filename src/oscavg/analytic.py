@@ -54,6 +54,18 @@ def delayed_taps(delta: float) -> Taps:
     return ((0, 0.5, 0.0), (0, 0.5, delta))
 
 
+def _key(taps) -> Taps:
+    """taps as the key of the cached segment tables: taps that cannot be
+    hashed (lists) are checked, then copied into a tuple of tuples, so they
+    give the same floats as the tuple taps."""
+    try:
+        hash(taps)
+    except TypeError:
+        _check_taps(taps)
+        return tuple(map(tuple, taps))
+    return taps
+
+
 @lru_cache(maxsize=256)
 def _segments(beta: float, taps: Taps) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kinks g_i (ascending, g_0 = 0), rates alpha_i and log-coefficients
@@ -96,6 +108,7 @@ def tap_autocorr(beta: float, taps: Taps, tau):
     nothing at any tau: R(+-inf) is exp(c_last) where no diffusion is left
     beyond the last kink, and 0 where some is. A nan tau gives nan.
     """
+    taps = _key(taps)
     if type(tau) is float:
         kinks, rates, logc = _segment_lists(beta, taps)
         at = abs(tau)
@@ -114,7 +127,7 @@ def tap_autocorr(beta: float, taps: Taps, tau):
 def tap_psd(beta: float, taps: Taps, omega):
     """Closed-form PSD of exp(j*phi) for the phase of `taps`, at angular
     frequencies omega."""
-    kinks, rates, logc = _segments(beta, taps)
+    kinks, rates, logc = _segments(beta, _key(taps))
     if not rates[-1] > 0:  # no diffusion left beyond the last kink
         raise ParameterError("beta=0 spectrum is a delta at the carrier" if beta == 0 else
                              "tap weights cancel in every source: the spectrum is a delta")

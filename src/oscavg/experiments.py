@@ -58,9 +58,10 @@ def delta_tag(delta: float) -> str:
 # every delayed curve read the oscillator on STREAM_PHASE, and the pair
 # averages it with the one on TAG_PARTNER. One pass draws each walk once for
 # all curves, so they share random numbers; no figure draws a battery tag.
-TAG_WHITE_NOISE = 2      # welch-white-normalization
+TAG_WELCH = 2            # the Welch checks' curves: their one source
 TAG_DIVIDER = 3          # divider-loop-residual
 TAG_PARTNER = 4
+TAG_WELCH_PARTNER = 5    # the Welch checks' pair: its second source
 
 BASE_TAPS = ((STREAM_PHASE, 1.0, 0.0),)
 PAIR_TAPS = ((STREAM_PHASE, 0.5, 0.0), (TAG_PARTNER, 0.5, 0.0))
@@ -330,6 +331,10 @@ def run_simulate(cfg: ExperimentConfig) -> List[str]:
 # It is -scipy.special.ndtri(0.5e-4), written out (0x1.f1feea391d147p+1)
 # so that importing the package does not load scipy.
 Z_GATE = 3.890591886413094
+# The Welch checks compare 768 bins (three curves of 256) and gate the
+# largest |z| family-wise at the same 1e-4: -ndtri(0.5e-4 / 768), written
+# out the same way (0x1.51d3ce088b7eap+2).
+Z_FAMILY = 5.278552540154104
 
 
 def _rel_err(measured: float, target: float) -> float:
@@ -342,45 +347,45 @@ def _rel_err(measured: float, target: float) -> float:
 
 
 def _ensemble_checks(beta: float, seed: int) -> List[Tuple[str, float, float]]:
-    """(name, measured, tolerance) of the checks on one ensemble of four
-    blocks of 2000 paths at the master seed (so batteries at neighbouring
-    seeds share no stream). The phase of check k is the mean of the first
-    k blocks. Its increments are independent N(0, 2 pi beta dt / k), so the
-    mean of their squares has relative standard error sqrt(2 / (N (n-1)))."""
+    """(name, measured, tolerance) of the variance checks on one ensemble of
+    four blocks of 2000 paths at the master seed (so batteries at
+    neighbouring seeds share no stream). The phase of check k is the mean of
+    the first k blocks. Its increments are independent N(0, 2 pi beta dt / k),
+    so the mean of their squares has relative standard error
+    sqrt(2 / (N (n-1)))."""
     dt, n, rows = 1e-6, 101, 2000
     blocks = stochastic.wiener_ensemble(beta, 0.0, dt, n, seed, 4 * rows).reshape(4, rows, n)
-    out = [(name, _rel_err(np.mean(np.diff(blocks[:k].mean(axis=0)) ** 2), TWO_PI * beta * dt / k),
-            Z_GATE * math.sqrt(2.0 / (rows * (n - 1))))
-           for k, name in ((1, "wiener-variance-slope"), (2, "pair-averaging-variance-halving"),
-                           (4, "quad-averaging-variance-quartering"))]
-    # the autocorrelation of exp(j theta): the largest deviation in standard
-    # errors of the path mean, at least eps (a tiny beta leaves no spread)
-    lags = np.array([5, 10, 20])
-    ac = spectral.autocorr_per_path(np.exp(1j * blocks[0]), lags.tolist()).real
-    se = np.maximum(ac.std(axis=0) / math.sqrt(rows), np.finfo(float).eps)
-    z = np.abs(ac.mean(axis=0) - np.exp(-np.pi * beta * lags * dt)) / se
-    out.append(("phase-shift-autocorr", float(np.max(z)), Z_GATE))
-    return out
+    return [(name, _rel_err(np.mean(np.diff(blocks[:k].mean(axis=0)) ** 2),
+                            TWO_PI * beta * dt / k),
+             Z_GATE * math.sqrt(2.0 / (rows * (n - 1))))
+            for k, name in ((1, "wiener-variance-slope"), (2, "pair-averaging-variance-halving"),
+                            (4, "quad-averaging-variance-quartering"))]
 
 
-def _white_noise_check(seed: int) -> Tuple[str, float, float]:
-    """(name, measured, tolerance) of the Welch density scale on 2^16
-    samples of unit white noise at the master seed. mean(psd) * fs is
-    sum_t c_t x_t^2, where c_t = sum_s w^2_(t - start_s) / (S U) is sample
-    t's share of the S segments' window power U = sum w^2 (the c_t sum to
-    1). Against np.var, its relative standard error for Gaussian x is
-    sqrt(2 sum_t (c_t - 1/N)^2)."""
-    n, welch_args = 2**16, {"fs": 1e6, "segment_len": 1024, "overlap": 0.5, "window": "hann"}
-    white = stochastic.path_rng((seed, 0), TAG_WHITE_NOISE).normal(size=n)
-    est = spectral.welch_psd(white, **welch_args)
-    plan = spectral._plan(white.shape, **welch_args)
-    share = np.zeros(n)
-    for start in range(0, plan.segments * plan.step, plan.step):
-        share[start:start + len(plan.win)] += plan.win**2
-    share /= plan.segments * np.sum(plan.win**2)
-    return ("welch-white-normalization",
-            _rel_err(float(np.mean(est.psd)) * welch_args["fs"], float(np.var(white))),
-            Z_GATE * math.sqrt(2.0 * np.sum((share - 1.0 / n) ** 2)))
+def _welch_checks(beta: float, seed: int) -> List[Tuple[str, float, float]]:
+    """(name, measured, tolerance) of the figures' own estimator,
+    `estimate_curves`, on the figure curves' tap shapes (one oscillator, the
+    pair, and the delayed self-average 8 steps apart) over 256 paths of the
+    battery's own streams at the master seed, 256-sample hann segments at
+    50 % overlap. The step dt = 8 / (256 beta) diffuses pi/16 rad^2 at any
+    beta, so the walks and both readings do not depend on beta.
+
+    welch-scale: |mean(S) fs - 1|, the largest over the curves. By Parseval
+    mean(S) fs is the mean power of the unit phasors, 1 to rounding.
+    welch-expected-density: the largest |S - E[S]| / SE over the curves and
+    bins, E[S] from `spectral.expected_psd` and SE the estimate's own."""
+    dt = 8.0 / (256.0 * beta)
+    cfg = ExperimentConfig(beta=beta, n_paths=256, segment_len=256, overlap=0.5,
+                           window="hann", seed=seed)
+    curves = [((TAG_WELCH, 1.0, 0.0),),
+              ((TAG_WELCH, 0.5, 0.0), (TAG_WELCH_PARTNER, 0.5, 0.0)),
+              ((TAG_WELCH, 0.5, 0.0), (TAG_WELCH, 0.5, 8 * dt))]
+    ests = estimate_curves(cfg, curves, dt)
+    scale = max(abs(np.mean(est.psd) / dt - 1.0) for est in ests)
+    z = max(np.max(np.abs(est.psd - spectral.expected_psd(beta, taps, dt, cfg.segment_len,
+                                                          cfg.window)) / est.se)
+            for taps, est in zip(curves, ests))
+    return [("welch-scale", scale, 1e-6), ("welch-expected-density", z, Z_FAMILY)]
 
 
 def run_acceptance(cfg: ExperimentConfig) -> Dict:
@@ -450,10 +455,7 @@ def run_acceptance(cfg: ExperimentConfig) -> Dict:
     power = np.trapezoid(analytic.tap_psd(beta, PAIR_TAPS, om_grid), om_grid) / TWO_PI
     checks.append(("lorentzian-unit-power", _rel_err(power, 2.0 / np.pi * math.atan(1e4)), 1e-9))
 
-    checks.append(_white_noise_check(seed))
-    tone = np.exp(1j * TWO_PI * 0.1 * np.arange(2**14))
-    est = spectral.welch_psd(tone, fs=1.0, segment_len=1024)
-    checks.append(("welch-tone-power", _rel_err(est.total_power(), 1.0), 0.02))
+    checks += _welch_checks(beta, seed)
 
     checks = [{"name": name, "measured": float(measured), "tolerance": float(tolerance),
                "passed": bool(measured < tolerance), "seed": seed}

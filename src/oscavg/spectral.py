@@ -1,55 +1,45 @@
-"""PSD and autocorrelation estimation from simulated ensembles.
+"""The ensemble Welch estimate of exp(j theta), and its exact expectation.
 
-`welch_psd` is a NumPy Welch engine (Welch, IEEE Trans. Audio
+`psd_of_phase_shift` is the one Welch estimator (Welch, IEEE Trans. Audio
 Electroacoust. 15(2), 1967). Segments of L samples start every
 L - floor(L*overlap) samples, and a trailing part shorter than a segment is
 dropped. Each segment is multiplied by a periodic hann window,
 w_k = 0.5 - 0.5 cos(2 pi k / L), or by a rect window. One FFT runs over
 every segment of every row. The squared magnitudes are averaged over a
-row's segments and scaled by 1/(fs * sum(w^2)). That gives a two-sided
-density, so unit-variance white noise gives a flat 1/fs. Hann with 50%
-overlap is the default.
-
-Both entry points check their arguments in `_plan` and run one kernel,
-`_welch_rows`, on a 2-d array of rows; `psd_of_phase_shift` runs it on
-each curve of each block of paths it is given, so the arrays it holds at
-once are bounded by one block's.
-
-`psd_of_phase_shift` takes the phasors exp(j theta) of its phase paths in
-single precision: theta is reduced to [-pi, pi] in float64, and cos and sin
-of its float32 cast are each within 2**-22 of the exact value for |theta|
-up to 1e8 rad. The FFT and every sum after it run in float64.
+row's segments and scaled by 1/(fs * U), U = sum(w^2). That gives a
+two-sided density, so unit-variance white noise gives a flat 1/fs. Hann
+with 50% overlap is the default. `_plan` checks the arguments, and the
+kernel `_welch_rows` runs on one curve of one block of paths at a time.
+`expected_psd` is the estimate's exact expectation for a curve of taps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
-from .stochastic import TWO_PI, ParameterError, _step_rate
+from .analytic import tap_autocorr
+from .stochastic import TWO_PI, ParameterError, Taps, _step_rate
 
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Estimated PSD on a frequency grid (Hz, offset from carrier); `psd`
-    holds one density per row when estimated from a (rows, n) ensemble."""
+    """Estimated PSD on a frequency grid (Hz, offset from carrier), with the
+    standard error of each bin's mean over paths."""
 
     freqs: np.ndarray
     psd: np.ndarray
+    se: np.ndarray
     n_segments: int
 
     def __post_init__(self):
-        object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
-        object.__setattr__(self, "psd", np.asarray(self.psd, dtype=float))
-        if self.freqs.shape != self.psd.shape[-1:]:
-            raise ParameterError("frequency grid and PSD shape mismatch")
-
-    def total_power(self) -> float:
-        return float(np.trapezoid(self.psd, self.freqs))
+        for name in ("freqs", "psd", "se"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if not self.freqs.ndim == 1 or not self.freqs.shape == self.psd.shape == self.se.shape:
+            raise ParameterError("frequency grid, PSD and standard error shape mismatch")
 
     def interp(self, freqs) -> np.ndarray:
         return np.interp(freqs, self.freqs, self.psd)
@@ -77,12 +67,9 @@ class _Plan(NamedTuple):
     scale: float
 
 
-def _plan(shape, fs: float, segment_len: int, overlap: float, window: str) -> _Plan:
-    """Check the arguments of a Welch estimate over data of `shape` and
-    return its plan; every Welch entry point checks its arguments here."""
-    if not 1 <= len(shape) <= 2 or math.prod(shape) == 0:
-        raise ParameterError("pass a non-empty sequence or (rows, n) ensemble")
-    n = shape[-1]
+def _plan(n: int, fs: float, segment_len: int, overlap: float, window: str) -> _Plan:
+    """Check the arguments of a Welch estimate over rows of n samples and
+    return its plan."""
     if not 1 <= segment_len <= n:
         raise ParameterError(f"segment_len={segment_len} is not in [1, data length {n}]")
     if not 0 < fs < np.inf:
@@ -120,55 +107,32 @@ def _welch_rows(x: np.ndarray, plan: _Plan) -> np.ndarray:
     return psd
 
 
-def _estimate(psd: np.ndarray, fs: float, n_segments: int) -> SpectrumEstimate:
-    """The estimate of densities `psd` given in FFT order, on the centered grid."""
-    segment_len = psd.shape[-1]
-    return SpectrumEstimate(freqs=np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs)),
-                            psd=np.fft.fftshift(psd, axes=-1), n_segments=n_segments)
+def expected_psd(beta: float, taps: Taps, dt: float, segment_len: int,
+                 window: str = "hann") -> np.ndarray:
+    """The exact expectation of `psd_of_phase_shift`'s estimate for the
+    phase of `taps`, on its centred grid: with R = `analytic.tap_autocorr`
+    and c_w(k) = sum_a w_a w_(a-k) the window's autocorrelation,
 
+        E[S](f_m) = 1/(fs U) sum_{|k| < L} R(k dt) c_w(k) e^{-j 2 pi m k / L},
 
-def welch_psd(x, fs: float, segment_len: int = 1024,
-              overlap: float = 0.5, window: str = "hann") -> SpectrumEstimate:
-    """Two-sided Welch density estimate of a real or complex sequence
-    sampled at `fs`.
-
-    A 2-d array of shape (rows, n) gives one density per row, each equal to
-    the estimate of that row alone, and `n_segments` counts the segments of
-    all rows. The grid is centered (fftshift order) with frequencies as
-    offsets from the carrier for baseband inputs.
-    """
-    data = np.asarray(x)
-    plan = _plan(data.shape, fs, segment_len, overlap, window)
-    rows = np.atleast_2d(data)
-    psd = _welch_rows(rows, plan)
-    return _estimate(psd if data.ndim == 2 else psd[0], fs, rows.shape[0] * plan.segments)
-
-
-def autocorr_per_path(sequences: np.ndarray, lags: Sequence[int]) -> np.ndarray:
-    """Per-path time average of x_t conj(x_{t+lag}) at the given lags, one
-    complex sequence per row; shape (n_paths, n_lags). The ensemble estimate
-    is its mean over rows, and the spread over rows gives its Monte Carlo
-    standard error."""
-    sequences = np.atleast_2d(np.asarray(sequences))
-    if sequences.size == 0:
-        raise ParameterError("empty ensemble")
-    n = sequences.shape[1]
-    out = np.empty((sequences.shape[0], len(lags)), dtype=complex)
-    for j, lag in enumerate(lags):
-        if not isinstance(lag, (int, np.integer)) or not 0 <= lag < n:
-            raise ParameterError(f"lag {lag!r} must be an integer in [0, {n})")
-        if lag == 0:
-            out[:, j] = np.mean(sequences.real**2 + sequences.imag**2, axis=1)
-        else:
-            out[:, j] = np.mean(sequences[:, :-lag] * np.conj(sequences[:, lag:]), axis=1)
-    return out
+    the 2L - 1 terms folded onto k mod L and transformed by one FFT (Welch,
+    1967). exp(j phi) is stationary (`tap_ensemble` has no start-up
+    transient), so every segment has this expectation, at any overlap."""
+    fs = _step_rate(dt)
+    plan = _plan(segment_len, fs, segment_len, 0.0, window)
+    k = np.arange(1 - segment_len, segment_len)
+    terms = tap_autocorr(beta, taps, k * dt) * np.correlate(plan.win, plan.win, "full")
+    folded = terms[segment_len - 1:].copy()
+    folded[1:] += terms[:segment_len - 1]
+    return np.fft.fftshift(np.fft.fft(folded).real / plan.scale)
 
 
 def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
                        segment_len: int = 1024, overlap: float = 0.5,
                        window: str = "hann") -> List[SpectrumEstimate]:
     """Welch PSD of exp(j*theta) of each of a set of curves, averaged over
-    its ensemble of phase paths; one estimate per curve.
+    its ensemble of phase paths, with each bin's standard error; one
+    estimate per curve.
 
     `blocks` yields (curves, rows, n) arrays of phase samples: the next
     paths of every curve, one per row, the same curves in each block; pass
@@ -176,7 +140,10 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
     through the Welch kernel in turn, so the arrays held at once are bounded
     by one block's. A curve's row densities are summed in path order and
     divided once at the end, so its estimate depends on neither the split
-    into blocks nor the other curves. The frequency grid is the offset from
+    into blocks nor the other curves. The standard error is the spread of
+    the path densities about their mean, sqrt((sum d^2 - P mean^2) /
+    (P (P - 1))) over the P paths, from one sum of squares a block; one path
+    has no spread, and its SE is nan. The frequency grid is the offset from
     the carrier in Hz.
 
     The phasors are single precision. Each phase is reduced in float64 to
@@ -193,18 +160,20 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
     float64 reduction the cast alone would cost 5e-4 at |theta| = 1e4.
     """
     fs = _step_rate(dt)
-    acc, n_rows, n_segments = None, 0, 0
+    acc = squares = None
+    n_rows = n_segments = 0
     for block in blocks:
         curves = np.asarray(block, dtype=float)
-        if curves.ndim != 3 or not len(curves) or (acc is not None and len(curves) != len(acc)):
-            raise ParameterError("pass blocks of (curves, rows, n) phases, the same "
-                                 "curves in every block")
-        plan = _plan(curves.shape[1:], fs, segment_len, overlap, window)
-        acc = np.zeros((len(curves), segment_len)) if acc is None else acc
+        if curves.ndim != 3 or not curves.size or (acc is not None and len(curves) != len(acc)):
+            raise ParameterError("pass non-empty blocks of (curves, rows, n) phases, the "
+                                 "same curves in every block")
+        plan = _plan(curves.shape[2], fs, segment_len, overlap, window)
+        if acc is None:
+            acc, squares = np.zeros((2, len(curves), segment_len))
         turn = np.empty(curves.shape[1:])
         reduced = np.empty(curves.shape[1:], np.float32)
         z = np.empty(curves.shape[1:], complex)
-        for theta, total in zip(curves, acc):
+        for theta, total, square in zip(curves, acc, squares):
             np.divide(theta, TWO_PI, out=turn)
             np.rint(turn, out=turn)
             turn *= TWO_PI
@@ -212,10 +181,20 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
             np.clip(turn, -np.pi, np.pi, out=reduced, casting="same_kind")
             np.cos(reduced, out=z.real, dtype=np.float32)
             np.sin(reduced, out=z.imag, dtype=np.float32)
-            for row in _welch_rows(z, plan):
+            rows = _welch_rows(z, plan)
+            for row in rows:
                 total += row
+            square += np.einsum("ij,ij->j", rows, rows)
         n_rows += curves.shape[1]
         n_segments += curves.shape[1] * plan.segments
     if acc is None:
         raise ParameterError("empty ensemble")
-    return [_estimate(total / n_rows, fs, n_segments) for total in acc]
+    freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
+    out = []
+    for total, square in zip(acc, squares):
+        mean = total / n_rows
+        var = (np.maximum(square - mean * total, 0.0) / (n_rows * (n_rows - 1))
+               if n_rows > 1 else np.full(segment_len, np.nan))
+        out.append(SpectrumEstimate(freqs, np.fft.fftshift(mean), np.fft.fftshift(np.sqrt(var)),
+                                    n_segments))
+    return out

@@ -291,6 +291,20 @@ class TestTapModel:
         with pytest.raises(ParameterError, match="cancel"):
             tap_psd(BETA, ((0, 1.0, 0.0), (0, -1.0, 1e-6)), 1.0)
 
+    @pytest.mark.parametrize("taps", [ONE, PAIR, delayed_taps(1e-6),
+                                      ((0, 0.25, 0.0), (0, 0.25, 1e-6), (1, 0.5, 3e-6))])
+    def test_list_taps_give_the_tuple_taps_floats(self, taps):
+        # tap_ensemble accepts taps as lists; so do the closed forms
+        as_lists = [list(tap) for tap in taps]
+        omega = 2 * math.pi * np.array([0.0, 1e3, 1e5])
+        tau = np.array([0.0, 5e-7, 2e-6])
+        assert tap_psd(BETA, as_lists, 1e3) == tap_psd(BETA, taps, 1e3)
+        assert np.array_equal(tap_psd(BETA, as_lists, omega), tap_psd(BETA, taps, omega))
+        assert tap_autocorr(BETA, as_lists, 5e-7) == tap_autocorr(BETA, taps, 5e-7)
+        assert np.array_equal(tap_autocorr(BETA, as_lists, tau), tap_autocorr(BETA, taps, tau))
+        with pytest.raises(ParameterError):
+            tap_psd(BETA, [[0, 1.0, -1e-6]], 1e3)
+
 
 class TestPsdByQuadrature:
     def test_textbook_transform_pair(self):

@@ -745,8 +745,8 @@ def test_figure_draws_each_stream_key_once_at_600k_paths(tmp_path, monkeypatch, 
     assert {b[0] for b in blocks} == {cfg.seed}
     tags = {b[1] for b in blocks}
     assert tags == {stochastic.STREAM_PHASE, experiments.TAG_PARTNER}
-    assert not tags & {stochastic.STREAM_OFFSET, experiments.TAG_WHITE_NOISE,
-                       experiments.TAG_DIVIDER}
+    assert not tags & {stochastic.STREAM_OFFSET, experiments.TAG_WELCH,
+                       experiments.TAG_WELCH_PARTNER, experiments.TAG_DIVIDER}
     keys = np.sort(np.concatenate([np.arange(first, first + rows, dtype=np.int64) + (tag << 32)
                                    for _, tag, first, rows in blocks]))
     every = np.concatenate([np.arange(cfg.n_paths, dtype=np.int64) + (tag << 32)
@@ -769,17 +769,20 @@ def test_battery_streams_disjoint_at_neighbouring_seeds(monkeypatch):
     for seed in (11, 12):
         keys[seed] = set()
         experiments.run_acceptance(ExperimentConfig(seed=seed, output_dir=""))
-    # 4 x 2000 paths, the divider check's two walks, the white noise
-    assert len(keys[11]) == len(keys[12]) == 8003
+    # 4 x 2000 paths, the divider check's two walks, the Welch checks' 256
+    # paths on each of their two sources
+    assert len(keys[11]) == len(keys[12]) == 8514
     assert not keys[11] & keys[12]
 
 
-def test_z_gate_is_scipys_quantile():
-    """The battery's gate, written as a literal, is -ndtri(0.5e-4) bit for
+def test_z_gates_are_scipys_quantiles():
+    """The battery's gates, written as literals, are -ndtri(0.5e-4) and the
+    family-wise -ndtri(0.5e-4 / 768) of the Welch checks' 768 bins, bit for
     bit, so no check's tolerance moves."""
     from scipy.special import ndtri
 
     assert experiments.Z_GATE.hex() == float(-ndtri(0.5e-4)).hex()
+    assert experiments.Z_FAMILY.hex() == float(-ndtri(0.5e-4 / 768)).hex()
 
 
 @pytest.mark.parametrize("name", ["delayed-psd-zero-delay-limit",
@@ -795,56 +798,99 @@ def test_zero_delay_limit_check_can_fail(monkeypatch, name):
 
 
 def test_ensemble_checks_pass_over_100_seeds():
-    """The variance and autocorrelation checks are gated at Z_GATE standard
-    errors, a false-fail rate of 1e-4 per compared value: none fails at
-    seeds 1..100."""
+    """The variance checks are gated at Z_GATE standard errors, a
+    false-fail rate of 1e-4 per compared value: none fails at seeds
+    1..100."""
     failed = [(seed, name, measured) for seed in range(1, 101)
               for name, measured, tolerance in experiments._ensemble_checks(1e4, seed)
               if not measured < tolerance]
     assert not failed
 
 
-def test_autocorr_check_finite_where_paths_do_not_spread():
-    """At beta = 1e-12 every path's exp(j theta) rounds to the same values:
-    the standard error is floored at eps, so the check reads 0, not 0/0."""
-    checks = {name: (measured, tolerance)
-              for name, measured, tolerance in experiments._ensemble_checks(1e-12, 1)}
-    measured, tolerance = checks["phase-shift-autocorr"]
-    assert measured < tolerance
+def test_welch_checks_pass_over_100_seeds():
+    """welch-scale holds to 1e-6 and welch-expected-density, the largest
+    |z| of 768 bins, stays under the family-wise gate at seeds 1..100."""
+    failed = [(seed, name, measured) for seed in range(1, 101)
+              for name, measured, tolerance in experiments._welch_checks(1e4, seed)
+              if not measured < tolerance]
+    assert not failed
+
+
+def test_welch_checks_read_the_same_at_any_beta():
+    """dt = 8 / (256 beta) draws the same walks in units of the line width,
+    so both readings agree at beta = 1e4, 1e-3 and 1e-12."""
+    readings = [experiments._welch_checks(beta, 3) for beta in (1e4, 1e-3, 1e-12)]
+    for checks in readings[1:]:
+        for (name, measured, tolerance), (_, want, _) in zip(checks, readings[0]):
+            assert measured == pytest.approx(want, rel=1e-9, abs=1e-12), name
+
+
+def _scaled_plan(monkeypatch, scale):
+    """The Welch plan's density scale fs * U replaced by scale(fs, win)."""
+    plan = spectral._plan
+
+    def scaled(n, fs, *args):
+        faulty = plan(n, fs, *args)
+        return faulty._replace(scale=scale(fs, faulty.win))
+
+    monkeypatch.setattr(spectral, "_plan", scaled)
+
+
+def _changed_rows(monkeypatch, change):
+    """Every path density of the Welch kernel passed through change()."""
+    rows = spectral._welch_rows
+    monkeypatch.setattr(spectral, "_welch_rows", lambda x, plan: change(rows(x, plan)))
+
+
+def _rect_expectation(monkeypatch):
+    """E[S] built from the rect window's c_w whatever window the data had."""
+    expected = spectral.expected_psd
+    monkeypatch.setattr(spectral, "expected_psd",
+                        lambda beta, taps, dt, segment_len, window: expected(
+                            beta, taps, dt, segment_len, "rect"))
+
+
+def _diffusing_at(monkeypatch, factor):
+    """Every walk diffusing at factor * beta."""
+    ensemble = stochastic.wiener_ensemble
+    monkeypatch.setattr(stochastic, "wiener_ensemble",
+                        lambda *args, **kwargs: ensemble(*args, **kwargs) * np.sqrt(factor))
+
+
+VARIANCE_CHECKS = ("wiener-variance-slope", "pair-averaging-variance-halving",
+                   "quad-averaging-variance-quartering")
 
 
 def test_variance_checks_fail_three_percent_off(monkeypatch):
     """An ensemble whose walks diffuse at 1.03 beta fails all three
     variance checks (each reads about 0.03, against 0.0123)."""
-    ensemble = stochastic.wiener_ensemble
-    monkeypatch.setattr(stochastic, "wiener_ensemble",
-                        lambda *args: ensemble(*args) * np.sqrt(1.03))
+    _diffusing_at(monkeypatch, 1.03)
     report = experiments.run_acceptance(ExperimentConfig(output_dir=""))
     checks = {c["name"]: c for c in report["checks"]}
-    for name in ("wiener-variance-slope", "pair-averaging-variance-halving",
-                 "quad-averaging-variance-quartering"):
+    for name in VARIANCE_CHECKS:
         assert not checks[name]["passed"]
         assert checks[name]["tolerance"] == pytest.approx(0.0123, abs=1e-4)
 
 
-def test_white_noise_check_gated_at_its_standard_error(monkeypatch):
-    """welch-white-normalization is gated at Z_GATE standard errors of its
-    share-weighted sum (about 5.4e-3): no seed of 1..300 fails it, and a
-    density scaled by 1/(fs L) in place of 1/(fs sum(w^2)) does."""
-    checks = [experiments._white_noise_check(seed) for seed in range(1, 301)]
-    assert checks[0][2] == pytest.approx(5.40e-3, abs=1e-5)
-    assert all(measured < tolerance for _, measured, tolerance in checks)
-    welch = spectral.welch_psd
-
-    def per_segment_length(x, **kwargs):  # hann: sum(w^2) = 3 L / 8
-        est = welch(x, **kwargs)
-        return spectral.SpectrumEstimate(est.freqs, est.psd * 0.375, est.n_segments)
-
-    monkeypatch.setattr(spectral, "welch_psd", per_segment_length)
+@pytest.mark.parametrize("fault,failing", [
+    (lambda mp: _scaled_plan(mp, lambda fs, win: fs * np.sum(win)), ["welch-scale"]),
+    (lambda mp: _scaled_plan(mp, lambda fs, win: np.sum(win**2)), ["welch-scale"]),
+    (lambda mp: _changed_rows(mp, lambda rows: rows * 1.05), ["welch-scale"]),
+    (lambda mp: _changed_rows(mp, lambda rows: np.roll(rows, 1, axis=-1)),
+     ["welch-expected-density"]),
+    (_rect_expectation, ["welch-expected-density"]),
+    (lambda mp: _diffusing_at(mp, 1.1), ["welch-expected-density", *VARIANCE_CHECKS]),
+    (lambda mp: _diffusing_at(mp, 1.05), VARIANCE_CHECKS),
+], ids=["U-as-sum-w", "no-1/fs", "density-x1.05", "one-bin-roll", "rect-c_w",
+        "walks-at-1.1-beta", "walks-at-1.05-beta"])
+def test_battery_fails_under_each_fault(monkeypatch, fault, failing):
+    """Each fault in the Welch scale, the bins, the window or the walks fails
+    the battery, through the checks named."""
+    fault(monkeypatch)
     report = experiments.run_acceptance(ExperimentConfig(output_dir=""))
-    check, = (c for c in report["checks"] if c["name"] == "welch-white-normalization")
-    assert not check["passed"]
-    assert check["measured"] == pytest.approx(0.625, abs=0.01)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert not report["passed"]
+    assert [name for name in failing if checks[name]["passed"]] == []
 
 
 @pytest.mark.parametrize("beta", ["1e-3", "100", "1e6"])

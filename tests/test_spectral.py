@@ -10,14 +10,14 @@ import pytest
 from oscavg import (
     ExperimentConfig,
     ParameterError,
-    autocorr_per_path,
     delayed_taps,
+    expected_psd,
     psd_of_phase_shift,
+    spectral,
     tap_autocorr,
     tap_ensemble,
     tap_psd,
     to_dbc_hz,
-    welch_psd,
     wiener_ensemble,
 )
 from oscavg.experiments import BASE_TAPS, PAIR_TAPS, estimate_curves
@@ -25,16 +25,35 @@ from oscavg.experiments import BASE_TAPS, PAIR_TAPS, estimate_curves
 TWO_PI = 2.0 * np.pi
 
 
-class TestWelchPsd:
+def welch_rows(x, fs, segment_len=1024, overlap=0.5, window="hann"):
+    """(centred frequency grid, the Welch density of each row of the 2-d
+    array x on it, segments per row), through the kernel that
+    psd_of_phase_shift runs on every block."""
+    x = np.asarray(x)
+    plan = spectral._plan(x.shape[-1], fs, segment_len, overlap, window)
+    freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
+    return freqs, np.fft.fftshift(spectral._welch_rows(x, plan), axes=-1), plan.segments
+
+
+def lag_products(u, lags):
+    """Per-row time average of u_t conj(u_(t+lag)) at each lag, shape
+    (rows, lags): the mean over rows estimates the autocorrelation, and
+    their spread gives its standard error. Lag 0 is |u_t|^2, real."""
+    n = u.shape[1]
+    return np.stack([np.mean(u[:, :n - lag] * np.conj(u[:, lag:]) if lag
+                             else u.real**2 + u.imag**2, axis=1) for lag in lags], axis=1)
+
+
+class TestWelchKernel:
     def test_tone_calibration(self):
         # unit complex exponential: one dominant bin, unit integrated power
         fs, n = 1e6, 1 << 15
         k = np.arange(n)
         x = np.exp(1j * TWO_PI * 1.25e5 * k / fs)
-        est = welch_psd(x, fs=fs, segment_len=1024)
-        peak = est.freqs[np.argmax(est.psd)]
+        freqs, (psd,), _ = welch_rows(x[None], fs=fs, segment_len=1024)
+        peak = freqs[np.argmax(psd)]
         assert abs(peak - 1.25e5) <= fs / 1024
-        assert est.total_power() == pytest.approx(1.0, rel=0.01)
+        assert np.trapezoid(psd, freqs) == pytest.approx(1.0, rel=0.01)
 
     def test_white_noise_density(self):
         fs = 1e6
@@ -42,17 +61,17 @@ class TestWelchPsd:
         seg = 1024
         n = 64 * seg // 2 + seg  # 64 segments at 50% overlap
         x = rng.normal(size=n)
-        est = welch_psd(x, fs=fs, segment_len=seg)
-        assert float(np.mean(est.psd)) == pytest.approx(np.var(x) / fs, rel=0.02)
+        _, (psd,), _ = welch_rows(x[None], fs=fs, segment_len=seg)
+        assert float(np.mean(psd)) == pytest.approx(np.var(x) / fs, rel=0.02)
 
     def test_segment_too_long(self):
         with pytest.raises(ParameterError):
-            welch_psd(np.zeros(100), fs=1.0, segment_len=256)
+            welch_rows(np.zeros((1, 100)), fs=1.0, segment_len=256)
 
     def test_psd_nonnegative(self):
         rng = np.random.default_rng(8)
-        est = welch_psd(rng.normal(size=4096), fs=1.0, segment_len=256)
-        assert np.all(est.psd >= 0)
+        _, psd, _ = welch_rows(rng.normal(size=(1, 4096)), fs=1.0, segment_len=256)
+        assert np.all(psd >= 0)
 
     def test_wiener_phase_shift_matches_analytic(self):
         beta, dt = 1e4, 1e-6
@@ -69,8 +88,8 @@ class TestWelchPsd:
         for x in (rng.normal(size=1 << 14),
                   np.exp(1j * TWO_PI * 0.1 * np.arange(1 << 14)),
                   np.exp(1j * wiener_ensemble(1e4, 0.0, 1 / fs, 1 << 14, 202, 1)[0])):
-            est = welch_psd(x, fs=fs, segment_len=1024)
-            assert est.total_power() == pytest.approx(
+            freqs, (psd,), _ = welch_rows(x[None], fs=fs, segment_len=1024)
+            assert np.trapezoid(psd, freqs) == pytest.approx(
                 float(np.mean(np.abs(x) ** 2)), rel=0.02)
 
     def test_estimator_consistency_sqrt2(self):
@@ -80,22 +99,20 @@ class TestWelchPsd:
         n1 = seg * 8
         stds = []
         for n in (n1, 2 * n1):
-            ests = np.stack([
-                welch_psd(rng.normal(size=n), fs=fs, segment_len=seg,
-                          overlap=0.0).psd for _ in range(m)])
+            ests = welch_rows(rng.normal(size=(m, n)), fs=fs, segment_len=seg, overlap=0.0)[1]
             stds.append(float(np.mean(np.std(ests, axis=0))))
         assert stds[0] / stds[1] == pytest.approx(np.sqrt(2.0), rel=0.15)
 
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
     @pytest.mark.parametrize("window", ["hann", "rect"])
     @pytest.mark.parametrize("segment_len,n", [(256, 2048), (256, 2100), (255, 1999)])
-    @pytest.mark.parametrize("shape", ["1d", "rows"])
+    @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_matches_scipy_welch(self, kind, shape, segment_len, n, window, overlap):
+    def test_matches_scipy_welch(self, kind, rows, segment_len, n, window, overlap):
         from scipy.signal import get_window, spectrogram, welch
         fs = 3e6
         rng = np.random.default_rng(11)
-        size = (n,) if shape == "1d" else (3, n)
+        size = (rows, n)
         x = rng.normal(size=size)
         if kind == "complex":
             x = x + 1j * rng.normal(size=size)
@@ -104,15 +121,16 @@ class TestWelchPsd:
         freqs, psd = welch(x, fs=fs, window=win, nperseg=segment_len,
                            noverlap=noverlap, detrend=False, return_onesided=False,
                            scaling="density", axis=-1)
-        est = welch_psd(x, fs=fs, segment_len=segment_len, overlap=overlap, window=window)
+        got_freqs, got, segments = welch_rows(x, fs=fs, segment_len=segment_len,
+                                              overlap=overlap, window=window)
         want = np.fft.fftshift(psd, axes=-1)
-        assert est.psd.shape == want.shape
-        assert np.array_equal(est.freqs, np.fft.fftshift(freqs))
-        assert np.max(np.abs(est.psd - want) / want) <= 1e-12
+        assert got.shape == want.shape
+        assert np.array_equal(got_freqs, np.fft.fftshift(freqs))
+        assert np.max(np.abs(got - want) / want) <= 1e-12
         times = spectrogram(x, fs=fs, window=win, nperseg=segment_len,
                             noverlap=noverlap, detrend=False, return_onesided=False,
                             axis=-1)[1]
-        assert est.n_segments == (1 if shape == "1d" else 3) * len(times)
+        assert segments == len(times)
 
 
 # in a fresh interpreter: importing the package and running commands that
@@ -148,33 +166,31 @@ def test_import_does_not_load_scipy(tmp_path):
 
 class TestEnsembleWelch:
     def test_reduction_order_stable(self):
-        # each row of a 2-d call is the estimate of that row alone, so the
+        # each row of the kernel is the estimate of that row alone, so the
         # ensemble mean does not depend on how paths are ordered or blocked
         beta, dt = 1e4, 1e-6
         ens = wiener_ensemble(beta, 0.0, dt, 2048, master_seed=203, n_paths=16)
         u = np.exp(1j * ens)
-        rows = welch_psd(u, fs=1 / dt, segment_len=512)
-        single = welch_psd(u[5], fs=1 / dt, segment_len=512)
-        assert rows.psd.shape == (16, 512)
-        assert np.array_equal(rows.psd[5], single.psd)
-        assert rows.n_segments == 16 * single.n_segments
-        assert np.array_equal(welch_psd(u[::-1], fs=1 / dt, segment_len=512).psd,
-                              rows.psd[::-1])
-        a = psd_of_phase_shift([ens[None]], dt, segment_len=512)[0].psd
-        b = psd_of_phase_shift([ens[None, ::-1]], dt, segment_len=512)[0].psd
-        assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
+        _, rows, segments = welch_rows(u, fs=1 / dt, segment_len=512)
+        _, single, _ = welch_rows(u[5:6], fs=1 / dt, segment_len=512)
+        assert rows.shape == (16, 512)
+        assert np.array_equal(rows[5], single[0])
+        assert np.array_equal(welch_rows(u[::-1], fs=1 / dt, segment_len=512)[1], rows[::-1])
+        a = psd_of_phase_shift([ens[None]], dt, segment_len=512)[0]
+        b = psd_of_phase_shift([ens[None, ::-1]], dt, segment_len=512)[0]
+        assert np.max(np.abs(a.psd - b.psd) / np.abs(a.psd)) < 1e-12
+        assert np.max(np.abs(a.se - b.se) / np.abs(a.se)) < 1e-9
         blocked = psd_of_phase_shift([ens[None, :3], ens[None, 3:4], ens[None, 4:]], dt,
                                      segment_len=512)[0]
-        assert np.array_equal(blocked.psd, a)
-        assert blocked.n_segments == rows.n_segments
+        assert np.array_equal(blocked.psd, a.psd)
+        assert np.max(np.abs(blocked.se - a.se) / np.abs(a.se)) < 1e-9
+        assert blocked.n_segments == a.n_segments == 16 * segments
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            welch_psd(np.zeros((0, 128)), fs=1.0, segment_len=64)
-        with pytest.raises(ParameterError):
-            welch_psd(np.float64(1.0), fs=1.0, segment_len=1)
-        with pytest.raises(ParameterError):
             psd_of_phase_shift([], 1.0, segment_len=64)
+        with pytest.raises(ParameterError, match="non-empty"):
+            psd_of_phase_shift([np.zeros((1, 0, 128))], 1.0, segment_len=64)
 
     @pytest.mark.parametrize("blocks", [
         [np.zeros((2, 128))],                          # a block of one curve's rows alone
@@ -215,16 +231,19 @@ class TestEnsembleWelch:
         for theta in blocks:
             reduced = (theta - TWO_PI * np.rint(theta / TWO_PI)).astype(np.float32)
             phasor = np.cos(reduced).astype(float) + 1j * np.sin(reduced).astype(float)
-            est = welch_psd(phasor, fs=1 / dt, segment_len=seg)
-            densities.extend(est.psd)
-            n_segments += est.n_segments
+            freqs, psd, segments = welch_rows(phasor, fs=1 / dt, segment_len=seg)
+            densities.extend(psd)
+            n_segments += len(psd) * segments
         total = densities[0].copy()
         for row in densities[1:]:
             total += row
         got = psd_of_phase_shift([b[None] for b in blocks], dt, segment_len=seg)[0]
         assert np.array_equal(got.psd, total / len(densities))
-        assert np.array_equal(got.freqs, est.freqs)
+        assert np.array_equal(got.freqs, freqs)
         assert got.n_segments == n_segments
+        # the standard error of the mean of the path densities, bin by bin
+        se = np.std(densities, axis=0, ddof=1) / np.sqrt(len(densities))
+        assert np.max(np.abs(got.se - se) / se) < 1e-9
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_single_precision_phasors_within_bound_of_float64(self, seed):
@@ -245,8 +264,8 @@ class TestEnsembleWelch:
         theta = 1e3 + tap_ensemble(1e4, [BASE_TAPS], dt, 4 * seg, master_seed=1, n_paths=3)[0]
         want, bound = _float64_phasor_density_and_bound(theta, dt, seg)
         cast = theta.astype(np.float32)
-        got = welch_psd(np.cos(cast).astype(float) + 1j * np.sin(cast).astype(float),
-                        fs=1 / dt, segment_len=seg).psd
+        got = welch_rows(np.cos(cast).astype(float) + 1j * np.sin(cast).astype(float),
+                         fs=1 / dt, segment_len=seg)[1]
         assert np.any(np.abs(got - want) > bound)
 
     def test_caller_block_not_modified(self):
@@ -293,35 +312,74 @@ def _float64_phasor_density_and_bound(theta, dt, seg):
     x = np.abs(np.fft.fftshift(np.fft.fft(segments * win, axis=-1), axes=-1))
     e = np.sqrt(2) * 2.0**-22 * np.sum(np.abs(win))
     bound = np.mean(2 * x * e + e**2, axis=1) / (fs * np.sum(win**2))
-    return welch_psd(z, fs=fs, segment_len=seg).psd, bound
+    return welch_rows(z, fs=fs, segment_len=seg)[1], bound
 
 
 def _rejected_alike(monkeypatch, segment_len=8, fs=1.0, overlap=0.5, window="hann"):
-    """Both Welch entry points refuse the arguments, and before any FFT
-    runs. psd_of_phase_shift takes dt = 1/fs, so fs = 0 is dt = inf, and
-    fs = inf is dt = 0: a bad fs reaches it as a bad dt, refused in the
-    message that names dt. Any other refusal has the same message from
-    both. Returns welch_psd's message."""
+    """psd_of_phase_shift refuses the arguments as the kernel's plan does,
+    and before any FFT runs; so does expected_psd, which takes no overlap.
+    Both take dt = 1/fs, so fs = 0 is dt = inf, and fs = inf is dt = 0: a
+    bad fs reaches them as a bad dt, refused in the message that names dt.
+    Any other refusal of psd_of_phase_shift has the plan's message. Returns
+    the plan's message."""
     def no_fft(*args, **kwargs):
         raise AssertionError("an FFT ran before the arguments were checked")
 
     monkeypatch.setattr(np.fft, "fft", no_fft)
     args = {"segment_len": segment_len, "overlap": overlap, "window": window}
+    dt = np.inf if fs == 0 else 1.0 / fs
     with pytest.raises(ParameterError) as direct:
-        welch_psd(np.ones((2, 16)), fs=fs, **args)
+        welch_rows(np.ones((2, 16)), fs=fs, **args)
     with pytest.raises(ParameterError) as ensemble:
-        psd_of_phase_shift([np.zeros((1, 2, 16))], np.inf if fs == 0 else 1.0 / fs, **args)
+        psd_of_phase_shift([np.zeros((1, 2, 16))], dt, **args)
     if 0 < fs < np.inf:
         assert str(ensemble.value) == str(direct.value)
     else:
         assert str(ensemble.value).startswith("dt=")
+    if 0 <= overlap < 1:
+        with pytest.raises(ParameterError):
+            expected_psd(1e4, BASE_TAPS, dt, segment_len, window)
     return str(direct.value)
+
+
+def expected_by_double_sum(beta, taps, dt, segment_len, window):
+    """E[S](f_m) written out: sum_a sum_b w_a w_b R((a - b) dt)
+    e^{-j 2 pi m (a - b) / L} / (fs U), over the centred grid's bins m."""
+    w = spectral._window(window, segment_len)
+    a = np.arange(segment_len)
+    gap = a[:, None] - a[None, :]
+    weights = np.outer(w, w) * tap_autocorr(beta, taps, gap * dt)
+    m = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / segment_len))
+    phase = np.exp(-2j * np.pi * m[:, None, None] * gap / segment_len)
+    return np.sum(weights * phase, axis=(1, 2)).real * dt / np.sum(w**2)
+
+
+class TestExpectedPsd:
+    DT = 1e-5  # pi beta dt = 0.31 at beta = 1e4: R falls to 0.08 over 8 steps
+    CURVES = {"base": BASE_TAPS, "pair": PAIR_TAPS, "delayed": delayed_taps(3e-5),
+              "cascade": ((0, 0.25, 0.0), (0, 0.25, 2e-5), (1, 0.3, 0.0), (1, 0.2, 5e-5))}
+
+    @pytest.mark.parametrize("segment_len", [8, 16])
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_matches_double_sum(self, curve, window, segment_len):
+        taps = self.CURVES[curve]
+        got = expected_psd(1e4, taps, self.DT, segment_len, window)
+        want = expected_by_double_sum(1e4, taps, self.DT, segment_len, window)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        # Parseval: the mean density times fs is R(0) = 1
+        assert np.mean(got) / self.DT == pytest.approx(1.0, rel=1e-12)
+
+    def test_list_taps_give_the_tuple_taps_floats(self):
+        taps = self.CURVES["cascade"]
+        got = expected_psd(1e4, [list(tap) for tap in taps], self.DT, 16)
+        assert np.array_equal(got, expected_psd(1e4, taps, self.DT, 16))
 
 
 class TestAutocorrEstimate:
     def test_zero_lag_unit_modulus(self):
         ens = wiener_ensemble(1e4, 0.0, 1e-6, 256, master_seed=204, n_paths=8)
-        r = autocorr_per_path(np.exp(1j * ens), range(11)).mean(axis=0)
+        r = lag_products(np.exp(1j * ens), range(11)).mean(axis=0)
         assert r[0] == 1.0 + 0.0j
 
     def test_wiener_matches_exponential(self):
@@ -329,7 +387,7 @@ class TestAutocorrEstimate:
         ens = wiener_ensemble(beta, 0.0, dt, 64, master_seed=205, n_paths=8000)
         u = np.exp(1j * ens)
         lags = list(range(1, 21))
-        per_path = autocorr_per_path(u, lags).real
+        per_path = lag_products(u, lags).real
         est = per_path.mean(axis=0)
         se = per_path.std(axis=0) / np.sqrt(per_path.shape[0])
         want = np.exp(-np.pi * beta * np.array(lags) * dt)
@@ -340,7 +398,7 @@ class TestAutocorrEstimate:
         beta, dt, lag = 1e4, 1e-6, 20
         ens = tap_ensemble(beta, [delayed_taps(lag * dt)], dt, 4096, master_seed=206,
                            n_paths=400)[0]
-        r = autocorr_per_path(np.exp(1j * ens), range(41)).real.mean(axis=0)
+        r = lag_products(np.exp(1j * ens), range(41)).real.mean(axis=0)
         inner = np.arange(2, 19)
         outer = np.arange(22, 39)
         s_in = np.polyfit(inner * dt, np.log(r[inner]), 1)[0]
@@ -355,24 +413,11 @@ class TestAutocorrEstimate:
         taps = ((0, 0.25, 0.0), (0, 0.25, 10 * dt), (1, 0.3, 0.0), (1, 0.2, 25 * dt))
         ens = tap_ensemble(beta, [taps], dt, 128, master_seed=210, n_paths=4000)[0]
         lags = list(range(1, 41))
-        per_path = autocorr_per_path(np.exp(1j * ens), lags).real
+        per_path = lag_products(np.exp(1j * ens), lags).real
         est = per_path.mean(axis=0)
         se = per_path.std(axis=0) / np.sqrt(per_path.shape[0])
         want = tap_autocorr(beta, taps, np.array(lags) * dt)
         assert np.all(np.abs(est - want) < 3 * se)
-
-    def test_lag_bounds(self):
-        with pytest.raises(ParameterError):
-            autocorr_per_path(np.ones((2, 16), dtype=complex), [15, 16])
-        # a negative lag would average the wrong samples, a fractional one
-        # cannot index them
-        for lag in (-2, 2.5):
-            with pytest.raises(ParameterError):
-                autocorr_per_path(np.exp(1j * np.arange(8.0)), [lag])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            autocorr_per_path(np.zeros((0, 8)), [2])
 
 
 class TestPsdOfPhaseShift:
@@ -381,7 +426,7 @@ class TestPsdOfPhaseShift:
         est = psd_of_phase_shift([ens[None]], 1e-6, segment_len=1024)[0]
         peak = est.freqs[np.argmax(est.psd)]
         assert abs(peak) <= 1e6 / 1024
-        assert est.total_power() == pytest.approx(1.0, rel=0.01)
+        assert np.trapezoid(est.psd, est.freqs) == pytest.approx(1.0, rel=0.01)
 
     def test_averaged_pair_matches_half_rate_lorentzian(self):
         # the figure commands' estimator and blocks, on 4096-sample paths
