@@ -26,16 +26,18 @@ LIN_BAND = 2.5e6             # half-width of the linear sweep
 LIN_POINTS = 501
 # Samples per block of paths in a figure's one estimation pass, at least one
 # path. A path counts the larger of its Welch segment samples (segments *
-# segment_len), which bound each Welch array of a block, and all its walks
-# (one per source: the path and the largest lag on it) and curves' phases,
-# so every array a block holds is bounded. Output does not depend on it.
-# A default figure's path counts 98 344 samples (figure-log: walks of
-# 16 424 and 16 384, four phases of 16 384), over 7 * 2**13, so it runs one
-# path a block by the floor; a segment_len = 256 path counts 6 164
-# (figure-linear), so nine run a block. At 256 such paths (seed 5, one
-# CPU), figure-linear took 229-263 ms with one-path blocks against 94-95
-# ms at 7 * 2**13: medians of 7 runs, in two alternating sets.
-BLOCK_SAMPLES = 7 * 2**13
+# segment_len), which bound each Welch work array, and its walks (one per
+# source: the path and the largest lag on it) and one curve's phases, which
+# are built into one array, curve by curve; so every array a block holds is
+# bounded. Output does not depend on it. A default figure-log path counts
+# 49 192 samples (walks of 16 424 and 16 384, phases of 16 384), so two run
+# a block; a segment_len = 256 path counts 3 092 (figure-linear), so 42 run
+# a block. With the work arrays made once per estimate, figure-linear at
+# that segment_len (256 paths, one CPU) took the same time at 2**17 as at
+# 7 * 2**13 and 2**16, and 2**18 took longer: 0.040 against 0.044 reference
+# s in `perfbench` mc_short pairs, at 4.4 MB more peak memory; default
+# figure-log paths ran 12 % faster two a block than one (mc_long pairs).
+BLOCK_SAMPLES = 2**17
 # Rows `_write_table` formats and writes at once (~2.5 MB of text), so the
 # text of a `simulate` table of MAX_SAMPLES rows (~35 bytes a row, ~0.6 GB)
 # is never held in memory. Output does not depend on it.
@@ -97,13 +99,17 @@ def estimate_curves(cfg: ExperimentConfig, curves, dt: float
     """Welch estimates of `curves`, a sequence of taps, over cfg.n_paths
     paths of four segment lengths, in one pass over blocks of at most
     BLOCK_SAMPLES samples (at least one path): each block's walks are drawn
-    once for all curves, and each estimate is, bit for bit, its curve's alone."""
+    once for all curves, each curve's phases are built into one array that
+    every block reuses just before the curve's Welch pass, and each
+    estimate is, bit for bit, its curve's alone."""
     n = 4 * cfg.segment_len
     welch, lags = _path_plan(cfg, curves, dt)
     walks = sum(n + lag for lag in lags.values())
-    rows = max(1, BLOCK_SAMPLES // max(welch, walks + len(curves) * n))
-    blocks = (stochastic.tap_ensemble(cfg.beta, curves, dt, n, cfg.seed,
-                                      min(rows, cfg.n_paths - first), first_index=first)
+    rows = min(cfg.n_paths, max(1, BLOCK_SAMPLES // max(welch, walks + n)))
+    layout = stochastic.tap_layout(curves, dt)
+    phases = np.empty((2, rows, n))
+    blocks = (stochastic.tap_phases(cfg.beta, lags, layout, dt, cfg.seed, first,
+                                    phases[:, :cfg.n_paths - first])
               for first in range(0, cfg.n_paths, rows))
     return spectral.psd_of_phase_shift(blocks, dt, segment_len=cfg.segment_len,
                                        overlap=cfg.overlap, window=cfg.window)

@@ -9,8 +9,10 @@ every segment of every row. The squared magnitudes are averaged over a
 row's segments and scaled by 1/(fs * U), U = sum(w^2). That gives a
 two-sided density, so unit-variance white noise gives a flat 1/fs. Hann
 with 50% overlap is the default. `_plan` checks the arguments, and the
-kernel `_welch_rows` runs on one curve of one block of paths at a time.
-`expected_psd` is the estimate's exact expectation for a curve of taps.
+kernel `_welch_rows` runs on one curve of one block of paths at a time, in
+work arrays (`_Work`) that an estimate makes once and reuses for every
+block. `expected_psd` is the estimate's exact expectation for a curve of
+taps.
 """
 
 from __future__ import annotations
@@ -93,18 +95,42 @@ def _segments(n: int, segment_len: int, overlap: float) -> Tuple[int, int]:
     return step, (n - segment_len) // step + 1
 
 
-def _welch_rows(x: np.ndarray, plan: _Plan) -> np.ndarray:
-    """The Welch densities of the rows of the 2-d array `x`, in FFT order."""
-    segs = np.lib.stride_tricks.sliding_window_view(x, len(plan.win), axis=-1)[:, ::plan.step]
-    spec = np.empty(segs.shape, np.result_type(x.dtype, plan.win.dtype, np.complex64))
-    np.multiply(segs, plan.win, out=spec)
+class _Work:
+    """The plan and work arrays of a Welch pass over blocks of up to `rows`
+    rows of n phase samples: the phases' reduction (float64 turns, float32
+    angles), their phasors z, z's segments (views, laid out once), and the
+    segments' windowed transforms, whose real parts then hold their powers.
+    A block of fewer rows runs in the arrays' first rows."""
+
+    def __init__(self, rows: int, n: int, plan: _Plan):
+        self.plan = plan
+        self.turn = np.empty((rows, n))
+        self.reduced = np.empty((rows, n), np.float32)
+        self.z = np.empty((rows, n), complex)
+        self.segs = np.lib.stride_tricks.sliding_window_view(
+            self.z, len(plan.win), axis=-1)[:, ::plan.step]
+        self.spec = np.empty(self.segs.shape, complex)
+
+
+def _welch_rows(work: _Work, rows: int) -> np.ndarray:
+    """The Welch densities of the first `rows` rows of work.z, in FFT order."""
+    spec = work.spec[:rows]
+    np.multiply(work.segs[:rows], work.plan.win, out=spec)
     np.fft.fft(spec, axis=-1, out=spec)
-    power = np.square(spec.real)
+    power = spec.real
+    np.square(power, out=power)
     np.square(spec.imag, out=spec.imag)
     power += spec.imag
     psd = np.mean(power, axis=1)
-    psd /= plan.scale
+    psd /= work.plan.scale
     return psd
+
+
+def _add_rows(total: np.ndarray, rows: np.ndarray):
+    """Add the rows of the 2-d array `rows` to `total` one after another, in
+    row order, as a loop `total += row` would: one reduction down the stack
+    [total; rows]."""
+    np.add.reduce(np.concatenate((total[None], rows)), axis=0, out=total)
 
 
 def expected_psd(beta: float, taps: Taps, dt: float, segment_len: int,
@@ -127,24 +153,31 @@ def expected_psd(beta: float, taps: Taps, dt: float, segment_len: int,
     return np.fft.fftshift(np.fft.fft(folded).real / plan.scale)
 
 
-def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
+_BLOCKS = ("pass non-empty blocks of (curves, rows, n) phases, the same curves in "
+           "every block")
+
+
+def psd_of_phase_shift(blocks: Iterable[Iterable[np.ndarray]], dt: float,
                        segment_len: int = 1024, overlap: float = 0.5,
                        window: str = "hann") -> List[SpectrumEstimate]:
     """Welch PSD of exp(j*theta) of each of a set of curves, averaged over
     its ensemble of phase paths, with each bin's standard error; one
     estimate per curve.
 
-    `blocks` yields (curves, rows, n) arrays of phase samples: the next
-    paths of every curve, one per row, the same curves in each block; pass
-    one curve's ensemble as `[ens[None]]`. Each curve of a block runs
-    through the Welch kernel in turn, so the arrays held at once are bounded
-    by one block's. A curve's row densities are summed in path order and
-    divided once at the end, so its estimate depends on neither the split
-    into blocks nor the other curves. The standard error is the spread of
-    the path densities about their mean, sqrt((sum d^2 - P mean^2) /
-    (P (P - 1))) over the P paths, from one sum of squares a block; one path
-    has no spread, and its SE is nan. The frequency grid is the offset from
-    the carrier in Hz.
+    `blocks` yields the next paths of every curve, one per row, the same
+    curves in each block: a (curves, rows, n) array of phase samples, or
+    any iterable of each curve's (rows, n) phases in turn, such as
+    `stochastic.tap_phases`, which rebuilds one array for each curve; pass
+    one curve's ensemble as `[ens[None]]`. A curve's phases are read before
+    the next curve's are asked for. The Welch plan and its work arrays are
+    made on the first block, and again only for a block of more rows or of
+    another length. A curve's row densities, and their squares, are summed
+    in path order and divided once at the end, so its estimate and its
+    standard error depend on neither the split into blocks nor the other
+    curves. The standard error is the spread of the path densities about
+    their mean, sqrt((sum d^2 - P mean^2) / (P (P - 1))) over the P paths;
+    one path has no spread, and its SE is nan. The frequency grid is the
+    offset from the carrier in Hz.
 
     The phasors are single precision. Each phase is reduced in float64 to
     t = theta - 2 pi rint(theta / 2 pi), clipped to [-pi, pi], and cast to
@@ -160,20 +193,21 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
     float64 reduction the cast alone would cost 5e-4 at |theta| = 1e4.
     """
     fs = _step_rate(dt)
-    acc = squares = None
+    sums, work = [], None  # per curve, its path densities' sum and their squares'
     n_rows = n_segments = 0
     for block in blocks:
-        curves = np.asarray(block, dtype=float)
-        if curves.ndim != 3 or not curves.size or (acc is not None and len(curves) != len(acc)):
-            raise ParameterError("pass non-empty blocks of (curves, rows, n) phases, the "
-                                 "same curves in every block")
-        plan = _plan(curves.shape[2], fs, segment_len, overlap, window)
-        if acc is None:
-            acc, squares = np.zeros((2, len(curves), segment_len))
-        turn = np.empty(curves.shape[1:])
-        reduced = np.empty(curves.shape[1:], np.float32)
-        z = np.empty(curves.shape[1:], complex)
-        for theta, total, square in zip(curves, acc, squares):
+        curves, shape = 0, None
+        for theta in block:
+            theta = np.asarray(theta, dtype=float)
+            if (theta.ndim != 2 or not theta.size or (curves and theta.shape != shape)
+                    or (n_rows and curves == len(sums))):
+                raise ParameterError(_BLOCKS)
+            shape = rows, n = theta.shape
+            if work is None or rows > len(work.z) or n != work.z.shape[1]:
+                work = _Work(rows, n, _plan(n, fs, segment_len, overlap, window))
+            if curves == len(sums):
+                sums.append(np.zeros((2, segment_len)))
+            turn, reduced, z = work.turn[:rows], work.reduced[:rows], work.z[:rows]
             np.divide(theta, TWO_PI, out=turn)
             np.rint(turn, out=turn)
             turn *= TWO_PI
@@ -181,17 +215,20 @@ def psd_of_phase_shift(blocks: Iterable[np.ndarray], dt: float,
             np.clip(turn, -np.pi, np.pi, out=reduced, casting="same_kind")
             np.cos(reduced, out=z.real, dtype=np.float32)
             np.sin(reduced, out=z.imag, dtype=np.float32)
-            rows = _welch_rows(z, plan)
-            for row in rows:
-                total += row
-            square += np.einsum("ij,ij->j", rows, rows)
-        n_rows += curves.shape[1]
-        n_segments += curves.shape[1] * plan.segments
-    if acc is None:
+            densities = _welch_rows(work, rows)
+            total, square = sums[curves]
+            _add_rows(total, densities)
+            _add_rows(square, np.square(densities))
+            curves += 1
+        if curves != len(sums) or not curves:
+            raise ParameterError(_BLOCKS)
+        n_rows += shape[0]
+        n_segments += shape[0] * work.plan.segments
+    if not sums:
         raise ParameterError("empty ensemble")
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
     out = []
-    for total, square in zip(acc, squares):
+    for total, square in sums:
         mean = total / n_rows
         var = (np.maximum(square - mean * total, 0.0) / (n_rows * (n_rows - 1))
                if n_rows > 1 else np.full(segment_len, np.nan))

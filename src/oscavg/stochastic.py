@@ -403,23 +403,55 @@ def source_lags(curves, dt: float) -> dict:
     return lags
 
 
+def tap_layout(curves, dt: float) -> list:
+    """Per curve of `curves`, the (source, weight, start) of each of its
+    taps; ParameterError as `source_lags` gives. A curve whose largest lag
+    on source s is L reads its first n + L samples, with t = 0 at sample L:
+    a tap of lag l reads samples start = L - l to start + n."""
+    layout = []
+    for taps in curves:
+        own = source_lags([taps], dt)
+        layout.append(tuple((s, weight, own[s] - lag_samples(delay, dt))
+                            for s, weight, delay in taps))
+    return layout
+
+
+def tap_phases(beta: float, lags: dict, layout: list, dt: float, master_seed: int,
+               first_index: int, out: np.ndarray):
+    """Yield the phases sum_j a_j theta^(s_j)_{t - d_j} of each curve of a
+    `tap_layout`, whose `source_lags` are lags, for the paths first_index +
+    i, i below rows, with out of shape (2, rows, n): each curve's phases are
+    built in turn into out[0], out[1] holding each tap's term, and are to be
+    read before the next curve overwrites them. Source s is the walk of
+    (master_seed, first_index + i) on stream tag s, n + lags[s] samples
+    long, drawn once for every curve when the first curve is asked for.
+    Each tap adds its term in tap order, so a curve's rows are bit for bit
+    those of its walks of n + L samples alone, and do not depend on the
+    other curves."""
+    phase, term = out
+    rows, n = phase.shape
+    walks = {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, rows,
+                                first_index=first_index, stream=s)
+             for s, L in lags.items()}
+    for taps in layout:
+        phase.fill(0.0)
+        for s, weight, start in taps:
+            np.multiply(walks[s][:, start:start + n], weight, out=term)
+            phase += term
+        yield phase
+
+
 def tap_ensemble(beta: float, curves, dt: float, n: int, master_seed: int,
                  n_paths: int, first_index: int = 0) -> np.ndarray:
-    """Phases sum_j a_j theta^(s_j)_{t - d_j} of each curve of taps (s_j, a_j,
-    d_j) in `curves`, shape (len(curves), n_paths, n); pass one curve as
-    [taps]. Source s is the walk of (master_seed, first_index + i) on stream
-    tag s, drawn once, long enough for every curve. A curve whose largest
-    lag on s is L reads its first n + L samples, with t = 0 at sample L: a
-    tap of lag l adds a_j times samples L - l to L - l + n, in tap order.
-    Those are bit for bit the walk of n + L samples, so its rows do not
-    depend on the other curves and show no start-up transient."""
-    walks = {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, n_paths,
-                                first_index=first_index, stream=s)
-             for s, L in source_lags(curves, dt).items()}
-    out = np.zeros((len(curves), n_paths, n))
-    for phase, taps in zip(out, curves):
-        lags = source_lags([taps], dt)
-        for s, weight, delay in taps:
-            start = lags[s] - lag_samples(delay, dt)
-            phase += weight * walks[s][:, start:start + n]
+    """Phases of each curve of taps (s_j, a_j, d_j) in `curves`, shape
+    (len(curves), n_paths, n), from `tap_phases` over paths first_index ..
+    first_index + n_paths - 1; pass one curve as [taps]. Each walk is drawn
+    once, long enough for every curve, and each curve's rows show no
+    start-up transient."""
+    lags, layout = source_lags(curves, dt), tap_layout(curves, dt)
+    out = np.empty((len(curves), n_paths, n))
+    built = tap_phases(beta, lags, layout, dt, master_seed, first_index,
+                       np.empty((2, n_paths, n)))
+    for phases, phase in zip(out, built):
+        phases[...] = phase
     return out

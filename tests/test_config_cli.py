@@ -589,12 +589,13 @@ class TestFigureCommands:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_estimate_bytes_independent_of_block_size(self, tmp_path, monkeypatch):
-        # 8 paths, each holding two walks and four phases of 2048 samples
-        # (12 328 samples in figure-log, 12 308 in figure-linear): blocks of
-        # 4 and 4 paths, one path per block, and blocks of 3, 3 and 2 paths
-        # (a ragged last block)
+        # 8 paths, each holding two walks and one curve's phases of 2048
+        # samples (6 184 samples in figure-log, 6 164 in figure-linear): one
+        # block of 8 paths (at BLOCK_SAMPLES and at the earlier 7 * 2**13),
+        # one path per block, blocks of 3, 3 and 2 paths (a ragged last
+        # block), and blocks of 4 and 4 paths
         cfg = _small_cfg(tmp_path, deltas="1e-6,1e-7")
-        block_samples = (experiments.BLOCK_SAMPLES, 1, 3 * 12328)
+        block_samples = (experiments.BLOCK_SAMPLES, 7 * 2**13, 1, 3 * 6184, 4 * 6184)
         for command, prefix in (("figure-log", "log"), ("figure-linear", "lin")):
             for block in block_samples:
                 monkeypatch.setattr(experiments, "BLOCK_SAMPLES", block)
@@ -642,26 +643,29 @@ def _figure_curves(deltas):
 
 
 @pytest.mark.parametrize("segment_len,overlap,deltas,rows", [
-    # the default figure paths, base and pair: two walks and two phases of
-    # 16384 samples, one path a block
-    pytest.param(4096, 0.5, (), [1] * 3, id="4096-0.5-rows0"),
+    # the default figure paths, base and pair: two walks and one curve's
+    # phases of 16384 samples (49 152), two paths a block
+    pytest.param(4096, 0.5, (), [2, 2, 1], id="4096-0.5-rows0"),
     # the default delay, a lag of 10 samples: walks of 16394 and 16384
-    # samples and three phases, one path a block
-    pytest.param(4096, 0.5, (1e-6,), [1] * 3, id="4096-0.5-delay1e-06"),
-    # segment_len 256: two walks and two phases of 1024, 14 paths a block
-    pytest.param(256, 0.5, (), [14, 14, 1], id="256-0.5-rows1"),
-    # walks of 1024 + 2560 and 1024 samples and three phases: 7 paths a block
-    pytest.param(256, 0.5, (2.56e-4,), [7, 7, 1], id="256-0.5-delay2.56e-04"),
+    # samples and one curve's phases (49 162), two paths a block
+    pytest.param(4096, 0.5, (1e-6,), [2, 2, 1], id="4096-0.5-delay1e-06"),
+    # segment_len 256: two walks and one curve's phases of 1024, 42 paths a
+    # block
+    pytest.param(256, 0.5, (), [42, 42, 1], id="256-0.5-rows1"),
+    # walks of 1024 + 2560 and 1024 samples and one curve's phases (5 632):
+    # 23 paths a block
+    pytest.param(256, 0.5, (2.56e-4,), [23, 23, 1], id="256-0.5-delay2.56e-04"),
     # 30 segments of 256 a path (7680 samples) outweigh its walks and phases
-    # (4096): 7 paths a block
-    pytest.param(256, 0.9, (), [7, 7, 1], id="256-0.9-welch"),
+    # (3072): 17 paths a block
+    pytest.param(256, 0.9, (), [17, 17, 1], id="256-0.9-welch"),
     # 2458 segments a path: one path a block
     pytest.param(4096, 0.999, (), [1] * 5, id="4096-0.999-rows2")])
 def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, overlap,
                                                     deltas, rows):
     """The one pass's blocks, with every walk drawn (as zeros) and every
-    phase built: each holds at most BLOCK_SAMPLES samples of walks and
-    phases, and of Welch segments, unless it is one path."""
+    phase built: each holds at most BLOCK_SAMPLES samples of walks and one
+    curve's phases, and of Welch segments, unless it is one path. Every
+    curve's phases are built into one array, which each block reuses."""
     cfg = ExperimentConfig(n_paths=sum(rows), segment_len=segment_len, overlap=overlap)
     curves = _figure_curves(deltas)
     welch = spectral._segments(4 * segment_len, segment_len, overlap)[1] * segment_len
@@ -673,11 +677,17 @@ def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, ov
         return np.zeros((n_paths, n))
 
     def consume(blocks, dt, **welch_args):
+        first = None
         for block in blocks:
-            paths = block.shape[1]
-            assert block.shape == (len(curves), paths, 4 * segment_len)
+            phases = list(block)
+            first = phases[0] if first is None else first
+            paths = len(phases[0])
+            assert len(phases) == len(curves)
+            for phase in phases:
+                assert phase.shape == (paths, 4 * segment_len)
+                assert np.shares_memory(phase, first)
             seen.append(paths)
-            held = sum(walks) + block.size
+            held = sum(walks) + phases[0].size
             walks.clear()
             assert paths == 1 or max(held, paths * welch) <= experiments.BLOCK_SAMPLES
         return [None] * len(curves)
@@ -692,27 +702,31 @@ def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, ov
 @pytest.mark.parametrize("dt", [2.5e-8, 5e-8], ids=["log", "lin"])
 def test_one_pass_equals_each_curve_alone(monkeypatch, seed, dt):
     """Every curve's estimate from the one pass over blocks of 3, 3 and 1
-    paths (6184 samples a path in figure-log's step, 6164 in
+    paths (3112 samples a path in figure-log's step, 3092 in
     figure-linear's) is, bit for bit, psd_of_phase_shift over tap_ensemble
-    blocks of 2, 2, 2 and 1 paths of that curve alone."""
+    blocks of 2, 2, 2 and 1 paths of that curve alone: its density and its
+    standard error."""
     cfg = ExperimentConfig(n_paths=7, segment_len=256, seed=seed, deltas=(1e-6, 1e-7))
     curves = _figure_curves(cfg.deltas)
     n, seen = 4 * cfg.segment_len, []
-    tap_ensemble = stochastic.tap_ensemble
+    ensemble = stochastic.wiener_ensemble
 
-    def spy(*args, **kwargs):
-        seen.append(args[5])
-        return tap_ensemble(*args, **kwargs)
+    def spy(*args, stream=stochastic.STREAM_PHASE, **kwargs):
+        if stream == stochastic.STREAM_PHASE:
+            seen.append(args[5])
+        return ensemble(*args, stream=stream, **kwargs)
 
-    monkeypatch.setattr(stochastic, "tap_ensemble", spy)
-    monkeypatch.setattr(experiments, "BLOCK_SAMPLES", 3 * 6184)
+    monkeypatch.setattr(stochastic, "wiener_ensemble", spy)
+    monkeypatch.setattr(experiments, "BLOCK_SAMPLES", 3 * 3112)
     got = experiments.estimate_curves(cfg, curves, dt)
     assert seen == [3, 3, 1]
     for taps, est in zip(curves, got):
-        blocks = [tap_ensemble(cfg.beta, [taps], dt, n, seed, min(2, cfg.n_paths - first),
-                               first_index=first) for first in range(0, cfg.n_paths, 2)]
+        blocks = [stochastic.tap_ensemble(cfg.beta, [taps], dt, n, seed,
+                                          min(2, cfg.n_paths - first), first_index=first)
+                  for first in range(0, cfg.n_paths, 2)]
         want = spectral.psd_of_phase_shift(blocks, dt, segment_len=cfg.segment_len)[0]
         assert np.array_equal(est.psd, want.psd)
+        assert np.array_equal(est.se, want.se)
         assert np.array_equal(est.freqs, want.freqs)
         assert est.n_segments == want.n_segments
 
@@ -733,7 +747,7 @@ def test_figure_draws_each_stream_key_once_at_600k_paths(tmp_path, monkeypatch, 
     def consume(phase_blocks, dt, **welch_args):
         curves = 0
         for block in phase_blocks:
-            curves = len(block)
+            curves = sum(1 for _ in block)
         return [None] * curves
 
     monkeypatch.setattr(stochastic, "wiener_ensemble", record)
@@ -839,7 +853,7 @@ def _scaled_plan(monkeypatch, scale):
 def _changed_rows(monkeypatch, change):
     """Every path density of the Welch kernel passed through change()."""
     rows = spectral._welch_rows
-    monkeypatch.setattr(spectral, "_welch_rows", lambda x, plan: change(rows(x, plan)))
+    monkeypatch.setattr(spectral, "_welch_rows", lambda work, n: change(rows(work, n)))
 
 
 def _rect_expectation(monkeypatch):

@@ -31,8 +31,10 @@ def welch_rows(x, fs, segment_len=1024, overlap=0.5, window="hann"):
     psd_of_phase_shift runs on every block."""
     x = np.asarray(x)
     plan = spectral._plan(x.shape[-1], fs, segment_len, overlap, window)
+    work = spectral._Work(*x.shape, plan)
+    work.z[...] = x
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
-    return freqs, np.fft.fftshift(spectral._welch_rows(x, plan), axes=-1), plan.segments
+    return freqs, np.fft.fftshift(spectral._welch_rows(work, len(x)), axes=-1), plan.segments
 
 
 def lag_products(u, lags):
@@ -183,8 +185,49 @@ class TestEnsembleWelch:
         blocked = psd_of_phase_shift([ens[None, :3], ens[None, 3:4], ens[None, 4:]], dt,
                                      segment_len=512)[0]
         assert np.array_equal(blocked.psd, a.psd)
-        assert np.max(np.abs(blocked.se - a.se) / np.abs(a.se)) < 1e-9
+        assert np.array_equal(blocked.se, a.se)
         assert blocked.n_segments == a.n_segments == 16 * segments
+
+    def test_rows_added_in_row_order(self):
+        # the one reduction that adds a block's densities, and their
+        # squares, to a curve's sums is the loop over its rows, bit for bit
+        rng = np.random.default_rng(214)
+        for rows, bins in [(1, 1), (2, 3), (7, 256), (51, 256), (130, 17)]:
+            total = rng.random(bins) * 10.0 ** rng.integers(-3, 4)
+            block = rng.random((rows, bins)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+            want = total.copy()
+            for row in block:
+                want += row
+            spectral._add_rows(total, block)
+            assert np.array_equal(total, want)
+
+    @pytest.mark.parametrize("rows,built_for", [([1, 5, 2, 7], [1, 5, 7]),
+                                                ([7, 2, 5, 1], [7])])
+    def test_work_arrays_reused_across_blocks(self, monkeypatch, rows, built_for):
+        # blocks whose row counts rise and fall give, bit for bit, the
+        # estimate of one block of every path; a block runs in the arrays
+        # of the largest block before it, and new ones are made only for a
+        # block of more rows
+        dt, seg = 1e-6, 256
+        ens = wiener_ensemble(1e4, 0.0, dt, 1024, master_seed=215, n_paths=sum(rows))
+        curves = np.stack([ens, 0.5 * ens + 3.0])
+        built = []
+        work = spectral._Work
+
+        def counted(n_rows, n, plan):
+            built.append(n_rows)
+            return work(n_rows, n, plan)
+
+        want = psd_of_phase_shift([curves], dt, segment_len=seg)
+        monkeypatch.setattr(spectral, "_Work", counted)
+        edges = np.cumsum([0] + rows)
+        got = psd_of_phase_shift([curves[:, a:b] for a, b in zip(edges, edges[1:])], dt,
+                                 segment_len=seg)
+        assert built == built_for
+        for est, alone in zip(got, want):
+            assert np.array_equal(est.psd, alone.psd)
+            assert np.array_equal(est.se, alone.se)
+            assert est.n_segments == alone.n_segments
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
@@ -241,8 +284,16 @@ class TestEnsembleWelch:
         assert np.array_equal(got.psd, total / len(densities))
         assert np.array_equal(got.freqs, freqs)
         assert got.n_segments == n_segments
-        # the standard error of the mean of the path densities, bin by bin
-        se = np.std(densities, axis=0, ddof=1) / np.sqrt(len(densities))
+        # the standard error from the squares summed row by row in path
+        # order, bit for bit, and it is the spread of the path densities
+        square = densities[0] ** 2
+        for row in densities[1:]:
+            square += row * row
+        paths = len(densities)
+        mean = total / paths
+        assert np.array_equal(got.se, np.sqrt(np.maximum(square - mean * total, 0.0)
+                                              / (paths * (paths - 1))))
+        se = np.std(densities, axis=0, ddof=1) / np.sqrt(paths)
         assert np.max(np.abs(got.se - se) / se) < 1e-9
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
