@@ -108,15 +108,19 @@ def tap_autocorr(beta: float, taps: Taps, tau):
     nothing at any tau: R(+-inf) is exp(c_last) where no diffusion is left
     beyond the last kink, and 0 where some is. A nan tau gives nan.
     """
-    taps = _key(taps)
     if type(tau) is float:
-        kinks, rates, logc = _segment_lists(beta, taps)
+        # the cache hashes tuple taps once; only list taps, which it cannot
+        # hash, are checked and copied by _key
+        try:
+            kinks, rates, logc = _segment_lists(beta, taps)
+        except TypeError:
+            kinks, rates, logc = _segment_lists(beta, _key(taps))
         at = abs(tau)
         if at > _FLOAT_MAX:
             at = _FLOAT_MAX
         i = bisect_right(kinks, at) - 1
         return float(np.exp(logc[i] - rates[i] * at))
-    kinks, rates, logc = _segments(beta, taps)
+    kinks, rates, logc = _segments(beta, _key(taps))
     at = np.minimum(np.abs(np.asarray(tau, dtype=float)), _FLOAT_MAX)
     i = kinks.searchsorted(at, "right") - 1
     with np.errstate(over="ignore"):  # rate * |tau| past the largest float: R is 0

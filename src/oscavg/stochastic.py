@@ -44,10 +44,12 @@ STREAM_OFFSET = 1
 MAX_SAMPLES = 2**24
 
 # offset draws: the key (master, index, STREAM_OFFSET) as three unsigned
-# 64-bit words, hashed with BLAKE2b under a fixed tag into one such word
-_OFFSET_KEY, _OFFSET_BITS = struct.Struct("<3Q"), struct.Struct("<Q")
+# 64-bit little-endian words, hashed with BLAKE2b under a fixed tag into one
+# such word; each draw copies this hasher. Bound once: each lookup of
+# int.from_bytes builds a new bound method
+_pack_offset_key = struct.Struct("<3Q").pack
 _OFFSET_HASH = hashlib.blake2b(digest_size=8, person=b"oscavg-offset")
-_TWO53 = 2**53
+_int_from_bytes = int.from_bytes
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx). For a master
 # in [0, 2**64) and a spawn key (index, tag) of words below 2**32 it reads
@@ -84,6 +86,18 @@ class ParameterError(ValueError):
     """Input the model cannot run: an invalid model, sampling, circuit or
     configuration parameter, or incompatible shapes. Every input error of
     the package is one; the CLI reports it with exit 2."""
+
+
+def _real(x) -> float:
+    """x as a float if it is a real number (a bool, an int, a float or a
+    NumPy real scalar; inf if too large for a float), else nan, which every
+    model parameter's finiteness check refuses."""
+    if not isinstance(x, Real):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:  # an int beyond the largest float
+        return math.inf
 
 
 def _check_key(master, index, rows: int, stream):
@@ -175,10 +189,13 @@ class OffsetDist:
     def __post_init__(self):
         if self.kind not in ("delta", "uniform", "normal"):
             raise ParameterError(f"unknown offset distribution {self.kind!r}")
-        if not np.isfinite(self.param):
-            raise ParameterError("offset parameter must be finite")
-        if self.kind in ("uniform", "normal") and self.param < 0:
+        param = _real(self.param)
+        if not math.isfinite(param):
+            raise ParameterError(f"offset parameter {self.param!r} must be a finite real number")
+        if self.kind in ("uniform", "normal") and param < 0:
             raise ParameterError(f"{self.kind} offset parameter must be >= 0")
+        # a Python float: every draw returns one
+        object.__setattr__(self, "param", param)
 
     @classmethod
     def delta(cls, value: float = 0.0) -> "OffsetDist":
@@ -203,9 +220,11 @@ class OscillatorSpec:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.f_c) and self.f_c > 0):
+        if not (math.isfinite(_real(self.f_c)) and self.f_c > 0):
             raise ParameterError("f_c must be finite and > 0")
-        if not (np.isfinite(self.beta) and self.beta >= 0):
+        if not isinstance(self.offset_dist, OffsetDist):
+            raise ParameterError(f"offset_dist {self.offset_dist!r} must be an OffsetDist")
+        if not (math.isfinite(_real(self.beta)) and self.beta >= 0):
             raise ParameterError("beta must be finite and >= 0")
 
 
@@ -218,7 +237,7 @@ class Waveform:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not (np.isfinite(self.fs) and self.fs > 0):
+        if not (math.isfinite(_real(self.fs)) and self.fs > 0):
             raise ParameterError("fs must be finite and > 0")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
@@ -294,41 +313,44 @@ def _ndtri(p):
     return _ndtri(p)
 
 
-def _offset_bits(master: int, index: int) -> int:
-    """64 hash bits of the offset key of (master, index). Packing the key
-    refuses anything but integers in [0, 2**64); with an index of 2**32 or
-    more, those are the keys _check_key refuses, so they go to it to raise
-    its ParameterError."""
+def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
+    """Draw one frequency offset (Hz) from the given distribution.
+
+    The draw is a pure function of (distribution, seed_id). Every kind,
+    delta too, hashes the key (master, index) = seed_id, so refuses the keys
+    _check_key refuses. The hash is BLAKE2b of the key words (master, index,
+    STREAM_OFFSET) packed as "<3Q", with an 8-byte digest and person
+    b"oscavg-offset", read as a little-endian word. Its top 53 bits k give
+    u = (k + 0.5) * 2**-53 in (0, 1); a uniform offset is param * (2u - 1), a
+    normal one param * ndtri(u). Both are computed without rounding u: the
+    uniform as param * ((k - 2**52) * 2**-52 + 2**-53), whose steps are all
+    exact, and the normal takes the tail nearer to u, so the largest k maps
+    to the mirror of the smallest, not to ndtri(1) = inf.
+    """
     try:
-        key = _OFFSET_KEY.pack(master, index, STREAM_OFFSET)
+        master, index = seed_id
+    except (TypeError, ValueError):
+        raise ParameterError(f"seed_id {seed_id!r} must be a (master, index) pair") from None
+    # packing refuses anything but integers in [0, 2**64); with an index of
+    # 2**32 or more, those are the keys _check_key refuses, so they go to it
+    # to raise its ParameterError
+    try:
+        key = _pack_offset_key(master, index, STREAM_OFFSET)
     except struct.error:
         key = None
     if key is None or not index < 2**32:
         _check_key(master, index, 1, STREAM_OFFSET)
     h = _OFFSET_HASH.copy()
     h.update(key)
-    return _OFFSET_BITS.unpack(h.digest())[0]
-
-
-def sample_offset(offset_dist: OffsetDist, seed_id: Tuple[int, int]) -> float:
-    """Draw one frequency offset (Hz) from the given distribution.
-
-    The draw is a pure function of (distribution, seed_id). Every kind,
-    delta too, hashes the key, so refuses the keys _check_key refuses. The
-    top 53 bits k of the hash give u = (k + 0.5) * 2**-53 in (0, 1); a uniform
-    offset is param * (2u - 1), a normal one param * ndtri(u). Both are
-    computed without rounding u: the normal takes the tail nearer to u, so
-    the largest k maps to the mirror of the smallest, not to ndtri(1) = inf.
-    """
-    k = _offset_bits(*seed_id) >> 11
-    if offset_dist.kind == "delta":
-        return float(offset_dist.param)
-    if offset_dist.kind == "uniform":
-        # |2k + 1 - 2**53| < 2**53: the int converts and scales exactly
-        return offset_dist.param * ((2 * k + 1 - _TWO53) * 2.0**-53)
-    if 2 * k < _TWO53:
-        return offset_dist.param * _ndtri((k + 0.5) / _TWO53)
-    return -offset_dist.param * _ndtri((_TWO53 - k - 0.5) / _TWO53)
+    k = _int_from_bytes(h.digest(), "little") >> 11
+    kind = offset_dist.kind
+    if kind == "uniform":
+        return offset_dist.param * ((k - 2**52) * 2.0**-52 + 2.0**-53)
+    if kind == "normal":
+        if k < 2**52:
+            return offset_dist.param * _ndtri((k + 0.5) * 2.0**-53)
+        return -offset_dist.param * _ndtri((2**53 - k - 0.5) * 2.0**-53)
+    return offset_dist.param
 
 
 def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: Waveform,

@@ -1,3 +1,5 @@
+import hashlib
+import struct
 import warnings
 
 import numpy as np
@@ -25,6 +27,46 @@ from oscavg import (
 from oscavg.experiments import TAG_PARTNER
 
 TWO_PI = 2.0 * np.pi
+
+
+def reference_bits(master, index):
+    """The offset hash of (master, index) as sample_offset's docstring states
+    it, written out: BLAKE2b of the key words on the offset tag (1)."""
+    key = struct.pack("<3Q", master, index, 1)
+    digest = hashlib.blake2b(key, digest_size=8, person=b"oscavg-offset").digest()
+    return struct.unpack("<Q", digest)[0]
+
+
+def reference_draw(dist, k):
+    """The draw of dist from the top 53 hash bits k by the docstring's
+    formulas: param * (2u - 1) for a uniform, param * ndtri(u) through scipy's
+    ndtri ufunc for a normal, the tail nearer to u = (k + 0.5) / 2**53."""
+    from scipy.special import ndtri
+    if dist.kind == "delta":
+        return dist.param
+    if dist.kind == "uniform":
+        # the odd integer 2k + 1 - 2**53 over 2**53: exact, so one rounding
+        return dist.param * ((2 * k + 1 - 2**53) / 2**53)
+    if 2 * k < 2**53:
+        return dist.param * float(ndtri((k + 0.5) / 2**53))
+    return -dist.param * float(ndtri((2**53 - k - 0.5) / 2**53))
+
+
+class FixedHash:
+    """Stands in for sample_offset's module-level hasher: every copy digests
+    to the 64-bit word `bits`."""
+
+    def __init__(self, bits):
+        self.digest_bytes = struct.pack("<Q", bits)
+
+    def copy(self):
+        return self
+
+    def update(self, key):
+        pass
+
+    def digest(self):
+        return self.digest_bytes
 
 
 # (beta, theta0, n) of walks checked bit for bit
@@ -235,7 +277,7 @@ class TestSampleOffset:
 
     @pytest.mark.parametrize("bits", [0, 2**64 - 1])
     def test_extreme_hash_outputs(self, monkeypatch, bits):
-        monkeypatch.setattr(stochastic, "_offset_bits", lambda master, index: bits)
+        monkeypatch.setattr(stochastic, "_OFFSET_HASH", FixedHash(bits))
         sign = 1.0 if bits else -1.0
         u = sample_offset(OffsetDist.uniform(100.0), (0, 0))
         assert -100.0 <= u < 100.0 and sign * u > 99.99
@@ -243,26 +285,35 @@ class TestSampleOffset:
         # u = 2**-54 or its mirror: |z| is ndtri(2**-54) = 8.29
         assert np.isfinite(z) and sign * z == pytest.approx(8.29, abs=0.01)
 
-    @staticmethod
-    def ufunc_normal(sigma, k):
-        """The normal draw of the top 53 hash bits k through scipy's ndtri
-        ufunc, as sample_offset's docstring states it."""
-        from scipy.special import ndtri
-        if 2 * k < 2**53:
-            return sigma * float(ndtri((k + 0.5) / 2**53))
-        return -sigma * float(ndtri((2**53 - k - 0.5) / 2**53))
-
     def test_normal_is_the_ndtri_ufunc(self):
         for i in range(10_000):
-            want = self.ufunc_normal(50.0, stochastic._offset_bits(13, i) >> 11)
+            want = reference_draw(OffsetDist.normal(50.0), reference_bits(13, i) >> 11)
             assert sample_offset(OffsetDist.normal(50.0), (13, i)).hex() == want.hex()
 
     @pytest.mark.parametrize("k", [0, 2**52 - 1, 2**52, 2**53 - 1])
     def test_normal_at_branch_edges_is_the_ndtri_ufunc(self, monkeypatch, k):
         # 2**52 is the first k of the mirror branch
-        monkeypatch.setattr(stochastic, "_offset_bits", lambda master, index: k << 11)
+        monkeypatch.setattr(stochastic, "_OFFSET_HASH", FixedHash(k << 11))
         got = sample_offset(OffsetDist.normal(50.0), (0, 0))
-        assert type(got) is float and got.hex() == self.ufunc_normal(50.0, k).hex()
+        assert type(got) is float and got.hex() == reference_draw(OffsetDist.normal(50.0), k).hex()
+
+    @pytest.mark.parametrize("k", [0, 2**52 - 1, 2**52, 2**53 - 1])
+    def test_uniform_at_the_edges_is_the_reference(self, monkeypatch, k):
+        monkeypatch.setattr(stochastic, "_OFFSET_HASH", FixedHash(k << 11))
+        got = sample_offset(OffsetDist.uniform(100.0), (0, 0))
+        assert type(got) is float and got.hex() == reference_draw(OffsetDist.uniform(100.0), k).hex()
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(master=st.integers(0, 2**64 - 1), index=st.integers(0, 2**32 - 1),
+           param=st.floats(0.0, 1e300))
+    @example(master=0, index=0, param=1.0)
+    @example(master=2**64 - 1, index=2**32 - 1, param=1.0)
+    def test_draws_are_the_reference_hash_bit_for_bit(self, master, index, param):
+        k = reference_bits(master, index) >> 11
+        for dist in (OffsetDist.delta(param), OffsetDist.uniform(param),
+                     OffsetDist.normal(param)):
+            got = sample_offset(dist, (master, index))
+            assert type(got) is float and got.hex() == reference_draw(dist, k).hex()
 
     # (key, hash bits, uniform(100) draw, normal(50) draw), recorded once;
     # (1, 0) and (2**63, 999) take the normal's mirror branch (k >= 2**52)
@@ -281,7 +332,7 @@ class TestSampleOffset:
 
     @pytest.mark.parametrize("seed_id,bits,uniform,normal", PINNED)
     def test_draws_pinned(self, seed_id, bits, uniform, normal):
-        assert stochastic._offset_bits(*seed_id) == bits
+        assert reference_bits(*seed_id) == bits
         assert sample_offset(OffsetDist.uniform(100.0), seed_id).hex() == uniform
         assert sample_offset(OffsetDist.normal(50.0), seed_id).hex() == normal
 
@@ -309,11 +360,32 @@ class TestSampleOffset:
                 assert sample_offset(dist, (master, index)) == \
                     sample_offset(dist, (int(master), int(index)))
 
+    @pytest.mark.parametrize("seed_id", [(1,), (1, 2, 3), 5, None, ()])
+    def test_seed_id_not_a_pair(self, seed_id):
+        # used to end in a TypeError or ValueError naming the unpack
+        with pytest.raises(ParameterError, match=r"^seed_id .* must be a \(master, index\) pair$"):
+            sample_offset(OffsetDist.uniform(1.0), seed_id)
+
     def test_bad_descriptor(self):
         with pytest.raises(ParameterError):
             OffsetDist("poisson", 1.0)
         with pytest.raises(ParameterError):
             OffsetDist.uniform(-1.0)
+
+    @pytest.mark.parametrize("param", ["1", 1j, None, [1.0], np.array(1.0), 10**400,
+                                       float("nan"), -float("inf")])
+    def test_non_real_or_non_finite_parameter(self, param):
+        # a string or complex used to end in NumPy's TypeError
+        for kind in ("delta", "uniform", "normal"):
+            with pytest.raises(ParameterError, match="finite real number"):
+                OffsetDist(kind, param)
+
+    @pytest.mark.parametrize("param", [3, True, np.float32(2.5), np.int64(7), np.float64(0.1)])
+    def test_parameter_stored_as_a_float(self, param):
+        for dist in (OffsetDist.delta(param), OffsetDist.uniform(param), OffsetDist.normal(param)):
+            assert type(dist.param) is float and dist.param == float(param)
+            assert type(sample_offset(dist, (1, 2))) is float
+        assert OffsetDist.uniform(param) == OffsetDist.uniform(float(param))
 
 
 class TestOscillatorWaveform:
@@ -543,8 +615,21 @@ def test_zero_beta_paths_constant(n, theta0):
 
 @pytest.mark.parametrize("fs,samples", [
     (0.0, np.zeros(4)), (-1e6, np.zeros(4)), (np.inf, np.zeros(4)), (np.nan, np.zeros(4)),
-    (1e6, np.zeros(0)), (1e6, np.zeros((2, 4))), (1e6, 0.0)])
+    (1e6, np.zeros(0)), (1e6, np.zeros((2, 4))), (1e6, 0.0),
+    # not real numbers: used to end in NumPy's TypeError
+    ("1", np.zeros(4)), (1j, np.zeros(4)), (None, np.zeros(4))])
 def test_waveform_validation(fs, samples):
     # a phase path and a signal alike: finite fs > 0, a non-empty 1-d array
     with pytest.raises(ParameterError):
         Waveform(fs=fs, samples=samples)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"f_c": "1e6"}, "f_c must be"), ({"f_c": 1j}, "f_c must be"), ({"f_c": None}, "f_c must be"),
+    ({"f_c": 10**400}, "f_c must be"), ({"f_c": 1e6, "beta": None}, "beta must be"),
+    ({"f_c": 1e6, "beta": "0"}, "beta must be"),
+    # a descriptor string used to be accepted, and to fail inside the draw
+    ({"f_c": 1e6, "offset_dist": "uniform:1"}, "offset_dist .* must be an OffsetDist")])
+def test_oscillator_spec_refuses_non_real_parameters(kwargs, match):
+    with pytest.raises(ParameterError, match=match):
+        OscillatorSpec(**kwargs)
