@@ -22,7 +22,6 @@ from .analytic import (
 from .circuit import (
     SimulationResult,
     SteadyStateResult,
-    delay_block,
     demodulate_phase,
     divider_residual,
     ideal_filter,

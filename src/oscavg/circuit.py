@@ -30,10 +30,10 @@ from .stochastic import (
     Taps,
     Waveform,
     _check_taps,
-    lag_samples,
+    _tap_sum,
     oscillator_waveform,
     sample_offset,
-    source_lags,
+    tap_layout,
     wiener_path,
 )
 
@@ -70,15 +70,6 @@ def ideal_filter(w: Waveform, kind: str, f_cut: float) -> Waveform:
 def _spectrum(w: Waveform) -> Tuple[np.ndarray, np.ndarray]:
     """rfft of w and the frequencies (Hz) of its bins."""
     return np.fft.rfft(w.samples), np.fft.rfftfreq(len(w), d=1.0 / w.fs)
-
-
-def delay_block(w: Waveform, delta: float) -> Waveform:
-    """Delay by an integer number of samples, zero-padded at the start."""
-    lag_i = lag_samples(delta, 1.0 / w.fs)
-    out = np.zeros(len(w))
-    if lag_i < len(w):
-        out[lag_i:] = w.samples[: len(w) - lag_i]
-    return Waveform(fs=w.fs, samples=out)
 
 
 def demodulate_phase(w: Waveform, f_lo: float, f_hi: float) -> np.ndarray:
@@ -188,15 +179,22 @@ def _draw(specs: Sequence[OscillatorSpec], fs: float, duration: float, seed: int
     return waves, tuple(paths), tuple(omegas)
 
 
-def _expected(taps: Taps, phases: Sequence[Waveform], omegas: Sequence[float]
+def _zero_start(inputs: Sequence[Waveform], lags: dict) -> dict:
+    """{source s: input s after lags[s] zeros}, as a `tap_layout` reads it: a
+    tap of lag l reads zeros before t = l. An input without a lag is its
+    samples as they are, not a copy."""
+    return {s: np.concatenate((np.zeros(lag), inputs[s].samples)) if lag else inputs[s].samples
+            for s, lag in lags.items()}
+
+
+def _expected(lags: dict, layout, phases: Sequence[Waveform], omegas: Sequence[float]
               ) -> SteadyStateResult:
-    """A circuit's output as its taps state it, source s being input s: the
-    frequency sum_j a_j omega_(s_j) and the phase sum_j a_j theta^(s_j)_{t - d_j},
-    a delayed phase zero (theta_0) before t = d_j, as its leaf is (`delay_block`)."""
-    phase = np.zeros(len(phases[0]))
-    for s, a, d in taps:
-        phase += a * (delay_block(phases[s], d) if d else phases[s]).samples
-    return SteadyStateResult(omega_prime=sum(a * omegas[s] for s, a, _ in taps),
+    """A circuit's output as the `tap_layout` of its taps states it, source s
+    being input s: the frequency sum_j a_j omega_(s_j) and the phase sum_j
+    a_j theta^(s_j)_{t - d_j}, zero (theta_0) before t = d_j, as its leaf is."""
+    n = len(phases[0])
+    phase = _tap_sum(_zero_start(phases, lags), layout, np.empty(n), np.empty(n))
+    return SteadyStateResult(omega_prime=sum(a * omegas[s] for s, a, _ in layout),
                              phase_path_prime=Waveform(fs=phases[0].fs, samples=phase))
 
 
@@ -272,16 +270,18 @@ def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, durati
         raise ParameterError(f"taps {taps!r} need k >= 2 of weight 1/k, sources < {len(specs)}")
     f_c = specs[0].f_c
     n = _samples(specs, fs, duration, k * f_c)
-    settle = max(source_lags([taps], 1.0 / fs).values())
+    lags, (layout,) = tap_layout([taps], 1.0 / fs)
+    settle = max(lags.values())
     if settle >= n // 4:
         raise ParameterError("duration must be much longer than the delay")
     _loop_interior(n, fs, f_c, settle)
     waves, paths, omegas = _draw(
         specs, fs, duration, seed, k * f_c,
         lambda offsets: _check_band([offsets[s] for s, _, _ in taps], f_c, k))
-    out, total = _average_stage([delay_block(waves[s], d) if d else waves[s]
-                                 for s, _, d in taps], f_c)
-    return SimulationResult(output=out, expected=_expected(taps, paths, omegas),
+    inputs = _zero_start(waves, lags)
+    out, total = _average_stage([Waveform(fs=fs, samples=inputs[s][start:start + n])
+                                 for s, _, start in layout], f_c)
+    return SimulationResult(output=out, expected=_expected(lags, layout, paths, omegas),
                             phases=paths, omegas=omegas, measured_total_phase=total)
 
 
@@ -313,9 +313,8 @@ def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
     out = ideal_filter(mix(mix(waves[0], waves[1]), mix(waves[2], waves[3])),
                        "highpass", 3.0 * f_c)
     measured = demodulate_phase(out, 3.0 * f_c, 5.0 * f_c)
-    return SimulationResult(output=out,
-                            expected=_expected(tuple((i, 1.0, 0.0) for i in range(4)),
-                                               paths, omegas),
+    lags, (layout,) = tap_layout([tuple((i, 1.0, 0.0) for i in range(4))], 1.0 / fs)
+    return SimulationResult(output=out, expected=_expected(lags, layout, paths, omegas),
                             phases=paths, omegas=omegas, measured_total_phase=measured)
 
 

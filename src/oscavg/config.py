@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional
 
-from .stochastic import OffsetDist, ParameterError
+from .stochastic import OffsetDist, ParameterError, _real
 
 SCENARIOS = ("base", "averaged_independent", "averaged_n", "delayed_self")
 
@@ -55,7 +57,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f.name, getattr(self, f.name)))
         if self.scenario not in SCENARIOS:
             raise ParameterError(f"scenario must be one of {SCENARIOS}")
         for name in ("beta", "delta", "f_c_scaled", "fs", "duration", "overlap"):
@@ -134,12 +137,19 @@ class ExperimentConfig:
         return cls.from_text(Path(path).read_text())
 
 
+# The fields' kinds, what `_coerce` reads a field's text as and what
+# `_typed` requires of a value built in Python: integers, texts, `offsets`
+# (an OffsetDist), `deltas` (real numbers), and real numbers, the rest.
+_INTEGERS = ("n_oscillators", "n_paths", "segment_len", "seed")
+_TEXTS = ("scenario", "window", "output_dir")
+
+
 def _coerce(key: str, value: str):
     if key == "offsets":
         return parse_offset_descriptor(value)
-    if key in ("scenario", "window", "output_dir"):
+    if key in _TEXTS:
         return value
-    integer = key in ("n_oscillators", "n_paths", "segment_len", "seed")
+    integer = key in _INTEGERS
     try:
         if key == "deltas":
             return tuple(float(v) for v in value.split(",") if v.strip())
@@ -147,3 +157,36 @@ def _coerce(key: str, value: str):
     except ValueError:
         kind = "an integer" if integer else "a number"
         raise ParameterError(f"{key} must be {kind}, got {value!r}") from None
+
+
+def _typed(key: str, value):
+    """value as field `key` holds it: an integer field's int, a real field's
+    float (or None for delta), deltas' tuple of floats, offsets' OffsetDist,
+    a text field's str (a real beyond the largest float is inf, which the
+    finiteness checks refuse). ParameterError if value is not of the field's
+    kind; a bool is no number."""
+    if key == "offsets":
+        if isinstance(value, OffsetDist):
+            return value
+        kind = "an OffsetDist"
+    elif key in _TEXTS:
+        if isinstance(value, str):
+            return value
+        kind = "a str"
+    elif key == "deltas":
+        if isinstance(value, Iterable) and not isinstance(value, (str, bytes)):
+            value = tuple(value)
+            if all(isinstance(d, Real) and not isinstance(d, bool) for d in value):
+                return tuple(map(_real, value))
+        kind = "a sequence of real numbers"
+    elif key in _INTEGERS:
+        if isinstance(value, Integral) and not isinstance(value, bool):
+            return int(value)
+        kind = "an integer"
+    else:
+        if value is None and key == "delta":
+            return value
+        if isinstance(value, Real) and not isinstance(value, bool):
+            return _real(value)
+        kind = "a real number"
+    raise ParameterError(f"{key} must be {kind}, got {value!r}")

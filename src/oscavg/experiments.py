@@ -74,24 +74,27 @@ PAIR_TAPS = ((STREAM_PHASE, 0.5, 0.0), (TAG_PARTNER, 0.5, 0.0))
 # blocks of BLOCK_SAMPLES samples, so no curve holds its whole ensemble)
 
 
-def _path_plan(cfg: ExperimentConfig, curves, dt: float) -> Tuple[int, dict]:
+def _path_plan(cfg: ExperimentConfig, curves, dt: float) -> Tuple[int, dict, list]:
     """(Welch segment samples of one estimated path of n = 4 * segment_len
-    samples, `stochastic.source_lags` of `curves`). Those segments and the
-    longest walk, n and the largest lag, are a path's largest arrays: either
-    over MAX_SAMPLES is a ParameterError, as is a delay not a whole step."""
+    samples, and the `stochastic.tap_layout` (lags, layout) of `curves`).
+    Those segments and the longest walk, n and the largest lag, are a path's
+    largest arrays: either over MAX_SAMPLES is a ParameterError, as is a
+    delay not a whole step. Past those, the Welch plan is checked, so an
+    estimate it refuses is refused before any walk is drawn."""
     n = 4 * cfg.segment_len
     welch = spectral._segments(n, cfg.segment_len, cfg.overlap)[1] * cfg.segment_len
     limit = f"over the limit of {MAX_SAMPLES}"
     if welch > MAX_SAMPLES:
         raise ParameterError(f"segment_len = {cfg.segment_len} with overlap = {cfg.overlap} "
                              f"makes estimated paths of {welch} samples, {limit}")
-    lags = stochastic.source_lags(curves, dt)
+    lags, layout = stochastic.tap_layout(curves, dt)
     longest = n + max(lags.values())
     if longest > MAX_SAMPLES:
         delay = max(d for taps in curves for _, _, d in taps)
         raise ParameterError(f"delay {delay:g} s at dt={dt:g} s makes estimated paths of "
                              f"{longest} samples, {limit}")
-    return welch, lags
+    spectral._plan(n, 1.0 / dt, cfg.segment_len, cfg.overlap, cfg.window)
+    return welch, lags, layout
 
 
 def estimate_curves(cfg: ExperimentConfig, curves, dt: float
@@ -103,10 +106,9 @@ def estimate_curves(cfg: ExperimentConfig, curves, dt: float
     every block reuses just before the curve's Welch pass, and each
     estimate is, bit for bit, its curve's alone."""
     n = 4 * cfg.segment_len
-    welch, lags = _path_plan(cfg, curves, dt)
+    welch, lags, layout = _path_plan(cfg, curves, dt)
     walks = sum(n + lag for lag in lags.values())
     rows = min(cfg.n_paths, max(1, BLOCK_SAMPLES // max(welch, walks + n)))
-    layout = stochastic.tap_layout(curves, dt)
     phases = np.empty((2, rows, n))
     blocks = (stochastic.tap_phases(cfg.beta, lags, layout, dt, cfg.seed, first,
                                     phases[:, :cfg.n_paths - first])
@@ -242,7 +244,8 @@ def _write_figure(cfg: ExperimentConfig, out: Path, prefix: str, grid: np.ndarra
     delay. Each curve's taps give its analytic PSD, and its estimate from
     phase paths sampled at step dt (all curves in one pass). Returns the
     files written per curve and each delay's analytic PSD. With estimates
-    on, every curve's paths are checked against MAX_SAMPLES first."""
+    on, every curve's paths and the Welch plan are checked first
+    (`_path_plan`)."""
     tags = [delta_tag(delta) for delta in cfg.deltas]
     if len(set(tags)) < len(tags):
         raise ParameterError(f"deltas {', '.join(map(repr, cfg.deltas))} share a "
@@ -378,8 +381,11 @@ def _welch_checks(beta: float, seed: int) -> List[Tuple[str, float, float]]:
 
     welch-scale: |mean(S) fs - 1|, the largest over the curves. By Parseval
     mean(S) fs is the mean power of the unit phasors, 1 to rounding.
-    welch-expected-density: the largest |S - E[S]| / SE over the curves and
-    bins, E[S] from `spectral.expected_psd` and SE the estimate's own."""
+    welch-expected-density: the largest |log(S / E[S])| S / SE over the
+    curves and bins, E[S] from `spectral.expected_psd` and SE the
+    estimate's own. A low S comes with a low SE, so (S - E[S]) / SE has a
+    heavy left tail; S studentized on the log scale, whose standard error
+    is SE / S, does not."""
     dt = 8.0 / (256.0 * beta)
     cfg = ExperimentConfig(beta=beta, n_paths=256, segment_len=256, overlap=0.5,
                            window="hann", seed=seed)
@@ -388,8 +394,8 @@ def _welch_checks(beta: float, seed: int) -> List[Tuple[str, float, float]]:
               ((TAG_WELCH, 0.5, 0.0), (TAG_WELCH, 0.5, 8 * dt))]
     ests = estimate_curves(cfg, curves, dt)
     scale = max(abs(np.mean(est.psd) / dt - 1.0) for est in ests)
-    z = max(np.max(np.abs(est.psd - spectral.expected_psd(beta, taps, dt, cfg.segment_len,
-                                                          cfg.window)) / est.se)
+    z = max(np.max(np.abs(np.log(est.psd / spectral.expected_psd(
+                beta, taps, dt, cfg.segment_len, cfg.window))) * est.psd / est.se)
             for taps, est in zip(curves, ests))
     return [("welch-scale", scale, 1e-6), ("welch-expected-density", z, Z_FAMILY)]
 

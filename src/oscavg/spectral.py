@@ -18,7 +18,6 @@ taps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
@@ -47,15 +46,11 @@ class SpectrumEstimate:
         return np.interp(freqs, self.freqs, self.psd)
 
 
-@lru_cache(maxsize=8)
 def _window(kind: str, length: int) -> np.ndarray:
-    """Read-only periodic hann or rect window, built once per (kind, length)."""
+    """Periodic hann or rect window of `length` samples."""
     if kind == "hann":
-        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
-    else:
-        win = np.ones(length)
-    win.flags.writeable = False
-    return win
+        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    return np.ones(length)
 
 
 class _Plan(NamedTuple):

@@ -412,55 +412,56 @@ def _check_taps(taps: Taps):
                              f"weight, finite delay >= 0), at least one")
 
 
-def source_lags(curves, dt: float) -> dict:
-    """{source: its largest lag, in steps of dt, over the taps of `curves`};
-    ParameterError for taps that are not valid, or for no curve."""
-    lags: dict = {}
+def tap_layout(curves, dt: float) -> Tuple[dict, list]:
+    """({source: its largest lag, in steps of dt, over every curve}, per
+    curve the (source, weight, start) of each of its taps) of `curves`, each
+    tap checked and its lag worked out once; ParameterError for taps that
+    are not valid, or for no curve. A curve whose largest lag on source s is
+    L reads its first n + L samples, with t = 0 at sample L: a tap of lag l
+    reads samples start = L - l to start + n."""
+    lags, layout = {}, []
     for taps in curves:
         _check_taps(taps)
-        for s, _, delay in taps:
-            lags[s] = max(lags.get(s, 0), lag_samples(delay, dt))
+        taps = [(s, weight, lag_samples(delay, dt)) for s, weight, delay in taps]
+        own = {s: max(lag for t, _, lag in taps if t == s) for s, _, _ in taps}
+        layout.append(tuple((s, weight, own[s] - lag) for s, weight, lag in taps))
+        lags.update({s: max(lags.get(s, 0), lag) for s, lag in own.items()})
     if not lags:
         raise ParameterError("pass at least one curve's taps")
-    return lags
+    return lags, layout
 
 
-def tap_layout(curves, dt: float) -> list:
-    """Per curve of `curves`, the (source, weight, start) of each of its
-    taps; ParameterError as `source_lags` gives. A curve whose largest lag
-    on source s is L reads its first n + L samples, with t = 0 at sample L:
-    a tap of lag l reads samples start = L - l to start + n."""
-    layout = []
-    for taps in curves:
-        own = source_lags([taps], dt)
-        layout.append(tuple((s, weight, own[s] - lag_samples(delay, dt))
-                            for s, weight, delay in taps))
-    return layout
+def _tap_sum(signals, taps, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Fill out with sum_j weight_j * signals[s_j][..., start_j:start_j + n],
+    n = out.shape[-1], over one curve's `tap_layout` taps, of rows of walks
+    or single phases alike; each term is built in term, added in tap order."""
+    n = out.shape[-1]
+    out.fill(0.0)
+    for s, weight, start in taps:
+        np.multiply(signals[s][..., start:start + n], weight, out=term)
+        out += term
+    return out
 
 
 def tap_phases(beta: float, lags: dict, layout: list, dt: float, master_seed: int,
                first_index: int, out: np.ndarray):
     """Yield the phases sum_j a_j theta^(s_j)_{t - d_j} of each curve of a
-    `tap_layout`, whose `source_lags` are lags, for the paths first_index +
-    i, i below rows, with out of shape (2, rows, n): each curve's phases are
-    built in turn into out[0], out[1] holding each tap's term, and are to be
-    read before the next curve overwrites them. Source s is the walk of
+    `tap_layout` (lags, layout), for the paths first_index + i, i below
+    rows, with out of shape (2, rows, n): each curve's phases are built in
+    turn into out[0], out[1] holding each tap's term, and are to be read
+    before the next curve overwrites them. Source s is the walk of
     (master_seed, first_index + i) on stream tag s, n + lags[s] samples
     long, drawn once for every curve when the first curve is asked for.
-    Each tap adds its term in tap order, so a curve's rows are bit for bit
-    those of its walks of n + L samples alone, and do not depend on the
-    other curves."""
+    Each tap adds its term in tap order (`_tap_sum`), so a curve's rows are
+    bit for bit those of its walks of n + L samples alone, and do not
+    depend on the other curves."""
     phase, term = out
     rows, n = phase.shape
     walks = {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, rows,
                                 first_index=first_index, stream=s)
              for s, L in lags.items()}
     for taps in layout:
-        phase.fill(0.0)
-        for s, weight, start in taps:
-            np.multiply(walks[s][:, start:start + n], weight, out=term)
-            phase += term
-        yield phase
+        yield _tap_sum(walks, taps, phase, term)
 
 
 def tap_ensemble(beta: float, curves, dt: float, n: int, master_seed: int,
@@ -470,7 +471,7 @@ def tap_ensemble(beta: float, curves, dt: float, n: int, master_seed: int,
     first_index + n_paths - 1; pass one curve as [taps]. Each walk is drawn
     once, long enough for every curve, and each curve's rows show no
     start-up transient."""
-    lags, layout = source_lags(curves, dt), tap_layout(curves, dt)
+    lags, layout = tap_layout(curves, dt)
     out = np.empty((len(curves), n_paths, n))
     built = tap_phases(beta, lags, layout, dt, master_seed, first_index,
                        np.empty((2, n_paths, n)))

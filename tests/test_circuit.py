@@ -9,7 +9,6 @@ from oscavg import (
     OscillatorSpec,
     ParameterError,
     Waveform,
-    delay_block,
     delayed_avg_autocorr,
     demodulate_phase,
     divider_residual,
@@ -25,6 +24,7 @@ from oscavg import (
 from oscavg import circuit
 from oscavg.analytic import delayed_taps
 from oscavg.circuit import _average_stage, _draw, _expected, edge_trim
+from oscavg.stochastic import tap_layout
 
 TWO_PI = 2.0 * np.pi
 FC = 1e6
@@ -220,8 +220,8 @@ class TestSteadyState:
     def test_average_idempotent(self):
         # two taps of weight 1/2 on one phase give that phase, bit for bit
         p = wiener_path(1e4, 0.0, 1e-6, 100, (60, 0))
-        res = _expected(((0, 0.5, 0.0), (1, 0.5, 0.0)), [p, p],
-                        [TWO_PI * 1e9, TWO_PI * 1e9])
+        lags, (layout,) = tap_layout([((0, 0.5, 0.0), (1, 0.5, 0.0))], 1e-6)
+        res = _expected(lags, layout, [p, p], [TWO_PI * 1e9, TWO_PI * 1e9])
         assert res.omega_prime == TWO_PI * 1e9
         assert np.array_equal(res.phase_path_prime.samples, p.samples)
 
@@ -364,17 +364,19 @@ class TestDelayedSelfAverage:
         delayed_taps(64 / FS),  # the delayed self-average
         tuple((0, 0.25, k * 16 / FS) for k in range(4)),  # a cascade of delays
     ], ids=["delayed-self", "delayed-cascade"])
-    def test_expected_holds_theta0_before_delay(self, taps):
-        """The expected phase delays each tap as `delay_block` delays its
-        leaf, bit for bit: theta_0 before t = d_j, summed in tap order."""
+    def test_expected_holds_theta0_before_delay(self, monkeypatch, taps):
+        """The expected phase delays each tap as its leaf is delayed, bit for
+        bit: theta_0 before t = d_j, summed in tap order."""
         spec = OscillatorSpec(f_c=FC, beta=1e-3)
-        res = simulate_taps((spec,), taps, FS, 512e-6, seed=100)
+        res, leaves = simulate_with_leaves(monkeypatch, (spec,), taps, FS, 512e-6, 100)
+        (wave,), _, _ = _draw((spec,), FS, 512e-6, 100, len(taps) * FC)
         theta = res.phases[0].samples
         want = np.zeros(len(theta))
-        for _, a, d in taps:
+        for (_, a, d), leaf in zip(taps, leaves):
             lag = round(d * FS)
             held = np.concatenate([np.full(lag, theta[0]), theta[:len(theta) - lag]])
-            assert np.array_equal(delay_block(res.phases[0], d).samples, held)
+            assert np.array_equal(shifted(theta, lag), held)
+            assert np.array_equal(leaf, shifted(wave.samples, lag))
             want += a * held
         assert res.expected.phase_path_prime.samples.tobytes() == want.tobytes()
 
@@ -395,7 +397,7 @@ class TestDelayedSelfAverage:
         err = dephase(res.measured_total_phase[trim:-trim], exp_total[trim:-trim])
         assert np.sqrt(np.mean(err**2)) < 1e-4
         (w,), _, _ = _draw((spec,), FS, 2048e-6, 101, 2 * FC)
-        delayed = delay_block(w, delta)
+        delayed = Waveform(fs=FS, samples=shifted(w.samples, lag))
         out, _ = _average_stage((w, delayed), FC)
         assert out.samples.tobytes() == res.output.samples.tobytes()
         assert divider_residual(w, delayed, out, FC) < 1e-3
@@ -425,6 +427,25 @@ class TestDelayedSelfAverage:
 
 
 PAIR = (OscillatorSpec(f_c=FC),) * 2
+
+
+def shifted(x, lag):
+    """x delayed by lag samples, written out: lag zeros, then x's first
+    len(x) - lag samples."""
+    return np.concatenate([np.zeros(lag), x[:len(x) - lag]])
+
+
+def simulate_with_leaves(monkeypatch, *args):
+    """simulate_taps(*args), and a copy of each leaf its averaging stage mixed."""
+    leaves = []
+    stage = circuit._average_stage
+
+    def record(waves, f_c):
+        leaves.extend(w.samples.copy() for w in waves)
+        return stage(waves, f_c)
+
+    monkeypatch.setattr(circuit, "_average_stage", record)
+    return simulate_taps(*args), leaves
 
 
 @pytest.fixture
@@ -611,19 +632,54 @@ class TestWaveformSize:
             circuit()
 
 
-class TestDelayBlock:
-    def test_integer_shift(self):
-        w = tone(1e6, n=256)
-        out = delay_block(w, 16 / FS)
-        assert np.array_equal(out.samples[16:], w.samples[:-16])
-        assert np.all(out.samples[:16] == 0.0)
+class TestDelayedLeaves:
+    """Each leaf of simulate_taps reads its input through the taps'
+    `tap_layout`: a leaf of lag l is the input after l zeros."""
 
-    def test_unaligned_rejected(self):
+    def test_integer_shift(self, monkeypatch):
+        spec = OscillatorSpec(f_c=FC, beta=1e-3)
+        _, (undelayed, out) = simulate_with_leaves(monkeypatch, (spec,), delayed_taps(16 / FS),
+                                                   FS, 512e-6, 7)
+        (w,), _, _ = _draw((spec,), FS, 512e-6, 7, 2 * FC)
+        assert np.array_equal(undelayed, w.samples)
+        assert np.array_equal(out[16:], w.samples[:-16])
+        assert np.all(out[:16] == 0.0)
+        # an input without a lag is read as it is, not copied
+        assert circuit._zero_start((w,), {0: 0})[0] is w.samples
+
+    @pytest.mark.parametrize("delay", [1.5 / FS, float("nan")])
+    def test_unaligned_rejected(self, delay):
         with pytest.raises(ParameterError):
-            delay_block(tone(1e6, n=64), 1.5 / FS)
+            simulate_taps(PAIR, ((0, 0.5, 0.0), (1, 0.5, delay)), FS, 512e-6, 0)
         with pytest.raises(ParameterError):
-            delay_block(tone(1e6, n=64), float("nan"))
+            tap_layout([((0, 0.5, 0.0), (0, 0.5, delay))], 1.0 / FS)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ParameterError):
-            delay_block(tone(1e6, n=64), -2 / FS)
+            simulate_taps(PAIR, ((0, 0.5, 0.0), (1, 0.5, -2 / FS)), FS, 512e-6, 0)
+        with pytest.raises(ParameterError):
+            tap_layout([((0, 0.5, 0.0), (0, 0.5, -2 / FS))], 1.0 / FS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_specs=st.integers(1, 3), k=st.integers(2, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_leaves_and_expected_phase_are_the_written_out_shift(self, data, n_specs, k,
+                                                                 seed):
+        """Over k = 2 to 8 taps on 1 to 3 inputs (sources repeat), lags 0 to
+        below n/4: leaf j is input s_j after lag_j zeros, and the expected
+        phase is sum_j a_j theta^(s_j) after lag_j zeros (theta_0 = 0), summed
+        in tap order, bit for bit."""
+        fs, n = 64e6, 1024
+        spec = OscillatorSpec(f_c=FC, beta=1e3, offset_dist=OffsetDist.uniform(1e3))
+        lags = data.draw(st.lists(st.integers(0, n // 4 - 1), min_size=k, max_size=k))
+        sources = data.draw(st.lists(st.integers(0, n_specs - 1), min_size=k, max_size=k))
+        taps = tuple((s, 1.0 / k, lag / fs) for s, lag in zip(sources, lags))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            res, leaves = simulate_with_leaves(monkeypatch, (spec,) * n_specs, taps, fs,
+                                               n / fs, seed)
+        waves, phases, _ = _draw((spec,) * n_specs, fs, n / fs, seed, k * FC)
+        want = np.zeros(n)
+        for (s, a, _), lag, leaf in zip(taps, lags, leaves):
+            assert leaf.tobytes() == shifted(waves[s].samples, lag).tobytes()
+            want += a * shifted(phases[s].samples, lag)
+        assert res.expected.phase_path_prime.samples.tobytes() == want.tobytes()

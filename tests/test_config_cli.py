@@ -27,6 +27,19 @@ from oscavg.config import SCENARIOS
 from oscavg.experiments import delta_tag, find_notches
 
 
+FIELDS = sorted(ExperimentConfig.__dataclass_fields__)
+OFFSET_DISTS = st.builds(OffsetDist, st.sampled_from(("delta", "uniform", "normal")),
+                         st.floats(min_value=0.0, max_value=1e12))
+# a value of the type of a field's default (delta's is None), and a value of any type
+OF_TYPE = {int: st.integers(0, 2**65), float: st.floats(0.0, 1e9),
+           type(None): st.floats(0.0, 1.0), tuple: st.lists(st.floats(0.0, 1.0)).map(tuple),
+           str: st.sampled_from(SCENARIOS + ("hann", "rect")) | st.text(max_size=6),
+           OffsetDist: OFFSET_DISTS}
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(max_size=6),
+    st.lists(st.floats() | st.integers() | st.booleans(), max_size=3).map(tuple), OFFSET_DISTS)
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
@@ -59,6 +72,49 @@ class TestConfig:
                                    delta=delta, output_dir=output_dir)
         except ParameterError:
             return  # an output_dir the text cannot carry
+        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("kwargs,match", [
+        # these used to end in AttributeError or TypeError
+        ({"offsets": "uniform:1"}, "offsets must be an OffsetDist"),
+        ({"beta": "1"}, "beta must be a real number"),
+        ({"seed": "3"}, "seed must be an integer"),
+        ({"deltas": 1e-6}, "deltas must be a sequence of real numbers"),
+        # and these were accepted, with a text that does not parse back
+        ({"n_paths": 2.5}, "n_paths must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"segment_len": 4096.0}, "segment_len must be an integer"),
+        ({"beta": True}, "beta must be a real number"),
+        ({"deltas": "1e-6"}, "deltas must be a sequence of real numbers"),
+        ({"deltas": (1e-6, None)}, "deltas must be a sequence of real numbers"),
+        ({"window": None}, "window must be a str"),
+        ({"delta": "1e-6"}, "delta must be a real number")])
+    def test_field_not_of_its_kind_rejected(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            ExperimentConfig(**kwargs)
+
+    def test_fields_stored_as_their_kind(self):
+        cfg = ExperimentConfig(beta=2, deltas=[1, np.float32(0.5)], seed=np.int64(5),
+                               n_paths=np.uint8(3))
+        assert (cfg.beta, cfg.deltas, cfg.seed, cfg.n_paths) == (2.0, (1.0, 0.5), 5, 3)
+        assert [type(v) for v in (cfg.beta, *cfg.deltas, cfg.seed, cfg.n_paths)] == [
+            float, float, float, int, int]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_python_built_config_round_trips_or_is_refused(self, data):
+        """Whatever a config is built from in Python, fields of their
+        defaults' types and at most one of any type, it is refused with a
+        ParameterError or its text parses back to it."""
+        default = ExperimentConfig()
+        kwargs = {name: data.draw(OF_TYPE[type(getattr(default, name))], label=name)
+                  for name in data.draw(st.lists(st.sampled_from(FIELDS), unique=True,
+                                                 max_size=6))}
+        kwargs.update(data.draw(st.dictionaries(st.sampled_from(FIELDS), ANY_VALUE, max_size=1)))
+        try:
+            cfg = ExperimentConfig(**kwargs)
+        except ParameterError:
+            return
         assert ExperimentConfig.from_text(cfg.to_text()) == cfg
 
     @pytest.mark.parametrize("out", ["a#b", " out", "out\t", "a\nb", "a\rb", "a\x1cb",
@@ -492,6 +548,26 @@ class TestFigureCommands:
         assert not out.exists()
         assert main(["figure-log", "--no-estimates", "--config", str(cfg), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("command", ["figure-log", "figure-linear"])
+    def test_refused_welch_plan_draws_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        """The one-sample hann window has no power: the Welch plan is refused
+        with one line and exit 2 before any walk is drawn or any directory
+        made, not by the estimator after its first block."""
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text("segment_len = 1\n")
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a walk was drawn before the Welch plan was checked")
+
+        monkeypatch.setattr(stochastic, "wiener_ensemble", no_walk)
+        out = tmp_path / "out"
+        assert main([command, "--paths", "2", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the hann window of segment_len=1 ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @staticmethod
     def assert_estimates_refused(cfg, tmp_path, cause):
         """A figure with estimates on is refused, naming `cause` and the
@@ -517,8 +593,9 @@ class TestFigureCommands:
                 experiments._path_plan(cfg, [experiments.BASE_TAPS], 1e-8)
             self.assert_estimates_refused(cfg, tmp_path, "segment_len = ")
         else:
-            welch, lags = experiments._path_plan(cfg, [experiments.BASE_TAPS], 1e-8)
-            assert (welch, lags) == (samples, {stochastic.STREAM_PHASE: 0})
+            plan = experiments._path_plan(cfg, [experiments.BASE_TAPS], 1e-8)
+            assert plan == (samples, {stochastic.STREAM_PHASE: 0},
+                            [((stochastic.STREAM_PHASE, 1.0, 0),)])
 
     @pytest.mark.parametrize("lag,refused", [(2**24 - 2**14, False),  # a walk of MAX_SAMPLES
                                              (2**24 - 2**14 + 1, True)])
@@ -532,7 +609,7 @@ class TestFigureCommands:
                 experiments._path_plan(cfg, curves, 1e-8)
             self.assert_estimates_refused(cfg, tmp_path, f"delay {lag * 1e-8:g} s ")
         else:
-            _, lags = experiments._path_plan(cfg, curves, 1e-8)
+            _, lags, _ = experiments._path_plan(cfg, curves, 1e-8)
             assert 4 * cfg.segment_len + lags[stochastic.STREAM_PHASE] == samples
 
     def test_two_delays_over_the_cap_name_the_longer(self, tmp_path):
@@ -752,8 +829,8 @@ def test_figure_draws_each_stream_key_once_at_600k_paths(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(stochastic, "wiener_ensemble", record)
     monkeypatch.setattr(spectral, "psd_of_phase_shift", consume)
-    cfg = ExperimentConfig(n_paths=600_000, segment_len=1, deltas=(1e-7, 2e-7, 3e-7),
-                           seed=5, output_dir=str(tmp_path))
+    cfg = ExperimentConfig(n_paths=600_000, segment_len=1, window="rect",
+                           deltas=(1e-7, 2e-7, 3e-7), seed=5, output_dir=str(tmp_path))
     run(cfg)
 
     assert {b[0] for b in blocks} == {cfg.seed}
@@ -797,6 +874,26 @@ def test_z_gates_are_scipys_quantiles():
 
     assert experiments.Z_GATE.hex() == float(-ndtri(0.5e-4)).hex()
     assert experiments.Z_FAMILY.hex() == float(-ndtri(0.5e-4 / 768)).hex()
+
+
+@pytest.mark.parametrize("seed", [1871, 4090, 4219])
+def test_welch_density_studentized_on_the_log_scale(monkeypatch, seed):
+    """At these seeds (beta = 1e4) a low bin with a low SE puts the linear
+    |S - E[S]| / SE over Z_FAMILY, where 0.5 fails are expected over seeds
+    1-5000; welch-expected-density reads |log(S / E[S])| S / SE, which
+    holds there."""
+    ests, expected = [], []
+    estimate, expectation = experiments.estimate_curves, spectral.expected_psd
+    monkeypatch.setattr(experiments, "estimate_curves",
+                        lambda *args: ests.extend(estimate(*args)) or ests)
+    monkeypatch.setattr(spectral, "expected_psd",
+                        lambda *args: expected.append(expectation(*args)) or expected[-1])
+    (_, _, _), (name, measured, tolerance) = experiments._welch_checks(1e4, seed)
+    linear = max(np.max(np.abs(est.psd - e) / est.se) for est, e in zip(ests, expected))
+    log = max(np.max(np.abs(np.log(est.psd / e)) * est.psd / est.se)
+              for est, e in zip(ests, expected))
+    assert (name, measured, tolerance) == ("welch-expected-density", log, experiments.Z_FAMILY)
+    assert linear > experiments.Z_FAMILY > log
 
 
 @pytest.mark.parametrize("name", ["delayed-psd-zero-delay-limit",

@@ -579,9 +579,9 @@ class TestTapEnsemble:
     @pytest.mark.parametrize("call", [
         lambda taps: tap_psd(1e4, taps, 1.0), lambda taps: tap_autocorr(1e4, taps, 0.0),
         lambda taps: tap_ensemble(1e4, [taps], 1e-6, 8, 1, 2),
-        lambda taps: stochastic.source_lags([taps], 1e-6),
+        lambda taps: stochastic.tap_layout([taps], 1e-6),
         lambda taps: simulate_taps((OscillatorSpec(f_c=1e6),) * 2, taps, 64e6, 1e-3, 1)],
-        ids=["tap_psd", "tap_autocorr", "tap_ensemble", "source_lags", "simulate_taps"])
+        ids=["tap_psd", "tap_autocorr", "tap_ensemble", "tap_layout", "simulate_taps"])
     def test_malformed_taps_rejected(self, taps, call):
         with pytest.raises(ParameterError, match="must be \\(integer source >= 0"):
             call(taps)
