@@ -32,7 +32,7 @@ from .circuit import (
     simulate_taps,
 )
 from .config import ExperimentConfig, parse_offset_descriptor
-from .spectral import SpectrumEstimate, expected_psd, psd_of_phase_shift
+from .spectral import EnsembleWelch, SpectrumEstimate, expected_psd
 from .stochastic import (
     OffsetDist,
     OscillatorSpec,

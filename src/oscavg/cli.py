@@ -32,7 +32,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["output_dir"] = args.out
-    if args.paths is not None:
+    if getattr(args, "paths", None) is not None:
         overrides["n_paths"] = args.paths
     return replace(cfg, **overrides)
 
@@ -53,11 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="key=value config file (defaults apply otherwise)")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--paths", type=int, default=None,
-                       help="Monte Carlo path count override")
         p.add_argument("--format", choices=("table", "json"), default="table",
                        help="stdout summary format")
         if name.startswith("figure"):
+            p.add_argument("--paths", type=int, default=None,
+                           help="Monte Carlo path count override")
             p.add_argument("--no-estimates", action="store_true",
                            help="emit analytic tables only (fast)")
     return parser

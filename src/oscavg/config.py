@@ -1,7 +1,8 @@
 """Flat key-value experiment configuration.
 
 Config files are plain text, one `key = value` per line, `#` comments.
-Unknown keys are rejected so typos fail loudly. See README for the schema.
+Unknown keys, and keys given twice, are rejected so typos fail loudly. See
+README for the schema.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         known = {f.name: f for f in fields(cls)}
-        kwargs = {}
+        kwargs, first = {}, {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -129,6 +130,10 @@ class ExperimentConfig:
             key, value = key.strip(), value.strip()
             if key not in known:
                 raise ParameterError(f"line {lineno}: unknown key {key!r}")
+            if key in first:
+                raise ParameterError(f"line {lineno}: key {key!r} given twice (first on "
+                                     f"line {first[key]})")
+            first[key] = lineno
             kwargs[key] = _coerce(key, value)
         return cls(**kwargs)
 

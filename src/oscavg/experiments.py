@@ -102,19 +102,24 @@ def estimate_curves(cfg: ExperimentConfig, curves, dt: float
     """Welch estimates of `curves`, a sequence of taps, over cfg.n_paths
     paths of four segment lengths, in one pass over blocks of at most
     BLOCK_SAMPLES samples (at least one path): each block's walks are drawn
-    once for all curves, each curve's phases are built into one array that
-    every block reuses just before the curve's Welch pass, and each
-    estimate is, bit for bit, its curve's alone."""
+    once for all curves (`stochastic.tap_walks`), each curve's phases are
+    built into one array that every block reuses just before they are added
+    to the curve's Welch sums (`spectral.EnsembleWelch`), and each estimate
+    is, bit for bit, its curve's alone."""
     n = 4 * cfg.segment_len
     welch, lags, layout = _path_plan(cfg, curves, dt)
-    walks = sum(n + lag for lag in lags.values())
-    rows = min(cfg.n_paths, max(1, BLOCK_SAMPLES // max(welch, walks + n)))
-    phases = np.empty((2, rows, n))
-    blocks = (stochastic.tap_phases(cfg.beta, lags, layout, dt, cfg.seed, first,
-                                    phases[:, :cfg.n_paths - first])
-              for first in range(0, cfg.n_paths, rows))
-    return spectral.psd_of_phase_shift(blocks, dt, segment_len=cfg.segment_len,
-                                       overlap=cfg.overlap, window=cfg.window)
+    held = sum(n + lag for lag in lags.values()) + n  # a path's walks and phases
+    rows = min(cfg.n_paths, max(1, BLOCK_SAMPLES // max(welch, held)))
+    ests = spectral.EnsembleWelch(len(layout), rows, n, dt, cfg.segment_len, cfg.overlap,
+                                  cfg.window)
+    phase, term = np.empty((2, rows, n))
+    for first in range(0, cfg.n_paths, rows):
+        r = min(rows, cfg.n_paths - first)
+        walks = stochastic.tap_walks(cfg.beta, lags, dt, n, cfg.seed, r, first)
+        for c, taps in enumerate(layout):
+            ests.add(c, stochastic._tap_sum(walks, taps, phase[:r], term[:r]))
+        del walks  # freed before the next block's are drawn, not held beside them
+    return ests.estimates()
 
 
 # ---------------------------------------------------------------------------

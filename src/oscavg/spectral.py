@@ -1,6 +1,6 @@
 """The ensemble Welch estimate of exp(j theta), and its exact expectation.
 
-`psd_of_phase_shift` is the one Welch estimator (Welch, IEEE Trans. Audio
+`EnsembleWelch` is the one Welch estimator (Welch, IEEE Trans. Audio
 Electroacoust. 15(2), 1967). Segments of L samples start every
 L - floor(L*overlap) samples, and a trailing part shorter than a segment is
 dropped. Each segment is multiplied by a periodic hann window,
@@ -10,15 +10,14 @@ row's segments and scaled by 1/(fs * U), U = sum(w^2). That gives a
 two-sided density, so unit-variance white noise gives a flat 1/fs. Hann
 with 50% overlap is the default. `_plan` checks the arguments, and the
 kernel `_welch_rows` runs on one curve of one block of paths at a time, in
-work arrays (`_Work`) that an estimate makes once and reuses for every
-block. `expected_psd` is the estimate's exact expectation for a curve of
-taps.
+work arrays that an `EnsembleWelch` makes once and reuses for every block.
+`expected_psd` is the estimate's exact expectation for a curve of taps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -90,24 +89,7 @@ def _segments(n: int, segment_len: int, overlap: float) -> Tuple[int, int]:
     return step, (n - segment_len) // step + 1
 
 
-class _Work:
-    """The plan and work arrays of a Welch pass over blocks of up to `rows`
-    rows of n phase samples: the phases' reduction (float64 turns, float32
-    angles), their phasors z, z's segments (views, laid out once), and the
-    segments' windowed transforms, whose real parts then hold their powers.
-    A block of fewer rows runs in the arrays' first rows."""
-
-    def __init__(self, rows: int, n: int, plan: _Plan):
-        self.plan = plan
-        self.turn = np.empty((rows, n))
-        self.reduced = np.empty((rows, n), np.float32)
-        self.z = np.empty((rows, n), complex)
-        self.segs = np.lib.stride_tricks.sliding_window_view(
-            self.z, len(plan.win), axis=-1)[:, ::plan.step]
-        self.spec = np.empty(self.segs.shape, complex)
-
-
-def _welch_rows(work: _Work, rows: int) -> np.ndarray:
+def _welch_rows(work: EnsembleWelch, rows: int) -> np.ndarray:
     """The Welch densities of the first `rows` rows of work.z, in FFT order."""
     spec = work.spec[:rows]
     np.multiply(work.segs[:rows], work.plan.win, out=spec)
@@ -130,7 +112,7 @@ def _add_rows(total: np.ndarray, rows: np.ndarray):
 
 def expected_psd(beta: float, taps: Taps, dt: float, segment_len: int,
                  window: str = "hann") -> np.ndarray:
-    """The exact expectation of `psd_of_phase_shift`'s estimate for the
+    """The exact expectation of `EnsembleWelch`'s estimate for the
     phase of `taps`, on its centred grid: with R = `analytic.tap_autocorr`
     and c_w(k) = sum_a w_a w_(a-k) the window's autocorrelation,
 
@@ -148,85 +130,86 @@ def expected_psd(beta: float, taps: Taps, dt: float, segment_len: int,
     return np.fft.fftshift(np.fft.fft(folded).real / plan.scale)
 
 
-_BLOCKS = ("pass non-empty blocks of (curves, rows, n) phases, the same curves in "
-           "every block")
+class EnsembleWelch:
+    """The Welch PSD of exp(j*theta) of each of `curves` curves, averaged
+    over its ensemble of phase paths of n samples at step dt, with each
+    bin's standard error, added a block of at most `rows` paths at a time.
 
+    The plan (`_plan`) and dt are checked, and the work arrays made, once:
+    the phases' reduction (float64 turns, float32 angles), their phasors z,
+    z's segments (views, laid out once), and the segments' windowed
+    transforms, whose real parts then hold their powers. A block of fewer
+    rows runs in the arrays' first rows. A curve's row densities, and their
+    squares, are summed in path order and divided once at the end, so its
+    estimate and its standard error depend on neither the split into
+    blocks nor the other curves."""
 
-def psd_of_phase_shift(blocks: Iterable[Iterable[np.ndarray]], dt: float,
-                       segment_len: int = 1024, overlap: float = 0.5,
-                       window: str = "hann") -> List[SpectrumEstimate]:
-    """Welch PSD of exp(j*theta) of each of a set of curves, averaged over
-    its ensemble of phase paths, with each bin's standard error; one
-    estimate per curve.
+    def __init__(self, curves: int, rows: int, n: int, dt: float, segment_len: int,
+                 overlap: float = 0.5, window: str = "hann"):
+        fs = _step_rate(dt)
+        self.plan = plan = _plan(n, fs, segment_len, overlap, window)
+        self.freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
+        self.turn = np.empty((rows, n))
+        self.reduced = np.empty((rows, n), np.float32)
+        self.z = np.empty((rows, n), complex)
+        self.segs = np.lib.stride_tricks.sliding_window_view(
+            self.z, segment_len, axis=-1)[:, ::plan.step]
+        self.spec = np.empty(self.segs.shape, complex)
+        # per curve, its path densities' sum and their squares', and its paths
+        self.sums = np.zeros((curves, 2, segment_len))
+        self.paths = [0] * curves
 
-    `blocks` yields the next paths of every curve, one per row, the same
-    curves in each block: a (curves, rows, n) array of phase samples, or
-    any iterable of each curve's (rows, n) phases in turn, such as
-    `stochastic.tap_phases`, which rebuilds one array for each curve; pass
-    one curve's ensemble as `[ens[None]]`. A curve's phases are read before
-    the next curve's are asked for. The Welch plan and its work arrays are
-    made on the first block, and again only for a block of more rows or of
-    another length. A curve's row densities, and their squares, are summed
-    in path order and divided once at the end, so its estimate and its
-    standard error depend on neither the split into blocks nor the other
-    curves. The standard error is the spread of the path densities about
-    their mean, sqrt((sum d^2 - P mean^2) / (P (P - 1))) over the P paths;
-    one path has no spread, and its SE is nan. The frequency grid is the
-    offset from the carrier in Hz.
+    def add(self, curve: int, theta: np.ndarray):
+        """Add the paths of `theta`, one (rows, n) block of phase samples of
+        curve number `curve`, to its sums; ParameterError for a block of no
+        rows, of more rows than the work arrays hold, or of another length.
 
-    The phasors are single precision. Each phase is reduced in float64 to
-    t = theta - 2 pi rint(theta / 2 pi), clipped to [-pi, pi], and cast to
-    float32; cos t and sin t are taken in float32. The clip moves t only
-    where rounding leaves it a few float64 steps of theta past +-pi, and for
-    |theta| beyond about 2**52 rad, where a float64 phase holds no angle.
-    For |theta| up to 1e8 rad each component of a phasor is within 2**-22
-    of cos theta and sin theta (0.68 * 2**-22 at most over 2e6 phases; the
-    reduction's own error grows as 1.5e-16 |theta|). So a segment's FFT is
-    within E = sqrt(2) 2**-22 sum|w| of its float64 value, and each density
-    within (2 |X| E + E**2) / (fs sum(w**2)) of the float64 phasors'
-    density, averaged over the segments' float64 transforms X. Without the
-    float64 reduction the cast alone would cost 5e-4 at |theta| = 1e4.
-    """
-    fs = _step_rate(dt)
-    sums, work = [], None  # per curve, its path densities' sum and their squares'
-    n_rows = n_segments = 0
-    for block in blocks:
-        curves, shape = 0, None
-        for theta in block:
-            theta = np.asarray(theta, dtype=float)
-            if (theta.ndim != 2 or not theta.size or (curves and theta.shape != shape)
-                    or (n_rows and curves == len(sums))):
-                raise ParameterError(_BLOCKS)
-            shape = rows, n = theta.shape
-            if work is None or rows > len(work.z) or n != work.z.shape[1]:
-                work = _Work(rows, n, _plan(n, fs, segment_len, overlap, window))
-            if curves == len(sums):
-                sums.append(np.zeros((2, segment_len)))
-            turn, reduced, z = work.turn[:rows], work.reduced[:rows], work.z[:rows]
-            np.divide(theta, TWO_PI, out=turn)
-            np.rint(turn, out=turn)
-            turn *= TWO_PI
-            np.subtract(theta, turn, out=turn)
-            np.clip(turn, -np.pi, np.pi, out=reduced, casting="same_kind")
-            np.cos(reduced, out=z.real, dtype=np.float32)
-            np.sin(reduced, out=z.imag, dtype=np.float32)
-            densities = _welch_rows(work, rows)
-            total, square = sums[curves]
-            _add_rows(total, densities)
-            _add_rows(square, np.square(densities))
-            curves += 1
-        if curves != len(sums) or not curves:
-            raise ParameterError(_BLOCKS)
-        n_rows += shape[0]
-        n_segments += shape[0] * work.plan.segments
-    if not sums:
-        raise ParameterError("empty ensemble")
-    freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
-    out = []
-    for total, square in sums:
-        mean = total / n_rows
-        var = (np.maximum(square - mean * total, 0.0) / (n_rows * (n_rows - 1))
-               if n_rows > 1 else np.full(segment_len, np.nan))
-        out.append(SpectrumEstimate(freqs, np.fft.fftshift(mean), np.fft.fftshift(np.sqrt(var)),
-                                    n_segments))
-    return out
+        The phasors are single precision. Each phase is reduced in float64 to
+        t = theta - 2 pi rint(theta / 2 pi), clipped to [-pi, pi], and cast to
+        float32; cos t and sin t are taken in float32. The clip moves t only
+        where rounding leaves it a few float64 steps of theta past +-pi, and for
+        |theta| beyond about 2**52 rad, where a float64 phase holds no angle.
+        For |theta| up to 1e8 rad each component of a phasor is within 2**-22
+        of cos theta and sin theta (0.68 * 2**-22 at most over 2e6 phases; the
+        reduction's own error grows as 1.5e-16 |theta|). So a segment's FFT is
+        within E = sqrt(2) 2**-22 sum|w| of its float64 value, and each density
+        within (2 |X| E + E**2) / (fs sum(w**2)) of the float64 phasors'
+        density, averaged over the segments' float64 transforms X. Without the
+        float64 reduction the cast alone would cost 5e-4 at |theta| = 1e4.
+        """
+        theta = np.asarray(theta, dtype=float)
+        held, n = self.z.shape
+        if theta.ndim != 2 or not 0 < len(theta) <= held or theta.shape[1] != n:
+            raise ParameterError(f"a block must be (1 to {held}, {n}) phases, not {theta.shape}")
+        rows = len(theta)
+        turn, reduced, z = self.turn[:rows], self.reduced[:rows], self.z[:rows]
+        np.divide(theta, TWO_PI, out=turn)
+        np.rint(turn, out=turn)
+        turn *= TWO_PI
+        np.subtract(theta, turn, out=turn)
+        np.clip(turn, -np.pi, np.pi, out=reduced, casting="same_kind")
+        np.cos(reduced, out=z.real, dtype=np.float32)
+        np.sin(reduced, out=z.imag, dtype=np.float32)
+        densities = _welch_rows(self, rows)
+        total, square = self.sums[curve]
+        _add_rows(total, densities)
+        _add_rows(square, np.square(densities))
+        self.paths[curve] += rows
+
+    def estimates(self) -> List[SpectrumEstimate]:
+        """Each curve's estimate on the centred grid of offsets from the
+        carrier in Hz; ParameterError if a curve has no path. The standard
+        error is the spread of the path densities about their mean,
+        sqrt((sum d^2 - P mean^2) / (P (P - 1))) over the P paths; one path
+        has no spread, and its SE is nan."""
+        out = []
+        for (total, square), paths in zip(self.sums, self.paths):
+            if not paths:
+                raise ParameterError("empty ensemble")
+            mean = total / paths
+            var = (np.maximum(square - mean * total, 0.0) / (paths * (paths - 1))
+                   if paths > 1 else np.full(len(total), np.nan))
+            out.append(SpectrumEstimate(self.freqs, np.fft.fftshift(mean),
+                                        np.fft.fftshift(np.sqrt(var)),
+                                        paths * self.plan.segments))
+        return out

@@ -443,38 +443,29 @@ def _tap_sum(signals, taps, out: np.ndarray, term: np.ndarray) -> np.ndarray:
     return out
 
 
-def tap_phases(beta: float, lags: dict, layout: list, dt: float, master_seed: int,
-               first_index: int, out: np.ndarray):
-    """Yield the phases sum_j a_j theta^(s_j)_{t - d_j} of each curve of a
-    `tap_layout` (lags, layout), for the paths first_index + i, i below
-    rows, with out of shape (2, rows, n): each curve's phases are built in
-    turn into out[0], out[1] holding each tap's term, and are to be read
-    before the next curve overwrites them. Source s is the walk of
-    (master_seed, first_index + i) on stream tag s, n + lags[s] samples
-    long, drawn once for every curve when the first curve is asked for.
-    Each tap adds its term in tap order (`_tap_sum`), so a curve's rows are
-    bit for bit those of its walks of n + L samples alone, and do not
-    depend on the other curves."""
-    phase, term = out
-    rows, n = phase.shape
-    walks = {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, rows,
-                                first_index=first_index, stream=s)
-             for s, L in lags.items()}
-    for taps in layout:
-        yield _tap_sum(walks, taps, phase, term)
+def tap_walks(beta: float, lags: dict, dt: float, n: int, master_seed: int, rows: int,
+              first_index: int) -> dict:
+    """{source s: the walks of (master_seed, first_index + i), i below rows,
+    on stream tag s, n + lags[s] samples long}, for the `tap_layout` lags of
+    curves of n samples: each source's walks drawn once, long enough for
+    every curve."""
+    return {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, rows,
+                               first_index=first_index, stream=s)
+            for s, L in lags.items()}
 
 
 def tap_ensemble(beta: float, curves, dt: float, n: int, master_seed: int,
                  n_paths: int, first_index: int = 0) -> np.ndarray:
-    """Phases of each curve of taps (s_j, a_j, d_j) in `curves`, shape
-    (len(curves), n_paths, n), from `tap_phases` over paths first_index ..
-    first_index + n_paths - 1; pass one curve as [taps]. Each walk is drawn
-    once, long enough for every curve, and each curve's rows show no
-    start-up transient."""
+    """Phases sum_j a_j theta^(s_j)_{t - d_j} of each curve of taps (s_j,
+    a_j, d_j) in `curves`, shape (len(curves), n_paths, n), over paths
+    first_index .. first_index + n_paths - 1; pass one curve as [taps].
+    Each walk is drawn once (`tap_walks`), and each curve's taps add their
+    terms in tap order (`_tap_sum`), so a curve's rows are bit for bit
+    those of its walks of n + L samples alone, show no start-up transient,
+    and do not depend on the other curves."""
     lags, layout = tap_layout(curves, dt)
-    out = np.empty((len(curves), n_paths, n))
-    built = tap_phases(beta, lags, layout, dt, master_seed, first_index,
-                       np.empty((2, n_paths, n)))
-    for phases, phase in zip(out, built):
-        phases[...] = phase
+    walks = tap_walks(beta, lags, dt, n, master_seed, n_paths, first_index)
+    out, term = np.empty((len(curves), n_paths, n)), np.empty((n_paths, n))
+    for phase, taps in zip(out, layout):
+        _tap_sum(walks, taps, phase, term)
     return out

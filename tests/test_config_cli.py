@@ -4,6 +4,7 @@ import io
 import json
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,17 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError):
             ExperimentConfig.from_text("betta = 1e4\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("beta = 1\nbeta = 2\n", "line 2: key 'beta' given twice (first on line 1)"),
+        # the same value, and after comments and blank lines
+        ("# run\nseed = 3\n\nn_paths = 8\nseed = 3 # again\n",
+         "line 5: key 'seed' given twice (first on line 2)")])
+    def test_key_given_twice_rejected(self, text, message):
+        # the later line used to win without a word
+        with pytest.raises(ParameterError) as info:
+            ExperimentConfig.from_text(text)
+        assert str(info.value) == message
 
     def test_delayed_self_requires_delta(self):
         with pytest.raises(ParameterError):
@@ -370,11 +382,12 @@ def _fuzz_value(key: str):
 
 
 def _small_cfg(tmp_path, **extra):
+    """A small config file, each key on one line: `extra` replaces the
+    defaults' values (a config refuses a key given twice)."""
     cfg = tmp_path / "small.cfg"
-    lines = ["beta = 1e4", "n_paths = 8", "segment_len = 512",
-             "deltas = 1e-6", f"output_dir = {tmp_path / 'out'}"]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
-    cfg.write_text("\n".join(lines) + "\n")
+    values = {"beta": "1e4", "n_paths": 8, "segment_len": 512, "deltas": "1e-6",
+              "output_dir": tmp_path / "out", **extra}
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     return cfg
 
 
@@ -483,7 +496,7 @@ class TestFigureCommands:
         def no_estimate(*args, **kwargs):
             raise AssertionError("a curve was estimated before the delays were checked")
 
-        monkeypatch.setattr(spectral, "psd_of_phase_shift", no_estimate)
+        monkeypatch.setattr(spectral.EnsembleWelch, "add", no_estimate)
         out = tmp_path / "out"
         assert main([command, "--paths", "2", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -741,38 +754,45 @@ def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, ov
                                                     deltas, rows):
     """The one pass's blocks, with every walk drawn (as zeros) and every
     phase built: each holds at most BLOCK_SAMPLES samples of walks and one
-    curve's phases, and of Welch segments, unless it is one path. Every
-    curve's phases are built into one array, which each block reuses."""
+    curve's phases, and of Welch segments, unless it is one path; a block's
+    walks are freed before the next block's are drawn. Every curve's phases
+    are built into one array, which each block reuses."""
     cfg = ExperimentConfig(n_paths=sum(rows), segment_len=segment_len, overlap=overlap)
     curves = _figure_curves(deltas)
     welch = spectral._segments(4 * segment_len, segment_len, overlap)[1] * segment_len
-    walks, seen = [], []
+    walks, drawn, earlier, seen, added, first = [], [], [], [], [], []
 
     def record(beta, theta0, dt, n, master_seed, n_paths, first_index=0,
                stream=stochastic.STREAM_PHASE):
+        assert all(walk() is None for walk in earlier), "an earlier block's walks are held"
         walks.append(n_paths * n)
-        return np.zeros((n_paths, n))
+        out = np.zeros((n_paths, n))
+        drawn.append(weakref.ref(out))
+        return out
 
-    def consume(blocks, dt, **welch_args):
-        first = None
-        for block in blocks:
-            phases = list(block)
-            first = phases[0] if first is None else first
-            paths = len(phases[0])
-            assert len(phases) == len(curves)
-            for phase in phases:
-                assert phase.shape == (paths, 4 * segment_len)
-                assert np.shares_memory(phase, first)
+    def consume(ests, curve, theta):
+        if curve == 0:  # the first curve of a block, whose walks are drawn
+            paths = len(theta)
             seen.append(paths)
-            held = sum(walks) + phases[0].size
+            held = sum(walks) + theta.size
             walks.clear()
+            earlier.extend(drawn)
+            drawn.clear()
             assert paths == 1 or max(held, paths * welch) <= experiments.BLOCK_SAMPLES
-        return [None] * len(curves)
+            # the work arrays hold the first block, the largest
+            assert len(ests.z) == seen[0] >= paths
+        if not first:
+            first.append(theta)
+        assert theta.shape == (seen[-1], 4 * segment_len)
+        assert np.shares_memory(theta, first[0])
+        added.append(curve)
 
     monkeypatch.setattr(stochastic, "wiener_ensemble", record)
-    monkeypatch.setattr(spectral, "psd_of_phase_shift", consume)
+    monkeypatch.setattr(spectral.EnsembleWelch, "add", consume)
+    monkeypatch.setattr(spectral.EnsembleWelch, "estimates", lambda ests: [])
     experiments.estimate_curves(cfg, curves, 1e-7)
     assert seen == rows
+    assert added == list(range(len(curves))) * len(rows)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -780,8 +800,8 @@ def test_estimate_blocks_bounded_by_segment_samples(monkeypatch, segment_len, ov
 def test_one_pass_equals_each_curve_alone(monkeypatch, seed, dt):
     """Every curve's estimate from the one pass over blocks of 3, 3 and 1
     paths (3112 samples a path in figure-log's step, 3092 in
-    figure-linear's) is, bit for bit, psd_of_phase_shift over tap_ensemble
-    blocks of 2, 2, 2 and 1 paths of that curve alone: its density and its
+    figure-linear's) is, bit for bit, an EnsembleWelch of that curve alone
+    over tap_ensemble blocks of 2, 2, 2 and 1 paths: its density and its
     standard error."""
     cfg = ExperimentConfig(n_paths=7, segment_len=256, seed=seed, deltas=(1e-6, 1e-7))
     curves = _figure_curves(cfg.deltas)
@@ -798,10 +818,12 @@ def test_one_pass_equals_each_curve_alone(monkeypatch, seed, dt):
     got = experiments.estimate_curves(cfg, curves, dt)
     assert seen == [3, 3, 1]
     for taps, est in zip(curves, got):
-        blocks = [stochastic.tap_ensemble(cfg.beta, [taps], dt, n, seed,
-                                          min(2, cfg.n_paths - first), first_index=first)
-                  for first in range(0, cfg.n_paths, 2)]
-        want = spectral.psd_of_phase_shift(blocks, dt, segment_len=cfg.segment_len)[0]
+        alone = spectral.EnsembleWelch(1, 2, n, dt, cfg.segment_len)
+        for first in range(0, cfg.n_paths, 2):
+            alone.add(0, stochastic.tap_ensemble(cfg.beta, [taps], dt, n, seed,
+                                                 min(2, cfg.n_paths - first),
+                                                 first_index=first)[0])
+        want, = alone.estimates()
         assert np.array_equal(est.psd, want.psd)
         assert np.array_equal(est.se, want.se)
         assert np.array_equal(est.freqs, want.freqs)
@@ -821,14 +843,7 @@ def test_figure_draws_each_stream_key_once_at_600k_paths(tmp_path, monkeypatch, 
         blocks.append((master_seed, stream, first_index, n_paths))
         return np.zeros((n_paths, n))
 
-    def consume(phase_blocks, dt, **welch_args):
-        curves = 0
-        for block in phase_blocks:
-            curves = sum(1 for _ in block)
-        return [None] * curves
-
     monkeypatch.setattr(stochastic, "wiener_ensemble", record)
-    monkeypatch.setattr(spectral, "psd_of_phase_shift", consume)
     cfg = ExperimentConfig(n_paths=600_000, segment_len=1, window="rect",
                            deltas=(1e-7, 2e-7, 3e-7), seed=5, output_dir=str(tmp_path))
     run(cfg)
@@ -1025,6 +1040,18 @@ def test_quadrature_check_can_fail(monkeypatch, beta):
     report = experiments.run_acceptance(ExperimentConfig(beta=beta, output_dir=""))
     check, = (c for c in report["checks"] if c["name"] == "delayed-psd-vs-quadrature")
     assert not check["passed"]
+
+
+@pytest.mark.parametrize("command", ["acceptance", "simulate"])
+def test_paths_refused_where_no_path_is_estimated(tmp_path, capsys, command):
+    """--paths sets the figures' estimated path count. acceptance and
+    simulate estimate none: they used to take it, run unchanged, and report
+    another config hash; now argparse refuses it, exit 2, and nothing runs."""
+    with pytest.raises(SystemExit) as info:
+        main([command, "--paths", "5", "--out", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --paths 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestAcceptanceCommand:

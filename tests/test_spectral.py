@@ -7,12 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oscavg import (
+    EnsembleWelch,
     ExperimentConfig,
     ParameterError,
     delayed_taps,
     expected_psd,
-    psd_of_phase_shift,
     spectral,
     tap_autocorr,
     tap_ensemble,
@@ -28,13 +31,29 @@ TWO_PI = 2.0 * np.pi
 def welch_rows(x, fs, segment_len=1024, overlap=0.5, window="hann"):
     """(centred frequency grid, the Welch density of each row of the 2-d
     array x on it, segments per row), through the kernel that
-    psd_of_phase_shift runs on every block."""
+    EnsembleWelch.add runs on every block, in an EnsembleWelch's work
+    arrays. The plan is checked at fs itself first, so a bad fs is refused
+    in the plan's own message."""
     x = np.asarray(x)
     plan = spectral._plan(x.shape[-1], fs, segment_len, overlap, window)
-    work = spectral._Work(*x.shape, plan)
+    work = EnsembleWelch(1, *x.shape, 1.0 / fs, segment_len, overlap, window)
     work.z[...] = x
     freqs = np.fft.fftshift(np.fft.fftfreq(segment_len, 1.0 / fs))
     return freqs, np.fft.fftshift(spectral._welch_rows(work, len(x)), axes=-1), plan.segments
+
+
+def ensemble(blocks, dt, segment_len, overlap=0.5, window="hann"):
+    """Each curve's estimate from `blocks` of (curves, rows, n) phases, each
+    curve's rows of a block added in turn to one EnsembleWelch whose work
+    arrays hold the largest block."""
+    blocks = [np.asarray(block) for block in blocks]
+    curves, _, n = blocks[0].shape
+    ests = EnsembleWelch(curves, max(block.shape[1] for block in blocks), n, dt,
+                         segment_len, overlap, window)
+    for block in blocks:
+        for curve, theta in enumerate(block):
+            ests.add(curve, theta)
+    return ests.estimates()
 
 
 def lag_products(u, lags):
@@ -78,7 +97,7 @@ class TestWelchKernel:
     def test_wiener_phase_shift_matches_analytic(self):
         beta, dt = 1e4, 1e-6
         ens = wiener_ensemble(beta, 0.0, dt, 8192, master_seed=201, n_paths=200)
-        est = psd_of_phase_shift([ens[None]], dt, segment_len=1024)[0]
+        est = ensemble([ens[None]], dt, segment_len=1024)[0]
         band = (np.abs(est.freqs) > 2 * 1e6 / 1024) & (np.abs(est.freqs) < 1e5)
         want = tap_psd(beta, ((0, 1.0, 0.0),), TWO_PI * est.freqs[band])
         diff_db = to_dbc_hz(est.psd[band]) - to_dbc_hz(want)
@@ -178,12 +197,12 @@ class TestEnsembleWelch:
         assert rows.shape == (16, 512)
         assert np.array_equal(rows[5], single[0])
         assert np.array_equal(welch_rows(u[::-1], fs=1 / dt, segment_len=512)[1], rows[::-1])
-        a = psd_of_phase_shift([ens[None]], dt, segment_len=512)[0]
-        b = psd_of_phase_shift([ens[None, ::-1]], dt, segment_len=512)[0]
+        a = ensemble([ens[None]], dt, segment_len=512)[0]
+        b = ensemble([ens[None, ::-1]], dt, segment_len=512)[0]
         assert np.max(np.abs(a.psd - b.psd) / np.abs(a.psd)) < 1e-12
         assert np.max(np.abs(a.se - b.se) / np.abs(a.se)) < 1e-9
-        blocked = psd_of_phase_shift([ens[None, :3], ens[None, 3:4], ens[None, 4:]], dt,
-                                     segment_len=512)[0]
+        blocked = ensemble([ens[None, :3], ens[None, 3:4], ens[None, 4:]], dt,
+                           segment_len=512)[0]
         assert np.array_equal(blocked.psd, a.psd)
         assert np.array_equal(blocked.se, a.se)
         assert blocked.n_segments == a.n_segments == 16 * segments
@@ -201,69 +220,99 @@ class TestEnsembleWelch:
             spectral._add_rows(total, block)
             assert np.array_equal(total, want)
 
-    @pytest.mark.parametrize("rows,built_for", [([1, 5, 2, 7], [1, 5, 7]),
-                                                ([7, 2, 5, 1], [7])])
-    def test_work_arrays_reused_across_blocks(self, monkeypatch, rows, built_for):
+    @pytest.mark.parametrize("rows", [[1, 5, 2, 7], [7, 2, 5, 1]])
+    def test_work_arrays_reused_across_blocks(self, monkeypatch, rows):
         # blocks whose row counts rise and fall give, bit for bit, the
-        # estimate of one block of every path; a block runs in the arrays
-        # of the largest block before it, and new ones are made only for a
-        # block of more rows
+        # estimate of one block of every path; every block runs in the
+        # first rows of the one set of work arrays
         dt, seg = 1e-6, 256
         ens = wiener_ensemble(1e4, 0.0, dt, 1024, master_seed=215, n_paths=sum(rows))
         curves = np.stack([ens, 0.5 * ens + 3.0])
-        built = []
-        work = spectral._Work
+        want = ensemble([curves], dt, segment_len=seg)
+        ran = []
+        kernel = spectral._welch_rows
 
-        def counted(n_rows, n, plan):
-            built.append(n_rows)
-            return work(n_rows, n, plan)
+        def recorded(work, n):
+            ran.append((work.z, n))
+            return kernel(work, n)
 
-        want = psd_of_phase_shift([curves], dt, segment_len=seg)
-        monkeypatch.setattr(spectral, "_Work", counted)
+        monkeypatch.setattr(spectral, "_welch_rows", recorded)
         edges = np.cumsum([0] + rows)
-        got = psd_of_phase_shift([curves[:, a:b] for a, b in zip(edges, edges[1:])], dt,
-                                 segment_len=seg)
-        assert built == built_for
+        got = ensemble([curves[:, a:b] for a, b in zip(edges, edges[1:])], dt,
+                       segment_len=seg)
+        assert [n for _, n in ran] == [n for n in rows for _ in curves]
+        assert all(z is ran[0][0] and len(z) == max(rows) for z, _ in ran)
         for est, alone in zip(got, want):
             assert np.array_equal(est.psd, alone.psd)
             assert np.array_equal(est.se, alone.se)
             assert est.n_segments == alone.n_segments
 
     def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            psd_of_phase_shift([], 1.0, segment_len=64)
-        with pytest.raises(ParameterError, match="non-empty"):
-            psd_of_phase_shift([np.zeros((1, 0, 128))], 1.0, segment_len=64)
+        with pytest.raises(ParameterError, match="empty ensemble"):
+            EnsembleWelch(2, 2, 128, 1.0, 64).estimates()
+        ests = EnsembleWelch(2, 2, 128, 1.0, 64)
+        ests.add(0, np.zeros((2, 128)))
+        with pytest.raises(ParameterError, match="empty ensemble"):  # curve 1 has no path
+            ests.estimates()
 
-    @pytest.mark.parametrize("blocks", [
-        [np.zeros((2, 128))],                          # a block of one curve's rows alone
-        [np.zeros((0, 2, 128))],                       # no curve
-        [np.zeros((2, 2, 128)), np.zeros((1, 2, 128))]])  # curves that change between blocks
-    def test_blocks_not_of_the_same_curves_rejected(self, blocks):
-        with pytest.raises(ParameterError, match="curves"):
-            psd_of_phase_shift(blocks, 1.0, segment_len=64)
+    @pytest.mark.parametrize("shape", [
+        (0, 128),      # no row
+        (3, 128),      # more rows than the work arrays hold
+        (2, 256),      # another length
+        (128,),        # one path, not a block of them
+        (1, 2, 128)])  # a block of curves
+    def test_block_not_of_the_work_arrays_shape_rejected(self, shape):
+        ests = EnsembleWelch(1, 2, 128, 1.0, 64)
+        with pytest.raises(ParameterError, match=r"a block must be \(1 to 2, 128\) phases"):
+            ests.add(0, np.zeros(shape))
+        assert ests.paths == [0] and not ests.sums.any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(head=st.lists(st.integers(2, 8), min_size=1, max_size=5), data=st.data(),
+           overlap=st.sampled_from([0.0, 0.5, 0.75]), window=st.sampled_from(["hann", "rect"]))
+    def test_non_increasing_blocks_give_the_one_block_estimate(self, head, data, overlap,
+                                                                 window):
+        # blocks as the figures' one pass adds them, none of more rows than
+        # the one before and the last ragged, against one block of every
+        # path: every curve's density, SE and segment count, bit for bit
+        head = sorted(head, reverse=True)
+        rows = head + [data.draw(st.integers(1, head[-1] - 1), label="last")]
+        dt, n, seg = 1e-6, 256, 64
+        ens = wiener_ensemble(1e4, 0.0, dt, n, master_seed=216, n_paths=sum(rows))
+        curves = np.stack([ens, 0.5 * ens + 3.0])
+        edges = np.cumsum([0] + rows)
+        blocked = EnsembleWelch(2, rows[0], n, dt, seg, overlap, window)
+        for a, b in zip(edges, edges[1:]):
+            for c, theta in enumerate(curves[:, a:b]):
+                blocked.add(c, theta)
+        whole = EnsembleWelch(2, sum(rows), n, dt, seg, overlap, window)
+        for c, theta in enumerate(curves):
+            whole.add(c, theta)
+        for got, want in zip(blocked.estimates(), whole.estimates()):
+            assert np.array_equal(got.psd, want.psd)
+            assert np.array_equal(got.se, want.se)
+            assert got.n_segments == want.n_segments
 
     def test_each_curve_estimated_as_if_alone(self):
         # two curves in one pass, blocks of both at once, against each alone
         ens = wiener_ensemble(1e4, 0.0, 1e-6, 2048, master_seed=213, n_paths=6)
         pair = np.stack([ens[:3], 1e3 + ens[3:]])
-        got = psd_of_phase_shift([pair[:, :2], pair[:, 2:]], 1e-6, segment_len=512)
+        got = ensemble([pair[:, :2], pair[:, 2:]], 1e-6, segment_len=512)
         for curve, est in zip(pair, got):
-            want = psd_of_phase_shift([curve[None]], 1e-6, segment_len=512)[0]
+            want = ensemble([curve[None]], 1e-6, segment_len=512)[0]
             assert np.array_equal(est.psd, want.psd)
             assert est.n_segments == want.n_segments
 
     @pytest.mark.parametrize("block_shapes", [
         [(12, 2048), (3, 2048), (1, 2048)],    # shrinking
         [(1, 2048), (3, 2048), (12, 2048)],    # growing in rows
-        [(2, 1024), (2, 4096), (3, 2560)],     # growing in length: more segments a row
         [(1, 2048)] * 5,                       # one row each
     ])
     def test_matches_reference_written_out(self, block_shapes):
         # the ensemble estimate is, bit for bit, the Welch density of each
         # path's single-precision exp(j theta), summed row by row in path
         # order and divided by the path count, whether the blocks shrink or
-        # grow in rows or in length
+        # grow in rows
         dt, seg = 1e-6, 512
         blocks, first = [], 0
         for rows, n in block_shapes:
@@ -280,7 +329,7 @@ class TestEnsembleWelch:
         total = densities[0].copy()
         for row in densities[1:]:
             total += row
-        got = psd_of_phase_shift([b[None] for b in blocks], dt, segment_len=seg)[0]
+        got = ensemble([b[None] for b in blocks], dt, segment_len=seg)[0]
         assert np.array_equal(got.psd, total / len(densities))
         assert np.array_equal(got.freqs, freqs)
         assert got.n_segments == n_segments
@@ -305,7 +354,7 @@ class TestEnsembleWelch:
             theta = tap_ensemble(1e4, [taps], dt, 4 * seg, master_seed=seed, n_paths=2)[0]
             want, bound = _float64_phasor_density_and_bound(theta, dt, seg)
             for row, s64, slack in zip(theta, want, bound):
-                got = psd_of_phase_shift([row[None, None]], dt, segment_len=seg)[0].psd
+                got = ensemble([row[None, None]], dt, segment_len=seg)[0].psd
                 assert np.all(np.abs(got - s64) <= slack)
 
     def test_bound_fails_without_float64_reduction(self):
@@ -323,7 +372,7 @@ class TestEnsembleWelch:
         theta = wiener_ensemble(1e4, 5e3, 1e-6, 2048, master_seed=212, n_paths=3)
         kept = theta.copy()
         theta.flags.writeable = False
-        psd_of_phase_shift([theta[None], theta[None, :1]], 1e-6, segment_len=512)
+        ensemble([theta[None], theta[None, :1]], 1e-6, segment_len=512)
         assert np.array_equal(theta, kept)
 
     @pytest.mark.parametrize("phase", [1e17, -1e300, 1.7e308])
@@ -333,7 +382,7 @@ class TestEnsembleWelch:
         theta = phase + np.arange(128.0).reshape(2, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = psd_of_phase_shift([theta[None]], 1e-6, segment_len=16)[0]
+            est = ensemble([theta[None]], 1e-6, segment_len=16)[0]
         assert np.all(np.isfinite(est.psd))
 
     @pytest.mark.parametrize("segment_len,fs", [(0, 1.0), (-4, 1.0), (8, 0.0),
@@ -367,11 +416,11 @@ def _float64_phasor_density_and_bound(theta, dt, seg):
 
 
 def _rejected_alike(monkeypatch, segment_len=8, fs=1.0, overlap=0.5, window="hann"):
-    """psd_of_phase_shift refuses the arguments as the kernel's plan does,
-    and before any FFT runs; so does expected_psd, which takes no overlap.
+    """EnsembleWelch refuses the arguments as the kernel's plan does, and
+    before any FFT runs; so does expected_psd, which takes no overlap.
     Both take dt = 1/fs, so fs = 0 is dt = inf, and fs = inf is dt = 0: a
     bad fs reaches them as a bad dt, refused in the message that names dt.
-    Any other refusal of psd_of_phase_shift has the plan's message. Returns
+    Any other refusal of EnsembleWelch has the plan's message. Returns
     the plan's message."""
     def no_fft(*args, **kwargs):
         raise AssertionError("an FFT ran before the arguments were checked")
@@ -382,7 +431,7 @@ def _rejected_alike(monkeypatch, segment_len=8, fs=1.0, overlap=0.5, window="han
     with pytest.raises(ParameterError) as direct:
         welch_rows(np.ones((2, 16)), fs=fs, **args)
     with pytest.raises(ParameterError) as ensemble:
-        psd_of_phase_shift([np.zeros((1, 2, 16))], dt, **args)
+        EnsembleWelch(1, 2, 16, dt, **args)
     if 0 < fs < np.inf:
         assert str(ensemble.value) == str(direct.value)
     else:
@@ -474,7 +523,7 @@ class TestAutocorrEstimate:
 class TestPsdOfPhaseShift:
     def test_zero_diffusion_spike(self):
         ens = np.zeros((4, 4096))
-        est = psd_of_phase_shift([ens[None]], 1e-6, segment_len=1024)[0]
+        est = ensemble([ens[None]], 1e-6, segment_len=1024)[0]
         peak = est.freqs[np.argmax(est.psd)]
         assert abs(peak) <= 1e6 / 1024
         assert np.trapezoid(est.psd, est.freqs) == pytest.approx(1.0, rel=0.01)

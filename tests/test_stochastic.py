@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscavg import (
+    EnsembleWelch,
     OffsetDist,
     OscillatorSpec,
     ParameterError,
     Waveform,
     demodulate_phase,
     oscillator_waveform,
-    psd_of_phase_shift,
     sample_offset,
     simulate_taps,
     stochastic,
@@ -552,6 +552,14 @@ class TestTapEnsemble:
         assert np.array_equal(np.vstack([self.build(taps, rows=2, first=0),
                                          self.build(taps, rows=4, first=2)]), whole)
 
+    def test_walks_one_per_source_long_enough_for_every_curve(self):
+        lags, _ = stochastic.tap_layout([((2, 0.5, 0.0), (2, 0.5, 7 * self.DT)),
+                                         ((2, 0.5, 0.0), (4, 0.5, 3 * self.DT))], self.DT)
+        walks = stochastic.tap_walks(self.BETA, lags, self.DT, self.N, self.SEED, 5, 3)
+        assert sorted(walks) == [2, 4]
+        assert np.array_equal(walks[2], self.walks(2, self.N + 7))
+        assert np.array_equal(walks[4], self.walks(4, self.N + 3))
+
     def test_curves_share_walks_and_equal_each_curve_alone(self):
         # one walk per source for every curve, each curve reading the front
         # of it by its own largest lag: the lag-3 curve reads the first
@@ -594,7 +602,7 @@ class TestTapEnsemble:
     def test_bad_step_rejected(self, dt):
         # dt = 0 used to end in ZeroDivisionError, and dt < 0 read as a
         # negative delay; at dt = 5e-324, where 1/dt overflows, wiener_path
-        # and psd_of_phase_shift refused an fs, and the ensembles returned walks
+        # and the Welch estimator refused an fs, and the ensembles returned walks
         with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
             tap_ensemble(self.BETA, [((0, 1.0, 0.0),)], dt, 8, 1, 1)
         with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
@@ -602,7 +610,7 @@ class TestTapEnsemble:
         with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
             wiener_ensemble(1.0, 0.0, dt, 4, 1, 1)
         with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
-            psd_of_phase_shift([np.zeros((1, 2, 16))], dt, segment_len=8)
+            EnsembleWelch(1, 2, 16, dt, segment_len=8)
 
 
 @given(n=st.integers(min_value=1, max_value=200),
