@@ -58,18 +58,13 @@ def ideal_filter(w: Waveform, kind: str, f_cut: float) -> Waveform:
         raise ParameterError(f"unknown filter kind {kind!r}")
     if not (0 < f_cut < w.fs / 2):
         raise ParameterError(f"f_cut={f_cut:g} must lie in (0, fs/2={w.fs / 2:g})")
-    spec, freqs = _spectrum(w)
+    spec, freqs = np.fft.rfft(w.samples), np.fft.rfftfreq(len(w), d=1.0 / w.fs)
     if kind == "lowpass":
         spec *= freqs <= f_cut
     else:
         spec *= freqs >= f_cut
     out = np.fft.irfft(spec, n=len(w))
     return Waveform(fs=w.fs, samples=out)
-
-
-def _spectrum(w: Waveform) -> Tuple[np.ndarray, np.ndarray]:
-    """rfft of w and the frequencies (Hz) of its bins."""
-    return np.fft.rfft(w.samples), np.fft.rfftfreq(len(w), d=1.0 / w.fs)
 
 
 def demodulate_phase(w: Waveform, f_lo: float, f_hi: float) -> np.ndarray:
@@ -80,26 +75,36 @@ def demodulate_phase(w: Waveform, f_lo: float, f_hi: float) -> np.ndarray:
     arg z_k + 2*pi*K_k, with K_0 = 0 and K_k = -sum_(0<j<=k) rint((arg z_j -
     arg z_(j-1))/(2*pi)): whole turns counted as exact integers, so the phase
     does not drift, and each of its steps lies in [-pi, pi]. Edge samples
-    carry spectral-leakage error; callers should trim."""
+    carry spectral-leakage error; callers should trim.
+
+    One n-point complex buffer serves the whole read-out: the rfft is
+    written into its first n//2 + 1 bins, every bin outside the band
+    (the never-written upper half among them) is zeroed, the ifft runs in
+    place, and once arg z is taken the turns are counted in the buffer's
+    spent memory. The returned array is the only other one of n samples."""
     if not (0 < f_lo < f_hi < w.fs / 2):
         raise ParameterError(f"band [{f_lo:g}, {f_hi:g}] empty or outside (0, fs/2={w.fs / 2:g})")
-    spec, freqs = _spectrum(w)
+    n = len(w)
+    freqs = np.fft.rfftfreq(n, d=1.0 / w.fs)
     lo, hi = freqs.searchsorted(f_lo), freqs.searchsorted(f_hi, "right")
+    del freqs
     if lo == hi:
-        raise ParameterError(f"band [{f_lo:g}, {f_hi:g}] holds no rfft bin of {len(w)} samples")
-    z = np.zeros(len(w), dtype=complex)
-    z[lo:hi] = spec[lo:hi]
-    wrapped = np.angle(np.fft.ifft(z, out=z))
+        raise ParameterError(f"band [{f_lo:g}, {f_hi:g}] holds no rfft bin of {n} samples")
+    z = np.empty(n, dtype=complex)
+    np.fft.rfft(w.samples, out=z[:n // 2 + 1])
+    z[:lo] = 0.0
+    z[hi:] = 0.0
+    phase = np.angle(np.fft.ifft(z, out=z))
     # turns[j] = -rint(step j / 2*pi), summed from the 0.0 in turns[0]
-    turns = np.empty_like(wrapped)
+    turns = z.view(float)[:n]
     turns[0] = 0.0
-    np.subtract(wrapped[:-1], wrapped[1:], out=turns[1:])
+    np.subtract(phase[:-1], phase[1:], out=turns[1:])
     turns[1:] /= TWO_PI
     np.rint(turns, out=turns)
     np.cumsum(turns, out=turns)
     turns *= TWO_PI
-    turns += wrapped
-    return turns
+    phase += turns
+    return phase
 
 
 def edge_trim(fs: float, f_cut: float) -> int:
@@ -225,18 +230,20 @@ def divider_residual(a: Waveform, b: Waveform, output: Waveform, f_c: float) -> 
     return float(np.max(np.abs(loop.samples[interior] - output.samples[interior])))
 
 
-def _average_stage(waves: Sequence[Waveform], f_c: float) -> Tuple[Waveform, np.ndarray]:
-    """One averaging stage of k = len(waves) >= 2 inputs: mix all k, and the
-    regenerative divide-by-k resolved at its fixed point (Miller, Proc. IRE
-    27(7), 1939), whose output phase is 1/k of the phase of the product's
-    band [(k-1)*f_c, (k+1)*f_c]. Returns the output, of amplitude 1/2, and
-    its total phase."""
-    k = len(waves)
-    total = demodulate_phase(reduce(mix, waves), (k - 1) * f_c, (k + 1) * f_c)
+def _average_stage(product: Waveform, k: int, f_c: float) -> Tuple[Waveform, np.ndarray]:
+    """One averaging stage of k >= 2 inputs, given their product (the
+    mixer's output, `mix` of all k): the regenerative divide-by-k resolved
+    at its fixed point (Miller, Proc. IRE 27(7), 1939), whose output phase
+    is 1/k of the phase of the product's band [(k-1)*f_c, (k+1)*f_c].
+    Taking the product, not the inputs, lets a caller drop the inputs before
+    the read-out (`demodulate_phase`), which holds one complex buffer and
+    the phase it returns. Returns the output, of amplitude 1/2, and its
+    total phase."""
+    total = demodulate_phase(product, (k - 1) * f_c, (k + 1) * f_c)
     total /= k
     out = np.cos(total)
     out *= 0.5
-    return Waveform(fs=waves[0].fs, samples=out), total
+    return Waveform(fs=product.fs, samples=out), total
 
 
 def _check_band(offsets: Sequence[float], f_c: float, k: int):
@@ -279,8 +286,12 @@ def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, durati
         specs, fs, duration, seed, k * f_c,
         lambda offsets: _check_band([offsets[s] for s, _, _ in taps], f_c, k))
     inputs = _zero_start(waves, lags)
-    out, total = _average_stage([Waveform(fs=fs, samples=inputs[s][start:start + n])
-                                 for s, _, start in layout], f_c)
+    del waves
+    product = reduce(mix, [Waveform(fs=fs, samples=inputs[s][start:start + n])
+                           for s, _, start in layout])
+    del inputs  # the carriers and their zero-prefixed copies, freed before the read-out
+    out, total = _average_stage(product, k, f_c)
+    del product
     return SimulationResult(output=out, expected=_expected(lags, layout, paths, omegas),
                             phases=paths, omegas=omegas, measured_total_phase=total)
 

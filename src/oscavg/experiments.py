@@ -38,10 +38,15 @@ LIN_POINTS = 501
 # s in `perfbench` mc_short pairs, at 4.4 MB more peak memory; default
 # figure-log paths ran 12 % faster two a block than one (mc_long pairs).
 BLOCK_SAMPLES = 2**17
-# Rows `_write_table` formats and writes at once (~2.5 MB of text), so the
-# text of a `simulate` table of MAX_SAMPLES rows (~35 bytes a row, ~0.6 GB)
-# is never held in memory. Output does not depend on it.
-TABLE_CHUNK_ROWS = 2**16
+# Rows `_write_table` formats and writes at once. A chunk's temporaries
+# (1.0 MB traced at 2**12 rows) fit in a 2 MiB L2 cache, and the allocator
+# hands the same memory back chunk after chunk instead of faulting in fresh
+# pages. A 64 000-row `simulate` table, median of 150 writes on one CPU of
+# a 2-core Xeon (numpy 2.4.6, glibc 2.36): 8.4 ms and no minor fault at
+# 2**12; 9.6-11.9 ms at 2**10 and 2**11; 13-14 ms and 3 450-3 600 faults
+# at 2**13 and 2**14; 14.5-18.6 ms, 3 789 faults and 15.6 MB traced at
+# 2**16, where the whole table was one chunk. Output does not depend on it.
+TABLE_CHUNK_ROWS = 2**12
 
 
 def delta_tag(delta: float) -> str:
@@ -436,7 +441,7 @@ def run_acceptance(cfg: ExperimentConfig) -> Dict:
     w1, w2 = (stochastic.oscillator_waveform(
         spec, 0.0, stochastic.wiener_path(spec.beta, 0.0, 1.0 / fs, n_div, (seed, i), TAG_DIVIDER),
         fs) for i in (0, 1))
-    divided, _ = circuit._average_stage((w1, w2), f_c)
+    divided, _ = circuit._average_stage(circuit.mix(w1, w2), 2, f_c)
     checks.append(("divider-loop-residual", circuit.divider_residual(w1, w2, divided, f_c), 1e-3))
 
     # the delay and the offsets scale with 1/beta, so quadrature spans the

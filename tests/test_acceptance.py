@@ -27,7 +27,7 @@ from oscavg import (
     wiener_ensemble,
 )
 from oscavg import circuit
-from oscavg.circuit import _average_stage, _draw, edge_trim
+from oscavg.circuit import _average_stage, _draw, edge_trim, mix
 from oscavg.cli import main
 from oscavg.config import ExperimentConfig
 from oscavg.experiments import run_acceptance, run_figure_linear, run_figure_log
@@ -108,7 +108,7 @@ def test_04_pair_circuit_steady_state():
     assert rms < 1e-4
     # divider loop re-fed with the output
     (a, b), _, _ = _draw((spec, spec), fs, 2048e-6, 1004, 2 * fc)
-    out, _ = _average_stage((a, b), fc)
+    out, _ = _average_stage(mix(a, b), 2, fc)
     assert out.samples.tobytes() == res.output.samples.tobytes()
     assert divider_residual(a, b, out, fc) < 1e-3
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -127,6 +129,16 @@ def analytic_phase_reference(w, f_lo, f_hi):
     return wrapped + TWO_PI * np.round((np.unwrap(wrapped) - wrapped) / TWO_PI)
 
 
+def traced_peak(fn, *args):
+    """The largest memory (bytes) tracemalloc sees in use during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def noisy_tone(f0, n, fs=64e6, sigma=0.05, seed=3):
     """A tone at f0 whose phase walks with steps of std sigma rad."""
     walk = np.cumsum(np.random.default_rng(seed).normal(0.0, sigma, n))
@@ -152,6 +164,16 @@ class TestDemodulatePhase:
            sigma=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1),
            lo=st.floats(0.05, 0.95), hi=st.floats(1.05, 1.5))
     @example(n=6400, f0=2e6, sigma=0.05, seed=3, lo=0.5, hi=1.5)
+    # bands ending on the last rfft bin below Nyquist, of even and odd n,
+    # one starting on bin 1, and the shortest waveform: the bins above the
+    # band, the upper half of the read-out's buffer among them, are zeroed
+    @example(n=4096, f0=float(np.fft.rfftfreq(4096, 1 / 64e6)[2047]), sigma=0.05, seed=4,
+             lo=0.5, hi=1.0)
+    @example(n=4095, f0=float(np.fft.rfftfreq(4095, 1 / 64e6)[2047]), sigma=0.05, seed=5,
+             lo=0.5, hi=1.0)
+    @example(n=1024, f0=float(np.fft.rfftfreq(1024, 1 / 64e6)[1]), sigma=0.05, seed=6,
+             lo=1.0, hi=40.0)
+    @example(n=16, f0=8e6, sigma=0.05, seed=7, lo=0.5, hi=1.5)
     def test_bytes_match_conjugate_product_oracle(self, n, f0, sigma, seed, lo, hi):
         # a noisy tone at f0 and a band [lo*f0, hi*f0] around it; a short
         # waveform's bins can all miss the band, which is then refused
@@ -165,6 +187,13 @@ class TestDemodulatePhase:
             return
         got = demodulate_phase(w, lo * f0, hi * f0)
         assert got.tobytes() == conjugate_product_phase(w, lo * f0, hi * f0).tobytes()
+
+    def test_one_buffer_per_read_out(self):
+        # a 64 000-sample read-out holds its 16-byte buffer and the 8-byte
+        # phase it returns: 1.5 MB, against 2.8 MB with its own spectrum
+        # and turn-count arrays
+        w = noisy_tone(2e6, 64000)
+        assert traced_peak(demodulate_phase, w, 1e6, 3e6) < 2.3e6
 
     def test_band_between_bins_rejected(self):
         # bins every 1 kHz: [1.0001, 1.0002] MHz holds none, and used to
@@ -283,16 +312,23 @@ class TestPairAverage:
         # product's band [f_c, 3*f_c]
         spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(50.0))
         (a, b), _, _ = _draw((spec, spec), FS, 512e-6, 85, 2 * FC)
-        out, total = _average_stage((a, b), FC)
+        out, total = _average_stage(mix(a, b), 2, FC)
         half = 0.5 * demodulate_phase(mix(a, b), FC, 3 * FC)
         assert total.tobytes() == half.tobytes()
         assert out.samples.tobytes() == (0.5 * np.cos(half)).tobytes()
+
+    def test_inputs_freed_before_the_read_out(self):
+        # 2**18 samples (2.1 MB an array): the phase paths, the product and
+        # the read-out's buffer and phase, 12.6 MB; 22.0 MB while the
+        # carriers lived through the read-out
+        spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(50.0))
+        assert traced_peak(simulate_pair_average, spec, spec, 64e6, 2**18 / 64e6, 86) < 16e6
 
     def test_substitution_residual(self):
         spec = OscillatorSpec(f_c=FC, beta=1e-3)
         res = simulate_pair_average(spec, spec, FS, 512e-6, seed=83)
         (a, b), _, _ = _draw((spec, spec), FS, 512e-6, 83, 2 * FC)
-        out, _ = _average_stage((a, b), FC)
+        out, _ = _average_stage(mix(a, b), 2, FC)
         assert out.samples.tobytes() == res.output.samples.tobytes()
         assert divider_residual(a, b, out, FC) < 1e-3
 
@@ -398,7 +434,7 @@ class TestDelayedSelfAverage:
         assert np.sqrt(np.mean(err**2)) < 1e-4
         (w,), _, _ = _draw((spec,), FS, 2048e-6, 101, 2 * FC)
         delayed = Waveform(fs=FS, samples=shifted(w.samples, lag))
-        out, _ = _average_stage((w, delayed), FC)
+        out, _ = _average_stage(mix(w, delayed), 2, FC)
         assert out.samples.tobytes() == res.output.samples.tobytes()
         assert divider_residual(w, delayed, out, FC) < 1e-3
 
@@ -436,15 +472,16 @@ def shifted(x, lag):
 
 
 def simulate_with_leaves(monkeypatch, *args):
-    """simulate_taps(*args), and a copy of each leaf its averaging stage mixed."""
+    """simulate_taps(*args), and a copy of each leaf its mixer multiplied:
+    the leaves are mixed in tap order, the first two, then the running
+    product with each next leaf."""
     leaves = []
-    stage = circuit._average_stage
 
-    def record(waves, f_c):
-        leaves.extend(w.samples.copy() for w in waves)
-        return stage(waves, f_c)
+    def record(a, b):
+        leaves.extend(w.samples.copy() for w in ((a, b) if not leaves else (b,)))
+        return mix(a, b)
 
-    monkeypatch.setattr(circuit, "_average_stage", record)
+    monkeypatch.setattr(circuit, "mix", record)
     return simulate_taps(*args), leaves
 
 

@@ -254,6 +254,26 @@ class TestWriteTable:
         experiments._write_table(path, self.HEADER, x, y)
         assert path.read_bytes() == self.oracle(self.HEADER, x, y)
 
+    def test_bytes_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch):
+        """One table of mixed signs, 3-digit exponents, subnormals and values
+        next to an 11-digit rounding tie, written one row a chunk, seven, and
+        TABLE_CHUNK_ROWS: the same bytes, which are the oracle's."""
+        rng = np.random.default_rng(20)
+        ties = [float(f"{d}5e{e}") for d, e in zip(rng.integers(10**10, 10**11, 40).tolist(),
+                                                   rng.integers(-318, 297, 40).tolist())]
+        values = np.concatenate([
+            self.neighbours(ties), self.neighbours([1e-300, 2.5e300, 5e-324, 1e-310]),
+            rng.integers(1, 2**52, 50, dtype=np.int64).view(np.float64),
+            rng.uniform(1, 10, 50) * 10.0 ** rng.integers(-307, 308, 50)])
+        values *= np.where(rng.random(values.size) < 0.5, -1.0, 1.0)
+        x, y = values[0::2], values[1::2][::-1]
+        written = []
+        for rows in (1, 7, experiments.TABLE_CHUNK_ROWS):
+            monkeypatch.setattr(experiments, "TABLE_CHUNK_ROWS", rows)
+            experiments._write_table(tmp_path / f"{rows}.data", self.HEADER, x, y)
+            written.append((tmp_path / f"{rows}.data").read_bytes())
+        assert written == [self.oracle(self.HEADER, x, y)] * 3
+
     def assert_rows_match_oracle(self, tmp_path, x, y=None):
         """Columns x and y (by default x negated in reverse) write the
         oracle's bytes; the first mismatched rows are reported."""
@@ -353,6 +373,8 @@ class TestWriteTable:
 
         chunk = experiments.TABLE_CHUNK_ROWS
         assert peak(4 * chunk) < 1.5 * peak(chunk)
+        # a default `simulate` table: 15.6 MB when it was one chunk
+        assert peak(64000) < 6e6
 
 
 def _read_table(path: Path):
@@ -1083,6 +1105,25 @@ class TestSimulateCommand:
         t, a = _read_table(tmp_path / "out" / "waveform_averaged_independent.data")
         assert np.all(np.diff(t) > 0)
         assert np.max(np.abs(a)) <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("scenario,digest", [
+        ("base", "95a9f0ca7a5e7d39366b1c6c007668f130eb398ba2f6aac43a9cf3aea15b8a6f"),
+        ("averaged_independent",
+         "b333fb65f1f0f8047c4abbe75b257d06f3c3b494c6784130467a98cdf5b8f7c8"),
+        ("averaged_n", "4d4e69c04f78e5aaff4ef0bc8a7149a2df3d09187cbff440b51edfebecad115e"),
+        ("delayed_self", "68674568a7c11f3804c46d215f0ccd41e140dde8632f2dad80f285da58eaaade")])
+    def test_table_bytes_pinned(self, tmp_path, scenario, digest):
+        """Each scenario's table of 16 384 drawn-offset samples at seed 7
+        keeps the sha256 it had before the waveform path freed its inputs
+        before the read-out and the table was written in smaller chunks."""
+        extra = {"averaged_n": "n_oscillators = 4\n", "delayed_self": "delta = 1e-6\n"}
+        cfg = tmp_path / "pinned.cfg"
+        cfg.write_text(f"scenario = {scenario}\nduration = 256e-6\noffsets = uniform:5e4\n"
+                       + extra.get(scenario, ""))
+        assert main(["simulate", "--config", str(cfg), "--seed", "7",
+                     "--out", str(tmp_path / "out")]) == 0
+        table = (tmp_path / "out" / f"waveform_{scenario}.data").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == digest
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_deterministic_and_equal_to_api_waveform(self, tmp_path, scenario):
