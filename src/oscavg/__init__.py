@@ -1,11 +1,11 @@
 """Phase-noise averaging circuit simulator.
 
-Wiener-model oscillators, averaging circuits of one mixer/divide-by-k stage
-over any k >= 2 equal-weight taps (the pair and the delayed self-average
-among them), the four-oscillator mixing stage, one closed-form model of
-weighted, delayed Wiener phases for their autocorrelations and spectra,
-and one Welch estimator, with per-bin standard errors and its exact
-expected density, to compare them.
+Wiener-model oscillators, circuits of one mixer/divide-by-m stage over any
+k >= 2 taps of one weight 1/m (the pair and the delayed self-average
+average at m = k; the four-oscillator mixing tree sums at m = 1), one
+closed-form model of weighted, delayed Wiener phases for their
+autocorrelations and spectra, and one Welch estimator, with per-bin
+standard errors and its exact expected density, to compare them.
 """
 
 from .analytic import (

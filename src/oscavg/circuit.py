@@ -1,14 +1,15 @@
 """Oscillator-averaging circuits: mixers, ideal filters, divider loops.
 
-`simulate_taps` builds the averaging circuit of any k >= 2 equal-weight
-taps of `analytic` (source i being input oscillator i) as one averaging
-stage (mix all k, divide-by-k resolved at its fixed point), and states its
-expected output: the phase sum_j a_j theta^(s_j)_{t - d_j}, the frequency
-sum_j a_j omega_(s_j). The pair and the delayed self-average are two such
-tap sets. Every phase comes from one read-out, `demodulate_phase`: the
-unwrapped phase of a band's analytic signal. `divider_residual` re-feeds
-a 2-input stage's output through its divider loop, on request, to measure
-how far it is from the fixed point.
+`simulate_taps` builds the circuit of any k >= 2 taps of `analytic` of one
+weight 1/m (source i being input oscillator i) as one averaging stage (mix
+all k, divide-by-m resolved at its fixed point), and states its expected
+output: the phase sum_j a_j theta^(s_j)_{t - d_j}, the frequency sum_j a_j
+omega_(s_j). The pair and the delayed self-average are two such tap sets
+at m = k, which averages; the four-oscillator mixing tree is four taps at
+m = 1, which sums. Every phase comes from one read-out, `demodulate_phase`:
+the unwrapped phase of a band's analytic signal. `divider_residual`
+re-feeds a 2-input stage's output through its divider loop, on request, to
+measure how far it is from the fixed point.
 """
 
 from __future__ import annotations
@@ -204,13 +205,13 @@ def _expected(lags: dict, layout, phases: Sequence[Waveform], omegas: Sequence[f
 
 
 def _loop_interior(n: int, fs: float, f_c: float, settle: int) -> slice:
-    """The samples of an n-sample divider output that its loop check
-    compares. The brick-wall filters ring near the ends, so the first and
-    last sixteenth (at least edge_trim samples) are skipped, and so are the
+    """The samples of an n-sample stage output that a loop check compares.
+    The brick-wall filters ring near the ends, so the first and last
+    sixteenth (at least edge_trim samples) are skipped, and so are the
     first `settle` samples (start-up). ParameterError if none are left."""
     trim = max(edge_trim(fs, f_c), n // 16)
     if settle + trim >= n - trim:
-        raise ParameterError("duration too short: the edge trim covers the whole divider output")
+        raise ParameterError("duration too short: the edge trim covers the whole stage output")
     return slice(settle + trim, n - trim)
 
 
@@ -230,17 +231,19 @@ def divider_residual(a: Waveform, b: Waveform, output: Waveform, f_c: float) -> 
     return float(np.max(np.abs(loop.samples[interior] - output.samples[interior])))
 
 
-def _average_stage(product: Waveform, k: int, f_c: float) -> Tuple[Waveform, np.ndarray]:
+def _average_stage(product: Waveform, k: int, m: int, f_c: float
+                   ) -> Tuple[Waveform, np.ndarray]:
     """One averaging stage of k >= 2 inputs, given their product (the
-    mixer's output, `mix` of all k): the regenerative divide-by-k resolved
+    mixer's output, `mix` of all k): the regenerative divide-by-m resolved
     at its fixed point (Miller, Proc. IRE 27(7), 1939), whose output phase
-    is 1/k of the phase of the product's band [(k-1)*f_c, (k+1)*f_c].
-    Taking the product, not the inputs, lets a caller drop the inputs before
-    the read-out (`demodulate_phase`), which holds one complex buffer and
-    the phase it returns. Returns the output, of amplitude 1/2, and its
-    total phase."""
+    is 1/m of the phase of the product's band [(k-1)*f_c, (k+1)*f_c],
+    defined modulo 2*pi/m. m = k averages the inputs; m = 1 has no divider
+    and sums them. Taking the product, not the inputs, lets a caller drop
+    the inputs before the read-out (`demodulate_phase`), which holds one
+    complex buffer and the phase it returns. Returns the output, of
+    amplitude 1/2, and its total phase."""
     total = demodulate_phase(product, (k - 1) * f_c, (k + 1) * f_c)
-    total /= k
+    total /= m
     out = np.cos(total)
     out *= 0.5
     return Waveform(fs=product.fs, samples=out), total
@@ -261,20 +264,23 @@ def _check_band(offsets: Sequence[float], f_c: float, k: int):
 
 def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, duration: float,
                   seed: int) -> SimulationResult:
-    """The averaging circuit of `taps` (s_j, a_j, d_j) on inputs `specs`: one
+    """The circuit of `taps` (s_j, a_j, d_j) on inputs `specs`: one
     averaging stage over k leaves, leaf j input s_j delayed by d_j. The taps
-    must be k >= 2 of weight 1/k on sources indexing `specs`, each delay a
+    must be k >= 2 of one weight 1/m, m a whole number from 1 (the stage
+    sums) to k (it averages), on sources indexing `specs`, each delay a
     whole number of samples below n/4, and fs >= 8*k*f_c; they and the loop
     interior past the largest lag are checked before any draw. The leaves'
     drawn offsets f_j need |sum f_j| < f_c and sum f_j - 2*min f_j < f_c,
     checked before any walk is drawn (`_check_band`). The output's phase is
     (sum a_j w_(s_j)) t + sum a_j theta^(s_j)_{t-d_j} - sum a_j w_(s_j) d_j,
-    `expected` holding the first two terms, up to a multiple of 2*pi/k (the
+    `expected` holding the first two terms, up to a multiple of 2*pi/m (the
     divider's phase is free)."""
     _check_taps(taps)
-    k = len(taps)
-    if k < 2 or any(a != 1.0 / k or s not in range(len(specs)) for s, a, _ in taps):
-        raise ParameterError(f"taps {taps!r} need k >= 2 of weight 1/k, sources < {len(specs)}")
+    k, a = len(taps), taps[0][1]
+    m = round(1.0 / a) if 1.0 / k <= a <= 1.0 else 0
+    if k < 2 or m < 1 or any(w != 1.0 / m or s not in range(len(specs)) for s, w, _ in taps):
+        raise ParameterError(f"taps {taps!r} need k >= 2 of one weight 1/m, m a whole number "
+                             f"from 1 to k, sources < {len(specs)}")
     f_c = specs[0].f_c
     n = _samples(specs, fs, duration, k * f_c)
     lags, (layout,) = tap_layout([taps], 1.0 / fs)
@@ -290,7 +296,7 @@ def simulate_taps(specs: Sequence[OscillatorSpec], taps: Taps, fs: float, durati
     product = reduce(mix, [Waveform(fs=fs, samples=inputs[s][start:start + n])
                            for s, _, start in layout])
     del inputs  # the carriers and their zero-prefixed copies, freed before the read-out
-    out, total = _average_stage(product, k, f_c)
+    out, total = _average_stage(product, k, m, f_c)
     del product
     return SimulationResult(output=out, expected=_expected(lags, layout, paths, omegas),
                             phases=paths, omegas=omegas, measured_total_phase=total)
@@ -307,26 +313,18 @@ def simulate_pair_average(spec1: OscillatorSpec, spec2: OscillatorSpec, fs: floa
 
 def simulate_mixing_tree(specs: Sequence[OscillatorSpec], fs: float,
                          duration: float, seed: int) -> SimulationResult:
-    """Four-oscillator mixing stage: two pairwise mixers feeding a third,
-    highpass at 3*f_c keeping the component near 4*f_c, of amplitude 1/8.
+    """Four-oscillator mixing stage: the stage of four taps of weight 1
+    (m = 1, no divider), whose output (1/2)cos(phase) is regenerated from
+    the product's band [3*f_c, 5*f_c].
 
-    It does not average: the output phase is the *sum* of the input phases
-    (four taps of weight 1), not their mean, and it has no divider. It
-    stays (the `averaged_n` scenario) because the benchmark's waveform
-    workload checks this sum-phase output, until `simulate_taps` replaces it.
-    The drawn offsets need |sum f_i| < f_c and sum f_i - 2*min f_i < f_c
+    It does not average: the output phase is the *sum* of the input phases,
+    not their mean. It stays (the `averaged_n` scenario) because the
+    benchmark's waveform workload checks this sum-phase output. The drawn
+    offsets need |sum f_i| < f_c and sum f_i - 2*min f_i < f_c
     (`_check_band`), checked before any walk is drawn."""
     if len(specs) != 4:
         raise ParameterError("mixing tree takes exactly 4 oscillators")
-    f_c = specs[0].f_c
-    waves, paths, omegas = _draw(specs, fs, duration, seed, 4.0 * f_c,
-                                 lambda offsets: _check_band(offsets, f_c, 4))
-    out = ideal_filter(mix(mix(waves[0], waves[1]), mix(waves[2], waves[3])),
-                       "highpass", 3.0 * f_c)
-    measured = demodulate_phase(out, 3.0 * f_c, 5.0 * f_c)
-    lags, (layout,) = tap_layout([tuple((i, 1.0, 0.0) for i in range(4))], 1.0 / fs)
-    return SimulationResult(output=out, expected=_expected(lags, layout, paths, omegas),
-                            phases=paths, omegas=omegas, measured_total_phase=measured)
+    return simulate_taps(specs, tuple((i, 1.0, 0.0) for i in range(4)), fs, duration, seed)
 
 
 def simulate_delayed_self_average(spec: OscillatorSpec, delta: float, fs: float,

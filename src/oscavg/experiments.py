@@ -441,7 +441,7 @@ def run_acceptance(cfg: ExperimentConfig) -> Dict:
     w1, w2 = (stochastic.oscillator_waveform(
         spec, 0.0, stochastic.wiener_path(spec.beta, 0.0, 1.0 / fs, n_div, (seed, i), TAG_DIVIDER),
         fs) for i in (0, 1))
-    divided, _ = circuit._average_stage(circuit.mix(w1, w2), 2, f_c)
+    divided, _ = circuit._average_stage(circuit.mix(w1, w2), 2, 2, f_c)
     checks.append(("divider-loop-residual", circuit.divider_residual(w1, w2, divided, f_c), 1e-3))
 
     # the delay and the offsets scale with 1/beta, so quadrature spans the

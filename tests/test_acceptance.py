@@ -108,7 +108,7 @@ def test_04_pair_circuit_steady_state():
     assert rms < 1e-4
     # divider loop re-fed with the output
     (a, b), _, _ = _draw((spec, spec), fs, 2048e-6, 1004, 2 * fc)
-    out, _ = _average_stage(mix(a, b), 2, fc)
+    out, _ = _average_stage(mix(a, b), 2, 2, fc)
     assert out.samples.tobytes() == res.output.samples.tobytes()
     assert divider_residual(a, b, out, fc) < 1e-3
 

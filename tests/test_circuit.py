@@ -312,7 +312,7 @@ class TestPairAverage:
         # product's band [f_c, 3*f_c]
         spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(50.0))
         (a, b), _, _ = _draw((spec, spec), FS, 512e-6, 85, 2 * FC)
-        out, total = _average_stage(mix(a, b), 2, FC)
+        out, total = _average_stage(mix(a, b), 2, 2, FC)
         half = 0.5 * demodulate_phase(mix(a, b), FC, 3 * FC)
         assert total.tobytes() == half.tobytes()
         assert out.samples.tobytes() == (0.5 * np.cos(half)).tobytes()
@@ -328,7 +328,7 @@ class TestPairAverage:
         spec = OscillatorSpec(f_c=FC, beta=1e-3)
         res = simulate_pair_average(spec, spec, FS, 512e-6, seed=83)
         (a, b), _, _ = _draw((spec, spec), FS, 512e-6, 83, 2 * FC)
-        out, _ = _average_stage(mix(a, b), 2, FC)
+        out, _ = _average_stage(mix(a, b), 2, 2, FC)
         assert out.samples.tobytes() == res.output.samples.tobytes()
         assert divider_residual(a, b, out, FC) < 1e-3
 
@@ -364,12 +364,13 @@ class TestMixingTree:
     FS4 = 64e6
 
     def test_noiseless_output(self):
+        # the stage at m = 1 regenerates (1/2)cos of the summed phase
         spec = OscillatorSpec(f_c=FC)
         res = simulate_mixing_tree([spec] * 4, self.FS4, 1024e-6, seed=90)
         n = len(res.output)
         trim = max(edge_trim(self.FS4, 3 * FC), n // 16)
         k = np.arange(n)
-        ref = 0.125 * np.cos(TWO_PI * 4 * FC * k / self.FS4)
+        ref = 0.5 * np.cos(TWO_PI * 4 * FC * k / self.FS4)
         err = res.output.samples[trim:-trim] - ref[trim:-trim]
         assert np.sqrt(np.mean(err**2)) < 1e-6
 
@@ -387,6 +388,13 @@ class TestMixingTree:
         with pytest.raises(ParameterError):
             simulate_mixing_tree([OscillatorSpec(f_c=FC)] * 3, self.FS4,
                                  512e-6, seed=0)
+
+    def test_carriers_freed_before_the_read_out(self):
+        # 2**18 samples (2.1 MB an array): the stage's peak, 21.0 MB; 25.2 MB
+        # while the tree's own mixers held four carriers, both pair products
+        # and the filtered output through its read-out
+        spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(50.0))
+        assert traced_peak(simulate_mixing_tree, [spec] * 4, 64e6, 2**18 / 64e6, 86) < 23e6
 
 
 class TestDelayedSelfAverage:
@@ -434,7 +442,7 @@ class TestDelayedSelfAverage:
         assert np.sqrt(np.mean(err**2)) < 1e-4
         (w,), _, _ = _draw((spec,), FS, 2048e-6, 101, 2 * FC)
         delayed = Waveform(fs=FS, samples=shifted(w.samples, lag))
-        out, _ = _average_stage(mix(w, delayed), 2, FC)
+        out, _ = _average_stage(mix(w, delayed), 2, 2, FC)
         assert out.samples.tobytes() == res.output.samples.tobytes()
         assert divider_residual(w, delayed, out, FC) < 1e-3
 
@@ -510,8 +518,13 @@ class TestTapTree:
         # delayed leaves of one input, 16 samples apart
         (1, tuple((0, 0.25, k * 16 / 64e6) for k in range(4)), 1e-4),
         *((k, tuple((i, 1 / k, 0.0) for i in range(k)), 1e-4) for k in (3, 5, 6, 7)),
+        # weight 1/m above 1/k: the stage sums (m = 1) or halves the sum
+        (2, ((0, 1.0, 0.0), (1, 1.0, 0.0)), 1e-4),
+        (4, tuple((i, 1.0, 0.0) for i in range(4)), 1e-4),
+        (4, tuple((i, 0.5, 0.0) for i in range(4)), 1e-4),
     ], ids=["4-inputs", "8-inputs", "delayed-pair", "delayed-cascade",
-            "3-inputs", "5-inputs", "6-inputs", "7-inputs"])
+            "3-inputs", "5-inputs", "6-inputs", "7-inputs",
+            "2-inputs-summed", "4-inputs-summed", "4-inputs-halved"])
     def test_phase_matches_taps(self, n_specs, taps, gate, seed):
         spec = OscillatorSpec(f_c=FC, beta=1e-3, offset_dist=OffsetDist.uniform(10.0))
         res = simulate_taps((spec,) * n_specs, taps, self.FS, 1e-3, seed)
@@ -520,10 +533,10 @@ class TestTapTree:
         t = np.arange(n) / self.FS
         expected = (res.expected.omega_prime * t + res.expected.phase_path_prime.samples
                     - sum(a * res.omegas[s] * d for s, a, d in taps))
-        # the output phase is fixed only up to a multiple of 2*pi/k, since
-        # a divide-by-k may settle on any of its k phases: after removing
+        # the output phase is fixed only up to a multiple of 2*pi/m, since
+        # a divide-by-m may settle on any of its m phases: after removing
         # the mean offset, compare modulo that step
-        step = TWO_PI / len(taps)
+        step = TWO_PI * taps[0][1]
         err = res.measured_total_phase - expected
         err -= step * np.round(np.mean(err) / step)
         trim = max(n // 16, 4 * lag)
@@ -541,6 +554,10 @@ class TestTapTree:
         ((0, 0.75, 0.0), (1, 0.25, 0.0)),  # weights not 1/k
         ((0, 0.5, 0.0), (2, 0.5, 0.0)), ((0, 0.5, 0.0), (-1, 0.5, 0.0)),  # no such input
         ((0, 0.5, 0.0), (1.0, 0.5, 0.0)),  # not an integer source
+        ((0, 0.4, 0.0), (1, 0.4, 0.0)),  # 1/a = 2.5 is not whole
+        ((0, 2.0, 0.0), (1, 2.0, 0.0)), ((0, 0.0, 0.0), (1, 0.0, 0.0)),  # no whole m >= 1
+        ((0, -0.5, 0.0), (1, -0.5, 0.0)),  # a negative weight
+        ((0, 0.25, 0.0), (1, 0.25, 0.0)), ((0, 5e-324, 0.0), (1, 5e-324, 0.0)),  # m > k
     ])
     def test_bad_taps_refused_before_draw(self, no_draw, taps):
         with pytest.raises(ParameterError):

@@ -471,11 +471,12 @@ class TestFigureCommands:
         ("simulate", "scenario = delayed_self\ndelta = 1e-6\nf_c_scaled = 1e-300"),
         # 512 samples, all of them inside the filters' edge trim
         ("simulate", "scenario = averaged_independent\nduration = 8e-6"),
+        ("simulate", "scenario = averaged_n\nn_oscillators = 4\nduration = 8e-6"),
         # drawn offsets whose mixing products the read-out band cannot separate
         ("simulate", "scenario = averaged_independent\noffsets = delta:6e5"),
         ("simulate", "scenario = delayed_self\ndelta = 1e-6\noffsets = delta:6e5"),
         ("simulate", "scenario = averaged_n\nn_oscillators = 4\noffsets = delta:3e5"),
-        # one sample: too short for the mixing tree's filters
+        # one sample: too short for the mixing tree's stage
         ("simulate", "scenario = averaged_n\nn_oscillators = 4\nduration = 2e-8"),
         # non-finite intermediate values: only the finite check may report
         ("figure-log --no-estimates", "beta = 1e308"),
@@ -913,6 +914,26 @@ def test_z_gates_are_scipys_quantiles():
     assert experiments.Z_FAMILY.hex() == float(-ndtri(0.5e-4 / 768)).hex()
 
 
+def test_z_family_counts_the_bins_the_welch_checks_compare(monkeypatch):
+    """Z_FAMILY is the family-wise gate over the bins welch-expected-density
+    compares: the expected densities the checks ask for, each the size of
+    its estimate, total 768 bins, so a change to the checks' curves or
+    segment length cannot leave the gate behind."""
+    from scipy.special import ndtri
+
+    ests, expected = [], []
+    estimate, expectation = experiments.estimate_curves, spectral.expected_psd
+    monkeypatch.setattr(experiments, "estimate_curves",
+                        lambda *args: ests.extend(estimate(*args)) or ests)
+    monkeypatch.setattr(spectral, "expected_psd",
+                        lambda *args: expected.append(expectation(*args)) or expected[-1])
+    experiments._welch_checks(1e4, 3)
+    assert [e.shape for e in expected] == [est.psd.shape for est in ests]
+    bins = sum(e.size for e in expected)
+    assert bins == 768
+    assert experiments.Z_FAMILY.hex() == float(-ndtri(0.5e-4 / bins)).hex()
+
+
 @pytest.mark.parametrize("seed", [1871, 4090, 4219])
 def test_welch_density_studentized_on_the_log_scale(monkeypatch, seed):
     """At these seeds (beta = 1e4) a low bin with a low SE puts the linear
@@ -1110,12 +1131,14 @@ class TestSimulateCommand:
         ("base", "95a9f0ca7a5e7d39366b1c6c007668f130eb398ba2f6aac43a9cf3aea15b8a6f"),
         ("averaged_independent",
          "b333fb65f1f0f8047c4abbe75b257d06f3c3b494c6784130467a98cdf5b8f7c8"),
-        ("averaged_n", "4d4e69c04f78e5aaff4ef0bc8a7149a2df3d09187cbff440b51edfebecad115e"),
+        ("averaged_n", "21f9f84d59c0e1290bb07eac099886583ba13ed07a1e992de2dc2f9f3795ac6b"),
         ("delayed_self", "68674568a7c11f3804c46d215f0ccd41e140dde8632f2dad80f285da58eaaade")])
     def test_table_bytes_pinned(self, tmp_path, scenario, digest):
         """Each scenario's table of 16 384 drawn-offset samples at seed 7
         keeps the sha256 it had before the waveform path freed its inputs
-        before the read-out and the table was written in smaller chunks."""
+        before the read-out and the table was written in smaller chunks;
+        averaged_n's is the stage's at m = 1, the tree's regenerated
+        output."""
         extra = {"averaged_n": "n_oscillators = 4\n", "delayed_self": "delta = 1e-6\n"}
         cfg = tmp_path / "pinned.cfg"
         cfg.write_text(f"scenario = {scenario}\nduration = 256e-6\noffsets = uniform:5e4\n"
