@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .stochastic import OffsetDist, ParameterError, _real
 
@@ -118,7 +118,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        known = {f.name: f for f in fields(cls)}
         kwargs, first = {}, {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -128,13 +127,13 @@ class ExperimentConfig:
             if not sep:
                 raise ParameterError(f"line {lineno}: expected 'key = value', got {raw!r}")
             key, value = key.strip(), value.strip()
-            if key not in known:
+            if key not in _KINDS:
                 raise ParameterError(f"line {lineno}: unknown key {key!r}")
             if key in first:
                 raise ParameterError(f"line {lineno}: key {key!r} given twice (first on "
                                      f"line {first[key]})")
             first[key] = lineno
-            kwargs[key] = _coerce(key, value)
+            kwargs[key] = parse_value(key, value)
         return cls(**kwargs)
 
     @classmethod
@@ -142,56 +141,53 @@ class ExperimentConfig:
         return cls.from_text(Path(path).read_text())
 
 
-# The fields' kinds, what `_coerce` reads a field's text as and what
-# `_typed` requires of a value built in Python: integers, texts, `offsets`
-# (an OffsetDist), `deltas` (real numbers), and real numbers, the rest.
-_INTEGERS = ("n_oscillators", "n_paths", "segment_len", "seed")
-_TEXTS = ("scenario", "window", "output_dir")
+# Each field's kind, its annotation: what `parse_value` reads the field's text
+# as and what `_typed` requires of a value built in Python.
+_KINDS = get_type_hints(ExperimentConfig)
 
 
-def _coerce(key: str, value: str):
-    if key == "offsets":
+def parse_value(key: str, value: str):
+    """The text of setting `key`, a config file's value or the CLI flag that
+    sets it, as a value of the field's kind; ParameterError if it is none."""
+    kind = _KINDS[key]
+    if kind is OffsetDist:
         return parse_offset_descriptor(value)
-    if key in _TEXTS:
+    if kind is str:
         return value
-    integer = key in _INTEGERS
     try:
-        if key == "deltas":
+        if kind is tuple:
             return tuple(float(v) for v in value.split(",") if v.strip())
-        return int(value) if integer else float(value)
+        return int(value) if kind is int else float(value)
     except ValueError:
-        kind = "an integer" if integer else "a number"
-        raise ParameterError(f"{key} must be {kind}, got {value!r}") from None
+        raise ParameterError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                             f"got {value!r}") from None
 
 
 def _typed(key: str, value):
     """value as field `key` holds it: an integer field's int, a real field's
-    float (or None for delta), deltas' tuple of floats, offsets' OffsetDist,
-    a text field's str (a real beyond the largest float is inf, which the
-    finiteness checks refuse). ParameterError if value is not of the field's
-    kind; a bool is no number."""
-    if key == "offsets":
-        if isinstance(value, OffsetDist):
+    float (or None for an Optional one, delta), deltas' tuple of floats,
+    offsets' OffsetDist, a text field's str (a real beyond the largest float
+    is inf, which the finiteness checks refuse). ParameterError if value is
+    not of the field's kind; a bool is no number."""
+    kind = _KINDS[key]
+    if kind is OffsetDist or kind is str:
+        if isinstance(value, kind):
             return value
-        kind = "an OffsetDist"
-    elif key in _TEXTS:
-        if isinstance(value, str):
-            return value
-        kind = "a str"
-    elif key == "deltas":
+        wanted = "an OffsetDist" if kind is OffsetDist else "a str"
+    elif kind is tuple:
         if isinstance(value, Iterable) and not isinstance(value, (str, bytes)):
             value = tuple(value)
             if all(isinstance(d, Real) and not isinstance(d, bool) for d in value):
                 return tuple(map(_real, value))
-        kind = "a sequence of real numbers"
-    elif key in _INTEGERS:
+        wanted = "a sequence of real numbers"
+    elif kind is int:
         if isinstance(value, Integral) and not isinstance(value, bool):
             return int(value)
-        kind = "an integer"
+        wanted = "an integer"
     else:
-        if value is None and key == "delta":
+        if value is None and kind == Optional[float]:
             return value
         if isinstance(value, Real) and not isinstance(value, bool):
             return _real(value)
-        kind = "a real number"
-    raise ParameterError(f"{key} must be {kind}, got {value!r}")
+        wanted = "a real number"
+    raise ParameterError(f"{key} must be {wanted}, got {value!r}")

@@ -37,7 +37,7 @@ STREAM_PHASE = 0
 STREAM_OFFSET = 1
 
 # Largest input the package accepts, in samples: a simulated waveform
-# (duration * fs, `circuit._draw`), and an estimated figure path's Welch
+# (duration * fs, `circuit._samples`), and an estimated figure path's Welch
 # segment samples or longest walk (`experiments._path_plan`). Arrays of
 # that size are held in memory, and a much larger input would fail in
 # allocation instead of with a one-line error.
@@ -358,8 +358,9 @@ def oscillator_waveform(spec: OscillatorSpec, f_i: float, phase: Waveform,
     """Sampled oscillator output cos(2*pi*(f_c + f_i)*t + theta_t), as long
     as its phase path.
 
-    Requires fs >= 8*(f_c + |f_i|) so downstream mixing products near
-    4*f_c remain representable.
+    Requires fs >= 8*(f_c + |f_i|): eight samples a cycle of the carrier.
+    A circuit's k-input stage reads products up to k*f_c, and
+    `circuit._samples` holds it to fs >= 8*k*f_c.
     """
     if not math.isfinite(f_i):
         raise ParameterError(f"offset f_i={f_i:g} Hz must be finite")

@@ -1089,12 +1089,74 @@ def test_quadrature_check_can_fail(monkeypatch, beta):
 def test_paths_refused_where_no_path_is_estimated(tmp_path, capsys, command):
     """--paths sets the figures' estimated path count. acceptance and
     simulate estimate none: they used to take it, run unchanged, and report
-    another config hash; now argparse refuses it, exit 2, and nothing runs."""
-    with pytest.raises(SystemExit) as info:
-        main([command, "--paths", "5", "--out", str(tmp_path / "out")])
-    assert info.value.code == 2
-    assert "unrecognized arguments: --paths 5" in capsys.readouterr().err
+    another config hash; now the parser refuses it with one `error:` line,
+    exit 2, and nothing runs."""
+    assert main([command, "--paths", "5", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "unrecognized arguments: --paths 5" in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure-log", "--bogus"], ["simulate", "--format", "xml"], ["simulate", "--seed"], []])
+def test_parser_refusals_one_line_exit_2(tmp_path, capsys, argv):
+    """An unknown flag, a bad choice, a flag without its value and a missing
+    command: one `error:` line, exit 2, no usage text and no directory."""
+    out = [] if not argv else ["--out", str(tmp_path / "out")]
+    assert main([*argv, *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: oscavg simulate")
+
+
+class TestFlagIsItsKey:
+    """--seed, --paths and --out are the keys seed, n_paths and output_dir:
+    the config's parser reads the flag's text as it reads the key's value."""
+
+    @pytest.mark.parametrize("command,flags,keys", [
+        (["figure-linear"], ["--seed", "7", "--paths", "3"], "seed = 7\nn_paths = 3\n"),
+        (["simulate"], ["--seed", "7"], "seed = 7\n")])
+    def test_same_files(self, tmp_path, monkeypatch, command, flags, keys):
+        """The flags and the same values as keys write the same bytes,
+        config hash included; each run writes to `out` under its own
+        directory, so output_dir is the same text too."""
+        base = "segment_len = 64\nduration = 2e-5\n"
+        (tmp_path / "flags").mkdir()
+        (tmp_path / "keys").mkdir()
+        (tmp_path / "flags.cfg").write_text(base)
+        (tmp_path / "keys.cfg").write_text(base + keys + "output_dir = out\n")
+        monkeypatch.chdir(tmp_path / "flags")
+        assert main([*command, "--config", "../flags.cfg", *flags, "--out", "out"]) == 0
+        monkeypatch.chdir(tmp_path / "keys")
+        assert main([*command, "--config", "../keys.cfg"]) == 0
+        names = sorted(p.name for p in (tmp_path / "flags" / "out").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "keys" / "out").iterdir())
+        assert names
+        for name in names:
+            assert (tmp_path / "flags" / "out" / name).read_bytes() \
+                == (tmp_path / "keys" / "out" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("flag,key,value", [
+        ("--seed", "seed", "abc"), ("--paths", "n_paths", "1.5"),
+        ("--seed", "seed", str(2**64))])
+    def test_same_refusal(self, tmp_path, capsys, flag, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["figure-log", "--no-estimates", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        from_file = capsys.readouterr().err
+        assert main(["figure-log", "--no-estimates", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == from_file
+        assert from_file.startswith("error: ") and from_file.count("\n") == 1
+        assert not out.exists()
 
 
 class TestAcceptanceCommand:
