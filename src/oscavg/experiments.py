@@ -37,6 +37,8 @@ LIN_POINTS = 501
 # 7 * 2**13 and 2**16, and 2**18 took longer: 0.040 against 0.044 reference
 # s in `perfbench` mc_short pairs, at 4.4 MB more peak memory; default
 # figure-log paths ran 12 % faster two a block than one (mc_long pairs).
+# It also bounds the runs of grid intervals in which the acceptance battery
+# integrates its power check, so no spectrum there spans the whole grid.
 BLOCK_SAMPLES = 2**17
 # Rows `_write_table` formats and writes at once. A chunk's temporaries
 # (1.0 MB traced at 2**12 rows) fit in a 2 MiB L2 cache, and the allocator
@@ -371,14 +373,23 @@ def _ensemble_checks(beta: float, seed: int) -> List[Tuple[str, float, float]]:
     neighbouring seeds share no stream). The phase of check k is the mean of
     the first k blocks. Its increments are independent N(0, 2 pi beta dt / k),
     so the mean of their squares has relative standard error
-    sqrt(2 / (N (n-1)))."""
+    sqrt(2 / (N (n-1))). The blocks are drawn one at a time, block j on
+    paths j * 2000 onwards, and added in block order into one running sum
+    (the sum `mean(axis=0)` takes over the stacked blocks), so no more than
+    one block is held beside the sum and every value is the same bit for
+    bit."""
     dt, n, rows = 1e-6, 101, 2000
-    blocks = stochastic.wiener_ensemble(beta, 0.0, dt, n, seed, 4 * rows).reshape(4, rows, n)
-    return [(name, _rel_err(np.mean(np.diff(blocks[:k].mean(axis=0)) ** 2),
-                            TWO_PI * beta * dt / k),
-             Z_GATE * math.sqrt(2.0 / (rows * (n - 1))))
-            for k, name in ((1, "wiener-variance-slope"), (2, "pair-averaging-variance-halving"),
-                            (4, "quad-averaging-variance-quartering"))]
+    tolerance = Z_GATE * math.sqrt(2.0 / (rows * (n - 1)))
+    names = {1: "wiener-variance-slope", 2: "pair-averaging-variance-halving",
+             4: "quad-averaging-variance-quartering"}
+    total, checks = np.zeros((rows, n)), []
+    for k in range(1, 5):
+        total += stochastic.wiener_ensemble(beta, 0.0, dt, n, seed, rows,
+                                            first_index=(k - 1) * rows)
+        if k in names:
+            checks.append((names[k], _rel_err(np.mean(np.diff(total / k) ** 2),
+                                              TWO_PI * beta * dt / k), tolerance))
+    return checks
 
 
 def _welch_checks(beta: float, seed: int) -> List[Tuple[str, float, float]]:
@@ -472,9 +483,12 @@ def run_acceptance(cfg: ExperimentConfig) -> Dict:
 
     # the pair's power within |w| <= 1e4 a: (2/pi) arctan(1e4). The grid
     # scales with the line, so the trapezoid sum is exact to rounding (from
-    # beta = 1e-3 to 1e9)
+    # beta = 1e-3 to 1e9). It is integrated in runs of BLOCK_SAMPLES
+    # intervals that share their edge points, added in grid order, so the
+    # spectrum is never held over the whole grid
     om_grid = a * np.linspace(-1e4, 1e4, 400001)
-    power = np.trapezoid(analytic.tap_psd(beta, PAIR_TAPS, om_grid), om_grid) / TWO_PI
+    runs = (om_grid[i:i + BLOCK_SAMPLES + 1] for i in range(0, om_grid.size - 1, BLOCK_SAMPLES))
+    power = sum(np.trapezoid(analytic.tap_psd(beta, PAIR_TAPS, w), w) for w in runs) / TWO_PI
     checks.append(("lorentzian-unit-power", _rel_err(power, 2.0 / np.pi * math.atan(1e4)), 1e-9))
 
     checks += _welch_checks(beta, seed)

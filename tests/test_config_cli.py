@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -974,6 +975,53 @@ def test_ensemble_checks_pass_over_100_seeds():
               for name, measured, tolerance in experiments._ensemble_checks(1e4, seed)
               if not measured < tolerance]
     assert not failed
+
+
+@pytest.mark.parametrize("beta", [1e4, 1e-3])
+@pytest.mark.parametrize("seed", [1, 179, 12345])
+def test_streamed_ensemble_is_the_whole_array_ensemble(seed, beta):
+    """The variance checks draw their four blocks one at a time into one
+    running sum, and read exactly what the means of the first k blocks of
+    the whole 8000-path ensemble give."""
+    dt = 1e-6
+    blocks = stochastic.wiener_ensemble(beta, 0.0, dt, 101, seed, 8000).reshape(4, 2000, 101)
+    want = [experiments._rel_err(np.mean(np.diff(blocks[:k].mean(axis=0)) ** 2),
+                                 experiments.TWO_PI * beta * dt / k) for k in (1, 2, 4)]
+    assert [measured for _, measured, _ in experiments._ensemble_checks(beta, seed)] == want
+
+
+def test_battery_memory_is_bounded():
+    """The battery holds no ensemble or power grid whole: after a warm-up
+    call (scipy's lazy imports), a traced call peaks below 9 MiB, where
+    the stacked 8000-path ensemble and the spectrum over the whole
+    400 001-point grid peaked at 12.5 MiB."""
+    experiments.run_acceptance(ExperimentConfig(output_dir=""))
+    tracemalloc.start()
+    try:
+        experiments.run_acceptance(ExperimentConfig(output_dir=""))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1e2, 1e4])
+def test_blocked_power_is_the_one_shot_trapezoid(monkeypatch, beta):
+    """lorentzian-unit-power integrates its grid in runs of BLOCK_SAMPLES
+    intervals: within 1e-15 of the trapezoid over the whole grid at once."""
+    target, powers, rel_err = 2.0 / np.pi * math.atan(1e4), [], experiments._rel_err
+
+    def spy(measured, want):
+        if want == target:
+            powers.append(measured)
+        return rel_err(measured, want)
+
+    monkeypatch.setattr(experiments, "_rel_err", spy)
+    experiments.run_acceptance(ExperimentConfig(beta=beta, output_dir=""))
+    grid = np.pi * beta / 2.0 * np.linspace(-1e4, 1e4, 400001)
+    whole = np.trapezoid(analytic.tap_psd(beta, experiments.PAIR_TAPS, grid), grid) / (2 * np.pi)
+    assert len(powers) == 1
+    assert abs(powers[0] - whole) <= 1e-15 * whole
 
 
 def test_welch_checks_pass_over_100_seeds():
