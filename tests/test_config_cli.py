@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import json
 import math
@@ -739,17 +738,6 @@ class TestFigureCommands:
             name = f"psd_{prefix}_{curve}.est.data"
             assert rows(tmp_path / "1e-6" / name) == rows(tmp_path / "1e-7,1e-6,3e-6" / name)
 
-    def test_base_estimate_bytes_pinned(self, tmp_path):
-        """The base curve reads only the oscillator on STREAM_PHASE, as it did
-        when every curve drew walks of its own: its table of a small
-        figure-log keeps the sha256 it had then."""
-        cfg = tmp_path / "small.cfg"
-        cfg.write_text("beta = 1e4\nn_paths = 8\nsegment_len = 512\ndeltas = 1e-6\n")
-        assert main(["figure-log", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        digest = hashlib.sha256((tmp_path / "out" / "psd_log_base.est.data").read_bytes())
-        assert digest.hexdigest() == ("474d0cc19c5adc94d4114d2a92e0c219"
-                                      "1aa8fb2252db5bb3ff2b42141a6034d9")
-
 
 def _figure_curves(deltas):
     return ([experiments.BASE_TAPS, experiments.PAIR_TAPS]
@@ -1236,27 +1224,6 @@ class TestSimulateCommand:
         t, a = _read_table(tmp_path / "out" / "waveform_averaged_independent.data")
         assert np.all(np.diff(t) > 0)
         assert np.max(np.abs(a)) <= 0.5 + 1e-9
-
-    @pytest.mark.parametrize("scenario,digest", [
-        ("base", "95a9f0ca7a5e7d39366b1c6c007668f130eb398ba2f6aac43a9cf3aea15b8a6f"),
-        ("averaged_independent",
-         "b333fb65f1f0f8047c4abbe75b257d06f3c3b494c6784130467a98cdf5b8f7c8"),
-        ("averaged_n", "21f9f84d59c0e1290bb07eac099886583ba13ed07a1e992de2dc2f9f3795ac6b"),
-        ("delayed_self", "68674568a7c11f3804c46d215f0ccd41e140dde8632f2dad80f285da58eaaade")])
-    def test_table_bytes_pinned(self, tmp_path, scenario, digest):
-        """Each scenario's table of 16 384 drawn-offset samples at seed 7
-        keeps the sha256 it had before the waveform path freed its inputs
-        before the read-out and the table was written in smaller chunks;
-        averaged_n's is the stage's at m = 1, the tree's regenerated
-        output."""
-        extra = {"averaged_n": "n_oscillators = 4\n", "delayed_self": "delta = 1e-6\n"}
-        cfg = tmp_path / "pinned.cfg"
-        cfg.write_text(f"scenario = {scenario}\nduration = 256e-6\noffsets = uniform:5e4\n"
-                       + extra.get(scenario, ""))
-        assert main(["simulate", "--config", str(cfg), "--seed", "7",
-                     "--out", str(tmp_path / "out")]) == 0
-        table = (tmp_path / "out" / f"waveform_{scenario}.data").read_bytes()
-        assert hashlib.sha256(table).hexdigest() == digest
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_deterministic_and_equal_to_api_waveform(self, tmp_path, scenario):
