@@ -376,18 +376,21 @@ def _ensemble_checks(beta: float, seed: int) -> List[Tuple[str, float, float]]:
     sqrt(2 / (N (n-1))). The blocks are drawn one at a time, block j on
     paths j * 2000 onwards, and added in block order into one running sum
     (the sum `mean(axis=0)` takes over the stacked blocks), so no more than
-    one block is held beside the sum and every value is the same bit for
-    bit."""
+    one block is held beside the sum. The squared steps of the sum are
+    built in one buffer; for k a power of two, dividing their mean by k**2
+    is exact, so it reads mean(diff(sum / k)**2) bit for bit."""
     dt, n, rows = 1e-6, 101, 2000
     tolerance = Z_GATE * math.sqrt(2.0 / (rows * (n - 1)))
     names = {1: "wiener-variance-slope", 2: "pair-averaging-variance-halving",
              4: "quad-averaging-variance-quartering"}
-    total, checks = np.zeros((rows, n)), []
+    total, steps, checks = np.zeros((rows, n)), np.empty((rows, n - 1)), []
     for k in range(1, 5):
         total += stochastic.wiener_ensemble(beta, 0.0, dt, n, seed, rows,
                                             first_index=(k - 1) * rows)
         if k in names:
-            checks.append((names[k], _rel_err(np.mean(np.diff(total / k) ** 2),
+            np.subtract(total[:, 1:], total[:, :-1], out=steps)
+            steps *= steps
+            checks.append((names[k], _rel_err(np.mean(steps) / (k * k),
                                               TWO_PI * beta * dt / k), tolerance))
     return checks
 

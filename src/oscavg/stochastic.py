@@ -2,15 +2,18 @@
 
 All randomness is a function of a key, never of generation order, so
 ensembles are reproducible whatever order or thread count builds them.
-A Wiener path is keyed by (master_seed, path_index) and a stream tag: its
-increments come from a PCG64 stream seeded as numpy's SeedSequence seeds
-one from master_seed and the spawn key (path_index, tag). _seed_words, the
-one seeding function, runs that hash for a whole block of paths at once,
-so each row of an ensemble is the walk wiener_path draws for its key, bit
-for bit. A frequency offset is counter-based (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11): one keyed BLAKE2b hash of
-(master_seed, path_index, offset tag) gives one uniform, which the
-distribution's inverse CDF maps to the offset.
+A Wiener path is keyed by (master_seed, path_index) and a stream tag. Each
+(master_seed, tag) has one PCG64DXSM stream, seeded by numpy's
+SeedSequence(master_seed, spawn_key=(tag,)), and path i draws its
+increments from that stream advanced by i * 2**64 words, the layout numpy
+recommends for many streams from one seed. A path reads far fewer words
+(its at most MAX_SAMPLES normals take about one word each), so the paths
+of one tag are disjoint stretches of one stream. wiener_ensemble makes a block's stream once and
+moves it to each row's start, so each row is the walk wiener_path draws
+for its key, bit for bit. A frequency offset is counter-based (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): one keyed
+BLAKE2b hash of (master_seed, path_index, offset tag) gives one uniform,
+which the distribution's inverse CDF maps to the offset.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Stream tags. A tag is a key word of its own, beside the path index, so
-# streams with different tags stay disjoint at any index. STREAM_PHASE
-# keys an oscillator's Wiener path, STREAM_OFFSET its offset draw; the
-# acceptance battery and the figures' second oscillator use tags from 2 up
+# Stream tags. A tag seeds a stream of its own, beside the path index, so
+# walks with different tags never share a stream. STREAM_PHASE keys an
+# oscillator's Wiener path, STREAM_OFFSET its offset draw; the acceptance
+# battery and the figures' second oscillator use tags from 2 up
 # (experiments.py).
 STREAM_PHASE = 0
 STREAM_OFFSET = 1
@@ -50,32 +53,6 @@ MAX_SAMPLES = 2**24
 _pack_offset_key = struct.Struct("<3Q").pack
 _OFFSET_HASH = hashlib.blake2b(digest_size=8, person=b"oscavg-offset")
 _int_from_bytes = int.from_bytes
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx). For a master
-# in [0, 2**64) and a spawn key (index, tag) of words below 2**32 it reads
-# six entropy words: the master's two little-endian words zero-padded to
-# four, then the index, then the tag. Its hashmix call k xors a word with
-# INIT * MULT**k and multiplies it by INIT * MULT**(k + 1). Calls 0-15 build
-# the pool from the master, which numpy's SeedSequence(master).pool holds;
-# calls 16-19 mix in the index and 20-23 the tag, and the output's eight
-# calls run under the B constants.
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-
-
-def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """(xor, multiplier) of hashmix calls first .. first + count - 1, shape
-    (2, count, 1) uint32: columns that broadcast along a block's rows."""
-    h = [init * pow(mult, k, 2**32) & _M32 for k in range(first, first + count + 1)]
-    return np.array([h[:-1], h[1:]], dtype=np.uint32)[..., None]
-
-
-_INDEX_MIX = _hash_consts(_INIT_A, _MULT_A, 16, 4)
-_TAG_MIX = _hash_consts(_INIT_A, _MULT_A, 20, 4)
-_OUT_MIX = _hash_consts(_INIT_B, _MULT_B, 0, 8).reshape(2, 2, 4, 1)
 
 # (source, weight, delay in seconds) of each term of a phase
 # sum_j weight_j * theta^(source_j)_{t - delay_j}; see analytic.py
@@ -100,15 +77,15 @@ def _real(x) -> float:
         return math.inf
 
 
-def _check_key(master, index, rows: int, stream):
-    """ParameterError unless the key (master, index, tag) of `rows` streams
-    from `index` on is integers, with master in [0, 2**64), rows >= 0 and
-    every index and the tag in [0, 2**32)."""
+def _check_key(master, index, rows: int, stream) -> Tuple[int, int, int]:
+    """The key (master, index, tag) of `rows` streams from `index` on, as
+    Python ints; ParameterError unless they are integers, with master in
+    [0, 2**64), rows >= 0 and every index and the tag in [0, 2**32)."""
     try:
         # compared as Python ints: a NumPy integer would wrap in index + rows
         m, i, r, s = (operator.index(k) for k in (master, index, rows, stream))
         if 0 <= m < 2**64 and 0 <= i and 0 <= r and i + r <= 2**32 and 0 <= s < 2**32:
-            return
+            return m, i, s
     except TypeError:  # not an integer
         pass
     raise ParameterError(f"stream key ({master!r}, {index!r}..+{rows!r}, {stream!r}) must be "
@@ -116,47 +93,32 @@ def _check_key(master, index, rows: int, stream):
                          f"[0, 2**32)")
 
 
-def _seed_words(master, first_index, n_paths: int, stream) -> np.ndarray:
-    """PCG64 seeds of the streams of (master, first_index + i) on a stream
-    tag, shape (n_paths, 4), uint64: row i is numpy's
-    SeedSequence(master, spawn_key=(first_index + i, stream))
-    .generate_state(4, np.uint64), hashed for the whole block in one
-    vectorised pass. Keys outside _check_key's range are a ParameterError."""
-    _check_key(master, first_index, n_paths, stream)
-    pool = np.random.SeedSequence(int(master)).pool[:, None]  # each operation runs along rows
-    index = np.arange(first_index, first_index + n_paths, dtype=np.uint32)
-    for word, (xor, mult) in ((index, _INDEX_MIX), (np.uint32(stream), _TAG_MIX)):
-        y = word ^ xor
-        y *= mult
-        y ^= y >> _XSHIFT
-        y *= _MIX_R
-        pool = pool * _MIX_L - y
-        pool ^= pool >> _XSHIFT
-    # the output cycles twice through the pool
-    state = pool ^ _OUT_MIX[0]
-    state *= _OUT_MIX[1]
-    state ^= state >> _XSHIFT
-    # word pairs as little-endian 64-bit words, one contiguous row per path
-    words = np.ascontiguousarray(state.reshape(8, n_paths).T)
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-class _Seeded(np.random.bit_generator.ISeedSequence):
-    """A seed sequence whose PCG64 seed _seed_words has already hashed."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for exactly its four 64-bit words
-        return self.words
+def _stream(master: int, tag: int) -> np.random.PCG64DXSM:
+    """The stream of (master, tag) at its start, where path 0 begins; path i
+    begins i * 2**64 words on."""
+    return np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(tag,)))
 
 
 def path_rng(seed_id: Tuple[int, int], stream: int = STREAM_PHASE) -> np.random.Generator:
     """Independent generator for one (master seed, path index) pair on one
-    stream tag."""
+    stream tag: the tag's stream advanced to the path's start."""
     master, index = seed_id
-    return np.random.Generator(np.random.PCG64(_Seeded(_seed_words(master, index, 1, stream)[0])))
+    master, index, stream = _check_key(master, index, 1, stream)
+    bits = _stream(master, stream)
+    bits.advance(index << 64)
+    return np.random.Generator(bits)
+
+
+def _row_rngs(master: int, first_index: int, n_paths: int, stream: int):
+    """The generators of paths first_index .. first_index + n_paths - 1 on
+    a tag, in turn, for keys _check_key has passed: one stream, made on the
+    first row's turn, reset to its start and advanced to each row's."""
+    bits = _stream(master, stream)
+    start, rng = bits.state, np.random.Generator(bits)
+    for index in range(first_index, first_index + n_paths):
+        bits.state = start
+        bits.advance(index << 64)
+        yield rng
 
 
 def _step_rate(dt: float) -> float:
@@ -384,15 +346,14 @@ def wiener_ensemble(beta: float, theta0: float, dt: float, n: int,
                     first_index: int = 0, stream: int = STREAM_PHASE) -> np.ndarray:
     """Stack of n_paths independent walks, shape (n_paths, n); row i is
     wiener_path(beta, theta0, dt, n, (master_seed, first_index + i), stream)
-    bit for bit. One _seed_words pass seeds every row's stream, the rows'
-    standard normals are drawn straight into the block, and one cumulative
-    sum integrates it."""
+    bit for bit. One stream serves the block (`_row_rngs`), the rows'
+    standard normals are drawn straight into it, and one cumulative sum
+    integrates it."""
     _check_walk(beta, theta0, dt, n)
-    words = _seed_words(master_seed, first_index, n_paths, stream)
+    master, first, stream = _check_key(master_seed, first_index, n_paths, stream)
     out = np.empty((n_paths, n), dtype=float)
-    # built lazily: a walk without steps builds no generator
-    _fill_walks(out, beta, theta0, dt,
-                (np.random.Generator(np.random.PCG64(_Seeded(w))) for w in words))
+    # a walk without steps reads no generator, so makes no stream
+    _fill_walks(out, beta, theta0, dt, _row_rngs(master, first, n_paths, stream))
     return out
 
 

@@ -156,11 +156,12 @@ class TestWienerPath:
 
 
 class TestEnsembleSeeding:
-    # every stream is seeded by one vectorised hash; numpy's SeedSequence
-    # and wiener_path are the oracles, bit for bit, over the whole key range
-    # (master below 2**64, path index and tag below 2**32)
+    # path i on tag s draws from the tag's one PCG64DXSM stream advanced by
+    # i * 2**64 words; a stream built and advanced by hand and wiener_path
+    # are the oracles, bit for bit, over the whole key range (master below
+    # 2**64, path index and tag below 2**32)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(master=st.sampled_from([0, 1, 12345, 2**32 - 1, 2**32, 2**64 - 1])
            | st.integers(0, 2**64 - 1),
            first=st.sampled_from([0, 77, 2**32 - 3]) | st.integers(0, 2**32 - 3),
@@ -168,11 +169,25 @@ class TestEnsembleSeeding:
            stream=st.sampled_from([0, 5, 2**32 - 1]) | st.integers(0, 2**32 - 1))
     @example(master=2**64 - 1, first=2**32 - 3, rows=3, stream=2**32 - 1)  # every key at its top
     @example(master=2**32, first=0, rows=1, stream=0)
-    def test_seed_words_are_seed_sequence_states(self, master, first, rows, stream):
-        want = [np.random.SeedSequence(master, spawn_key=(i, stream)).generate_state(4, np.uint64)
-                for i in range(first, first + rows)]
-        got = stochastic._seed_words(master, first, rows, stream)
-        assert got.dtype == np.uint64 and np.array_equal(got, want)
+    def test_path_i_is_its_tag_stream_advanced_by_i_times_2_64(self, master, first, rows,
+                                                                stream):
+        ens = wiener_ensemble(1e4, 0.0, 1e-6, 9, master, rows, first_index=first, stream=stream)
+        for index, row in enumerate(ens, first):
+            bits = np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(stream,)))
+            bits.advance(index * 2**64)
+            steps = np.random.Generator(bits).normal(0.0, np.sqrt(TWO_PI * 1e4 * 1e-6), 8)
+            assert row.tobytes() == np.concatenate(([0.0], np.cumsum(steps))).tobytes()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(master=st.integers(0, 2**64 - 1),
+           first=st.sampled_from([0, 2**32 - 7]) | st.integers(0, 2**32 - 7))
+    def test_blocks_of_any_size_give_the_same_rows(self, master, first):
+        whole = wiener_ensemble(1e4, 0.0, 1e-6, 16, master, 7, first_index=first, stream=3)
+        for size in (1, 2, 3, 7):
+            blocks = [wiener_ensemble(1e4, 0.0, 1e-6, 16, master, min(size, 7 - j),
+                                      first_index=first + j, stream=3)
+                      for j in range(0, 7, size)]
+            assert np.vstack(blocks).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("beta,theta0,n", WALK_CASES)
     def test_ensemble_rows_are_wiener_paths(self, beta, theta0, n):
@@ -233,11 +248,23 @@ class TestEnsembleSeeding:
         with pytest.raises(ParameterError):
             stochastic.path_rng((0, 0), stream)
 
-    def test_hash_emits_no_warning(self):
+    def test_key_range_corners_draw_without_warning(self):
+        # the largest master, the block of the five largest indices and the
+        # largest tag draw; one step past any of them is refused
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stochastic._seed_words(2**64 - 1, 2**32 - 5, 5, 2**32 - 1)
-            stochastic._seed_words(0, 0, 4, TAG_PARTNER)
+            assert wiener_ensemble(1e4, 0.0, 1e-6, 8, 2**64 - 1, 5, first_index=2**32 - 5,
+                                   stream=2**32 - 1).shape == (5, 8)
+            stochastic.path_rng((2**64 - 1, 2**32 - 1), 2**32 - 1).standard_normal(4)
+            wiener_ensemble(1e4, 0.0, 1e-6, 8, 0, 4, stream=TAG_PARTNER)
+        past = [(2**64, 2**32 - 5, 5, 2**32 - 1),      # master
+                (2**64 - 1, 2**32 - 5, 6, 2**32 - 1),  # the block's last index is 2**32
+                (2**64 - 1, 2**32 - 5, 5, 2**32)]      # tag
+        for master, first, rows, tag in past:
+            with pytest.raises(ParameterError, match="stream key"):
+                wiener_ensemble(1e4, 0.0, 1e-6, 8, master, rows, first_index=first, stream=tag)
+            with pytest.raises(ParameterError, match="stream key"):
+                stochastic.path_rng((master, first + rows - 1), tag)
 
 
 class TestSampleOffset:
