@@ -8,12 +8,13 @@ SeedSequence(master_seed, spawn_key=(tag,)), and path i draws its
 increments from that stream advanced by i * 2**64 words, the layout numpy
 recommends for many streams from one seed. A path reads far fewer words
 (its at most MAX_SAMPLES normals take about one word each), so the paths
-of one tag are disjoint stretches of one stream. wiener_ensemble makes a block's stream once and
-moves it to each row's start, so each row is the walk wiener_path draws
-for its key, bit for bit. A frequency offset is counter-based (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC'11): one keyed
-BLAKE2b hash of (master_seed, path_index, offset tag) gives one uniform,
-which the distribution's inverse CDF maps to the offset.
+of one tag are disjoint stretches of one stream. wiener_ensemble makes a
+block's stream once and moves it to each row's start, so each row is the
+walk wiener_path draws for its key, bit for bit. A frequency offset is
+counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11): one keyed BLAKE2b hash of (master_seed, path_index, offset
+tag) gives one uniform, which the distribution's inverse CDF maps to the
+offset.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ def run_entry(entry, tmp: Path) -> dict:
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=map(_id, ENTRIES))
-def test_output_bytes_pinned(tmp_path, capsys, entry):
+def test_output_bytes_pinned(tmp_path, entry):
     assert run_entry(entry, tmp_path) == entry["files"]
 
 

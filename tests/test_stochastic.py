@@ -161,7 +161,7 @@ class TestEnsembleSeeding:
     # are the oracles, bit for bit, over the whole key range (master below
     # 2**64, path index and tag below 2**32)
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(master=st.sampled_from([0, 1, 12345, 2**32 - 1, 2**32, 2**64 - 1])
            | st.integers(0, 2**64 - 1),
            first=st.sampled_from([0, 77, 2**32 - 3]) | st.integers(0, 2**32 - 3),
