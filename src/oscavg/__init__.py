@@ -41,7 +41,6 @@ from .stochastic import (
     oscillator_waveform,
     path_rng,
     sample_offset,
-    tap_ensemble,
     wiener_ensemble,
     wiener_path,
 )

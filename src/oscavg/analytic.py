@@ -4,8 +4,8 @@ quadrature cross-check.
 A curve is a tuple of taps (source s_j, weight a_j, delay d_j in seconds):
 its phase is phi_t = sum_j a_j theta^(s_j)_{t - d_j} over independent
 Wiener phases of diffusion rate beta, one per source (a stream tag, which
-curves estimated together share; `stochastic.tap_ensemble` samples the
-same sum). One oscillator is ((s, 1, 0),), the averaged pair ((s, 1/2, 0),
+curves estimated together share; `experiments.estimate_curves` samples
+the sum). One oscillator is ((s, 1, 0),), the averaged pair ((s, 1/2, 0),
 (s', 1/2, 0)), the delayed self-average ((s, 1/2, 0), (s, 1/2, delta)).
 exp(j*phi) has autocorrelation
 

@@ -108,11 +108,12 @@ def estimate_curves(cfg: ExperimentConfig, curves, dt: float
                     ) -> List[spectral.SpectrumEstimate]:
     """Welch estimates of `curves`, a sequence of taps, over cfg.n_paths
     paths of four segment lengths, in one pass over blocks of at most
-    BLOCK_SAMPLES samples (at least one path): each block's walks are drawn
-    once for all curves (`stochastic.tap_walks`), each curve's phases are
-    built into one array that every block reuses just before they are added
-    to the curve's Welch sums (`spectral.EnsembleWelch`), and each estimate
-    is, bit for bit, its curve's alone."""
+    BLOCK_SAMPLES samples (at least one path): the one builder of ensemble
+    tap phases. A block draws one `stochastic.wiener_ensemble` per source,
+    n + its largest lag long, for all curves; each curve's phases are summed
+    (`stochastic._tap_sum`) into one array that every block reuses, then
+    added to its Welch sums (`spectral.EnsembleWelch`). Each estimate is,
+    bit for bit, its curve's alone."""
     n = 4 * cfg.segment_len
     welch, lags, layout = _path_plan(cfg, curves, dt)
     held = sum(n + lag for lag in lags.values()) + n  # a path's walks and phases
@@ -122,7 +123,9 @@ def estimate_curves(cfg: ExperimentConfig, curves, dt: float
     phase, term = np.empty((2, rows, n))
     for first in range(0, cfg.n_paths, rows):
         r = min(rows, cfg.n_paths - first)
-        walks = stochastic.tap_walks(cfg.beta, lags, dt, n, cfg.seed, r, first)
+        walks = {s: stochastic.wiener_ensemble(cfg.beta, 0.0, dt, n + lag, cfg.seed, r,
+                                               first_index=first, stream=s)
+                 for s, lag in lags.items()}
         for c, taps in enumerate(layout):
             ests.add(c, stochastic._tap_sum(walks, taps, phase[:r], term[:r]))
         del walks  # freed before the next block's are drawn, not held beside them
@@ -354,7 +357,9 @@ def run_simulate(cfg: ExperimentConfig) -> List[str]:
 Z_GATE = 3.890591886413094
 # The Welch checks compare 768 bins (three curves of 256) and gate the
 # largest |z| family-wise at the same 1e-4: -ndtri(0.5e-4 / 768), written
-# out the same way (0x1.51d3ce088b7eap+2).
+# out the same way (0x1.51d3ce088b7eap+2). That rate is nominal: each z is
+# studentized by an SE of the same 256 paths, and as t with 255 degrees of
+# freedom it is 2.14e-4 (2.79e-7 a bin); seeds 1-10 000 fail 3 (3e-4).
 Z_FAMILY = 5.278552540154104
 
 

@@ -94,9 +94,9 @@ def _welch_rows(work: EnsembleWelch, rows: int) -> np.ndarray:
     spec = work.spec[:rows]
     np.multiply(work.segs[:rows], work.plan.win, out=spec)
     np.fft.fft(spec, axis=-1, out=spec)
+    parts = spec.view(float)  # real and imaginary parts, squared in one pass
+    np.square(parts, out=parts)
     power = spec.real
-    np.square(power, out=power)
-    np.square(spec.imag, out=spec.imag)
     power += spec.imag
     psd = np.mean(power, axis=1)
     psd /= work.plan.scale
@@ -119,7 +119,7 @@ def expected_psd(beta: float, taps: Taps, dt: float, segment_len: int,
         E[S](f_m) = 1/(fs U) sum_{|k| < L} R(k dt) c_w(k) e^{-j 2 pi m k / L},
 
     the 2L - 1 terms folded onto k mod L and transformed by one FFT (Welch,
-    1967). exp(j phi) is stationary (`tap_ensemble` has no start-up
+    1967). exp(j phi) is stationary (`estimate_curves`' phases have no start-up
     transient), so every segment has this expectation, at any overlap."""
     fs = _step_rate(dt)
     plan = _plan(segment_len, fs, segment_len, 0.0, window)
@@ -187,7 +187,8 @@ class EnsembleWelch:
         np.rint(turn, out=turn)
         turn *= TWO_PI
         np.subtract(theta, turn, out=turn)
-        np.clip(turn, -np.pi, np.pi, out=reduced, casting="same_kind")
+        np.maximum(turn, -np.pi, out=turn)
+        np.minimum(turn, np.pi, out=reduced, casting="same_kind")
         np.cos(reduced, out=z.real, dtype=np.float32)
         np.sin(reduced, out=z.imag, dtype=np.float32)
         densities = _welch_rows(self, rows)

@@ -405,30 +405,3 @@ def _tap_sum(signals, taps, out: np.ndarray, term: np.ndarray) -> np.ndarray:
         out += term
     return out
 
-
-def tap_walks(beta: float, lags: dict, dt: float, n: int, master_seed: int, rows: int,
-              first_index: int) -> dict:
-    """{source s: the walks of (master_seed, first_index + i), i below rows,
-    on stream tag s, n + lags[s] samples long}, for the `tap_layout` lags of
-    curves of n samples: each source's walks drawn once, long enough for
-    every curve."""
-    return {s: wiener_ensemble(beta, 0.0, dt, n + L, master_seed, rows,
-                               first_index=first_index, stream=s)
-            for s, L in lags.items()}
-
-
-def tap_ensemble(beta: float, curves, dt: float, n: int, master_seed: int,
-                 n_paths: int, first_index: int = 0) -> np.ndarray:
-    """Phases sum_j a_j theta^(s_j)_{t - d_j} of each curve of taps (s_j,
-    a_j, d_j) in `curves`, shape (len(curves), n_paths, n), over paths
-    first_index .. first_index + n_paths - 1; pass one curve as [taps].
-    Each walk is drawn once (`tap_walks`), and each curve's taps add their
-    terms in tap order (`_tap_sum`), so a curve's rows are bit for bit
-    those of its walks of n + L samples alone, show no start-up transient,
-    and do not depend on the other curves."""
-    lags, layout = tap_layout(curves, dt)
-    walks = tap_walks(beta, lags, dt, n, master_seed, n_paths, first_index)
-    out, term = np.empty((len(curves), n_paths, n)), np.empty((n_paths, n))
-    for phase, taps in zip(out, layout):
-        _tap_sum(walks, taps, phase, term)
-    return out

@@ -22,7 +22,6 @@ from oscavg import (
     psd_by_quadrature,
     sample_offset,
     simulate_pair_average,
-    tap_ensemble,
     tap_psd,
     wiener_ensemble,
 )
@@ -31,6 +30,7 @@ from oscavg.circuit import _average_stage, _draw, edge_trim, mix
 from oscavg.cli import main
 from oscavg.config import ExperimentConfig
 from oscavg.experiments import run_acceptance, run_figure_linear, run_figure_log
+from walk_sums import tap_phases
 
 TWO_PI = 2.0 * np.pi
 BETA = 1e4
@@ -165,8 +165,7 @@ def test_06_delayed_psd_closed_form_vs_quadrature():
 def test_07_delayed_autocorr_mc_with_kink():
     dt, lag, paths = 1e-6, 20, 20_000
     delta = lag * dt
-    ens = tap_ensemble(BETA, [delayed_taps(delta)], dt, 2048, master_seed=1007,
-                       n_paths=400)[0]
+    ens = tap_phases(BETA, delayed_taps(delta), dt, 2048, master_seed=1007, n_paths=400)
     u = np.exp(1j * ens)
     p = DelayedAvgParams(BETA, delta)
     lags = list(range(1, 2 * lag + 1))

@@ -294,7 +294,7 @@ class TestTapModel:
     @pytest.mark.parametrize("taps", [ONE, PAIR, delayed_taps(1e-6),
                                       ((0, 0.25, 0.0), (0, 0.25, 1e-6), (1, 0.5, 3e-6))])
     def test_list_taps_give_the_tuple_taps_floats(self, taps):
-        # tap_ensemble accepts taps as lists; so do the closed forms
+        # estimate_curves' block loop accepts taps as lists; so do the closed forms
         as_lists = [list(tap) for tap in taps]
         omega = 2 * math.pi * np.array([0.0, 1e3, 1e5])
         tau = np.array([0.0, 5e-7, 2e-6])

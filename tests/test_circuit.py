@@ -20,13 +20,13 @@ from oscavg import (
     simulate_mixing_tree,
     simulate_pair_average,
     simulate_taps,
-    tap_ensemble,
     wiener_path,
 )
 from oscavg import circuit
 from oscavg.analytic import delayed_taps
 from oscavg.circuit import _average_stage, _draw, _expected, edge_trim
 from oscavg.stochastic import tap_layout
+from walk_sums import tap_phases
 
 TWO_PI = 2.0 * np.pi
 FC = 1e6
@@ -450,8 +450,7 @@ class TestDelayedSelfAverage:
         # MC autocorrelation at delta/2, delta, 2*delta within 3 standard errors
         beta, dt, lag = 1e4, 1e-6, 20
         delta = lag * dt
-        ens = tap_ensemble(beta, [delayed_taps(delta)], dt, 100, master_seed=102,
-                           n_paths=10_000)[0]
+        ens = tap_phases(beta, delayed_taps(delta), dt, 100, master_seed=102, n_paths=10_000)
         u = np.exp(1j * ens)
         p = DelayedAvgParams(beta, delta)
         for test_lag in (lag // 2, lag, 2 * lag):

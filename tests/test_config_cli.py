@@ -26,6 +26,7 @@ from oscavg import (
 from oscavg.cli import main
 from oscavg.config import SCENARIOS
 from oscavg.experiments import delta_tag, find_notches
+from walk_sums import tap_phases
 
 
 FIELDS = sorted(ExperimentConfig.__dataclass_fields__)
@@ -813,8 +814,8 @@ def test_one_pass_equals_each_curve_alone(monkeypatch, seed, dt):
     """Every curve's estimate from the one pass over blocks of 3, 3 and 1
     paths (3112 samples a path in figure-log's step, 3092 in
     figure-linear's) is, bit for bit, an EnsembleWelch of that curve alone
-    over tap_ensemble blocks of 2, 2, 2 and 1 paths: its density and its
-    standard error."""
+    over blocks of 2, 2, 2 and 1 paths of its phases written out from its
+    walks (`tap_phases`): its density and its standard error."""
     cfg = ExperimentConfig(n_paths=7, segment_len=256, seed=seed, deltas=(1e-6, 1e-7))
     curves = _figure_curves(cfg.deltas)
     n, seen = 4 * cfg.segment_len, []
@@ -832,9 +833,8 @@ def test_one_pass_equals_each_curve_alone(monkeypatch, seed, dt):
     for taps, est in zip(curves, got):
         alone = spectral.EnsembleWelch(1, 2, n, dt, cfg.segment_len)
         for first in range(0, cfg.n_paths, 2):
-            alone.add(0, stochastic.tap_ensemble(cfg.beta, [taps], dt, n, seed,
-                                                 min(2, cfg.n_paths - first),
-                                                 first_index=first)[0])
+            alone.add(0, tap_phases(cfg.beta, taps, dt, n, seed, min(2, cfg.n_paths - first),
+                                    first_index=first))
         want, = alone.estimates()
         assert np.array_equal(est.psd, want.psd)
         assert np.array_equal(est.se, want.se)

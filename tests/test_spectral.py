@@ -18,12 +18,12 @@ from oscavg import (
     expected_psd,
     spectral,
     tap_autocorr,
-    tap_ensemble,
     tap_psd,
     to_dbc_hz,
     wiener_ensemble,
 )
 from oscavg.experiments import BASE_TAPS, PAIR_TAPS, estimate_curves
+from walk_sums import tap_phases
 
 TWO_PI = 2.0 * np.pi
 
@@ -351,7 +351,7 @@ class TestEnsembleWelch:
         # against the Welch density of the float64 phasors
         dt, seg = 2.5e-8, 4096
         for taps in (BASE_TAPS, PAIR_TAPS, delayed_taps(1e-6), delayed_taps(1e-7)):
-            theta = tap_ensemble(1e4, [taps], dt, 4 * seg, master_seed=seed, n_paths=2)[0]
+            theta = tap_phases(1e4, taps, dt, 4 * seg, master_seed=seed, n_paths=2)
             want, bound = _float64_phasor_density_and_bound(theta, dt, seg)
             for row, s64, slack in zip(theta, want, bound):
                 got = ensemble([row[None, None]], dt, segment_len=seg)[0].psd
@@ -361,7 +361,7 @@ class TestEnsembleWelch:
         # the float32 cast of theta itself, at |theta| ~ 1e3 rad, is off by
         # half a float32 step there (3e-5 rad), beyond the bound
         dt, seg = 2.5e-8, 4096
-        theta = 1e3 + tap_ensemble(1e4, [BASE_TAPS], dt, 4 * seg, master_seed=1, n_paths=3)[0]
+        theta = 1e3 + tap_phases(1e4, BASE_TAPS, dt, 4 * seg, master_seed=1, n_paths=3)
         want, bound = _float64_phasor_density_and_bound(theta, dt, seg)
         cast = theta.astype(np.float32)
         got = welch_rows(np.cos(cast).astype(float) + 1j * np.sin(cast).astype(float),
@@ -496,8 +496,7 @@ class TestAutocorrEstimate:
     def test_delayed_average_kink(self):
         # log-autocorr slope roughly doubles across the delay lag
         beta, dt, lag = 1e4, 1e-6, 20
-        ens = tap_ensemble(beta, [delayed_taps(lag * dt)], dt, 4096, master_seed=206,
-                           n_paths=400)[0]
+        ens = tap_phases(beta, delayed_taps(lag * dt), dt, 4096, master_seed=206, n_paths=400)
         r = lag_products(np.exp(1j * ens), range(41)).real.mean(axis=0)
         inner = np.arange(2, 19)
         outer = np.arange(22, 39)
@@ -511,7 +510,7 @@ class TestAutocorrEstimate:
         # the closed form, within 3 standard errors at every lag
         beta, dt = 1e4, 1e-6
         taps = ((0, 0.25, 0.0), (0, 0.25, 10 * dt), (1, 0.3, 0.0), (1, 0.2, 25 * dt))
-        ens = tap_ensemble(beta, [taps], dt, 128, master_seed=210, n_paths=4000)[0]
+        ens = tap_phases(beta, taps, dt, 128, master_seed=210, n_paths=4000)
         lags = list(range(1, 41))
         per_path = lag_products(np.exp(1j * ens), lags).real
         est = per_path.mean(axis=0)

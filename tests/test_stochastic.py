@@ -9,22 +9,25 @@ from hypothesis import strategies as st
 
 from oscavg import (
     EnsembleWelch,
+    ExperimentConfig,
     OffsetDist,
     OscillatorSpec,
     ParameterError,
     Waveform,
     demodulate_phase,
+    experiments,
     oscillator_waveform,
     sample_offset,
     simulate_taps,
+    spectral,
     stochastic,
     tap_autocorr,
-    tap_ensemble,
     tap_psd,
     wiener_ensemble,
     wiener_path,
 )
 from oscavg.experiments import TAG_PARTNER
+from walk_sums import tap_phases
 
 TWO_PI = 2.0 * np.pi
 
@@ -219,8 +222,6 @@ class TestEnsembleSeeding:
             wiener_ensemble(beta, 0.0, 1e-8, n, master, 2, first_index=first)
         with pytest.raises(ParameterError, match="stream key"):
             wiener_path(beta, 0.0, 1e-8, n, (master, first))
-        with pytest.raises(ParameterError, match="stream key"):
-            tap_ensemble(beta, [((0, 1.0, 0.0),)], 1e-8, n, master, 2, first_index=first)
 
     def test_keys_checked_before_allocation(self):
         # 2**62 samples: allocating first would end in numpy's "array is
@@ -535,76 +536,127 @@ class TestPhaseShiftAutocorrMC:
         assert np.max(np.abs(vals - vals.mean())) < 3.0 * np.max(ses)
 
 
-class TestTapEnsemble:
-    # walks of wiener_ensemble are the oracles, bit for bit
-    BETA, DT, N, SEED = 1e4, 1e-6, 64, 31
+class TestTapPhases:
+    # the phases of estimate_curves' block loop, caught where each curve's
+    # block is added to its Welch sums, against walks of wiener_ensemble
+    # combined with numpy arithmetic written out in each test, bit for bit
+    BETA, DT, SEG, SEED = 1e4, 1e-6, 16, 31
+    N = 4 * SEG
 
-    def walks(self, stream, n, rows=5, first=3):
-        return wiener_ensemble(self.BETA, 0.0, self.DT, n, self.SEED, rows,
-                               first_index=first, stream=stream)
+    def walks(self, stream, n, rows=5):
+        return wiener_ensemble(self.BETA, 0.0, self.DT, n, self.SEED, rows, stream=stream)
 
-    def build(self, taps, rows=5, first=3):
-        return tap_ensemble(self.BETA, [taps], self.DT, self.N, self.SEED, rows,
-                            first_index=first)[0]
+    def estimate(self, curves, rows=5):
+        cfg = ExperimentConfig(beta=self.BETA, n_paths=rows, segment_len=self.SEG,
+                               seed=self.SEED)
+        return experiments.estimate_curves(cfg, curves, self.DT)
 
-    def test_one_tap_is_the_walk(self):
-        assert np.array_equal(self.build(((0, 1.0, 0.0),)), self.walks(0, self.N))
+    def built(self, monkeypatch, curves, rows=5):
+        """Each curve's phases as the block loop builds them, shape
+        (curves, rows, N): a copy of every block it adds, stacked."""
+        blocks = [[] for _ in curves]
+        monkeypatch.setattr(spectral.EnsembleWelch, "add",
+                            lambda ests, curve, theta: blocks[curve].append(theta.copy()))
+        monkeypatch.setattr(spectral.EnsembleWelch, "estimates", lambda ests: [])
+        self.estimate(curves, rows)
+        return np.array([np.vstack(curve) for curve in blocks])
 
-    def test_pair_is_the_mean_of_two_streams(self):
+    def build(self, monkeypatch, taps, rows=5):
+        return self.built(monkeypatch, [taps], rows)[0]
+
+    def test_one_tap_is_the_walk(self, monkeypatch):
+        got = self.build(monkeypatch, ((0, 1.0, 0.0),))
+        assert np.array_equal(got, self.walks(0, self.N))
+
+    def test_pair_is_the_mean_of_two_streams(self, monkeypatch):
         want = 0.5 * (self.walks(4, self.N) + self.walks(5, self.N))
-        assert np.array_equal(self.build(((4, 0.5, 0.0), (5, 0.5, 0.0))), want)
+        assert np.array_equal(self.build(monkeypatch, ((4, 0.5, 0.0), (5, 0.5, 0.0))), want)
 
-    def test_delayed_self_average_reads_the_extended_walk(self):
+    def test_delayed_self_average_reads_the_extended_walk(self, monkeypatch):
         lag = 7
         theta = self.walks(6, self.N + lag)
         want = 0.5 * (theta[:, lag:] + theta[:, :self.N])
-        got = self.build(((6, 0.5, 0.0), (6, 0.5, lag * self.DT)))
+        got = self.build(monkeypatch, ((6, 0.5, 0.0), (6, 0.5, lag * self.DT)))
         assert np.array_equal(got, want)
 
-    def test_each_weight_reads_its_own_delay(self):
+    def test_each_weight_reads_its_own_delay(self, monkeypatch):
         # the later tap sees the walk 3 steps earlier: theta[:, :N] of the
         # walk extended by 3, where the undelayed tap sees theta[:, 3:]
         theta = self.walks(2, self.N + 3)
         want = 0.25 * theta[:, 3:] + 0.75 * theta[:, :self.N]
-        assert np.array_equal(self.build(((2, 0.25, 0.0), (2, 0.75, 3 * self.DT))), want)
+        got = self.build(monkeypatch, ((2, 0.25, 0.0), (2, 0.75, 3 * self.DT)))
+        assert np.array_equal(got, want)
 
-    def test_unit_weight_leaves_the_walk_to_later_taps(self):
+    def test_unit_weight_leaves_the_walk_to_later_taps(self, monkeypatch):
         theta = self.walks(2, self.N + 3)
         want = theta[:, 3:] + 0.5 * theta[:, :self.N]
-        assert np.array_equal(self.build(((2, 1.0, 0.0), (2, 0.5, 3 * self.DT))), want)
+        got = self.build(monkeypatch, ((2, 1.0, 0.0), (2, 0.5, 3 * self.DT)))
+        assert np.array_equal(got, want)
 
-    def test_rows_independent_of_block(self):
+    def test_negative_weights_summed_from_zero(self, monkeypatch):
+        # at t = 0 both terms are -0.0 (a negative weight times the walks'
+        # 0.0); summed from 0.0, the phase there is 0.0, not -0.0
+        taps = ((2, -0.5, 0.0), (3, -0.25, 0.0))
+        got = self.build(monkeypatch, taps)
+        assert not np.signbit(got[:, 0]).any()
+        want = tap_phases(self.BETA, taps, self.DT, self.N, self.SEED, 5)
+        assert got.tobytes() == want.tobytes()
+
+    def test_rows_independent_of_block(self, monkeypatch):
+        # blocks of 2, 2 and 2 paths against one block of 6: the same rows,
+        # and the rows of the walks written out
         taps = ((2, 0.25, 0.0), (2, 0.75, 3 * self.DT), (3, -0.5, 1 * self.DT))
-        whole = self.build(taps, rows=6, first=0)
-        assert np.array_equal(np.vstack([self.build(taps, rows=2, first=0),
-                                         self.build(taps, rows=4, first=2)]), whole)
+        whole = self.build(monkeypatch, taps, rows=6)
+        theta, other = self.walks(2, self.N + 3, rows=6), self.walks(3, self.N + 1, rows=6)
+        want = 0.0 + 0.25 * theta[:, 3:] + 0.75 * theta[:, :self.N] - 0.5 * other[:, :self.N]
+        assert whole.tobytes() == want.tobytes()
+        rows = []
+        monkeypatch.setattr(spectral.EnsembleWelch, "add",
+                            lambda ests, curve, block: rows.append(block.copy()))
+        # a path counts its walks of N + 3 and N + 1 samples and its N phases
+        monkeypatch.setattr(experiments, "BLOCK_SAMPLES", 2 * (3 * self.N + 4))
+        self.estimate([taps], rows=6)
+        assert [len(block) for block in rows] == [2, 2, 2]
+        assert np.vstack(rows).tobytes() == whole.tobytes()
 
-    def test_walks_one_per_source_long_enough_for_every_curve(self):
-        lags, _ = stochastic.tap_layout([((2, 0.5, 0.0), (2, 0.5, 7 * self.DT)),
-                                         ((2, 0.5, 0.0), (4, 0.5, 3 * self.DT))], self.DT)
-        walks = stochastic.tap_walks(self.BETA, lags, self.DT, self.N, self.SEED, 5, 3)
-        assert sorted(walks) == [2, 4]
-        assert np.array_equal(walks[2], self.walks(2, self.N + 7))
-        assert np.array_equal(walks[4], self.walks(4, self.N + 3))
+    def test_walks_one_per_source_long_enough_for_every_curve(self, monkeypatch):
+        # the block loop's wiener_ensemble calls: one per source and block,
+        # each as long as the largest lag on it over every curve
+        calls, ensemble = [], stochastic.wiener_ensemble
 
-    def test_curves_share_walks_and_equal_each_curve_alone(self):
+        def spy(beta, theta0, dt, n, master_seed, n_paths, first_index=0,
+                stream=stochastic.STREAM_PHASE):
+            walks = ensemble(beta, theta0, dt, n, master_seed, n_paths, first_index, stream)
+            calls.append((stream, n, first_index, n_paths, walks))
+            return walks
+
+        monkeypatch.setattr(stochastic, "wiener_ensemble", spy)
+        self.built(monkeypatch, [((2, 0.5, 0.0), (2, 0.5, 7 * self.DT)),
+                                 ((2, 0.5, 0.0), (4, 0.5, 3 * self.DT))])
+        assert [call[:4] for call in calls] == [(2, self.N + 7, 0, 5), (4, self.N + 3, 0, 5)]
+        assert np.array_equal(calls[0][4], self.walks(2, self.N + 7))
+        assert np.array_equal(calls[1][4], self.walks(4, self.N + 3))
+
+    def test_curves_share_walks_and_equal_each_curve_alone(self, monkeypatch):
         # one walk per source for every curve, each curve reading the front
         # of it by its own largest lag: the lag-3 curve reads the first
         # N + 3 samples of a walk drawn N + 7 long
         curves = [((2, 0.5, 0.0), (2, 0.5, 7 * self.DT)), ((2, 1.0, 0.0),),
                   ((2, 0.25, 0.0), (2, 0.75, 3 * self.DT)), ((2, 0.5, 0.0), (4, 0.5, 0.0))]
-        got = tap_ensemble(self.BETA, curves, self.DT, self.N, self.SEED, 5, first_index=3)
+        got = self.built(monkeypatch, curves)
         assert got.shape == (len(curves), 5, self.N)
         for phase, taps in zip(got, curves):
-            assert np.array_equal(phase, self.build(taps))
+            assert np.array_equal(phase, self.build(monkeypatch, taps))
+            want = tap_phases(self.BETA, taps, self.DT, self.N, self.SEED, 5)
+            assert phase.tobytes() == want.tobytes()
         assert np.array_equal(got[1], self.walks(2, self.N + 7)[:, :self.N])
 
     @pytest.mark.parametrize("taps", [(), ((0, 1.0, 0.5e-6),), ((0, 1.0, -1e-6),)])
     def test_bad_taps_rejected(self, taps):
         with pytest.raises(ParameterError):
-            self.build(taps)
+            self.estimate([taps])
         with pytest.raises(ParameterError):  # beside a good curve
-            tap_ensemble(self.BETA, [((0, 1.0, 0.0),), taps], self.DT, self.N, self.SEED, 2)
+            self.estimate([((0, 1.0, 0.0),), taps], rows=2)
 
     # taps of two and four fields used to raise ValueError, a str weight
     # TypeError, wherever taps are taken
@@ -613,17 +665,18 @@ class TestTapEnsemble:
         ((0, "1.0", 0.0),), ((0, 1.0, "0"),), ((0, 1.0, None),), (None,), 3, "abc"])
     @pytest.mark.parametrize("call", [
         lambda taps: tap_psd(1e4, taps, 1.0), lambda taps: tap_autocorr(1e4, taps, 0.0),
-        lambda taps: tap_ensemble(1e4, [taps], 1e-6, 8, 1, 2),
+        lambda taps: experiments.estimate_curves(
+            ExperimentConfig(n_paths=2, segment_len=2, seed=1), [taps], 1e-6),
         lambda taps: stochastic.tap_layout([taps], 1e-6),
         lambda taps: simulate_taps((OscillatorSpec(f_c=1e6),) * 2, taps, 64e6, 1e-3, 1)],
-        ids=["tap_psd", "tap_autocorr", "tap_ensemble", "tap_layout", "simulate_taps"])
+        ids=["tap_psd", "tap_autocorr", "estimate_curves", "tap_layout", "simulate_taps"])
     def test_malformed_taps_rejected(self, taps, call):
         with pytest.raises(ParameterError, match="must be \\(integer source >= 0"):
             call(taps)
 
     def test_no_curve_rejected(self):
         with pytest.raises(ParameterError):
-            tap_ensemble(self.BETA, [], self.DT, self.N, self.SEED, 2)
+            self.estimate([], rows=2)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-6, np.inf, np.nan, 5e-324])
     def test_bad_step_rejected(self, dt):
@@ -631,7 +684,8 @@ class TestTapEnsemble:
         # negative delay; at dt = 5e-324, where 1/dt overflows, wiener_path
         # and the Welch estimator refused an fs, and the ensembles returned walks
         with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
-            tap_ensemble(self.BETA, [((0, 1.0, 0.0),)], dt, 8, 1, 1)
+            experiments.estimate_curves(ExperimentConfig(n_paths=1, segment_len=2, seed=1),
+                                        [((0, 1.0, 0.0),)], dt)
         with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
             wiener_path(1.0, 0.0, dt, 4, (1, 0))
         with pytest.raises(ParameterError, match="dt=.* must be finite and > 0"):
